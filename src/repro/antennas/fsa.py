@@ -187,6 +187,13 @@ class FrequencyScanningAntenna:
         self.design = design or FsaDesign()
         self.port = port
         self._mirror = -1.0 if port == FsaPort.B else 1.0
+        # The design is frozen, so the element taper is derived once here
+        # rather than on every pattern evaluation.
+        taper = self.design.element_weights()
+        self._taper_column = taper.reshape(-1, 1)
+        self._taper_column.setflags(write=False)
+        self._taper_sum = taper.sum()
+        self._element_index = np.arange(self.design.n_elements)
 
     # --- dispersion --------------------------------------------------------
 
@@ -209,7 +216,7 @@ class FrequencyScanningAntenna:
         :meth:`beam_angle_deg`)."""
         sin_theta = self._mirror * np.sin(np.radians(np.asarray(angle_deg, dtype=float)))
         denom = self.design.dispersion_intercept - sin_theta
-        if np.any(denom <= 0):
+        if (denom <= 0).any():
             raise ConfigurationError("angle not reachable by this FSA design")
         return self.design.dispersion_slope_hz / denom
 
@@ -240,12 +247,14 @@ class FrequencyScanningAntenna:
         # geometry, equivalent to evaluating port A at −θ).
         theta_rad = np.radians(self._mirror * angle_b)
         phase_per_element = k * d_m * np.sin(theta_rad) - psi
-        taper = self.design.element_weights()
-        # Sum over elements: result shape = broadcast shape.
-        n = np.arange(self.design.n_elements)
-        phases = np.multiply.outer(phase_per_element, n)
-        af = np.abs(np.tensordot(np.exp(1j * phases), taper, axes=([phases.ndim - 1], [0])))
-        af_norm = af / taper.sum()
+        # Sum over elements as one (points x elements) . (elements x 1)
+        # product: the same BLAS call np.tensordot reduces to (so the
+        # bits match it), without its per-call axis bookkeeping. Result
+        # shape = broadcast shape.
+        phases = np.multiply.outer(phase_per_element, self._element_index)
+        field = np.exp(1j * phases).reshape(-1, self.design.n_elements)
+        af = np.abs(np.dot(field, self._taper_column).reshape(phase_per_element.shape))
+        af_norm = af / self._taper_sum
         element_factor = np.maximum(np.cos(np.radians(angle_b)), 1e-3)
         gain_linear = (
             10.0 ** (self.design.peak_gain_dbi / 10.0) * af_norm**2 * element_factor

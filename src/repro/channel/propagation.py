@@ -29,9 +29,9 @@ def free_space_path_loss_db(distance_m, frequency_hz):
     """One-way free-space path loss 20 log10(4π d f / c) [dB]."""
     d = np.asarray(distance_m, dtype=float)
     f = np.asarray(frequency_hz, dtype=float)
-    if np.any(d <= 0):
+    if (d <= 0).any():
         raise ChannelError("distance must be positive")
-    if np.any(f <= 0):
+    if (f <= 0).any():
         raise ChannelError("frequency must be positive")
     loss = 20.0 * np.log10(4.0 * np.pi * d * f / SPEED_OF_LIGHT)
     return loss if loss.ndim else float(loss)

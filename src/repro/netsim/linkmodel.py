@@ -17,7 +17,11 @@ quantities the network layer consumes:
 
 Evaluations are cached per model instance keyed by exact geometry, so
 static fleets pay for each distinct pose once; the cache is bounded and
-its traffic lands in ``cache.{hits,misses}{cache=netsim_link}``. All
+its traffic lands in ``cache.{hits,misses}{cache=netsim_link}``. Mobile
+fleets, whose poses rarely repeat, pay an evaluation per observation,
+so a miss evaluates the FSA pattern and the free-space path loss once
+and derives both directions from them
+(:meth:`~repro.sim.linkbudget.LinkBudget.port_gains_db`). All
 outputs are pure functions of the inputs — no RNG, no wall clock — so
 a scenario's link behaviour replays identically anywhere.
 """
@@ -159,8 +163,7 @@ class FleetLinkModel:
             tx_power_dbm=self.tx_power_dbm,
             node_id="node",
         )
-        uplink_gain_db = budget.backscatter_gain_db("A", tone_hz)
-        downlink_gain_db = budget.downlink_port_gain_db("A", tone_hz)
+        downlink_gain_db, uplink_gain_db = budget.port_gains_db("A", tone_hz)
         rss_dbm = self.tx_power_dbm + uplink_gain_db - 2.0 * blockage_db
         uplink_snr_db = min(
             rss_dbm - self._noise_floor_dbm, self.calibration.uplink_sinr_cap_db

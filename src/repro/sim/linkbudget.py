@@ -82,6 +82,43 @@ class LinkBudget:
         """AP transmit power [W]."""
         return float(dbm_to_watts(self.tx_power_dbm))
 
+    # --- per-port budgets --------------------------------------------------------
+
+    def _port_terms(self, port: str, frequency_hz: float) -> tuple[float, float, float]:
+        """The geometry-dependent terms every port budget shares:
+        (FSA gain [dBi] toward the AP, one-way FSPL [dB], one-way
+        atmospheric loss [dB]).
+
+        The FSA pattern is the costly one — a full array-factor sum —
+        so callers needing both directions take
+        :meth:`port_gains_db` rather than evaluating it twice.
+        """
+        d = self.node_distance_m()
+        orientation = self.node_orientation_deg()
+        fspl = float(free_space_path_loss_db(d, frequency_hz))
+        fsa_gain = float(self.fsa.gain_dbi(port, orientation, frequency_hz))
+        atmo_db = (
+            self.atmosphere.one_way_loss_db(d, frequency_hz)
+            if self.atmosphere is not None
+            else 0.0
+        )
+        return fsa_gain, fspl, atmo_db
+
+    def port_gains_db(self, port: str, frequency_hz: float) -> tuple[float, float]:
+        """(downlink, backscatter) power gains [dB] of one port at one tone.
+
+        One FSA-pattern and one path-loss evaluation serve both
+        directions; each value is bitwise equal to
+        :meth:`downlink_port_gain_db` / :meth:`backscatter_gain_db`.
+        """
+        fsa_gain, fspl, atmo_db = self._port_terms(port, frequency_hz)
+        return (
+            self._downlink_gain_db(fsa_gain, fspl, atmo_db),
+            self._backscatter_gain_db(
+                fsa_gain, fspl, atmo_db, include_modulation_loss=True
+            ),
+        )
+
     # --- downlink (AP → node port) ---------------------------------------------
 
     def downlink_port_gain_db(self, port: str, frequency_hz: float) -> float:
@@ -91,16 +128,10 @@ class LinkBudget:
         horn(steered at node) + FSA port gain at the node's orientation
         − FSPL − switch insertion − implementation loss.
         """
-        d = self.node_distance_m()
-        orientation = self.node_orientation_deg()
-        fspl = float(free_space_path_loss_db(d, frequency_hz))
-        fsa_gain = float(self.fsa.gain_dbi(port, orientation, frequency_hz))
+        return self._downlink_gain_db(*self._port_terms(port, frequency_hz))
+
+    def _downlink_gain_db(self, fsa_gain: float, fspl: float, atmo_db: float) -> float:
         switch_db = -20.0 * math.log10(self.switch.through_amplitude())
-        atmo_db = (
-            self.atmosphere.one_way_loss_db(d, frequency_hz)
-            if self.atmosphere is not None
-            else 0.0
-        )
         return (
             self.tx_horn.peak_gain_dbi
             + fsa_gain
@@ -135,21 +166,23 @@ class LinkBudget:
         reflective insertion loss is inside
         :meth:`SpdtSwitch.reflection_amplitude`.
         """
-        d = self.node_distance_m()
-        orientation = self.node_orientation_deg()
-        fspl = float(free_space_path_loss_db(d, frequency_hz))
-        fsa_gain = float(self.fsa.gain_dbi(port, orientation, frequency_hz))
+        return self._backscatter_gain_db(
+            *self._port_terms(port, frequency_hz), include_modulation_loss
+        )
+
+    def _backscatter_gain_db(
+        self,
+        fsa_gain: float,
+        fspl: float,
+        atmo_db: float,
+        include_modulation_loss: bool,
+    ) -> float:
         # Reflect-state loss: the shorted port reflects fully minus two
         # passes through the switch.
         reflect_db = 2.0 * self.switch.insertion_loss_db
         modulation_db = (
             self.calibration.backscatter_modulation_loss_db
             if include_modulation_loss
-            else 0.0
-        )
-        atmo_db = (
-            2.0 * self.atmosphere.one_way_loss_db(d, frequency_hz)
-            if self.atmosphere is not None
             else 0.0
         )
         return (
@@ -159,7 +192,7 @@ class LinkBudget:
             - 2.0 * fspl
             - reflect_db
             - modulation_db
-            - atmo_db
+            - 2.0 * atmo_db
             - self.calibration.uplink_implementation_loss_db
         )
 

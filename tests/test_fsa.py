@@ -12,6 +12,27 @@ from repro.errors import ConfigurationError
 band_freqs = st.floats(min_value=BAND_START_HZ, max_value=BAND_STOP_HZ)
 
 
+def _reference_gain_dbi(design, port, angle_deg, frequency_hz):
+    """The pattern with its array factor written as ``np.tensordot`` over
+    a taper rebuilt per call — the reference ``gain_dbi`` must match bit
+    for bit."""
+    mirror = -1.0 if port == FsaPort.B else 1.0
+    angle_b, freq_b = np.broadcast_arrays(
+        np.asarray(angle_deg, dtype=float), np.asarray(frequency_hz, dtype=float)
+    )
+    k = 2.0 * np.pi * freq_b / 299792458.0
+    d_m = design.element_spacing_m
+    psi = k * d_m * design.sin_beam_angle(freq_b)
+    phase_per_element = k * d_m * np.sin(np.radians(mirror * angle_b)) - psi
+    taper = design.element_weights()
+    phases = np.multiply.outer(phase_per_element, np.arange(design.n_elements))
+    af = np.abs(np.tensordot(np.exp(1j * phases), taper, axes=([phases.ndim - 1], [0])))
+    af_norm = af / taper.sum()
+    element_factor = np.maximum(np.cos(np.radians(angle_b)), 1e-3)
+    gain_linear = 10.0 ** (design.peak_gain_dbi / 10.0) * af_norm**2 * element_factor
+    return 10.0 * np.log10(np.maximum(gain_linear, 1e-12))
+
+
 class TestFsaDesign:
     def test_from_scan_hits_endpoints(self):
         design = FsaDesign.from_scan()
@@ -131,6 +152,25 @@ class TestFsaPattern:
         fsa = FrequencyScanningAntenna(FsaDesign())
         out = fsa.gain_dbi(np.zeros(5), np.full(5, 28e9))
         assert out.shape == (5,)
+
+    @pytest.mark.parametrize("port", [FsaPort.A, FsaPort.B])
+    @pytest.mark.parametrize("taper", ["cosine", "uniform"])
+    def test_pattern_bit_identical_to_reference(self, port, taper):
+        design = FsaDesign(element_taper=taper)
+        fsa = FrequencyScanningAntenna(design, port)
+        band = np.linspace(BAND_START_HZ, BAND_STOP_HZ, 7)
+        cases = [
+            (12.5, 28.1e9),
+            (np.linspace(-80.0, 80.0, 161), 27.3e9),
+            (-7.0, band),
+            (np.linspace(-40.0, 40.0, 9)[:, None], band[None, :]),
+        ]
+        for angle, freq in cases:
+            expected = _reference_gain_dbi(design, port, angle, freq)
+            got = fsa.gain_dbi(angle, freq)
+            assert np.asarray(got).shape == expected.shape
+            assert np.array_equal(np.asarray(got), expected)
+        assert isinstance(fsa.gain_dbi(12.5, 28.1e9), float)
 
 
 class TestDualPortFsa:

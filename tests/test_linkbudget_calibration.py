@@ -5,7 +5,10 @@ import math
 import pytest
 
 from repro.antennas.fsa import FsaPort
+from repro.channel.atmosphere import AtmosphereModel
+from repro.channel.propagation import free_space_path_loss_db
 from repro.channel.scene import Scene2D
+from repro.hardware.switch import SwitchState
 from repro.sim.calibration import Calibration, default_calibration
 from repro.sim.linkbudget import LinkBudget
 
@@ -13,6 +16,68 @@ from repro.sim.linkbudget import LinkBudget
 @pytest.fixture
 def budget():
     return LinkBudget(Scene2D.single_node(2.0, orientation_deg=10.0))
+
+
+def _reference_port_gains(budget, port, frequency_hz):
+    """(downlink, backscatter) written out term by term, each direction
+    evaluating the FSA pattern and the path loss on its own."""
+    cal = budget.calibration
+    d = budget.node_distance_m()
+    orientation = budget.node_orientation_deg()
+    one_way_atmo_db = (
+        budget.atmosphere.one_way_loss_db(d, frequency_hz)
+        if budget.atmosphere is not None
+        else 0.0
+    )
+    downlink_fsa = float(budget.fsa.gain_dbi(port, orientation, frequency_hz))
+    downlink_fspl = float(free_space_path_loss_db(d, frequency_hz))
+    switch_db = -20.0 * math.log10(budget.switch.through_amplitude())
+    downlink = (
+        budget.tx_horn.peak_gain_dbi
+        + downlink_fsa
+        - downlink_fspl
+        - switch_db
+        - one_way_atmo_db
+        - cal.downlink_implementation_loss_db
+    )
+    uplink_fsa = float(budget.fsa.gain_dbi(port, orientation, frequency_hz))
+    uplink_fspl = float(free_space_path_loss_db(d, frequency_hz))
+    backscatter = (
+        budget.tx_horn.peak_gain_dbi
+        + 2.0 * uplink_fsa
+        + budget.rx_horn.peak_gain_dbi
+        - 2.0 * uplink_fspl
+        - 2.0 * budget.switch.insertion_loss_db
+        - cal.backscatter_modulation_loss_db
+        - 2.0 * one_way_atmo_db
+        - cal.uplink_implementation_loss_db
+    )
+    return downlink, backscatter
+
+
+class TestPortGains:
+    @pytest.mark.parametrize("atmosphere", [None, AtmosphereModel.heavy_rain()])
+    @pytest.mark.parametrize("switch_state", [SwitchState.ABSORB, SwitchState.REFLECT])
+    def test_both_directions_bit_identical_to_term_by_term_budget(
+        self, atmosphere, switch_state
+    ):
+        for distance_m, orientation_deg in ((1.5, -20.0), (4.0, 10.0), (9.0, 28.0)):
+            budget = LinkBudget(
+                Scene2D.single_node(distance_m, orientation_deg=orientation_deg),
+                atmosphere=atmosphere,
+            )
+            budget.switch.set_state(switch_state)
+            for port in (FsaPort.A, FsaPort.B):
+                for frequency_hz in (26.7e9, 28.0e9, 29.3e9):
+                    downlink, backscatter = _reference_port_gains(
+                        budget, port, frequency_hz
+                    )
+                    assert budget.port_gains_db(port, frequency_hz) == (
+                        downlink,
+                        backscatter,
+                    )
+                    assert budget.downlink_port_gain_db(port, frequency_hz) == downlink
+                    assert budget.backscatter_gain_db(port, frequency_hz) == backscatter
 
 
 class TestGeometryShortcuts:

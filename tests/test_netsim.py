@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from repro import kernels, obs
+from repro.antennas.fsa import FrequencyScanningAntenna
 from repro.channel.mobility import Waypoint, WaypointTrajectory
 from repro.channel.scene import NodePlacement, Scene2D
+from repro.constants import AP_TX_POWER_DBM, BAND_START_HZ, BAND_STOP_HZ
 from repro.errors import NetworkSimError, ProtocolError
 from repro.netsim import (
     FleetAp,
@@ -27,8 +29,11 @@ from repro.netsim import (
     scenario_seed,
 )
 from repro.netsim.core import EventQueue
+from repro.netsim.linkmodel import NODE_NOISE_FLOOR_DBM
 from repro.protocol.arq import ReliableChannel
 from repro.protocol.inventory import SlottedInventory
+from repro.sim import linkbudget
+from repro.sim.linkbudget import LinkBudget
 from repro.utils.geometry import Pose2D
 from repro.utils.rng import indexed_rngs
 
@@ -138,6 +143,68 @@ class TestFleetLinkModel:
         assert first == second
         assert obs.counter("cache.misses", cache="netsim_link").value == 1
         assert obs.counter("cache.hits", cache="netsim_link").value == 1
+
+    def test_miss_evaluates_pattern_and_path_loss_once(self, monkeypatch):
+        calls = {"pattern": 0, "path_loss": 0}
+        pattern = FrequencyScanningAntenna.gain_dbi
+        path_loss = linkbudget.free_space_path_loss_db
+
+        def counted_pattern(antenna, *args):
+            calls["pattern"] += 1
+            return pattern(antenna, *args)
+
+        def counted_path_loss(*args):
+            calls["path_loss"] += 1
+            return path_loss(*args)
+
+        monkeypatch.setattr(FrequencyScanningAntenna, "gain_dbi", counted_pattern)
+        monkeypatch.setattr(linkbudget, "free_space_path_loss_db", counted_path_loss)
+        model = FleetLinkModel()
+        ap = Pose2D.at(0.0, 0.0, 0.0)
+        node = Pose2D.at(4.0, 1.0, 190.0)
+        model.observe(ap, node)
+        assert calls == {"pattern": 1, "path_loss": 1}
+        model.observe(ap, node)  # a hit evaluates nothing
+        assert calls == {"pattern": 1, "path_loss": 1}
+
+    def test_observe_matches_single_direction_budgets(self):
+        # Reference: the LinkBudget methods for each direction on their
+        # own. Orientations past +/-31 deg clamp the tone to a band edge.
+        model = FleetLinkModel()
+        ap = Pose2D.at(0.5, -0.25, 20.0)
+        for x, y, heading in (
+            (3.0, 1.0, 200.0),
+            (12.0, -4.0, 170.0),
+            (2.0, 2.0, 250.0),
+            (6.0, 0.0, 140.0),
+            (0.8, -0.3, 215.0),
+        ):
+            node = Pose2D.at(x, y, heading)
+            budget = LinkBudget(
+                Scene2D(ap, (NodePlacement(node, "node"),), ()), node_id="node"
+            )
+            aligned_hz = float(
+                budget.fsa.port_a.alignment_frequency_hz(budget.node_orientation_deg())
+            )
+            tone_hz = min(max(aligned_hz, BAND_START_HZ), BAND_STOP_HZ)
+            for blockage_db in (0.0, 6.5):
+                got = model.observe(ap, node, blockage_db)
+                rss_dbm = (
+                    AP_TX_POWER_DBM
+                    + budget.backscatter_gain_db("A", tone_hz)
+                    - 2.0 * blockage_db
+                )
+                assert got.rss_dbm == rss_dbm
+                assert got.uplink_snr_db == min(
+                    rss_dbm - model.ap_noise_floor_dbm,
+                    model.calibration.uplink_sinr_cap_db,
+                )
+                assert got.downlink_snr_db == (
+                    AP_TX_POWER_DBM
+                    + budget.downlink_port_gain_db("A", tone_hz)
+                    - blockage_db
+                    - NODE_NOISE_FLOOR_DBM
+                )
 
     def test_cache_is_bounded(self):
         model = FleetLinkModel(cache_size=2)
