@@ -5,7 +5,8 @@ measured here and recorded as gauges in ``BENCH_obs.json``:
 
 * ``bench.parallel.warm_pool_speedup`` — a burst of small map calls on
   a prewarmed :class:`~repro.parallel.PersistentPool` vs the same burst
-  through cold-fork :func:`~repro.parallel.parallel_map`. The trials
+  through :func:`~repro.parallel.parallel_map` with no pool installed,
+  which forks a pool for each call. The trials
   are deliberately light (a small FFT per task): the gauge isolates the
   *pool lifecycle* overhead — fork + executor spin-up + teardown per
   call, ~10 ms on this class of box — that the warm pool pays once

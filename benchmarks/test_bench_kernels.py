@@ -1,4 +1,4 @@
-"""Benchmark: batched array kernels vs their retained loop references.
+"""Benchmark: batched array kernels vs the loop-form oracle they replaced.
 
 Two perf claims from ``docs/PERFORMANCE.md`` are measured on a
 fig12-sized workload (5 chirps × 2 RX antennas × 720-sample records) and
@@ -6,7 +6,7 @@ recorded as gauges in ``BENCH_obs.json``:
 
 * ``bench.kernel.synthesis_speedup`` — burst synthesis as one
   ``(n_chirps, n_rx, n)`` broadcast vs the per-record loop. The RNG
-  draws (identical in both modes) are excluded: both modes consume the
+  draws (identical in both legs) are excluded: both legs consume the
   same pre-drawn :class:`~repro.kernels.burst.BurstVariates`.
 * ``bench.kernel.rx_chain_speedup`` — the AP receive chain
   (``chirp_spectra`` + ``background_subtracted``) with stacked-FFT
@@ -15,11 +15,12 @@ recorded as gauges in ``BENCH_obs.json``:
   the 2401-point AoA grid scans as one matmul projection vs the
   per-angle loops (8-antenna array, the §9.2 upgrade path).
 
-Each leg first asserts the cross-mode contract: bitwise identity
-(``np.array_equal``) for the burst/rxchain kernels, exact peak index
-plus the documented tolerance for the AoA spectra (see
-``docs/PERFORMANCE.md``) — the speedups are only meaningful because
-the outputs do not change.
+The reference legs come from the test oracle
+(``tests/kernel_reference.py``). Each pair first asserts the oracle
+contract: bitwise identity (``np.array_equal``) for the burst/rxchain
+kernels, exact peak index plus the documented tolerance for the AoA
+spectra (see ``docs/PERFORMANCE.md``) — the speedups are only
+meaningful because the outputs do not change.
 """
 
 from __future__ import annotations
@@ -28,12 +29,14 @@ import time
 
 import numpy as np
 
-from repro import kernels, obs
+from repro import obs
 from repro.ap.music import ArrayAoaEstimator
 from repro.channel.scene import Scene2D
 from repro.kernels import aoa
 from repro.kernels import burst as burst_kernel
 from repro.sim.engine import MilBackSimulator
+from tests import kernel_reference
+from tests.kernel_reference import reference_kernels
 
 #: fig12 burst geometry: 5-chirp background subtraction, two RX horns,
 #: 18 µs chirps sampled at the 40 MHz beat rate.
@@ -96,14 +99,14 @@ def test_bench_kernel_burst_synthesis(benchmark):
         residual_fn=lambda: np.zeros(n, dtype=np.complex128),
     )
 
-    reference = burst_kernel.synthesize_burst_reference(params, variates)
-    batched = burst_kernel.synthesize_burst_batched(params, variates)
+    reference = kernel_reference.synthesize_burst(params, variates)
+    batched = burst_kernel.synthesize_burst(params, variates)
     assert np.array_equal(batched, reference)
 
     reference_s, batched_s = benchmark.pedantic(
         lambda: _timed_pair(
-            lambda: burst_kernel.synthesize_burst_reference(params, variates),
-            lambda: burst_kernel.synthesize_burst_batched(params, variates),
+            lambda: kernel_reference.synthesize_burst(params, variates),
+            lambda: burst_kernel.synthesize_burst(params, variates),
         ),
         rounds=1,
         iterations=1,
@@ -125,19 +128,13 @@ def test_bench_kernel_rx_chain(benchmark):
     def rx_chain():
         return sim.ap.fmcw.background_subtracted(rx1).values
 
-    def in_mode(mode, fn=rx_chain):
-        def run():
-            kernels.set_kernel_mode(mode)
-            try:
-                return fn()
-            finally:
-                kernels.set_kernel_mode(None)
+    def rx_chain_reference():
+        with reference_kernels():
+            return rx_chain()
 
-        return run
-
-    assert np.array_equal(in_mode("batched")(), in_mode("reference")())
+    assert np.array_equal(rx_chain(), rx_chain_reference())
     reference_s, batched_s = benchmark.pedantic(
-        lambda: _timed_pair(in_mode("reference"), in_mode("batched")),
+        lambda: _timed_pair(rx_chain_reference, rx_chain),
         rounds=1,
         iterations=1,
     )
@@ -196,25 +193,13 @@ def _aoa_timed_pair(reference_fn, batched_fn) -> tuple[float, float]:
     return reference_s, batched_s
 
 
-def _in_kernel_mode(mode, fn):
-    def run():
-        kernels.set_kernel_mode(mode)
-        try:
-            return fn()
-        finally:
-            kernels.set_kernel_mode(None)
-
-    return run
-
-
 def test_bench_kernel_music_spectrum(benchmark):
     covariance, noise, steering = _aoa_inputs()
-    run_reference = _in_kernel_mode(
-        "reference", lambda: aoa.music_spectrum(noise, steering)
-    )
-    run_batched = _in_kernel_mode(
-        "batched", lambda: aoa.music_spectrum(noise, steering)
-    )
+    def run_reference():
+        return kernel_reference.music_spectrum(noise, steering)
+
+    def run_batched():
+        return aoa.music_spectrum(noise, steering)
 
     reference, batched = run_reference(), run_batched()
     assert int(np.argmax(batched)) == int(np.argmax(reference))
@@ -237,12 +222,11 @@ def test_bench_kernel_music_spectrum(benchmark):
 
 def test_bench_kernel_bartlett_spectrum(benchmark):
     covariance, noise, steering = _aoa_inputs()
-    run_reference = _in_kernel_mode(
-        "reference", lambda: aoa.bartlett_spectrum(covariance, steering)
-    )
-    run_batched = _in_kernel_mode(
-        "batched", lambda: aoa.bartlett_spectrum(covariance, steering)
-    )
+    def run_reference():
+        return kernel_reference.bartlett_spectrum(covariance, steering)
+
+    def run_batched():
+        return aoa.bartlett_spectrum(covariance, steering)
 
     reference, batched = run_reference(), run_batched()
     assert int(np.argmax(batched)) == int(np.argmax(reference))

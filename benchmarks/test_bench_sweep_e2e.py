@@ -5,14 +5,15 @@ the fig12 angle sweep routed through the §9.2 MUSIC array
 (:func:`repro.experiments.fig12_localization.run_fig12_angle` with
 ``array_elements=4``), run two ways —
 
-* **serial reference** — one process, the retained loop kernels;
-* **parallel batched** — 4 workers, batched AoA kernels, shared-memory
-  transport (the shipping default for all three knobs).
+* **serial reference** — one process, the loop-form oracle kernels
+  (``tests/kernel_reference.py``);
+* **parallel batched** — 4 workers on the shipping kernels, with large
+  arrays crossing by shared-memory arena.
 
 The ratio is gated at >= 3.0. Before timing, the two configurations
 must return the *same bits*: the AoA refinement recomputes the peak
-window with reference arithmetic, so refined angles are exactly
-mode-independent, and worker RNG streams are exactly the serial
+window with loop arithmetic, so refined angles are exactly
+kernel-independent, and worker RNG streams are exactly the serial
 streams. The leak check asserts every shared-memory arena was unlinked.
 """
 
@@ -23,8 +24,9 @@ import time
 
 import numpy as np
 
-from repro import kernels, obs, parallel
+from repro import obs
 from repro.experiments.fig12_localization import run_fig12_angle
+from tests.kernel_reference import kernels_for
 
 #: Sweep sizing: the full fig12 azimuth set at 40 trials per placement
 #: (280 trials), every trial a 4-element MUSIC localization. Large
@@ -55,11 +57,9 @@ def _shm_segments() -> set[str]:
 
 
 def _run_leg(
-    kernel_mode: str, workers: int, transport: str, n_trials: int = N_TRIALS
+    kernels: str, workers: int, n_trials: int = N_TRIALS
 ) -> tuple[np.ndarray, float]:
-    kernels.set_kernel_mode(kernel_mode)
-    parallel.set_transport_mode(transport)
-    try:
+    with kernels_for(kernels):
         start_s = time.perf_counter()
         errors = run_fig12_angle(
             n_trials=n_trials,
@@ -67,9 +67,6 @@ def _run_leg(
             array_elements=ARRAY_ELEMENTS,
         )
         return errors, time.perf_counter() - start_s
-    finally:
-        kernels.set_kernel_mode(None)
-        parallel.set_transport_mode(None)
 
 
 def test_bench_sweep_e2e_speedup(benchmark):
@@ -79,13 +76,13 @@ def test_bench_sweep_e2e_speedup(benchmark):
         # Warm-up: prime the steering memo, the scene caches, and the
         # allocator, and pay the first pool's cold-fork cost outside
         # the timed rounds.
-        _run_leg("reference", 1, "pickle", n_trials=1)
-        _run_leg("batched", 4, "shm", n_trials=2)
+        _run_leg("reference", 1, n_trials=1)
+        _run_leg("batched", 4, n_trials=2)
         serial_s = parallel_s = float("inf")
         for _ in range(ROUNDS):
-            serial_errors, leg_s = _run_leg("reference", 1, "pickle")
+            serial_errors, leg_s = _run_leg("reference", 1)
             serial_s = min(serial_s, leg_s)
-            parallel_errors, leg_s = _run_leg("batched", 4, "shm")
+            parallel_errors, leg_s = _run_leg("batched", 4)
             parallel_s = min(parallel_s, leg_s)
             # The gate is only meaningful over identical outputs.
             assert np.array_equal(serial_errors, parallel_errors)
@@ -101,4 +98,4 @@ def test_bench_sweep_e2e_speedup(benchmark):
     assert _shm_segments() == segments_before
     print(f"\nfig12 angle sweep ({ARRAY_ELEMENTS}-element MUSIC, "
           f"{N_TRIALS} trials x 7 azimuths): serial reference {serial_s:.2f} s, "
-          f"4 workers batched+shm {parallel_s:.2f} s, speedup {speedup:.2f}x")
+          f"4 workers batched {parallel_s:.2f} s, speedup {speedup:.2f}x")

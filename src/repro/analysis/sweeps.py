@@ -80,8 +80,8 @@ def _sweep_task(
 
     ``functools.partial(_sweep_task, trial)`` pickles whenever ``trial``
     does, which lets a picklable trial ride an installed
-    :class:`~repro.parallel.PersistentPool`; closures still work via
-    the cold fork path's copy-on-write inheritance.
+    :class:`~repro.parallel.PersistentPool`; closures still run on a
+    pool forked for the call, which inherits them copy-on-write.
     """
     return float(trial(task[0], task[1]))
 

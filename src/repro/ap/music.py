@@ -54,8 +54,8 @@ class ArrayAoaEstimator:
         self.grid_deg = np.linspace(-scan_limit_deg, scan_limit_deg, n_grid)
         # The grid and geometry are fixed for the estimator's lifetime,
         # so the whole (n_grid, n_antennas) steering matrix is built
-        # once here and reused by every estimate() call in both kernel
-        # modes (memoized process-wide — see repro.kernels.aoa).
+        # once here and reused by every estimate() call (memoized
+        # process-wide — see repro.kernels.aoa).
         self._steering = aoa.steering_matrix(
             self.grid_deg, n_antennas, baseline_m, self.wavelength_m
         )
@@ -139,15 +139,13 @@ class ArrayAoaEstimator:
     def _refine_peak(
         self, k: int, window: Callable[[np.ndarray], np.ndarray]
     ) -> float:
-        """Parabolic peak interpolation on reference-arithmetic values.
+        """Parabolic peak interpolation on loop-arithmetic values.
 
         The three spectrum points around the peak are recomputed with
-        the reference (loop) arithmetic regardless of the active kernel
-        mode: in reference mode the values are bitwise what the full
-        scan produced, and in batched mode this pins the refined angle
-        to the reference result exactly, so `estimate()` returns a mode-
-        independent angle whenever the peak index agrees (see
-        `docs/PERFORMANCE.md`).
+        the per-angle loop arithmetic: this pins the refined angle to
+        what a full loop scan (the test oracle) would give exactly, so
+        `estimate()` returns a kernel-independent angle whenever the
+        peak index agrees (see `docs/PERFORMANCE.md`).
         """
         grid_deg = self.grid_deg
         if 0 < k < grid_deg.size - 1:

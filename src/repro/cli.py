@@ -12,9 +12,6 @@ roll-up after the experiment output.
 
 ``--workers N`` executes sweep trials on N processes (see
 ``docs/PERFORMANCE.md``); results are bitwise identical to serial runs.
-``--kernels reference`` swaps the batched array kernels for their
-retained loop references — also bitwise identical, useful for isolating
-a suspected kernel bug.
 
 ``python -m repro faults`` runs a resilience campaign (fault-rate sweep
 with degradation curves and the ARQ invariant check), and ``run
@@ -47,7 +44,7 @@ import sys
 from pathlib import Path
 from typing import Callable
 
-from repro import datasets, faults, kernels, netsim, obs, parallel
+from repro import datasets, faults, netsim, obs
 from repro.errors import DatasetError, FaultInjectionError, NetworkSimError
 from repro.faults import campaign as faults_campaign
 from repro.obs import regress as obs_regress
@@ -71,7 +68,7 @@ from repro.experiments import (
 
 __all__ = [
     "main", "EXPERIMENTS",
-    "build_parser",
+    "build_parser",  # milback: disable=ML014 — public CLI surface
 ]
 
 #: name -> (description, runner taking optional trial count and worker count).
@@ -141,30 +138,13 @@ EXPERIMENTS: dict[str, tuple[str, Callable[..., str]]] = {
 
 
 def _add_execution_args(parser: argparse.ArgumentParser) -> None:
-    """Worker/kernel/observability flags shared by every executing command."""
+    """Worker/observability flags shared by every executing command."""
     parser.add_argument(
         "--workers",
         type=int,
         default=None,
         help="run sweeps on N worker processes (0 = all cores; results "
         "are bitwise identical to serial; default: $REPRO_MAX_WORKERS or 1)",
-    )
-    parser.add_argument(
-        "--kernels",
-        choices=kernels.KERNEL_MODES,
-        default=None,
-        help="array-kernel implementation: 'batched' (default) or the "
-        "retained 'reference' loops; experiment outputs are identical "
-        "(default: $REPRO_KERNELS or 'batched')",
-    )
-    parser.add_argument(
-        "--transport",
-        choices=parallel.TRANSPORT_MODES,
-        default=None,
-        help="worker payload transport: 'shm' (default) moves large "
-        "arrays through shared memory, 'pickle' ships everything over "
-        "the pipe; results are bitwise identical "
-        f"(default: ${parallel.TRANSPORT_ENV} or 'shm')",
     )
     parser.add_argument(
         "--trace",
@@ -669,10 +649,6 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.kernels is not None:
-        kernels.set_kernel_mode(args.kernels)
-    if args.transport is not None:
-        parallel.set_transport_mode(args.transport)
     # One invocation = one observation window: artifacts must describe
     # exactly this run, so clear anything import-time code recorded.
     obs.reset()

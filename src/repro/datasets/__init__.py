@@ -16,8 +16,8 @@ modules, three concerns:
   NPZ bytes, crash-safe tmp-rename flushes, manifest-driven resume.
 
 The headline guarantee, asserted in tests and CI: a corpus is
-**byte-identical** at any worker count, under either kernel mode, and
-across kill/resume boundaries. See ``docs/DATASETS.md``.
+**byte-identical** at any worker count, under the loop-form oracle
+kernels the tests patch in, and across kill/resume boundaries. See ``docs/DATASETS.md``.
 """
 
 from __future__ import annotations

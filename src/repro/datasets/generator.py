@@ -14,11 +14,11 @@ batched kernel path once per block instead of once per chirp.
 
 Feature choice is deliberate: every quantity stored (windowed FFTs,
 adjacent-pair subtraction, link-budget port powers, envelope means, the
-two-horn range/AoA estimates) is bitwise identical between the
-``batched`` and ``reference`` kernel modes — the corpus never touches
+two-horn range/AoA estimates) is bitwise identical between the kernels
+and the loop-form oracle the tests patch in — the corpus never touches
 the MUSIC/Bartlett grid scans whose raw spectra carry few-ulp BLAS
-differences. That is what makes the byte-identity contract hold across
-``--kernels`` as well as worker counts.
+differences. That is what makes the byte-identity contract hold against
+the oracle as well as across worker counts.
 """
 
 from __future__ import annotations
@@ -181,8 +181,8 @@ def generate_dataset(
     block window regardless of corpus size. ``pool`` (or an installed
     :func:`repro.parallel.active_pool`) reuses warm workers across
     calls; otherwise a pool is created for this run and shut down after.
-    The output bytes are identical at any ``max_workers``, either
-    kernel mode, and across resume boundaries.
+    The output bytes are identical at any ``max_workers`` and across
+    resume boundaries.
     """
     if block_rows < 1:
         block_rows = 1

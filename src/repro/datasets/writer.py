@@ -9,7 +9,7 @@ container is just a zip of ``.npy`` members) that pins everything
 field names), zip timestamps (the DOS epoch), compression (stored —
 float noise doesn't deflate anyway), and permission bits. Two runs that
 produce the same rows therefore produce the same *files*, which is what
-lets tests and CI assert worker-count/kernel-mode invariance with
+lets tests and CI assert worker-count invariance with
 ``cmp``. For the same reason the manifest carries **no timestamps** —
 also required by lint rule ML012 (no wall-clock in library code).
 

@@ -6,40 +6,31 @@ per-antenna Python loops of burst synthesis and the AP receive chain are
 replaced by single broadcasted NumPy computations over
 ``(n_chirps, n_rx, n)`` style arrays.
 
-Determinism contract
---------------------
+Oracle contract
+---------------
 
-Every kernel ships two implementations:
+Each kernel has one implementation, the broadcasted one. It is built so
+every output element goes through the *same sequence of floating-point
+operations on the same operand values* as the per-record loop it
+replaced. Those loops live on as a test-only oracle
+(``tests/kernel_reference.py``), whose ``reference_kernels()`` context
+manager patches them over the kernel module attributes every call site
+goes through.
 
-* ``reference`` — the retained loop implementation, operation-for-
-  operation identical to the pre-kernel code (same RNG draw order, same
-  floating-point evaluation order);
-* ``batched`` — the broadcasted implementation, constructed so each
-  output element goes through the *same sequence of floating-point
-  operations on the same operand values* as the reference loop.
-
-For the burst/rxchain family the two modes are **bitwise identical**
-(``np.array_equal``, not ``allclose``) — ``tests/test_kernels.py``
-asserts exact equality across shapes, and the CI perf-smoke job diffs
-full experiment stdout between modes. The AoA spectrum family
-(:mod:`repro.kernels.aoa`) is the one documented exception: its batched
+For the burst/rxchain/dsp families the kernels are **bitwise identical**
+to the oracle (``np.array_equal``, not ``allclose``) — the tests assert
+exact equality across shapes and on a whole fig12 run. The AoA spectrum
+family (:mod:`repro.kernels.aoa`) is the one documented exception: its
 spectra route the same math through BLAS matmuls whose reduction order
-differs from the reference loops, so the raw spectra agree only to a
-tested few-ulp bound — while the steering phasors, the MUSIC
-denominator clamp, the spectrum peak index, and the refined angle stay
-exactly mode-independent (see ``docs/PERFORMANCE.md``). Batched is the
-default everywhere; ``reference`` exists as an escape hatch and as the
-baseline the ``bench.kernel.*`` speedup gauges are measured against.
+differs from the loops, so the raw spectra agree only to a tested
+few-ulp bound — while the steering phasors, the MUSIC denominator clamp,
+the spectrum peak index, and the refined angle stay exactly equal (see
+``docs/PERFORMANCE.md``). The loops are also the baseline the
+``bench.kernel.*`` speedup gauges are measured against.
 
-Mode selection, in priority order:
-
-1. :func:`set_kernel_mode` (the CLI's ``--kernels`` flag uses this);
-2. the ``REPRO_KERNELS`` environment variable;
-3. the default, ``batched``.
-
-Every kernel invocation counts one ``kernels.dispatch.batched`` or
-``kernels.dispatch.reference`` (labelled ``kernel=<name>``), so a
-metrics snapshot always records which mode produced it.
+Every kernel invocation counts one ``kernels.dispatch.batched``
+(labelled ``kernel=<name>``), so a metrics snapshot records how often
+each kernel ran.
 
 Layering: this package depends only on :mod:`numpy`, :mod:`repro.obs`
 and :mod:`repro.errors`. Kernels take and return plain arrays — the
@@ -49,59 +40,11 @@ the :class:`~repro.dsp.signal.Signal` / ``Spectrum`` wrapping.
 
 from __future__ import annotations
 
-import os
-
 from repro import obs
-from repro.errors import ConfigurationError
 
-__all__ = [
-    "KERNELS_ENV",
-    "KERNEL_MODES",
-    "kernel_mode",
-    "set_kernel_mode",
-    "use_batched",
-]
-
-#: Environment variable consulted when no programmatic override is set.
-KERNELS_ENV = "REPRO_KERNELS"
-
-#: Recognized kernel modes.
-KERNEL_MODES = ("batched", "reference")
-
-#: Programmatic override (CLI ``--kernels``); ``None`` defers to the env.
-_OVERRIDE: str | None = None
+__all__ = ["count_dispatch"]
 
 
-def _validate(mode: str) -> str:
-    if mode not in KERNEL_MODES:
-        raise ConfigurationError(
-            f"unknown kernel mode {mode!r}; choose from {', '.join(KERNEL_MODES)}"
-        )
-    return mode
-
-
-def kernel_mode() -> str:
-    """The active kernel mode: override, then ``$REPRO_KERNELS``, then batched."""
-    if _OVERRIDE is not None:
-        return _OVERRIDE
-    raw = os.environ.get(KERNELS_ENV, "").strip().lower()
-    if not raw:
-        return "batched"
-    return _validate(raw)
-
-
-def set_kernel_mode(mode: str | None) -> None:
-    """Set (or with ``None`` clear) the process-wide kernel-mode override."""
-    global _OVERRIDE
-    _OVERRIDE = None if mode is None else _validate(mode)
-
-
-def use_batched(kernel: str) -> bool:
-    """Dispatch decision for one kernel invocation, with obs accounting.
-
-    Returns True when the batched implementation should run, and counts
-    the dispatch under ``kernels.dispatch.<mode>{kernel=...}`` either way.
-    """
-    mode = kernel_mode()
-    obs.counter(f"kernels.dispatch.{mode}", kernel=kernel).inc()
-    return mode == "batched"
+def count_dispatch(kernel: str) -> None:
+    """Count one kernel invocation under ``kernels.dispatch.batched{kernel=...}``."""
+    obs.counter("kernels.dispatch.batched", kernel=kernel).inc()

@@ -10,38 +10,38 @@ products per grid point, in Python. This module batches that scan:
   phasor matrix once and memoizes it per (grid, geometry) key, since
   both are fixed when an estimator is constructed;
 * :func:`bartlett_spectrum` / :func:`music_spectrum` evaluate the whole
-  spectrum as one matmul + reduction in batched mode, with the original
-  per-angle loops retained as the ``reference`` kernel mode.
+  spectrum as one matmul + reduction.
 
 Tolerance contract
 ------------------
 
-Unlike the burst/rxchain kernels, the batched spectra are **not**
-bitwise equal to the loops: the per-angle reference reduces each
-quadratic form with BLAS ``zgemv``/``zdotc`` calls whose accumulation
-order differs from the batched ``zgemm`` + axis reduction, so the two
-modes agree only to a few ulp — and near MUSIC spectral peaks, where
-the noise-subspace projection nearly cancels, the residual is further
-magnified by the cancellation's condition number, so the suite pins a
-relative bound there instead (see ``docs/PERFORMANCE.md`` for both
-tested bounds). Three things *are* exact across modes, by construction:
+Unlike the burst/rxchain kernels, the spectra are **not** bitwise equal
+to the per-angle loops (:func:`bartlett_window_reference` /
+:func:`music_window_reference`, which the test oracle runs over the
+whole grid): the loops reduce each quadratic form with BLAS
+``zgemv``/``zdotc`` calls whose accumulation order differs from the
+``zgemm`` + axis reduction here, so the two agree only to a few ulp —
+and near MUSIC spectral peaks, where the noise-subspace projection
+nearly cancels, the residual is further magnified by the cancellation's
+condition number, so the suite pins a relative bound there instead (see
+``docs/PERFORMANCE.md`` for both tested bounds). Three things *are*
+exact, by construction:
 
-* the steering phasors — both modes share the same memoized matrix,
-  whose rows are built by the scalar path the legacy per-call
+* the steering phasors — kernel and loops share the same memoized
+  matrix, whose rows are built by the scalar path the legacy per-call
   ``steering_vector`` used (``math.sin`` + ``np.exp``), never by SVML
   vector trig;
-* the MUSIC denominator floor — both modes clamp at
+* the MUSIC denominator floor — both clamp at
   :data:`MUSIC_DENOM_FLOOR` before taking the reciprocal, so
   near-singular covariances saturate identically;
-* the refinement window — :func:`bartlett_window_reference` /
-  :func:`music_window_reference` recompute the spectrum at the few rows
-  around the peak with the reference arithmetic, so a caller that
-  interpolates the peak from those values gets a bitwise mode-
-  independent angle whenever the peak index agrees.
+* the refinement window — the window functions recompute the spectrum
+  at the few rows around the peak with the loop arithmetic, so a caller
+  that interpolates the peak from those values gets a bitwise
+  kernel-independent angle whenever the peak index agrees.
 
-Eigendecomposition (:func:`noise_subspace`) is deliberately outside the
-dispatch: both modes call the same ``eigh`` on the same covariance, so
-the noise subspace is identical and only the grid scan differs.
+Eigendecomposition (:func:`noise_subspace`) is not a counted kernel:
+kernel and loops run the same ``eigh`` on the same covariance, so the
+noise subspace is identical and only the grid scan differs.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from collections import OrderedDict
 import numpy as np
 
 from repro import obs
-from repro.kernels import use_batched
+from repro.kernels import count_dispatch
 
 __all__ = [
     "MUSIC_DENOM_FLOOR",
@@ -66,10 +66,10 @@ __all__ = [
     "steering_vector",
 ]
 
-#: Denominator clamp applied before the MUSIC reciprocal, in both kernel
-#: modes: a noise subspace exactly orthogonal to a steering vector would
-#: otherwise divide by zero. Values at or below the floor saturate the
-#: pseudo-spectrum at exactly ``1 / MUSIC_DENOM_FLOOR``.
+#: Denominator clamp applied before the MUSIC reciprocal, by the kernel
+#: and the window loops alike: a noise subspace exactly orthogonal to a
+#: steering vector would otherwise divide by zero. Values at or below the
+#: floor saturate the pseudo-spectrum at exactly ``1 / MUSIC_DENOM_FLOOR``.
 MUSIC_DENOM_FLOOR = 1e-18
 
 #: Bounded memo of steering matrices, keyed by (grid, geometry) value.
@@ -97,12 +97,12 @@ def steering_matrix(
     """The ``(n_grid, n_antennas)`` steering matrix for a fixed scan grid.
 
     Rows are built by the exact scalar path of :func:`steering_vector`
-    — one ``math.sin`` and one small ``np.exp`` per angle — so both
-    kernel modes (and the pre-kernel loop code) see bitwise-identical
-    phasors. The result is read-only and memoized per process: sweeps
-    construct a fresh estimator per trial, but the grid and array
-    geometry are value-identical across trials, so every trial after
-    the first hits the cache.
+    — one ``math.sin`` and one small ``np.exp`` per angle — so the
+    kernels and the window loops see bitwise-identical phasors. The
+    result is read-only and memoized per process: sweeps construct a
+    fresh estimator per trial, but the grid and array geometry are
+    value-identical across trials, so every trial after the first hits
+    the cache.
     """
     key = (
         int(n_antennas),
@@ -138,9 +138,10 @@ def noise_subspace(covariance: np.ndarray, n_sources: int = 1) -> np.ndarray:
     """Noise-subspace eigenvectors of a spatial covariance.
 
     ``eigh`` sorts eigenvalues ascending, so the noise subspace is
-    everything below the top ``n_sources`` eigenvectors. Not dispatched:
-    both kernel modes run the same LAPACK call on the same covariance,
-    so the subspace — and anything derived from it — starts identical.
+    everything below the top ``n_sources`` eigenvectors. Not a counted
+    kernel: every spectrum path runs this same LAPACK call on the same
+    covariance, so the subspace — and anything derived from it — starts
+    identical.
     """
     _, eigenvectors = np.linalg.eigh(covariance)
     return eigenvectors[:, : covariance.shape[0] - n_sources]
@@ -149,7 +150,7 @@ def noise_subspace(covariance: np.ndarray, n_sources: int = 1) -> np.ndarray:
 def bartlett_window_reference(
     covariance: np.ndarray, steering_rows: np.ndarray
 ) -> np.ndarray:
-    """Bartlett power at each given steering row, reference arithmetic."""
+    """Bartlett power at each given steering row, per-angle loop arithmetic."""
     n_antennas = steering_rows.shape[1]
     out = np.empty(steering_rows.shape[0])
     for i in range(steering_rows.shape[0]):
@@ -161,7 +162,7 @@ def bartlett_window_reference(
 def music_window_reference(
     noise: np.ndarray, steering_rows: np.ndarray
 ) -> np.ndarray:
-    """MUSIC pseudo-spectrum at each steering row, reference arithmetic."""
+    """MUSIC pseudo-spectrum at each steering row, per-angle loop arithmetic."""
     out = np.empty(steering_rows.shape[0])
     for i in range(steering_rows.shape[0]):
         a = steering_rows[i]
@@ -174,30 +175,27 @@ def music_window_reference(
 def bartlett_spectrum(covariance: np.ndarray, steering: np.ndarray) -> np.ndarray:
     """Bartlett beamformer power over the whole scan grid.
 
-    Batched mode projects every steering row through the covariance in
-    one ``(n_grid, n) @ (n, n)`` product and reduces the quadratic form
-    along the antenna axis; reference mode is the retained per-angle
-    loop. Same math, BLAS-reordered reduction — see the module
-    docstring for the tolerance contract.
+    Projects every steering row through the covariance in one
+    ``(n_grid, n) @ (n, n)`` product and reduces the quadratic form
+    along the antenna axis. Same math as the per-angle loop,
+    BLAS-reordered reduction — see the module docstring for the
+    tolerance contract.
     """
-    if use_batched("aoa.bartlett_spectrum"):
-        projected = steering.conj() @ covariance
-        power = np.einsum("gi,gi->g", projected, steering).real
-        return power / steering.shape[1] ** 2
-    return bartlett_window_reference(covariance, steering)
+    count_dispatch("aoa.bartlett_spectrum")
+    projected = steering.conj() @ covariance
+    power = np.einsum("gi,gi->g", projected, steering).real
+    return power / steering.shape[1] ** 2
 
 
 def music_spectrum(noise: np.ndarray, steering: np.ndarray) -> np.ndarray:
     """MUSIC pseudo-spectrum over the whole scan grid.
 
     ``noise`` is the :func:`noise_subspace` of the snapshot covariance.
-    Batched mode computes every projection in one
-    ``(n_grid, n) @ (n, n_noise)`` product and clamps the squared norms
-    at :data:`MUSIC_DENOM_FLOOR` exactly as the reference loop's
-    ``max(denom, floor)`` does; reference mode is the retained loop.
+    Computes every projection in one ``(n_grid, n) @ (n, n_noise)``
+    product and clamps the squared norms at :data:`MUSIC_DENOM_FLOOR`
+    exactly as the per-angle loop's ``max(denom, floor)`` does.
     """
-    if use_batched("aoa.music_spectrum"):
-        projected = steering @ noise.conj()
-        denom = (projected.real**2 + projected.imag**2).sum(axis=1)
-        return 1.0 / np.maximum(denom, MUSIC_DENOM_FLOOR)
-    return music_window_reference(noise, steering)
+    count_dispatch("aoa.music_spectrum")
+    projected = steering @ noise.conj()
+    denom = (projected.real**2 + projected.imag**2).sum(axis=1)
+    return 1.0 / np.maximum(denom, MUSIC_DENOM_FLOOR)

@@ -13,10 +13,10 @@ RNG discipline: the five-chirp background-subtraction scheme (and PR 3's
 serial/parallel determinism guarantee) depends on the *order* variates
 leave the trial generator. :func:`draw_variates` therefore draws in the
 exact legacy order — per chirp: trigger jitter, cancellation residual,
-then one complex noise vector per antenna — before either
-implementation touches the arrays. Both implementations consume the same
-:class:`BurstVariates`, so serial, parallel, reference and batched runs
-are bitwise identical.
+then one complex noise vector per antenna — before the kernel touches
+the arrays. The kernel and the test oracle's loop consume the same
+:class:`BurstVariates`, so serial, parallel and oracle runs are bitwise
+identical.
 """
 
 from __future__ import annotations
@@ -27,15 +27,13 @@ from typing import Callable
 
 import numpy as np
 
-from repro.kernels import use_batched
+from repro.kernels import count_dispatch
 
 __all__ = [
     "BurstParams",
     "BurstVariates",  # milback: disable=ML014 — public kernel input type
     "draw_variates",
     "synthesize_burst",
-    "synthesize_burst_batched",
-    "synthesize_burst_reference",
 ]
 
 
@@ -124,48 +122,13 @@ def _chirp_factors(params: BurstParams, n_chirps: int) -> tuple[np.ndarray, np.n
     return node_factors, mirror_factors
 
 
-def synthesize_burst_reference(
-    params: BurstParams, variates: BurstVariates
-) -> np.ndarray:
-    """The retained loop implementation (the pre-kernel engine loop)."""
-    n_chirps = variates.n_chirps
-    n_rx, n = params.n_rx, params.n
-    t = params.t
-    out = np.empty((n_chirps, n_rx, n), dtype=np.complex128)
-    for k in range(n_chirps):
-        state_on = k % 2 == 0
-        node_factor = params.on_amp if state_on else params.off_amp
-        mirror_factor = 1.0 + (params.mirror_leak if state_on else 0.0)
-        tau_j = variates.tau_j_s[k]
-        jitter = np.exp(
-            1j
-            * 2.0
-            * math.pi
-            * (params.slope_hz_per_s * tau_j * t + params.start_hz * tau_j)
-        )
-        residual = variates.residuals[k]
-        doppler = np.exp(1j * params.doppler_step_rad * k)
-        for m in range(n_rx):
-            rx_phase = np.exp(1j * m * params.rx_phase_step_rad)
-            samples = (
-                params.static[m] * (1.0 + residual)
-                + node_factor * params.node_shape * rx_phase * doppler
-                + mirror_factor * params.mirror_shape * rx_phase * doppler
-            ) * jitter
-            noise = params.noise_sigma * variates.noise_white[k, m]
-            out[k, m] = samples + noise
-    return out
-
-
-def synthesize_burst_batched(
-    params: BurstParams, variates: BurstVariates
-) -> np.ndarray:
+def synthesize_burst(params: BurstParams, variates: BurstVariates) -> np.ndarray:
     """One ``(n_chirps, n_rx, n)`` broadcast of the whole burst.
 
-    Each output element runs the same multiply/add sequence as the
-    reference loop — factors are combined in the identical order, so the
-    result is bitwise equal, not merely close. Two transformations keep
-    that guarantee while cutting work:
+    Each output element runs the same multiply/add sequence as the test
+    oracle's per-record loop — factors are combined in the identical
+    order, so the result is bitwise equal, not merely close. Two
+    transformations keep that guarantee while cutting work:
 
     * the jitter phasor is built as ``cos(φ) + j·sin(φ)`` written into
       the real/imag views of one preallocated array — ``exp(j·φ)``
@@ -180,6 +143,7 @@ def synthesize_burst_batched(
       alternating chirp slices: element for element the same adds, on
       3/5ths less multiply work for a five-chirp burst.
     """
+    count_dispatch("burst.synthesize")
     n_chirps = variates.n_chirps
     t = params.t
     tau_col_s = variates.tau_j_s[:, None]
@@ -194,7 +158,7 @@ def synthesize_burst_batched(
     total = params.static[None, :, :] * (1.0 + variates.residuals)[:, None, :]
     # The fast path below is only an identity when the step is *exactly*
     # zero (exp(0j) == 1+0j bit for bit); any tolerance would break the
-    # bitwise contract with the reference loop.
+    # bitwise contract with the per-record loop.
     if params.doppler_step_rad != 0.0:  # milback: disable=ML003
         node_factors, mirror_factors = _chirp_factors(params, n_chirps)
         chirp_col = np.exp(1j * params.doppler_step_rad * np.arange(n_chirps))[
@@ -225,9 +189,3 @@ def synthesize_burst_batched(
     total += params.noise_sigma * variates.noise_white
     return total
 
-
-def synthesize_burst(params: BurstParams, variates: BurstVariates) -> np.ndarray:
-    """Dispatch one burst synthesis to the active kernel mode."""
-    if use_batched("burst.synthesize"):
-        return synthesize_burst_batched(params, variates)
-    return synthesize_burst_reference(params, variates)

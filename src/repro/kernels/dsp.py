@@ -13,7 +13,7 @@ and rejected — reduceat accumulates strictly left to right, while
 ``np.mean`` uses pairwise summation, so their results differ in the last
 ulps. Gathering each slot into a row and reducing with ``mean(axis=-1)``
 runs NumPy's pairwise reduction over exactly the same values, stride
-pattern and order as the per-slot reference, so the two modes stay
+pattern and order as the per-slot loop it replaced, so the two stay
 bitwise identical. Slots whose rounded windows differ in length (the
 sample grid rarely divides the symbol grid) are grouped by length, one
 gather per distinct length.
@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import DecodingError
-from repro.kernels import use_batched
+from repro.kernels import count_dispatch
 
 __all__ = [
     "integrate_slots",
@@ -36,19 +36,14 @@ __all__ = [
 def local_maxima_candidates(mag: np.ndarray, floor: float) -> list[int]:
     """Interior indices that are local maxima at/above ``floor``.
 
-    Matches the reference comprehension exactly: ``>=`` toward the left
-    neighbour, strict ``>`` toward the right, so plateaus resolve to
-    their rightmost sample in both modes.
+    Matches the per-sample comprehension it replaced exactly: ``>=``
+    toward the left neighbour, strict ``>`` toward the right, so
+    plateaus resolve to their rightmost sample.
     """
-    if use_batched("dsp.local_maxima_candidates"):
-        interior = mag[1:-1]
-        keep = (interior >= floor) & (interior >= mag[:-2]) & (interior > mag[2:])
-        return [int(k) for k in np.nonzero(keep)[0] + 1]
-    return [
-        k
-        for k in range(1, mag.size - 1)
-        if mag[k] >= floor and mag[k] >= mag[k - 1] and mag[k] > mag[k + 1]
-    ]
+    count_dispatch("dsp.local_maxima_candidates")
+    interior = mag[1:-1]
+    keep = (interior >= floor) & (interior >= mag[:-2]) & (interior > mag[2:])
+    return [int(k) for k in np.nonzero(keep)[0] + 1]
 
 
 def slot_bounds(
@@ -62,10 +57,10 @@ def slot_bounds(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Clamped [i0, i1) sample windows of every symbol slot.
 
-    Vectorized form of the reference per-symbol arithmetic; the rounding
-    runs the identical float expression per slot, so the bounds match
-    the loop exactly. Raises :class:`DecodingError` for the first slot
-    that falls outside the captured signal, like the reference loop.
+    Vectorized form of the per-symbol arithmetic; the rounding runs the
+    identical float expression per slot, so the bounds match a loop
+    exactly. Raises :class:`DecodingError` for the first slot that falls
+    outside the captured signal, like a per-symbol loop would.
     """
     ks = np.arange(n_symbols)
     a_s = t_first_symbol_s + ks * symbol_duration_s + guard_s
@@ -88,16 +83,11 @@ def integrate_slots(
     samples: np.ndarray, i0: np.ndarray, i1: np.ndarray
 ) -> np.ndarray:
     """Mean of ``samples.real`` over each ``[i0[k], i1[k])`` window."""
-    n_symbols = i0.shape[0]
-    if use_batched("dsp.integrate_slots"):
-        levels = np.empty(n_symbols)
-        lengths = i1 - i0
-        for length in np.unique(lengths):
-            rows = np.nonzero(lengths == length)[0]
-            gather = samples[i0[rows][:, None] + np.arange(length)[None, :]]
-            levels[rows] = gather.real.mean(axis=-1)
-        return levels
-    levels = np.empty(n_symbols)
-    for k in range(n_symbols):
-        levels[k] = float(np.mean(samples[int(i0[k]) : int(i1[k])].real))
+    count_dispatch("dsp.integrate_slots")
+    levels = np.empty(i0.shape[0])
+    lengths = i1 - i0
+    for length in np.unique(lengths):
+        rows = np.nonzero(lengths == length)[0]
+        gather = samples[i0[rows][:, None] + np.arange(length)[None, :]]
+        levels[rows] = gather.real.mean(axis=-1)
     return levels

@@ -10,15 +10,15 @@ call along the last axis.
 Bitwise note: NumPy's pocketfft computes an ``axis=-1`` transform of a
 stacked array row by row with the same plan as the equivalent 1-D calls,
 and every other operation here is elementwise or a slice — so each
-batched function is exactly equal (``np.array_equal``) to its retained
-reference loop.
+kernel is exactly equal (``np.array_equal``) to the per-record loop it
+replaced (kept as the test oracle).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels import use_batched
+from repro.kernels import count_dispatch
 
 __all__ = [
     "complex_bin_values",
@@ -39,22 +39,13 @@ def windowed_spectra(
     complex spectra — the batch equivalent of
     :func:`repro.dsp.fftutils.windowed_fft` applied per record.
     """
-    n = samples.shape[-1]
-    nfft = nfft or n
-    coherent_gain = window_taps.sum()
-    if use_batched("rxchain.windowed_spectra"):
-        windowed = samples * window_taps[None, :]
-        return (
-            np.fft.fftshift(np.fft.fft(windowed, n=nfft, axis=-1), axes=-1)
-            / coherent_gain
-        )
-    out = np.empty((samples.shape[0], nfft), dtype=np.complex128)
-    for i in range(samples.shape[0]):
-        out[i] = (
-            np.fft.fftshift(np.fft.fft(samples[i] * window_taps, n=nfft))
-            / coherent_gain
-        )
-    return out
+    count_dispatch("rxchain.windowed_spectra")
+    nfft = nfft or samples.shape[-1]
+    windowed = samples * window_taps[None, :]
+    return (
+        np.fft.fftshift(np.fft.fft(windowed, n=nfft, axis=-1), axes=-1)
+        / window_taps.sum()
+    )
 
 
 def mean_abs_pair_diff(values: np.ndarray) -> np.ndarray:
@@ -64,10 +55,8 @@ def mean_abs_pair_diff(values: np.ndarray) -> np.ndarray:
     ``(n_bins,)`` mean of ``|values[k] - values[k+1]|`` — the paper's
     five-chirp background subtraction (four pairs).
     """
-    if use_batched("rxchain.mean_abs_pair_diff"):
-        return np.abs(values[:-1] - values[1:]).mean(axis=0)
-    diffs = [np.abs(a - b) for a, b in zip(values[:-1], values[1:])]
-    return np.mean(diffs, axis=0)
+    count_dispatch("rxchain.mean_abs_pair_diff")
+    return np.abs(values[:-1] - values[1:]).mean(axis=0)
 
 
 def complex_bin_values(
@@ -81,16 +70,10 @@ def complex_bin_values(
     bin nearest ``frequency_hz`` is extracted, collapsing that axis.
     Feeds Doppler pulse pairs and MUSIC covariance accumulation.
     """
-    n = samples.shape[-1]
-    freqs = np.fft.fftfreq(n, d=1.0 / sample_rate_hz)
+    count_dispatch("rxchain.complex_bin_values")
+    freqs = np.fft.fftfreq(samples.shape[-1], d=1.0 / sample_rate_hz)
     idx = int(np.argmin(np.abs(freqs - frequency_hz)))
-    if use_batched("rxchain.complex_bin_values"):
-        return np.fft.fft(samples, axis=-1)[..., idx]
-    flat = samples.reshape(-1, n)
-    out = np.empty(flat.shape[0], dtype=np.complex128)
-    for i in range(flat.shape[0]):
-        out[i] = np.fft.fft(flat[i])[idx]
-    return out.reshape(samples.shape[:-1])
+    return np.fft.fft(samples, axis=-1)[..., idx]
 
 
 def masked_pair_profile(samples: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -100,14 +83,7 @@ def masked_pair_profile(samples: np.ndarray, mask: np.ndarray) -> np.ndarray:
     transformed, restricted to the ``mask`` bins, and inverse-transformed
     — the AP-orientation amplitude-versus-sweep profile.
     """
-    if use_batched("rxchain.masked_pair_profile"):
-        diffs = samples[:-1] - samples[1:]
-        spectra = np.fft.fft(diffs, axis=-1)
-        spectra[:, ~mask] = 0.0
-        return np.abs(np.fft.ifft(spectra, axis=-1)).mean(axis=0)
-    profiles = []
-    for a, b in zip(samples[:-1], samples[1:]):
-        spectrum = np.fft.fft(a - b)
-        spectrum[~mask] = 0.0
-        profiles.append(np.abs(np.fft.ifft(spectrum)))
-    return np.mean(profiles, axis=0)
+    count_dispatch("rxchain.masked_pair_profile")
+    spectra = np.fft.fft(samples[:-1] - samples[1:], axis=-1)
+    spectra[:, ~mask] = 0.0
+    return np.abs(np.fft.ifft(spectra, axis=-1)).mean(axis=0)

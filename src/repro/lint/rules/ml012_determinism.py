@@ -1,7 +1,7 @@
 """ML012 — no hidden entropy or wall-clock reads in library code.
 
 The repo's bitwise-replay guarantees (serial-vs-parallel equality,
-kernel-mode equality, fault no-op invariants) hold only while every
+kernel-vs-oracle equality, fault no-op invariants) hold only while every
 source of nondeterminism is an explicit input: RNG draws flow from
 seeded ``numpy.random.Generator`` streams (ML001 polices the numpy
 side), and simulated time comes from the protocol's own clock.  One

@@ -2,7 +2,7 @@
 
 The kernel is a binary heap of ``(time, sequence, action)`` entries and
 a simulated clock. Two properties make every run replayable bit for
-bit, at any worker count, under either kernel mode:
+bit, at any worker count:
 
 * **FIFO tie-breaking** — every scheduled event carries a monotone
   sequence number, so events that share a timestamp dispatch in the

@@ -17,6 +17,11 @@ output. Three contracts make that safe (see ``docs/PERFORMANCE.md``):
   the serial in-process path and records why
   (``parallel.fallbacks{reason=...}``).
 
+Every map runs on one pool implementation,
+:class:`~repro.parallel.pool.PersistentPool`: a warm one installed with
+``with PersistentPool(...)``, or one that :func:`parallel_map` builds
+for a single call.
+
 This is the only module tree allowed to import process-pool primitives
 (`concurrent.futures` / `multiprocessing`) — lint rule ML008 enforces
 the boundary so pool lifecycle management never leaks into physics code.
@@ -31,22 +36,12 @@ from repro.parallel.executor import (
     resolve_max_workers,
 )
 from repro.parallel.pool import PersistentPool, active_pool
-from repro.parallel.shm import (
-    TRANSPORT_ENV,
-    TRANSPORT_MODES,
-    set_transport_mode,
-    transport_mode,
-)
 
 __all__ = [
     "DEFAULT_WORKERS_ENV",
-    "TRANSPORT_ENV",
-    "TRANSPORT_MODES",
     "ParallelResult",
     "PersistentPool",
     "active_pool",
     "parallel_map",
     "resolve_max_workers",
-    "set_transport_mode",
-    "transport_mode",
 ]

@@ -4,13 +4,17 @@ Execution model
 ---------------
 
 ``parallel_map(fn, items)`` splits ``items`` into contiguous chunks and
-runs each chunk in a forked worker process. Workers are forked, not
-spawned, for one load-bearing reason: sweep trial functions are closures
-over experiment parameters (scene geometry, bit rates, …) and closures
-cannot cross a pickle boundary — but a forked child inherits them by
-copy-on-write through the module global :data:`_WORKER_FN`. Item
-payloads (parameters and ``numpy.random.Generator`` streams) *are*
-pickled, which preserves RNG state exactly.
+runs each chunk in a forked worker of a
+:class:`~repro.parallel.pool.PersistentPool` — the one installed with
+``with PersistentPool(...)`` when ``fn`` is picklable, otherwise a pool
+that lives for this one call. Workers are forked, not spawned, for one
+load-bearing reason: sweep trial functions are closures over experiment
+parameters (scene geometry, bit rates, …) and closures cannot cross a
+pickle boundary — but the one-call pool forks after ``fn`` is staged in
+the module global :data:`_WORKER_FN`, so its children inherit it by
+copy-on-write. Item payloads (parameters and
+``numpy.random.Generator`` streams) *are* pickled, which preserves RNG
+state exactly.
 
 Each worker chunk opens a fresh observation window (`obs.reset()` plus
 :meth:`~repro.obs.tracing.Tracer.detach_open_spans`), runs its tasks,
@@ -22,36 +26,26 @@ work happened.
 
 Failure model: exceptions raised by ``fn`` propagate to the caller
 exactly as in a serial loop. Pool *infrastructure* failures (fork
-unavailable, pool refuses to start, workers die) instead trigger a
-serial in-process fallback — deterministic because the parent's RNG
-copies were never advanced — and bump ``parallel.fallbacks``.
+unavailable, pool refuses to start, workers die) instead run every item
+no consumed chunk covered in-process — deterministic because the
+parent's RNG copies were never advanced — and bump
+``parallel.fallbacks``.
 
-Transport: large ndarray payloads and results ride shared-memory
-arenas instead of the pickle pipe when :mod:`repro.parallel.shm` is in
-its default ``shm`` mode — the parent packs each chunk's arrays into
-one arena, the worker runs the trial function on views, and the parent
-reassembles owned copies and unlinks. RNG streams, scalars, and the
-obs delta stay pickled either way, so values are bit-identical across
-transports; ``parallel.bytes_shipped{path=pickle|shm}`` counts what
-moved over each path.
+Transport: ndarrays of at least ``shm.MIN_SHM_BYTES`` in payloads and
+results ride shared-memory arenas (see :mod:`repro.parallel.shm`); RNG
+streams, scalars, small arrays and the obs delta cross the pipe, and
+``parallel.bytes_shipped{path=pickle|shm}`` counts what moved over each
+path.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-import pickle
-import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
-from repro import obs
 from repro.errors import ConfigurationError
 from repro.obs import stream
-from repro.parallel import shm
 
 __all__ = [
     "DEFAULT_WORKERS_ENV",
@@ -67,8 +61,8 @@ DEFAULT_WORKERS_ENV = "REPRO_MAX_WORKERS"
 #: load-balances, few enough that per-chunk overhead stays negligible.
 _CHUNKS_PER_WORKER = 4
 
-# Fork-inherited worker state. The parent sets _WORKER_FN immediately
-# before creating the pool; forked children see it by copy-on-write.
+# Fork-inherited worker state. parallel_map stages _WORKER_FN before its
+# one-call pool forks; the children see it by copy-on-write.
 _WORKER_FN: Callable[[Any], Any] | None = None
 _IN_WORKER = False
 
@@ -122,39 +116,6 @@ def _chunk_indices(n_items: int, workers: int, chunk_size: int | None) -> list[r
     return [range(lo, min(lo + chunk_size, n_items)) for lo in range(0, n_items, chunk_size)]
 
 
-def _run_chunk(payloads: Any, transport: str) -> tuple[Any, dict, list[dict], list[dict], float]:
-    """Worker side: run one chunk and package results + obs delta."""
-    global _IN_WORKER
-    _IN_WORKER = True
-    fn = _WORKER_FN
-    if fn is None:  # pragma: no cover - indicates a non-fork pool misuse
-        raise ConfigurationError("worker has no inherited trial function")
-    if transport == "shm":
-        # Mappings left over from earlier chunks on this worker can be
-        # closed now that their trial views are dead; the parent already
-        # unlinked those segments when it consumed the chunk results.
-        shm.purge_attached()
-        payloads = shm.unpack_views(payloads)
-    # Fresh observation window: drop everything inherited from the
-    # parent at fork time so the returned delta covers exactly this chunk.
-    obs.reset()
-    obs.get_tracer().detach_open_spans()
-    t0 = time.perf_counter()
-    result: Any = [fn(payload) for payload in payloads]
-    if transport == "shm":
-        result, result_arena = shm.pack(result)
-        obs.counter("parallel.bytes_shipped", path="shm").inc(result.nbytes)
-        if result_arena is not None:
-            # Only close the mapping — the segment must outlive this
-            # worker so the parent can copy out of it; the parent
-            # unlinks it in shm.unpack_copies().
-            result_arena.close()
-    state = obs.get_registry().dump_state()
-    spans = [s.to_dict() for s in obs.get_tracer().finished_spans()]
-    events = [e.to_dict() for e in obs.get_tracer().events()]
-    return result, state, spans, events, t0
-
-
 def _serial_loop(fn: Callable[[Any], Any], items: Sequence[Any]) -> list[Any]:
     """In-process execution with live heartbeats (no-ops when disabled)."""
     values = []
@@ -162,21 +123,6 @@ def _serial_loop(fn: Callable[[Any], Any], items: Sequence[Any]) -> list[Any]:
         values.append(fn(item))
         stream.tick(done=i + 1, total=len(items), force=i + 1 == len(items))
     return values
-
-
-def _serial_fallback(
-    fn: Callable[[Any], Any],
-    items: Sequence[Any],
-    workers: int,
-    reason: str,
-) -> ParallelResult:
-    obs.counter("parallel.fallbacks", reason=reason).inc()
-    return ParallelResult(
-        values=_serial_loop(fn, items),
-        workers=1,
-        n_chunks=0,
-        fallback_reason=reason,
-    )
 
 
 def parallel_map(
@@ -193,6 +139,8 @@ def parallel_map(
     may be a closure; ``items`` must be picklable (RNG generators are).
     """
     global _WORKER_FN
+    from repro.parallel import pool as _pool  # deferred: pool imports this module
+
     items = list(items)
     workers = resolve_max_workers(max_workers)
     if workers <= 1 or len(items) <= 1:
@@ -204,121 +152,17 @@ def parallel_map(
             n_chunks=0,
             fallback_reason="serial",
         )
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return _serial_fallback(fn, items, workers, reason="no-fork")
-
-    # An installed PersistentPool serves every picklable workload with
-    # already-warm workers; closures keep the cold fork path below,
-    # which inherits them copy-on-write through _WORKER_FN.
-    from repro.parallel import pool as _pool_mod  # deferred: avoids import cycle
-
-    active = _pool_mod.active_pool()
-    if active is not None and _pool_mod.is_picklable(fn):
+    active = _pool.active_pool()
+    if active is not None and _pool.is_picklable(fn):
         return active.map(fn, items, chunk_size=chunk_size)
-
-    chunks = _chunk_indices(len(items), workers, chunk_size)
-    workers = min(workers, len(chunks))
-    obs.gauge("parallel.workers").set(workers)
-    obs.counter("parallel.maps").inc()
-    obs.counter("parallel.tasks").inc(len(items))
-    obs.counter("parallel.chunks").inc(len(chunks))
-
-    transport = shm.transport_mode()
-    # Item arenas still owned by the parent, keyed by chunk index. Each
-    # is destroyed as its chunk result arrives; the finally sweep below
-    # reclaims the rest on any exit (trial exception, broken pool,
-    # serial fallback), so /dev/shm never leaks a segment.
-    item_arenas: dict[int, Any] = {}
-
-    def _sweep_arenas() -> None:
-        while item_arenas:
-            _, leftover = item_arenas.popitem()
-            shm.destroy(leftover)
-
+    # No usable pool: run on one that lives for this call and forks
+    # after _WORKER_FN is staged, so fn reaches its workers by fork
+    # inheritance, closures included. More workers than items would
+    # only fork idle processes (and would not change the chunking).
     _WORKER_FN = fn
+    one_call = _pool.PersistentPool(min(workers, len(items)))
     try:
-        with obs.span("parallel.map", tasks=len(items), workers=workers):
-            if transport == "shm":
-                # Spawn the resource tracker now so every forked worker
-                # inherits it — one tracker for all arenas, parent- or
-                # worker-created, means one unlink settles each segment.
-                shm.ensure_tracker()
-            try:
-                pool = ProcessPoolExecutor(
-                    max_workers=workers,
-                    mp_context=multiprocessing.get_context("fork"),
-                )
-            except (OSError, ValueError) as exc:
-                return _serial_fallback(fn, items, workers, reason=type(exc).__name__)
-            try:
-                futures = []
-                dispatch_s = []
-                for chunk_index, chunk in enumerate(chunks):
-                    payload: Any = [items[i] for i in chunk]
-                    if transport == "shm":
-                        payload, arena = shm.pack(payload)
-                        if arena is not None:
-                            item_arenas[chunk_index] = arena
-                        obs.counter("parallel.bytes_shipped", path="shm").inc(
-                            payload.nbytes
-                        )
-                    # What actually crosses the pipe for this chunk: the
-                    # raw item list in pickle mode, the slotted remainder
-                    # (RNG streams, scalars) in shm mode.
-                    obs.counter("parallel.bytes_shipped", path="pickle").inc(
-                        len(pickle.dumps(payload))
-                    )
-                    dispatch_s.append(time.perf_counter())
-                    futures.append(pool.submit(_run_chunk, payload, transport))
-                emitter = stream.get_emitter()
-                values: list[Any] = []
-                for chunk_index, (future, dispatched) in enumerate(
-                    zip(futures, dispatch_s)
-                ):
-                    while True:
-                        try:
-                            # Bounded waits keep the heartbeat channel
-                            # live while chunks are in flight; with
-                            # heartbeats disabled this is a plain
-                            # blocking result() and costs nothing.
-                            chunk_values, state, spans, events, t0 = future.result(
-                                timeout=emitter.interval_s if emitter else None
-                            )
-                            break
-                        except FutureTimeoutError:
-                            done_items = sum(
-                                len(chunks[i])
-                                for i, chunk_future in enumerate(futures)
-                                if chunk_future.done()
-                            )
-                            stream.tick(done=done_items, total=len(items))
-                    if transport == "shm":
-                        chunk_values = shm.unpack_copies(chunk_values)
-                        arena = item_arenas.pop(chunk_index, None)
-                        if arena is not None:
-                            shm.destroy(arena)
-                    values.extend(chunk_values)
-                    offset = dispatched - t0
-                    obs.get_registry().merge_state(state)
-                    obs.get_tracer().absorb_spans(spans, offset_s=offset)
-                    obs.get_tracer().absorb_events(events, offset_s=offset)
-                    # Merged chunk deltas become visible in the next
-                    # heartbeat's counter-delta section; the last chunk
-                    # always beats so a 100% line closes the stream.
-                    stream.tick(
-                        done=len(values),
-                        total=len(items),
-                        force=len(values) == len(items),
-                    )
-            except (BrokenProcessPool, OSError) as exc:
-                # Workers died underneath us (OOM killer, container limits).
-                # The parent's RNG copies were never advanced, so the serial
-                # re-run is bit-identical to what the pool would have produced.
-                pool.shutdown(wait=False, cancel_futures=True)
-                _sweep_arenas()
-                return _serial_fallback(fn, items, workers, reason=type(exc).__name__)
-            pool.shutdown()
+        return one_call.map(fn, items, chunk_size=chunk_size)
     finally:
+        one_call.shutdown()
         _WORKER_FN = None
-        _sweep_arenas()
-    return ParallelResult(values=values, workers=workers, n_chunks=len(chunks))

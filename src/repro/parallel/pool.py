@@ -1,27 +1,26 @@
-"""Persistent warm worker pool for sustained multi-call workloads.
+"""The forked worker pool behind every :func:`parallel_map` call.
 
-:func:`~repro.parallel.executor.parallel_map` forks a fresh process
-pool per call. That is the right trade for one sweep — closures cross
-the fork boundary for free — but sustained corpus generation
-(:mod:`repro.datasets`) issues *many* map calls, and each cold pool
-pays fork + executor spin-up again, then throws away every
-scene-invariant cache entry (:mod:`repro.sim.cache`) its workers just
-warmed.
-
-:class:`PersistentPool` keeps one forked pool alive across calls:
+:class:`PersistentPool` is the repo's one process pool. Constructed by
+hand it keeps its workers alive across calls, which sustained workloads
+need: corpus generation (:mod:`repro.datasets`) issues *many* map calls,
+and a pool per call would pay fork + executor spin-up again each time,
+then throw away every scene-invariant cache entry
+(:mod:`repro.sim.cache`) its workers just warmed. :func:`parallel_map`
+builds one that lives for a single call whenever no warm pool can take
+its function.
 
 * **Warm state.** Workers are forked once (inheriting the parent's
   caches copy-on-write) and then *keep* everything they warm up —
   ``repro.sim.cache`` entries, imported modules, the shm resource
-  tracker — across chunks and across map calls. The active kernel mode
-  and transport are shipped with every chunk, so a parent-side
-  ``--kernels``/``--transport`` change reaches workers forked earlier.
-* **Picklable functions only.** A persistent pool cannot rely on
-  fork-time closure inheritance (it forked before your closure
-  existed), so the chunk function crosses the pipe by pickle. Use
+  tracker — across chunks and across map calls.
+* **How the function gets there.** Workers forked before a function
+  existed can only receive it by pickle, so a warm pool takes
   module-level functions or :func:`functools.partial` over picklable
-  arguments; :func:`parallel_map` falls back to its cold-fork path for
-  closures automatically.
+  arguments and runs anything else in-process
+  (``parallel.fallbacks{reason=unpicklable}``). A pool built inside
+  :func:`parallel_map` forks after the call's function is staged, so
+  its workers inherit it — closures included — and its chunks carry
+  only the items.
 * **Streaming.** :meth:`imap_chunks` yields ordered per-chunk results
   as they arrive with a bounded submission window, so a consumer (the
   dataset shard writer) runs with bounded memory no matter how large
@@ -30,9 +29,10 @@ warmed.
   context-manager exit and an ``atexit`` hook, so no run ends with
   zombie workers. Shared-memory arenas are swept on every exit path —
   success, trial exception, ``KeyboardInterrupt``, broken pool — and a
-  broken pool degrades the *current* call to the in-process serial
-  loop (bit-identical: the parent's RNG copies never advanced) while
-  the next call forks a fresh pool.
+  broken pool runs every item no consumed chunk covered in-process
+  (bit-identical: the parent's RNG copies never advanced, and only the
+  consumed chunks' obs deltas merge) while the next call forks a fresh
+  pool.
 
 Entering the pool as a context manager also installs it process-wide:
 every :func:`parallel_map` call issued underneath (sweeps, campaigns,
@@ -52,7 +52,7 @@ from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Iterator, Sequence
 
-from repro import kernels, obs
+from repro import obs
 from repro.errors import ConfigurationError
 from repro.obs import stream
 from repro.parallel import executor as _executor
@@ -84,35 +84,37 @@ def is_picklable(fn: Callable[[Any], Any]) -> bool:
         return False
 
 
-def _run_pool_chunk(
-    fn: Callable[[Any], Any],
-    payloads: Any,
-    transport: str,
-    kernel_mode: str,
+def _run_chunk(
+    fn: Callable[[Any], Any] | None, packed: shm.Packed
 ) -> tuple[Any, dict, list[dict], list[dict], float]:
-    """Worker side of one persistent-pool chunk.
+    """Worker side: run one chunk and package results + obs delta.
 
-    Mirrors :func:`repro.parallel.executor._run_chunk`, except the trial
-    function arrives by pickle (the worker forked before it existed)
-    and the parent's current kernel mode rides along so warm workers
-    track overrides set after the fork.
+    ``fn`` is ``None`` when this worker inherited the trial function at
+    fork time (:data:`repro.parallel.executor._WORKER_FN`); otherwise it
+    arrived by pickle.
     """
     _executor._IN_WORKER = True
-    kernels.set_kernel_mode(kernel_mode)
-    if transport == "shm":
-        shm.purge_attached()
-        payloads = shm.unpack_views(payloads)
+    if fn is None:
+        fn = _executor._WORKER_FN
+    if fn is None:  # pragma: no cover - indicates a pool forked outside parallel_map
+        raise ConfigurationError("worker has no inherited trial function")
+    # Mappings left over from earlier chunks on this worker can be
+    # closed now that their trial views are dead; the parent already
+    # unlinked those segments when it consumed the chunk results.
+    shm.purge_attached()
+    payloads = shm.unpack_views(packed)
+    # Fresh observation window: drop everything inherited from the
+    # parent (at fork time or from earlier chunks) so the returned delta
+    # covers exactly this chunk.
     obs.reset()
     obs.get_tracer().detach_open_spans()
     t0 = time.perf_counter()
-    result: Any = [fn(payload) for payload in payloads]
-    if transport == "shm":
-        result, result_arena = shm.pack(result)
-        obs.counter("parallel.bytes_shipped", path="shm").inc(result.nbytes)
-        if result_arena is not None:
-            # Close only the mapping; the parent unlinks the segment
-            # after copying the results out (shm.unpack_copies).
-            result_arena.close()
+    result, result_arena = shm.pack([fn(payload) for payload in payloads])
+    obs.counter("parallel.bytes_shipped", path="shm").inc(result.nbytes)
+    if result_arena is not None:
+        # Close only the mapping; the parent unlinks the segment after
+        # copying the results out (shm.unpack_copies).
+        result_arena.close()
     state = obs.get_registry().dump_state()
     spans = [s.to_dict() for s in obs.get_tracer().finished_spans()]
     events = [e.to_dict() for e in obs.get_tracer().events()]
@@ -138,8 +140,11 @@ class PersistentPool:
         self.chunk_size = chunk_size
         self._pool: ProcessPoolExecutor | None = None
         self._closed = False
-        self._maps_served = 0
         self._previous_active: PersistentPool | None = None
+        # The function parallel_map staged for fork inheritance when it
+        # built this pool (None for a pool built anywhere else): its
+        # workers already hold it, so its chunks ship no pickled copy.
+        self._inherited_fn = _executor._WORKER_FN
         atexit.register(self.shutdown)
 
     # --- lifecycle -------------------------------------------------------------------
@@ -223,40 +228,14 @@ class PersistentPool:
 
         Same contract as :func:`parallel_map` — ordered values, worker
         obs deltas merged, serial fallback on infrastructure failure —
-        but reusing this pool's live workers. ``fn`` must be picklable.
+        but reusing this pool's live workers. ``fn`` must be picklable
+        unless the workers inherited it (a pool :func:`parallel_map`
+        built for the call).
         """
-        items = list(items)
-        workers = self.max_workers
-        if workers <= 1 or len(items) <= 1:
-            return ParallelResult(
-                values=_executor._serial_loop(fn, items),
-                workers=1,
-                n_chunks=0,
-                fallback_reason="serial",
-            )
-        if not is_picklable(fn):
-            return _executor._serial_fallback(fn, items, workers, reason="unpicklable")
-        chunks = _executor._chunk_indices(len(items), workers, chunk_size or self.chunk_size)
-        values: list[Any] = []
-        try:
-            for chunk_values in self._run_chunks(fn, items, chunks):
-                values.extend(chunk_values)
-        except _PoolBroken as exc:
-            # Chunks already consumed stay; only the remainder reruns
-            # in-process. Bit-identical either way — the parent's RNG
-            # copies inside `items` were never advanced.
-            rest = _executor._serial_fallback(
-                fn, items[len(values) :], workers, reason=exc.reason
-            )
-            return ParallelResult(
-                values=values + rest.values,
-                workers=1,
-                n_chunks=0,
-                fallback_reason=exc.reason,
-            )
-        return ParallelResult(
-            values=values, workers=min(workers, len(chunks)), n_chunks=len(chunks)
-        )
+        outcome: dict[str, Any] = {}
+        chunks = self._chunks(fn, list(items), chunk_size, outcome)
+        values = [value for chunk_values in chunks for value in chunk_values]
+        return ParallelResult(values=values, **outcome)
 
     def imap_chunks(
         self,
@@ -273,23 +252,45 @@ class PersistentPool:
         rerun in-process — results stay bit-identical because their
         RNG streams (inside ``items``) were never advanced.
         """
-        items = list(items)
-        workers = self.max_workers
-        serial_from = 0
-        if workers > 1 and len(items) > 1 and is_picklable(fn):
-            chunks = _executor._chunk_indices(len(items), workers, chunk_size or self.chunk_size)
-            done_chunks = 0
-            try:
-                for chunk_values in self._run_chunks(fn, items, chunks):
-                    done_chunks += 1
-                    yield chunk_values
-                return
-            except _PoolBroken as exc:
-                obs.counter("parallel.fallbacks", reason=exc.reason).inc()
-                serial_from = sum(len(chunk) for chunk in chunks[:done_chunks])
-        elif workers > 1 and len(items) > 1:
-            obs.counter("parallel.fallbacks", reason="unpicklable").inc()
-        for i in range(serial_from, len(items)):
+        yield from self._chunks(fn, list(items), chunk_size, {})
+
+    def _chunks(
+        self,
+        fn: Callable[[Any], Any],
+        items: list[Any],
+        chunk_size: int | None,
+        outcome: dict[str, Any],
+    ) -> Iterator[list[Any]]:
+        """Pool chunks in order, then in-process whatever the pool left.
+
+        The one broken-pool continuation: items no consumed chunk
+        covered run serially, one item per yielded list, after the
+        ``parallel.fallbacks`` count. On exhaustion ``outcome`` holds the
+        :class:`ParallelResult` fields other than ``values``.
+        """
+        outcome.update(workers=1, n_chunks=0, fallback_reason="serial")
+        done = 0
+        if self.max_workers > 1 and len(items) > 1:
+            reason = "unpicklable"
+            if fn is self._inherited_fn or is_picklable(fn):
+                if chunk_size is None:
+                    chunk_size = self.chunk_size
+                chunks = _executor._chunk_indices(len(items), self.max_workers, chunk_size)
+                try:
+                    for chunk_values in self._run_chunks(fn, items, chunks):
+                        done += len(chunk_values)
+                        yield chunk_values
+                    outcome.update(
+                        workers=min(self.max_workers, len(chunks)),
+                        n_chunks=len(chunks),
+                        fallback_reason=None,
+                    )
+                    return
+                except _PoolBroken as exc:
+                    reason = exc.reason
+            obs.counter("parallel.fallbacks", reason=reason).inc()
+            outcome["fallback_reason"] = reason
+        for i in range(done, len(items)):
             yield [fn(items[i])]
             stream.tick(done=i + 1, total=len(items), force=i + 1 == len(items))
 
@@ -305,9 +306,7 @@ class PersistentPool:
         infrastructure dies; trial exceptions propagate unchanged.
         """
         pool = self._ensure_pool()
-        self._maps_served += 1
-        transport = shm.transport_mode()
-        kernel_mode = kernels.kernel_mode()
+        shipped_fn = None if fn is self._inherited_fn else fn
         workers = min(self.max_workers, len(chunks))
         obs.gauge("parallel.workers").set(workers)
         obs.counter("parallel.maps").inc()
@@ -324,16 +323,16 @@ class PersistentPool:
         def _submit_next() -> None:
             nonlocal next_submit
             chunk_index = next_submit
-            payload: Any = [items[i] for i in chunks[chunk_index]]
-            if transport == "shm":
-                payload, arena = shm.pack(payload)
-                if arena is not None:
-                    item_arenas[chunk_index] = arena
-                obs.counter("parallel.bytes_shipped", path="shm").inc(payload.nbytes)
+            payload, arena = shm.pack([items[i] for i in chunks[chunk_index]])
+            if arena is not None:
+                item_arenas[chunk_index] = arena
+            # What crosses the pipe is the slotted remainder (RNG
+            # streams, scalars); the lifted arrays ride the arena.
+            obs.counter("parallel.bytes_shipped", path="shm").inc(payload.nbytes)
             obs.counter("parallel.bytes_shipped", path="pickle").inc(
                 len(pickle.dumps(payload))
             )
-            future = pool.submit(_run_pool_chunk, fn, payload, transport, kernel_mode)
+            future = pool.submit(_run_chunk, shipped_fn, payload)
             pending[chunk_index] = (future, time.perf_counter())
             next_submit += 1
 
@@ -360,11 +359,10 @@ class PersistentPool:
                         except FutureTimeoutError:
                             stream.tick(done=done_items, total=len(items))
                     del pending[chunk_index]
-                    if transport == "shm":
-                        chunk_values = shm.unpack_copies(chunk_values)
-                        arena = item_arenas.pop(chunk_index, None)
-                        if arena is not None:
-                            shm.destroy(arena)
+                    chunk_values = shm.unpack_copies(chunk_values)
+                    arena = item_arenas.pop(chunk_index, None)
+                    if arena is not None:
+                        shm.destroy(arena)
                     offset = dispatched - t0
                     obs.get_registry().merge_state(state)
                     obs.get_tracer().absorb_spans(spans, offset_s=offset)

@@ -1,16 +1,17 @@
 """Zero-copy shared-memory transport for process-pool payloads.
 
-The executor pickles chunk payloads on submit and chunk results on
-return. For scalar trial parameters and RNG streams that is cheap, but
-ndarray payloads pay three copies per direction (serialize, pipe,
-deserialize). This module moves every sufficiently large ndarray found
-in a payload through one ``multiprocessing.shared_memory`` arena per
-chunk instead: the parent writes each array into the arena once, the
+Chunk payloads cross to the workers, and chunk results come back, over
+the pool's pickle pipe. For scalar trial parameters and RNG streams
+that is cheap, but ndarray payloads would pay three copies per
+direction (serialize, pipe, deserialize). The transport is one size
+rule: every ndarray of at least :data:`MIN_SHM_BYTES` found in a
+payload moves through one ``multiprocessing.shared_memory`` arena per
+chunk instead — the parent writes each array into the arena once, the
 forked worker maps the segment and hands the trial function *views*
 (no deserialize copy), and worker results come back the same way with
 the parent reassembling owned copies before unlinking. Everything else
-— RNG streams, floats, the obs deltas — stays on the pickle path
-exactly as before.
+— RNG streams, floats, small arrays, the obs deltas — stays on the
+pipe.
 
 Arena lifecycle (the "guaranteed unlink" contract)
 --------------------------------------------------
@@ -32,45 +33,26 @@ Arena lifecycle (the "guaranteed unlink" contract)
   list and :func:`purge_attached` closes the dead ones at the start of
   each chunk (a ``BufferError`` means a view still exists — kept for
   the next purge).
-
-Transport selection mirrors the kernel-mode machinery: programmatic
-override first (:func:`set_transport_mode`, the CLI's ``--transport``),
-then ``$REPRO_PARALLEL_TRANSPORT``, then the default ``shm``. The
-``pickle`` mode short-circuits everything here and ships payloads
-exactly as the pre-shm executor did.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
 from typing import Any
 
 import numpy as np
 
-from repro.errors import ConfigurationError
-
 __all__ = [
     "MIN_SHM_BYTES",  # milback: disable=ML014 — public lift-threshold knob (tests)
-    "TRANSPORT_ENV",
-    "TRANSPORT_MODES",
     "Packed",  # milback: disable=ML014 — public transport envelope type
     "destroy",
     "ensure_tracker",
     "pack",
     "purge_attached",
-    "set_transport_mode",
-    "transport_mode",
     "unpack_copies",
     "unpack_views",
 ]
-
-#: Environment variable consulted when no programmatic override is set.
-TRANSPORT_ENV = "REPRO_PARALLEL_TRANSPORT"
-
-#: Recognized transport modes.
-TRANSPORT_MODES = ("shm", "pickle")
 
 #: Arrays below this many bytes stay on the pickle path: the fixed cost
 #: of a ref + arena slot only beats pickle for payloads of real size.
@@ -79,36 +61,8 @@ MIN_SHM_BYTES = 4096
 #: Arena slots are aligned so every array view starts on a cache line.
 _ALIGN = 64
 
-#: Programmatic override (CLI ``--transport``); ``None`` defers to env.
-_OVERRIDE: str | None = None
-
 #: Worker-side mappings whose views may still be alive (see purge).
 _ATTACHED: list[shared_memory.SharedMemory] = []
-
-
-def _validate(mode: str) -> str:
-    if mode not in TRANSPORT_MODES:
-        raise ConfigurationError(
-            f"unknown transport mode {mode!r}; choose from "
-            f"{', '.join(TRANSPORT_MODES)}"
-        )
-    return mode
-
-
-def transport_mode() -> str:
-    """The active transport: override, then the env var, then ``shm``."""
-    if _OVERRIDE is not None:
-        return _OVERRIDE
-    raw = os.environ.get(TRANSPORT_ENV, "").strip().lower()
-    if not raw:
-        return "shm"
-    return _validate(raw)
-
-
-def set_transport_mode(mode: str | None) -> None:
-    """Set (or with ``None`` clear) the process-wide transport override."""
-    global _OVERRIDE
-    _OVERRIDE = None if mode is None else _validate(mode)
 
 
 @dataclass(frozen=True)
@@ -231,8 +185,8 @@ def unpack_views(packed: Packed) -> Any:
     """Worker side: rebuild the payload with views into the arena.
 
     The views are private per-item regions of the arena copy, so a
-    trial function sees the same mutability semantics the pickle path
-    gives it. The attached mapping is parked in the process-local list
+    trial function sees the same mutability semantics a pickled copy
+    would give it. The attached mapping is parked in the process-local list
     for :func:`purge_attached`; the parent unlinks the segment once the
     chunk result arrives.
     """

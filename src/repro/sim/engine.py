@@ -472,7 +472,7 @@ class MilBackSimulator:
         # pre-drawn in the exact legacy order (per chirp: trigger jitter,
         # cancellation residual, then per-antenna noise), then every
         # record comes out of one (n_chirps, n_rx, n) computation —
-        # bitwise identical between the batched and reference modes.
+        # bitwise identical to the per-record loop the test oracle keeps.
         params = burst_kernel.BurstParams(
             static=np.stack(static),
             node_shape=node_shape,

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro import kernels, obs
+from repro import obs
 from repro.cli import main
 from repro.datasets import (
     MANIFEST_NAME,
@@ -38,6 +38,7 @@ from repro.datasets import (
 from repro.datasets import generator as dataset_generator
 from repro.errors import ConfigurationError, DatasetError
 from repro.utils.rng import indexed_rngs
+from tests.kernel_reference import kernels_for
 
 
 @pytest.fixture(autouse=True)
@@ -45,13 +46,6 @@ def _fresh_obs():
     obs.reset()
     yield
     obs.reset()
-
-
-@pytest.fixture(autouse=True)
-def _reference_free_kernels():
-    kernels.set_kernel_mode(None)
-    yield
-    kernels.set_kernel_mode(None)
 
 
 #: 2 scenes x 2 distances x 2 fault rates = 8 rows; small enough that
@@ -207,20 +201,24 @@ class TestShardWriter:
 
 
 class TestByteIdentity:
-    def test_identical_across_worker_counts_and_kernel_modes(self, tmp_path):
-        """The tentpole contract, asserted on raw file bytes."""
+    def test_identical_across_worker_counts_and_oracle_kernels(self, tmp_path):
+        """The tentpole contract, asserted on raw file bytes.
+
+        The ``reference`` leg generates on the loop-form oracle kernels;
+        its forked workers inherit the patch.
+        """
         digests = {}
         for mode in ("batched", "reference"):
-            kernels.set_kernel_mode(mode)
-            for workers in (1, 4):
-                out = tmp_path / f"{mode}-w{workers}"
-                manifest = generate_dataset(
-                    TINY, out, max_workers=workers,
-                    rows_per_shard=3, block_rows=2,
-                )
-                assert manifest["complete"]
-                assert manifest["rows_written"] == TINY.n_rows
-                digests[(mode, workers)] = _corpus_digest(out)
+            with kernels_for(mode):
+                for workers in (1, 4):
+                    out = tmp_path / f"{mode}-w{workers}"
+                    manifest = generate_dataset(
+                        TINY, out, max_workers=workers,
+                        rows_per_shard=3, block_rows=2,
+                    )
+                    assert manifest["complete"]
+                    assert manifest["rows_written"] == TINY.n_rows
+                    digests[(mode, workers)] = _corpus_digest(out)
         reference = digests[("batched", 1)]
         for key, digest in digests.items():
             assert digest == reference, key

@@ -10,7 +10,7 @@ backoff/timeout satellites, and campaign determinism serial vs a
 import numpy as np
 import pytest
 
-from repro import faults, kernels, obs
+from repro import faults, obs
 from repro.channel.scene import Scene2D
 from repro.dsp.signal import Signal
 from repro.errors import FaultInjectionError, ProtocolError
@@ -27,6 +27,7 @@ from repro.hardware.switch import SpdtSwitch, SwitchState
 from repro.protocol.arq import ACK_PAYLOAD, ReliableChannel, RetryBackoff, TransferResult
 from repro.protocol.link import MilBackLink
 from repro.sim.engine import MilBackSimulator
+from tests.kernel_reference import kernels_for
 
 ALL_KINDS = sorted(faults.FAULT_KINDS)
 
@@ -149,21 +150,21 @@ class TestPlan:
 # --- the bitwise no-op contract -------------------------------------------------
 
 
-@pytest.fixture(params=kernels.KERNEL_MODES)
-def kernel_mode(request):
-    kernels.set_kernel_mode(request.param)
-    yield request.param
-    kernels.set_kernel_mode(None)
+@pytest.fixture(params=["batched", "reference"])
+def kernels_under_test(request):
+    """The shipping kernels, then the loop-form oracle patched in."""
+    with kernels_for(request.param):
+        yield request.param
 
 
 class TestNoOpFastPath:
-    def test_absent_plan_is_bitwise_identical(self, kernel_mode):
+    def test_absent_plan_is_bitwise_identical(self, kernels_under_test):
         baseline = pipeline_outputs()
         again = pipeline_outputs()
         assert_outputs_equal(baseline, again)
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
-    def test_zero_intensity_spec_is_bitwise_identical(self, kind, kernel_mode):
+    def test_zero_intensity_spec_is_bitwise_identical(self, kind, kernels_under_test):
         baseline = pipeline_outputs()
         plan = faults.FaultPlan(
             [faults.FaultSpec(kind, rate=1.0, intensity=0.0)], rng=123

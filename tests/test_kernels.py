@@ -1,97 +1,117 @@
-"""Tests for repro.kernels: batched/reference bitwise equality + dispatch.
+"""Tests for repro.kernels: bitwise equality with the loop oracle + dispatch.
 
 The kernel layer's whole contract is *exact* float equality between the
-batched broadcasts and the retained loop references — every comparison
-here is ``np.array_equal``, never ``allclose``. Shapes deliberately
-include the degenerate ones (one RX antenna, two chirps, clipped symbol
-windows) where broadcasting bugs hide.
+batched broadcasts and the per-record loops they replaced, kept as the
+test oracle in ``tests/kernel_reference.py`` — every comparison here is
+``np.array_equal``, never ``allclose``. Shapes deliberately include the
+degenerate ones (one RX antenna, two chirps, clipped symbol windows)
+where broadcasting bugs hide.
 """
+
+import json
 
 import numpy as np
 import pytest
 
-from repro import kernels, obs
+from repro import obs
 from repro.channel.scene import Scene2D
+from repro.cli import main
 from repro.dsp.fftutils import Spectrum, find_peaks_above
 from repro.dsp.modulation import symbol_integrate
 from repro.dsp.signal import Signal
-from repro.errors import ConfigurationError, DecodingError
+from repro.errors import DecodingError
+from repro.kernels import aoa
 from repro.kernels import burst as burst_kernel
 from repro.kernels import dsp as dsp_kernel
 from repro.kernels import rxchain
+from repro.sim import cache as simcache
 from repro.sim.engine import MilBackSimulator
+from tests import kernel_reference
+from tests.kernel_reference import both_modes, reference_kernels
+
+# --- dispatch accounting ----------------------------------------------------------
 
 
-@pytest.fixture(autouse=True)
-def _clear_mode(monkeypatch):
-    """Each test starts from the default mode with no env override."""
-    monkeypatch.delenv(kernels.KERNELS_ENV, raising=False)
-    kernels.set_kernel_mode(None)
-    yield
-    kernels.set_kernel_mode(None)
+def _nine_kernel_calls():
+    """One call of each counted kernel, keyed by its dispatch label."""
+    rng = np.random.default_rng(1)
+    records = rng.standard_normal((5, 64)) + 1j * rng.standard_normal((5, 64))
+    params, variates = _burst_fixture(2, 1, 16)
+    steering = aoa.steering_matrix(np.linspace(-60.0, 60.0, 31), 2, 0.005, 0.01)
+    covariance = np.eye(2, dtype=np.complex128)
+    return {
+        "burst.synthesize": lambda: burst_kernel.synthesize_burst(params, variates),
+        "rxchain.windowed_spectra": lambda: rxchain.windowed_spectra(
+            records, np.hanning(64)
+        ),
+        "rxchain.mean_abs_pair_diff": lambda: rxchain.mean_abs_pair_diff(records),
+        "rxchain.complex_bin_values": lambda: rxchain.complex_bin_values(
+            records, 40e6, 3.1e6
+        ),
+        "rxchain.masked_pair_profile": lambda: rxchain.masked_pair_profile(
+            records, np.arange(64) < 20
+        ),
+        "dsp.local_maxima_candidates": lambda: dsp_kernel.local_maxima_candidates(
+            np.array([0.0, 1.0, 0.0]), 0.5
+        ),
+        "dsp.integrate_slots": lambda: dsp_kernel.integrate_slots(
+            records[0], np.array([0, 10]), np.array([5, 20])
+        ),
+        "aoa.bartlett_spectrum": lambda: aoa.bartlett_spectrum(covariance, steering),
+        "aoa.music_spectrum": lambda: aoa.music_spectrum(covariance[:, :1], steering),
+    }
 
 
-def both_modes(fn):
-    """Run ``fn()`` under each kernel mode; return {mode: result}."""
-    out = {}
-    for mode in kernels.KERNEL_MODES:
-        kernels.set_kernel_mode(mode)
-        out[mode] = fn()
-    kernels.set_kernel_mode(None)
-    return out
-
-
-# --- mode plumbing ----------------------------------------------------------------
-
-
-class TestModeSelection:
-    def test_default_is_batched(self):
-        assert kernels.kernel_mode() == "batched"
-
-    def test_env_var_selects_reference(self, monkeypatch):
-        monkeypatch.setenv(kernels.KERNELS_ENV, "reference")
-        assert kernels.kernel_mode() == "reference"
-
-    def test_override_beats_env(self, monkeypatch):
-        monkeypatch.setenv(kernels.KERNELS_ENV, "reference")
-        kernels.set_kernel_mode("batched")
-        assert kernels.kernel_mode() == "batched"
-        kernels.set_kernel_mode(None)
-        assert kernels.kernel_mode() == "reference"
-
-    def test_invalid_mode_rejected(self, monkeypatch):
-        with pytest.raises(ConfigurationError):
-            kernels.set_kernel_mode("vectorised")
-        monkeypatch.setenv(kernels.KERNELS_ENV, "turbo")
-        with pytest.raises(ConfigurationError):
-            kernels.kernel_mode()
-
+class TestDispatchCounters:
     def test_dispatch_counts_per_kernel(self):
-        before = obs.counter(
-            "kernels.dispatch.batched", kernel="dsp.local_maxima_candidates"
-        ).value
-        dsp_kernel.local_maxima_candidates(np.array([0.0, 1.0, 0.0]), 0.5)
-        after = obs.counter(
-            "kernels.dispatch.batched", kernel="dsp.local_maxima_candidates"
-        ).value
-        assert after == before + 1
+        calls = _nine_kernel_calls()
+        assert len(calls) == len(kernel_reference.ORACLE) == 9
+        for kernel, call in calls.items():
+            counted = {
+                label: obs.counter("kernels.dispatch.batched", kernel=label).value
+                for label in calls
+            }
+            call()
+            for label, before in counted.items():
+                after = obs.counter("kernels.dispatch.batched", kernel=label).value
+                assert after == before + (label == kernel), (kernel, label)
 
-    def test_reference_dispatch_counted(self):
-        kernels.set_kernel_mode("reference")
-        before = obs.counter(
-            "kernels.dispatch.reference", kernel="dsp.local_maxima_candidates"
-        ).value
-        dsp_kernel.local_maxima_candidates(np.array([0.0, 1.0, 0.0]), 0.5)
-        after = obs.counter(
-            "kernels.dispatch.reference", kernel="dsp.local_maxima_candidates"
-        ).value
-        assert after == before + 1
 
-    def test_cli_flag_sets_override(self):
-        from repro.cli import build_parser
+class TestOracleParity:
+    """A whole experiment, run on the shipping kernels and on the oracle."""
 
-        args = build_parser().parse_args(["run", "fig10", "--kernels", "reference"])
-        assert args.kernels == "reference"
+    @staticmethod
+    def _run_fig12(path, capsys):
+        # Each run starts cold, as a fresh CLI process would, so the
+        # cache hit/miss counters are comparable.
+        simcache.clear_caches()
+        aoa.clear_steering_cache()
+        assert main(["run", "fig12", "--trials", "2", "--metrics-out", str(path)]) == 0
+        stdout = capsys.readouterr().out
+        metrics = json.loads(path.read_text(encoding="utf-8"))["metrics"]
+        return stdout, metrics
+
+    def test_fig12_identical_on_the_oracle(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("REPRO_MAX_WORKERS", raising=False)
+        stdout, metrics = self._run_fig12(tmp_path / "batched.json", capsys)
+        with reference_kernels():
+            oracle_stdout, oracle_metrics = self._run_fig12(
+                tmp_path / "reference.json", capsys
+            )
+
+        def deterministic(snapshot):
+            return {
+                name: payload
+                for name, payload in snapshot.items()
+                if payload["type"] in ("counter", "gauge")
+                and not name.startswith("kernels.dispatch.")
+            }
+
+        assert oracle_stdout == stdout
+        assert deterministic(oracle_metrics) == deterministic(metrics)
+        # The patch intercepts every kernel call: none reached a kernel.
+        assert any(name.startswith("kernels.dispatch.") for name in metrics)
+        assert not any(name.startswith("kernels.dispatch.") for name in oracle_metrics)
 
 
 # --- burst synthesis --------------------------------------------------------------
@@ -131,8 +151,8 @@ class TestBurstSynthesis:
     )
     def test_batched_equals_reference(self, n_chirps, n_rx, n):
         params, variates = _burst_fixture(n_chirps, n_rx, n)
-        ref = burst_kernel.synthesize_burst_reference(params, variates)
-        batched = burst_kernel.synthesize_burst_batched(params, variates)
+        ref = kernel_reference.synthesize_burst(params, variates)
+        batched = burst_kernel.synthesize_burst(params, variates)
         assert batched.shape == (n_chirps, n_rx, n)
         assert np.array_equal(batched, ref)
 
@@ -297,7 +317,9 @@ class TestDspKernels:
 
     def test_slot_bounds_raises_like_reference(self):
         sig = Signal(np.zeros(8), 1e6, 0.0, 0.0)
-        for mode in kernels.KERNEL_MODES:
-            kernels.set_kernel_mode(mode)
+
+        def run():
             with pytest.raises(DecodingError, match="symbol 1 falls outside"):
                 symbol_integrate(sig, 1e-5, 3, t_first_symbol_s=0.0)
+
+        both_modes(run)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro import kernels, obs
+from repro import obs
 from repro.antennas.fsa import FrequencyScanningAntenna
 from repro.channel.mobility import Waypoint, WaypointTrajectory
 from repro.channel.scene import NodePlacement, Scene2D
@@ -436,16 +436,14 @@ class TestScenarioDeterminism:
             matrix_document(fanned, 0)
         )
 
-    def test_identical_under_both_kernel_modes(self):
-        results = {}
-        try:
-            for mode in kernels.KERNEL_MODES:
-                kernels.set_kernel_mode(mode)
-                results[mode] = run_scenario("five-node-crosscheck", seed=0)
-        finally:
-            kernels.set_kernel_mode(None)
-        batched, reference = results["batched"], results["reference"]
-        assert batched == reference
+    def test_makes_no_kernel_calls(self):
+        """Netsim runs at link-budget fidelity: no array kernel runs, so
+        its tables cannot depend on the kernel implementation."""
+        obs.reset()
+        result = run_scenario("five-node-crosscheck", seed=0)
+        assert result.inventoried == result.n_nodes
+        snapshot = obs.get_registry().snapshot()
+        assert not any(key.startswith("kernels.dispatch.") for key in snapshot)
 
     def test_different_seeds_differ(self):
         a = run_scenario("single-ap-100", seed=0)

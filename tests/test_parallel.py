@@ -10,6 +10,9 @@ The executor makes three promises (see ``docs/PERFORMANCE.md``):
    on where the work ran.
 3. **Graceful degradation** — infrastructure failures fall back to an
    in-process serial loop with identical results.
+
+Every map runs on :class:`~repro.parallel.PersistentPool`: the installed
+warm pool, or one ``parallel_map`` forks for a single call.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import os
 import numpy as np
 import pytest
 
-from repro import kernels, obs
+from repro import obs
 from repro.analysis.sweeps import SweepPoint, run_error_sweep, run_sweep
 from repro.channel.scene import Scene2D
 from repro.errors import ConfigurationError
@@ -34,13 +37,13 @@ from repro.parallel import (
     active_pool,
     parallel_map,
     resolve_max_workers,
-    set_transport_mode,
-    transport_mode,
 )
+from repro.parallel import pool as pool_module
 from repro.parallel import shm
 from repro.parallel.executor import _chunk_indices
 from repro.sim.engine import MilBackSimulator
 from repro.utils.rng import spawn_rngs
+from tests.kernel_reference import kernels_for
 
 
 @pytest.fixture(autouse=True)
@@ -133,6 +136,49 @@ class TestParallelMap:
         assert result.parallel
         assert result.workers == 2
         assert result.n_chunks >= 2
+
+    def test_broken_pool_counts_every_trial_once(self):
+        """Counter parity when a worker dies mid-map.
+
+        Only the consumed chunks' obs deltas merge, and only the items
+        they did not cover rerun in-process, so the trial counter reads
+        exactly one per item — as a serial run would.
+        """
+        parent = os.getpid()
+
+        def trial(i):
+            obs.counter("toy.trials").inc()
+            if i == 15 and os.getpid() != parent:
+                os._exit(1)
+            return i * i
+
+        result = parallel_map(trial, list(range(16)), max_workers=2)
+        assert result.values == [i * i for i in range(16)]
+        assert result.fallback_reason == "BrokenProcessPool"
+        assert obs.counter("toy.trials").value == 16
+
+
+_ZERO_CHUNK_CALLS = {
+    "parallel_map": lambda pool, items: parallel_map(
+        _pid_task, items, max_workers=2, chunk_size=0
+    ),
+    "map": lambda pool, items: pool.map(_pid_task, items, chunk_size=0),
+    "imap_chunks": lambda pool, items: list(
+        pool.imap_chunks(_pid_task, items, chunk_size=0)
+    ),
+    "pool-default": lambda pool, items: pool.map(_pid_task, items),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_ZERO_CHUNK_CALLS))
+def test_zero_chunk_size_is_rejected(entry):
+    """An explicit 0 is an error on every entry point, never "auto"."""
+    pool = PersistentPool(2, chunk_size=0 if entry == "pool-default" else None)
+    try:
+        with pytest.raises(ConfigurationError, match="chunk_size"):
+            _ZERO_CHUNK_CALLS[entry](pool, list(range(8)))
+    finally:
+        pool.shutdown()
 
 
 class TestObsMerge:
@@ -252,36 +298,6 @@ def _array_items(n):
 
 
 class TestShmTransport:
-    @pytest.fixture(autouse=True)
-    def _clean_transport(self, monkeypatch):
-        monkeypatch.delenv(shm.TRANSPORT_ENV, raising=False)
-        set_transport_mode(None)
-        kernels.set_kernel_mode(None)
-        yield
-        set_transport_mode(None)
-        kernels.set_kernel_mode(None)
-
-    def test_default_is_shm(self):
-        assert transport_mode() == "shm"
-
-    def test_env_var_selects_pickle(self, monkeypatch):
-        monkeypatch.setenv(shm.TRANSPORT_ENV, "pickle")
-        assert transport_mode() == "pickle"
-
-    def test_override_beats_env(self, monkeypatch):
-        monkeypatch.setenv(shm.TRANSPORT_ENV, "pickle")
-        set_transport_mode("shm")
-        assert transport_mode() == "shm"
-        set_transport_mode(None)
-        assert transport_mode() == "pickle"
-
-    def test_invalid_mode_rejected(self, monkeypatch):
-        with pytest.raises(ConfigurationError):
-            set_transport_mode("rdma")
-        monkeypatch.setenv(shm.TRANSPORT_ENV, "carrier-pigeon")
-        with pytest.raises(ConfigurationError):
-            transport_mode()
-
     def test_pack_roundtrip_preserves_structure_and_dtypes(self):
         rng = np.random.default_rng(3)
         payload = [
@@ -314,23 +330,20 @@ class TestShmTransport:
 
     @pytest.mark.parametrize("mode", ["batched", "reference"])
     def test_bitwise_across_worker_counts_and_transports(self, mode):
-        kernels.set_kernel_mode(mode)
-        serial = [_array_trial(item) for item in _array_items(8)]
-        results = {}
-        for transport in ("shm", "pickle"):
-            set_transport_mode(transport)
+        """Large arrays cross by arena, RNG streams and scalars by pipe.
+
+        The ``reference`` leg patches in the loop-form oracle kernels
+        before the pools fork, so its workers run the oracle too.
+        """
+        with kernels_for(mode):
+            serial = [_array_trial(item) for item in _array_items(8)]
             for workers in (2, 4):
-                out = parallel_map(
-                    _array_trial, _array_items(8), max_workers=workers
-                ).values
-                results[(transport, workers)] = out
-        for key, out in results.items():
-            for got, want in zip(out, serial):
-                assert got[0] == want[0] and got[1] == want[1], key
-                assert np.array_equal(got[2], want[2]), key
+                out = parallel_map(_array_trial, _array_items(8), max_workers=workers)
+                for got, want in zip(out.values, serial):
+                    assert got[0] == want[0] and got[1] == want[1], workers
+                    assert np.array_equal(got[2], want[2]), workers
 
     def test_bytes_shipped_counters(self):
-        set_transport_mode("shm")
         parallel_map(_array_trial, _array_items(6), max_workers=2)
         shipped_shm = obs.counter("parallel.bytes_shipped", path="shm").value
         shipped_pickle = obs.counter("parallel.bytes_shipped", path="pickle").value
@@ -339,12 +352,6 @@ class TestShmTransport:
         # streams, scalars, and slot markers.
         assert shipped_shm >= 6 * 2 * 8192
         assert 0 < shipped_pickle < shipped_shm
-
-        obs.reset()
-        set_transport_mode("pickle")
-        parallel_map(_array_trial, _array_items(6), max_workers=2)
-        assert obs.counter("parallel.bytes_shipped", path="shm").value == 0
-        assert obs.counter("parallel.bytes_shipped", path="pickle").value > 6 * 8192
 
     def test_no_segment_leak_on_success(self):
         before = _shm_segments()
@@ -362,10 +369,8 @@ class TestShmTransport:
         assert _shm_segments() == before
 
     def test_no_segment_leak_on_fallback(self, monkeypatch):
-        from repro.parallel import executor
-
         monkeypatch.setattr(
-            executor.multiprocessing, "get_all_start_methods", lambda: ["spawn"]
+            pool_module.multiprocessing, "get_all_start_methods", lambda: ["spawn"]
         )
         before = _shm_segments()
         serial = [_array_trial(item) for item in _array_items(4)]
@@ -376,7 +381,6 @@ class TestShmTransport:
         assert _shm_segments() == before
 
     def test_faults_campaign_bitwise_at_any_worker_count(self):
-        set_transport_mode("shm")
         config = CampaignConfig(rates=(0.0, 0.3), n_trials=2)
         before = _shm_segments()
         points = {
@@ -484,18 +488,28 @@ class TestPersistentPool:
         assert active_pool() is None
 
     def test_closures_keep_the_cold_fork_path(self):
-        with PersistentPool(max_workers=2):
-            result = parallel_map(lambda x: x + 1, list(range(8)), max_workers=2)
-            assert result.values == [i + 1 for i in range(8)]
-            snapshot = obs.get_registry().snapshot()
-            # The warm pool never saw the closure: no pool chunks ran.
-            assert "parallel.pool.chunks" not in snapshot
+        offset = 1
+        with PersistentPool(max_workers=2) as pool:
+            warm_pids = set(pool.warm().worker_pids())
+            result = parallel_map(
+                lambda x: (x + offset, os.getpid()), list(range(8)), max_workers=2
+            )
+        assert [value for value, _ in result.values] == [i + 1 for i in range(8)]
+        # The warm pool cannot take a closure, so the call ran on a pool
+        # forked for it whose workers inherited the closure: parallel,
+        # off the warm workers, and no fallback of any kind.
+        assert result.parallel
+        pids = {pid for _, pid in result.values}
+        assert os.getpid() not in pids
+        assert not pids & warm_pids
+        snapshot = obs.get_registry().snapshot()
+        assert not any(key.startswith("parallel.fallbacks") for key in snapshot)
 
     def test_shutdown_clears_routing(self):
         with PersistentPool(max_workers=2) as pool:
             pool.shutdown()
             assert active_pool() is None
-            # parallel_map still works via its cold path.
+            # parallel_map still works on a pool forked for the call.
             assert parallel_map(_pid_task, [1, 2], max_workers=2).values
 
     def test_broken_pool_degrades_serially_then_heals(self):
