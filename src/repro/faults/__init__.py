@@ -19,7 +19,7 @@ what happens when it is not.  Three pieces:
   ratio and mean attempts vs rate) and asserts resilience invariants.
 
 Corruption may only enter library code through this package's public
-API (lint rule ML010).  See ``docs/ROBUSTNESS.md``.
+API (lint rule ML011).  See ``docs/ROBUSTNESS.md``.
 
 Quick use::
 

@@ -16,7 +16,7 @@ deterministic and the clean path exact:
 
 These functions are internal to :mod:`repro.faults`; library code goes
 through the hook functions on the package root (enforced by lint rule
-ML010).
+ML011).
 """
 
 from __future__ import annotations

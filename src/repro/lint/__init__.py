@@ -27,11 +27,9 @@ from repro.lint.core import (
     lint_source,
     register,
 )
-from repro.lint.driver import LintReport, run_lint
 
 __all__ = [
     "Finding",
-    "LintReport",
     "ModuleContext",
     "ProjectRule",
     "Rule",
@@ -41,7 +39,6 @@ __all__ = [
     "lint_paths",
     "lint_source",
     "register",
-    "run_lint",
 ]
 
 # Importing the rules package registers every built-in ML rule.

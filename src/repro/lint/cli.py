@@ -1,7 +1,7 @@
 """Command-line front end: ``python -m repro.lint`` / ``milback-lint``.
 
 Exit status: 0 when no findings, 1 when any finding is reported, 2 on
-usage errors (unknown rule id, missing path, bad git revision).
+usage errors (unknown rule id, missing path).
 """
 # milback: disable-file=ML007 — this module IS the CLI; stdout/stderr are its interface
 
@@ -11,13 +11,12 @@ import argparse
 import json
 import os
 import sys
-from pathlib import Path
+import time
 from typing import Sequence
 
+from repro import obs
 from repro.errors import StaticAnalysisError
-from repro.lint.core import Finding, all_rules
-from repro.lint.driver import LintReport, run_lint
-from repro.lint.sarif import render_sarif
+from repro.lint.core import Finding, all_rules, lint_paths
 
 __all__ = ["build_parser", "main"]  # milback: disable=ML014 — public CLI surface
 
@@ -35,14 +34,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--format",
-        choices=("text", "json", "sarif"),
+        choices=("text", "json"),
         default="text",
         help="output format (default: text)",
-    )
-    parser.add_argument(
-        "--output",
-        metavar="FILE",
-        help="write the report to FILE instead of stdout",
     )
     parser.add_argument(
         "--select",
@@ -55,29 +49,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated rule ids to skip",
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        metavar="N",
-        help="worker processes for file analysis "
-        "(default: $REPRO_MAX_WORKERS, serial when unset; 0 = all cores)",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="ignore and do not update the findings cache",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        help="findings cache location (default: .lint_cache)",
-    )
-    parser.add_argument(
-        "--changed-since",
-        metavar="REV",
-        help="report only findings in files changed since git revision REV "
-        "(the whole project is still indexed for cross-file rules)",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print the rule catalogue and exit",
@@ -85,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--statistics",
         action="store_true",
-        help="append a per-rule finding count and cache stats to text output",
+        help="append per-rule finding counts, the file count and wall time to text output",
     )
     return parser
 
@@ -96,8 +67,7 @@ def _split(spec: str | None) -> list[str] | None:
     return [part.strip() for part in spec.split(",") if part.strip()]
 
 
-def _render_text(report: LintReport, statistics: bool) -> str:
-    findings = report.findings
+def _render_text(findings: list[Finding], statistics: bool, wall_s: float) -> str:
     lines = [finding.render() for finding in findings]
     if statistics:
         counts: dict[str, int] = {}
@@ -108,11 +78,8 @@ def _render_text(report: LintReport, statistics: bool) -> str:
         for rule_id in sorted(counts):
             lines.append(f"{rule_id}: {counts[rule_id]}")
         lines.append("")
-        lines.append(
-            f"files: {report.files_total}  cache hits: {report.cache_hits}  "
-            f"misses: {report.cache_misses}  workers: {report.workers}  "
-            f"wall: {report.duration_s:.3f}s"
-        )
+        files = int(obs.gauge("lint.files").value)
+        lines.append(f"files: {files}  wall: {wall_s:.3f}s")
     if findings:
         lines.append(f"Found {len(findings)} finding(s).")
     else:
@@ -142,39 +109,32 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(f"       {rule_cls.description}")
         return 0
 
+    started = time.perf_counter()
     try:
-        report = run_lint(
+        findings = lint_paths(
             options.paths,
             select=_split(options.select),
             ignore=_split(options.ignore),
-            jobs=options.jobs,
-            use_cache=not options.no_cache,
-            cache_dir=options.cache_dir,
-            changed_since=options.changed_since,
         )
     except StaticAnalysisError as exc:
         print(f"milback-lint: error: {exc}", file=sys.stderr)
         return 2
+    wall_s = time.perf_counter() - started
 
-    if options.format == "sarif":
-        rendered = render_sarif(report.findings)
-    elif options.format == "json":
-        rendered = _render_json(report.findings)
+    if options.format == "json":
+        rendered = _render_json(findings)
     else:
-        rendered = _render_text(report, options.statistics)
+        rendered = _render_text(findings, options.statistics, wall_s)
 
-    if options.output:
-        Path(options.output).write_text(rendered + "\n", encoding="utf-8")
-    else:
-        try:
-            print(rendered)
-            sys.stdout.flush()
-        except BrokenPipeError:
-            # Downstream pager/head closed early; the findings still determine
-            # status, and redirecting stdout keeps the interpreter's shutdown
-            # flush from printing a spurious traceback.
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    return 1 if report.findings else 0
+    try:
+        print(rendered)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Downstream pager/head closed early; the findings still determine
+        # status, and redirecting stdout keeps the interpreter's shutdown
+        # flush from printing a spurious traceback.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return 1 if findings else 0
 
 
 if __name__ == "__main__":

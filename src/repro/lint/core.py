@@ -27,13 +27,20 @@ import re
 import tokenize
 from dataclasses import dataclass, field
 from enum import Enum
-from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from pathlib import Path, PurePath
+from typing import Iterable, Iterator, Sequence
 
+from repro import obs
 from repro.errors import StaticAnalysisError
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from repro.lint.project import ProjectContext
+from repro.lint.imports import ImportTable
+from repro.lint.project import (
+    ModuleSummary,
+    ProjectContext,
+    build_summary,
+    find_catalogue_path,
+    find_usage_roots,
+    module_name_for_path,
+)
 
 __all__ = [
     "Severity",
@@ -46,7 +53,6 @@ __all__ = [
     "get_rule",
     "lint_source",
     "lint_paths",
-    "iter_python_files",
 ]
 
 #: Rule id for files the engine itself cannot parse.
@@ -96,11 +102,21 @@ class Finding:
 
 @dataclass
 class ModuleContext:
-    """One parsed module plus everything rules commonly need."""
+    """One parsed module plus everything rules commonly need.
+
+    Built once per file: ``nodes`` is the tree flattened by a single
+    ``ast.walk`` (parents before children), and ``imports`` resolves
+    local names through the module's import bindings, relative imports
+    included when the module lives in a ``repro`` package.
+    """
 
     path: str
     source: str
     tree: ast.Module
+    nodes: list[ast.AST]
+    imports: ImportTable
+    module: str | None  #: dotted module name, None outside a ``repro`` tree
+    package: str | None  #: package relative imports resolve against
     line_suppressions: dict[int, frozenset[str]]
     file_suppressions: frozenset[str]
 
@@ -108,11 +124,19 @@ class ModuleContext:
     def from_source(cls, source: str, path: str = "<string>") -> "ModuleContext":
         """Parse ``source``; raises :class:`SyntaxError` on bad input."""
         tree = ast.parse(source, filename=path)
+        module = module_name_for_path(path)
+        package = module
+        if module is not None and PurePath(path).name != "__init__.py":
+            package = module.rpartition(".")[0] or None
         per_line, whole_file = _parse_suppressions(source)
         return cls(
             path=path,
             source=source,
             tree=tree,
+            nodes=list(ast.walk(tree)),
+            imports=ImportTable.from_tree(tree, package),
+            module=module,
+            package=package,
             line_suppressions=per_line,
             file_suppressions=whole_file,
         )
@@ -154,6 +178,8 @@ def _parse_suppressions(source: str) -> tuple[dict[int, frozenset[str]], frozens
     """
     per_line: dict[int, frozenset[str]] = {}
     whole_file: set[str] = set()
+    if "milback:" not in source:
+        return per_line, frozenset()  # no pragma can exist; skip the tokenizer
     try:
         tokens = tokenize.generate_tokens(io.StringIO(source).readline)
         for tok in tokens:
@@ -200,21 +226,19 @@ class ProjectRule(Rule):
     """Base class for whole-program rules.
 
     A project rule never sees files one at a time: the engine hands it a
-    :class:`repro.lint.project.ProjectContext` — the cached one-pass
-    index of every module's imports, exports and emitted obs names —
-    and the rule yields findings anchored anywhere in the project.
-    Per-module suppression pragmas still apply; the engine filters with
-    the suppression tables embedded in the module summaries.
+    :class:`repro.lint.project.ProjectContext` — the index of every
+    module's imports, exports and emitted obs names — and the rule
+    yields findings anchored anywhere in the project.  Per-module
+    suppression pragmas still apply; the engine filters with the
+    suppression tables embedded in the module summaries.
     """
-
-    requires_project: bool = True
 
     def check(self, module: ModuleContext) -> Iterator[Finding]:
         raise StaticAnalysisError(
             f"project rule {type(self).__name__} must be run via check_project()"
         )
 
-    def check_project(self, project: "ProjectContext") -> Iterator[Finding]:
+    def check_project(self, project: ProjectContext) -> Iterator[Finding]:
         """Yield findings for the whole project.  Subclasses override."""
         raise StaticAnalysisError(
             f"rule {type(self).__name__} does not implement check_project()"
@@ -255,12 +279,46 @@ def get_rule(rule_id: str) -> type[Rule]:
 
 def _select_rules(
     select: Sequence[str] | None, ignore: Sequence[str] | None
-) -> list[Rule]:
+) -> tuple[list[Rule], list[ProjectRule]]:
+    """Instantiate the selected rules, split into (per-file, project)."""
     chosen = [get_rule(rid) for rid in select] if select else all_rules()
     ignored = set(ignore or ())
     for rid in ignored:
         get_rule(rid)  # validate the id even when ignoring it
-    return [cls() for cls in chosen if cls.rule_id not in ignored]
+    rules = [cls() for cls in chosen if cls.rule_id not in ignored]
+    per_file = [rule for rule in rules if not isinstance(rule, ProjectRule)]
+    project = [rule for rule in rules if isinstance(rule, ProjectRule)]
+    return per_file, project
+
+
+def _parse(source: str, path: str) -> ModuleContext | Finding:
+    """The module's context, or an ML000 finding when it does not parse."""
+    try:
+        return ModuleContext.from_source(source, path)
+    except SyntaxError as exc:
+        return Finding(
+            path=path,
+            line=exc.lineno or 1,
+            col=(exc.offset or 0) + 1,
+            rule_id=PARSE_ERROR_RULE,
+            message=f"could not parse module: {exc.msg}",
+        )
+
+
+def _check_module(module: ModuleContext, rules: Sequence[Rule]) -> Iterator[Finding]:
+    for rule in rules:
+        for finding in rule.check(module):
+            if not module.is_suppressed(finding.rule_id, finding.line):
+                yield finding
+
+
+def _check_project(
+    project: ProjectContext, rules: Sequence[ProjectRule]
+) -> Iterator[Finding]:
+    for rule in rules:
+        for finding in rule.check_project(project):
+            if not project.is_suppressed(finding.rule_id, finding.path, finding.line):
+                yield finding
 
 
 def lint_source(
@@ -272,66 +330,62 @@ def lint_source(
 ) -> list[Finding]:
     """Lint one in-memory module and return unsuppressed findings.
 
-    Project rules run against a single-module project here: layering
-    and determinism checks work file-locally, while genuinely
-    cross-file analyses (cycles, catalogue drift, dead exports) need
-    :func:`lint_paths` over the real tree to see anything.
+    Project rules run against a single-module project here: layering,
+    import confinement and determinism checks work file-locally, while
+    genuinely cross-file analyses (cycles, catalogue drift, dead
+    exports) need :func:`lint_paths` over the real tree to see anything.
     """
-    try:
-        module = ModuleContext.from_source(source, path)
-    except SyntaxError as exc:
-        return [
-            Finding(
-                path=path,
-                line=exc.lineno or 1,
-                col=(exc.offset or 0) + 1,
-                rule_id=PARSE_ERROR_RULE,
-                message=f"could not parse module: {exc.msg}",
-            )
-        ]
-    findings: list[Finding] = []
-    per_file, project_rules = _partition_rules(_select_rules(select, ignore))
-    for rule in per_file:
-        for finding in rule.check(module):
-            if not module.is_suppressed(finding.rule_id, finding.line):
-                findings.append(finding)
+    per_file, project_rules = _select_rules(select, ignore)
+    module = _parse(source, path)
+    if isinstance(module, Finding):
+        return [module]
+    findings = list(_check_module(module, per_file))
     if project_rules:
-        from repro.lint.project import ProjectContext, build_summary
-
-        summary = build_summary(
-            path, module.tree, module.line_suppressions, module.file_suppressions
-        )
-        project = ProjectContext([summary])
-        for rule in project_rules:
-            for finding in rule.check_project(project):
-                if not project.is_suppressed(finding.rule_id, finding.path, finding.line):
-                    findings.append(finding)
+        project = ProjectContext([build_summary(module)])
+        findings.extend(_check_project(project, project_rules))
     return sorted(findings)
-
-
-def _partition_rules(rules: Sequence[Rule]) -> tuple[list[Rule], list[Rule]]:
-    """Split selected rule instances into (per-file, project) phases."""
-    per_file = [r for r in rules if not getattr(r, "requires_project", False)]
-    project = [r for r in rules if getattr(r, "requires_project", False)]
-    return per_file, project
 
 
 #: Directory names never descended into during file discovery.
 _SKIP_DIRS = {"__pycache__", ".git", ".venv", "build", "dist", ".mypy_cache", ".ruff_cache"}
 
 
-def iter_python_files(paths: Iterable[str | Path]) -> Iterator[Path]:
-    """Yield ``.py`` files under ``paths`` (files pass through as-is)."""
+def _discover(paths: Iterable[str | Path], seen: set[Path]) -> list[Path]:
+    """``.py`` files under ``paths`` whose resolved location is not in ``seen``.
+
+    Files pass through as given; directories are searched recursively.
+    Deduplicating by resolved path keeps one file reached by two
+    spellings (a relative target inside an absolute usage root) from
+    being analysed twice; the first spelling is the one reported.
+    """
+    found: list[Path] = []
     for raw in paths:
         path = Path(raw)
         if path.is_dir():
-            for candidate in sorted(path.rglob("*.py")):
-                if not _SKIP_DIRS.intersection(candidate.parts):
-                    yield candidate
+            candidates = [
+                candidate
+                for candidate in sorted(path.rglob("*.py"))
+                if not _SKIP_DIRS.intersection(candidate.parts)
+            ]
         elif path.suffix == ".py":
-            yield path
+            candidates = [path]
         elif not path.exists():
             raise StaticAnalysisError(f"no such file or directory: {path}")
+        else:
+            candidates = []
+        for candidate in candidates:
+            resolved = candidate.resolve()
+            if resolved not in seen:
+                seen.add(resolved)
+                found.append(candidate)
+    return found
+
+
+def _read(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise StaticAnalysisError(f"cannot read {path}: {exc}") from exc
 
 
 def lint_paths(
@@ -339,23 +393,43 @@ def lint_paths(
     *,
     select: Sequence[str] | None = None,
     ignore: Sequence[str] | None = None,
-    reader: Callable[[Path], str] | None = None,
 ) -> list[Finding]:
-    """Lint every Python file under ``paths`` (per-file + project rules).
+    """Lint every Python file under ``paths`` in one pass.
 
-    This is the simple in-process entry point; it delegates to the
-    production driver (:mod:`repro.lint.driver`) with caching disabled
-    and serial execution, so results are always computed fresh.
-    ``reader`` exists for tests; it defaults to reading from disk.
+    Each file is read and parsed once.  Lint targets run the per-file
+    rules and contribute a module summary; when project rules are
+    selected, the usage roots next to the catalogue (``tests/``,
+    ``benchmarks/``, ``examples/``) are summarised too, so they can
+    witness uses and emissions without being linted themselves.  The
+    run records a ``lint.run`` span and the ``lint.files`` /
+    ``lint.findings`` gauges.
     """
-    from repro.lint.driver import run_lint
-
-    report = run_lint(
-        paths,
-        select=select,
-        ignore=ignore,
-        reader=reader,
-        use_cache=False,
-        jobs=1,
-    )
-    return report.findings
+    paths = list(paths)
+    per_file, project_rules = _select_rules(select, ignore)
+    with obs.span("lint.run"):
+        seen: set[Path] = set()
+        targets = _discover(paths, seen)
+        aux = _discover(find_usage_roots(paths), seen) if project_rules else []
+        findings: list[Finding] = []
+        summaries: list[ModuleSummary] = []
+        for path in targets:
+            module = _parse(_read(path), str(path))
+            if isinstance(module, Finding):
+                findings.append(module)
+                continue
+            findings.extend(_check_module(module, per_file))
+            if project_rules:
+                summaries.append(build_summary(module))
+        aux_summaries: list[ModuleSummary] = []
+        for path in aux:
+            module = _parse(_read(path), str(path))
+            if isinstance(module, ModuleContext):
+                aux_summaries.append(build_summary(module))
+        if project_rules:
+            project = ProjectContext(
+                summaries, aux=aux_summaries, catalogue_path=find_catalogue_path(paths)
+            )
+            findings.extend(_check_project(project, project_rules))
+        obs.gauge("lint.files").set(len(targets) + len(aux))
+        obs.gauge("lint.findings").set(len(findings))
+    return sorted(findings)

@@ -17,6 +17,7 @@ the table (conservative, no false positives from shadowing).
 from __future__ import annotations
 
 import ast
+from typing import Iterable, Iterator
 
 __all__ = ["ImportTable", "dotted_chain", "resolve_relative_module"]
 
@@ -64,8 +65,11 @@ class ImportTable:
         """Collect import bindings (and simple module aliases) from ``tree``."""
         table = cls()
         rebound: set[str] = set()
+        assignments: list[ast.Assign | ast.AnnAssign] = []
         for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                assignments.append(node)
+            elif isinstance(node, ast.Import):
                 for alias in node.names:
                     if alias.asname:
                         table._bindings[alias.asname] = alias.name
@@ -82,16 +86,16 @@ class ImportTable:
                     if alias.name == "*":
                         continue
                     table._bindings[alias.asname or alias.name] = f"{module}.{alias.name}"
-        # Second pass: straight aliases of an import chain
-        # (``nr = np.random``) extend the table; any other assignment to
-        # a tracked name marks it rebound.
+        # Then straight aliases of an import chain (``nr = np.random``)
+        # extend the table; any other assignment to a tracked name marks
+        # it rebound.
         aliases: dict[str, str] = {}
-        for node in ast.walk(tree):
+        for node in assignments:
             targets: list[ast.expr] = []
             value: ast.expr | None = None
             if isinstance(node, ast.Assign):
                 targets, value = node.targets, node.value
-            elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            elif node.value is not None:
                 targets, value = [node.target], node.value
             for target in targets:
                 if not isinstance(target, ast.Name):
@@ -127,5 +131,28 @@ class ImportTable:
             return None
         return f"{base}.{rest}" if rest else base
 
-    def bound_names(self) -> frozenset[str]:
-        return frozenset(self._bindings)
+    def references(self, nodes: Iterable[ast.AST]) -> Iterator[tuple[str, ast.expr]]:
+        """``(absolute path, node)`` for each outermost chain that resolves.
+
+        ``nodes`` must list parents before children, as ``ast.walk``
+        does: a resolved ``np.random.rand`` then hides its sub-chains
+        ``np.random`` and ``np``.  Loaded bare names resolve too.
+        """
+        covered: set[int] = set()
+        for node in nodes:
+            if id(node) in covered:
+                continue
+            if isinstance(node, ast.Attribute):
+                resolved = self.resolve(node)
+                if resolved is None:
+                    continue
+                inner: ast.expr = node.value
+                while isinstance(inner, ast.Attribute):
+                    covered.add(id(inner))
+                    inner = inner.value
+                covered.add(id(inner))
+                yield resolved, node
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                resolved = self.resolve_dotted(node.id)
+                if resolved is not None:
+                    yield resolved, node

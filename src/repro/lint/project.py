@@ -1,20 +1,15 @@
 """Whole-program index for cross-file lint rules.
 
 Per-file rules see one :class:`~repro.lint.core.ModuleContext`; the
-project rules (ML011 layering, ML013 obs-catalogue drift, ML014 dead
-exports) need the *relationships between* modules.  This module builds
-that view in one pass: every file is distilled into a
-:class:`ModuleSummary` — its dotted module name, import records
-(with deferred / ``TYPE_CHECKING`` flags), ``__all__`` exports,
-resolved attribute chains, and every metric/span name handed to the
+project rules (ML011 layering and import confinement, ML013
+obs-catalogue drift, ML014 dead exports) need the *relationships
+between* modules.  Every parsed file is distilled into a
+:class:`ModuleSummary` — its dotted module name, import records (with
+deferred / ``TYPE_CHECKING`` flags), ``__all__`` exports, resolved
+attribute chains, and every metric/span name handed to the
 :mod:`repro.obs` registries — and a :class:`ProjectContext` stitches the
 summaries into an import graph with cycle detection and a symbol-use
 index.
-
-Summaries are plain data (``to_dict``/``from_dict`` round-trip), which
-is what makes the driver's content-hash cache work: an unchanged file
-contributes its cached summary without being re-parsed, and the project
-rules run over summaries alone.
 """
 
 from __future__ import annotations
@@ -22,9 +17,12 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path, PurePath
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from repro.lint.imports import ImportTable, dotted_chain, resolve_relative_module
+from repro.lint.imports import dotted_chain, resolve_relative_module
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.lint.core import ModuleContext
 
 __all__ = [
     "ImportRecord",  # milback: disable=ML014 — public index datatypes for rule authors
@@ -34,7 +32,7 @@ __all__ = [
     "build_summary",
     "find_catalogue_path",
     "find_usage_roots",
-    "module_name_for_path",  # milback: disable=ML014 — public index helper for rule authors
+    "module_name_for_path",
     "repro_component",
     "OBS_EMIT_FUNCTIONS",  # milback: disable=ML014 — documented emitter list for rule authors
 ]
@@ -96,22 +94,6 @@ class ImportRecord:
         """The name the import binds locally (None for star imports)."""
         return self.asname if self.asname is not None else self.name
 
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "module": self.module,
-            "name": self.name,
-            "lineno": self.lineno,
-            "col": self.col,
-            "deferred": self.deferred,
-            "type_checking": self.type_checking,
-            "star": self.star,
-            "asname": self.asname,
-        }
-
-    @classmethod
-    def from_dict(cls, raw: Mapping[str, object]) -> "ImportRecord":
-        return cls(**raw)  # type: ignore[arg-type]
-
 
 @dataclass(frozen=True)
 class MetricCall:
@@ -122,18 +104,6 @@ class MetricCall:
     lineno: int
     col: int
 
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "pattern": self.pattern,
-            "literal": self.literal,
-            "lineno": self.lineno,
-            "col": self.col,
-        }
-
-    @classmethod
-    def from_dict(cls, raw: Mapping[str, object]) -> "MetricCall":
-        return cls(**raw)  # type: ignore[arg-type]
-
 
 @dataclass
 class ModuleSummary:
@@ -141,171 +111,117 @@ class ModuleSummary:
 
     path: str
     module: str | None
-    is_init: bool
     imports: list[ImportRecord] = field(default_factory=list)
     exports: list[tuple[str, int]] = field(default_factory=list)
     chains: list[str] = field(default_factory=list)
     metric_calls: list[MetricCall] = field(default_factory=list)
-    line_suppressions: dict[int, list[str]] = field(default_factory=dict)
-    file_suppressions: list[str] = field(default_factory=list)
-
-    @property
-    def package(self) -> str | None:
-        """Dotted package this module lives in (for relative imports)."""
-        if self.module is None:
-            return None
-        if self.is_init:
-            return self.module
-        return self.module.rpartition(".")[0] or None
+    line_suppressions: dict[int, frozenset[str]] = field(default_factory=dict)
+    file_suppressions: frozenset[str] = frozenset()
 
     def is_suppressed(self, rule_id: str, line: int) -> bool:
         if "all" in self.file_suppressions or rule_id in self.file_suppressions:
             return True
-        on_line = self.line_suppressions.get(line, [])
+        on_line = self.line_suppressions.get(line, frozenset())
         return "all" in on_line or rule_id in on_line
 
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "path": self.path,
-            "module": self.module,
-            "is_init": self.is_init,
-            "imports": [record.to_dict() for record in self.imports],
-            "exports": [[name, lineno] for name, lineno in self.exports],
-            "chains": list(self.chains),
-            "metric_calls": [call.to_dict() for call in self.metric_calls],
-            "line_suppressions": {
-                str(line): rules for line, rules in self.line_suppressions.items()
-            },
-            "file_suppressions": list(self.file_suppressions),
-        }
 
-    @classmethod
-    def from_dict(cls, raw: Mapping[str, object]) -> "ModuleSummary":
-        return cls(
-            path=raw["path"],  # type: ignore[arg-type]
-            module=raw["module"],  # type: ignore[arg-type]
-            is_init=raw["is_init"],  # type: ignore[arg-type]
-            imports=[ImportRecord.from_dict(r) for r in raw["imports"]],  # type: ignore[union-attr]
-            exports=[(name, lineno) for name, lineno in raw["exports"]],  # type: ignore[union-attr]
-            chains=list(raw["chains"]),  # type: ignore[call-overload]
-            metric_calls=[MetricCall.from_dict(r) for r in raw["metric_calls"]],  # type: ignore[union-attr]
-            line_suppressions={
-                int(line): list(rules)
-                for line, rules in raw["line_suppressions"].items()  # type: ignore[union-attr]
-            },
-            file_suppressions=list(raw["file_suppressions"]),  # type: ignore[call-overload]
-        )
+def _collect_imports(
+    summary: ModuleSummary,
+    body: Iterable[ast.AST],
+    package: str | None,
+    deferred: bool = False,
+    type_checking: bool = False,
+) -> None:
+    """Append an :class:`ImportRecord` per import target, in source order.
 
-
-class _SummaryVisitor(ast.NodeVisitor):
-    """Single AST walk collecting imports, chains and metric calls."""
-
-    def __init__(self, summary: ModuleSummary, table: ImportTable) -> None:
-        self.summary = summary
-        self.table = table
-        self.depth = 0
-        self.type_checking = 0
-
-    # -- scope / guard tracking -------------------------------------
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self.depth += 1
-        self.generic_visit(node)
-        self.depth -= 1
-
-    visit_AsyncFunctionDef = visit_FunctionDef  # type: ignore[assignment]
-
-    def visit_If(self, node: ast.If) -> None:
-        guard = _is_type_checking_test(node.test)
-        self.visit(node.test)
-        if guard:
-            self.type_checking += 1
-        for child in node.body:
-            self.visit(child)
-        if guard:
-            self.type_checking -= 1
-        for child in node.orelse:
-            self.visit(child)
-
-    # -- imports -----------------------------------------------------
-    def _record(
-        self,
-        module: str,
-        name: str | None,
-        node: ast.stmt,
-        star: bool = False,
-        asname: str | None = None,
-    ) -> None:
-        self.summary.imports.append(
-            ImportRecord(
-                module=module,
-                name=name,
-                lineno=node.lineno,
-                col=node.col_offset,
-                deferred=self.depth > 0,
-                type_checking=self.type_checking > 0,
-                star=star,
-                asname=asname,
-            )
-        )
-
-    def visit_Import(self, node: ast.Import) -> None:
-        for alias in node.names:
-            self._record(alias.name, None, node, asname=alias.asname)
-
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        module = resolve_relative_module(node.module, node.level, self.summary.package)
-        if module is None:
-            return
-        for alias in node.names:
-            if alias.name == "*":
-                self._record(module, None, node, star=True)
-            else:
-                self._record(module, alias.name, node, asname=alias.asname)
-
-    # -- attribute chains and metric calls ---------------------------
-    def visit_Attribute(self, node: ast.Attribute) -> None:
-        resolved = self.table.resolve(node)
-        if resolved is not None:
-            self.summary.chains.append(resolved)
-            return  # the full chain subsumes its sub-chains
-        self.generic_visit(node)
-
-    def visit_Call(self, node: ast.Call) -> None:
-        callee = node.func
-        name = None
-        if isinstance(callee, ast.Attribute):
-            name = callee.attr
-        elif isinstance(callee, ast.Name):
-            name = callee.id
-        if name in OBS_EMIT_FUNCTIONS:
-            arg = node.args[0] if node.args else None
-            if arg is None:
-                for kw in node.keywords:
-                    if kw.arg == "name":
-                        arg = kw.value
-            self._record_metric(arg)
-            if name == "traced":
-                for kw in node.keywords:
-                    if kw.arg == "count":
-                        self._record_metric(kw.value)
-        self.generic_visit(node)
-
-    def _record_metric(self, arg: ast.expr | None) -> None:
-        if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
-            if arg.value:
-                self.summary.metric_calls.append(
-                    MetricCall(arg.value, True, arg.lineno, arg.col_offset)
+    Only statements can import, so the recursion follows statement
+    bodies and skips expressions; function bodies mark their imports
+    deferred, and ``if TYPE_CHECKING:`` bodies mark theirs typing-only.
+    """
+    for node in body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                summary.imports.append(
+                    ImportRecord(
+                        module=alias.name,
+                        name=None,
+                        lineno=node.lineno,
+                        col=node.col_offset,
+                        deferred=deferred,
+                        type_checking=type_checking,
+                        asname=alias.asname,
+                    )
                 )
-        elif isinstance(arg, ast.JoinedStr):
-            pattern = "".join(
-                part.value if isinstance(part, ast.Constant) else "*"
-                for part in arg.values
-            )
-            pattern = _collapse_stars(pattern)
-            if pattern.strip("*"):
-                self.summary.metric_calls.append(
-                    MetricCall(pattern, False, arg.lineno, arg.col_offset)
+        elif isinstance(node, ast.ImportFrom):
+            module = resolve_relative_module(node.module, node.level, package)
+            if module is None:
+                continue
+            for alias in node.names:
+                star = alias.name == "*"
+                summary.imports.append(
+                    ImportRecord(
+                        module=module,
+                        name=None if star else alias.name,
+                        lineno=node.lineno,
+                        col=node.col_offset,
+                        deferred=deferred,
+                        type_checking=type_checking,
+                        star=star,
+                        asname=alias.asname,
+                    )
                 )
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            _collect_imports(summary, node.body, package, deferred=True,
+                             type_checking=type_checking)
+        elif isinstance(node, ast.If) and _is_type_checking_test(node.test):
+            _collect_imports(summary, node.body, package, deferred, type_checking=True)
+            _collect_imports(summary, node.orelse, package, deferred, type_checking)
+        elif isinstance(node, (ast.stmt, ast.ExceptHandler, ast.match_case)):
+            children = [
+                child
+                for child in ast.iter_child_nodes(node)
+                if isinstance(child, (ast.stmt, ast.ExceptHandler, ast.match_case))
+            ]
+            _collect_imports(summary, children, package, deferred, type_checking)
+
+
+def _metric_call(arg: ast.expr | None) -> MetricCall | None:
+    """The name an obs call emits: a literal, or an f-string as a glob."""
+    if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+        if arg.value:
+            return MetricCall(arg.value, True, arg.lineno, arg.col_offset)
+    elif isinstance(arg, ast.JoinedStr):
+        pattern = "".join(
+            part.value if isinstance(part, ast.Constant) else "*" for part in arg.values
+        )
+        pattern = _collapse_stars(pattern)
+        if pattern.strip("*"):
+            return MetricCall(pattern, False, arg.lineno, arg.col_offset)
+    return None
+
+
+def _metric_calls(node: ast.Call) -> Iterator[MetricCall]:
+    """The names one call emits, when it calls an obs registry function."""
+    callee = node.func
+    name = None
+    if isinstance(callee, ast.Attribute):
+        name = callee.attr
+    elif isinstance(callee, ast.Name):
+        name = callee.id
+    if name not in OBS_EMIT_FUNCTIONS:
+        return
+    arg = node.args[0] if node.args else None
+    if arg is None:
+        for kw in node.keywords:
+            if kw.arg == "name":
+                arg = kw.value
+    names = [arg]
+    if name == "traced":
+        names.extend(kw.value for kw in node.keywords if kw.arg == "count")
+    for expr in names:
+        call = _metric_call(expr)
+        if call is not None:
+            yield call
 
 
 def _collapse_stars(pattern: str) -> str:
@@ -319,26 +235,25 @@ def _is_type_checking_test(test: ast.expr) -> bool:
     return chain in ("TYPE_CHECKING", "typing.TYPE_CHECKING", "t.TYPE_CHECKING")
 
 
-def build_summary(
-    path: str,
-    tree: ast.Module,
-    line_suppressions: Mapping[int, Iterable[str]],
-    file_suppressions: Iterable[str],
-) -> ModuleSummary:
+def build_summary(context: ModuleContext) -> ModuleSummary:
     """Distil one parsed module into its :class:`ModuleSummary`."""
-    module = module_name_for_path(path)
     summary = ModuleSummary(
-        path=path,
-        module=module,
-        is_init=PurePath(path).name == "__init__.py",
-        line_suppressions={line: sorted(rules) for line, rules in line_suppressions.items()},
-        file_suppressions=sorted(file_suppressions),
+        path=context.path,
+        module=context.module,
+        line_suppressions=context.line_suppressions,
+        file_suppressions=context.file_suppressions,
     )
-    table = ImportTable.from_tree(tree, package=summary.package)
-    visitor = _SummaryVisitor(summary, table)
-    visitor.visit(tree)
+    _collect_imports(summary, context.tree.body, context.package)
+    chains: set[str] = set()
+    for resolved, node in context.imports.references(context.nodes):
+        if isinstance(node, ast.Attribute):
+            chains.add(resolved)
+    summary.chains = sorted(chains)
+    for node in context.nodes:
+        if isinstance(node, ast.Call):
+            summary.metric_calls.extend(_metric_calls(node))
     # __all__ exports.
-    for node in tree.body:
+    for node in context.tree.body:
         targets: list[ast.expr] = []
         if isinstance(node, ast.Assign):
             targets = node.targets
@@ -351,7 +266,6 @@ def build_summary(
             for element in value.elts:
                 if isinstance(element, ast.Constant) and isinstance(element.value, str):
                     summary.exports.append((element.value, element.lineno))
-    summary.chains = sorted(set(summary.chains))
     return summary
 
 

@@ -11,12 +11,8 @@ from repro.lint.rules.ml001_rng import LegacyNumpyRandomRule
 from repro.lint.rules.ml002_units import UnitSuffixRule
 from repro.lint.rules.ml003_float_eq import FloatEqualityRule
 from repro.lint.rules.ml004_errors import ErrorHierarchyRule
-from repro.lint.rules.ml005_mutable_defaults import MutableDefaultRule
 from repro.lint.rules.ml006_all import DunderAllRule
 from repro.lint.rules.ml007_print import BarePrintRule
-from repro.lint.rules.ml008_parallel import ConcurrencyImportRule
-from repro.lint.rules.ml009_fstrings import RaiseFStringRule
-from repro.lint.rules.ml010_faults import FaultApiRule
 from repro.lint.rules.ml011_layers import ArchitectureLayerRule
 from repro.lint.rules.ml012_determinism import DeterminismRule
 from repro.lint.rules.ml013_obs_catalogue import ObsCatalogueRule
@@ -28,12 +24,8 @@ __all__ = [
     "UnitSuffixRule",
     "FloatEqualityRule",
     "ErrorHierarchyRule",
-    "MutableDefaultRule",
     "DunderAllRule",
     "BarePrintRule",
-    "ConcurrencyImportRule",
-    "RaiseFStringRule",
-    "FaultApiRule",
     "ArchitectureLayerRule",
     "DeterminismRule",
     "ObsCatalogueRule",

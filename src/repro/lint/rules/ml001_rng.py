@@ -15,7 +15,6 @@ import ast
 from typing import Iterator
 
 from repro.lint.core import Finding, ModuleContext, Rule, register
-from repro.lint.imports import ImportTable
 
 __all__ = ["LegacyNumpyRandomRule", "LEGACY_FUNCTIONS"]  # milback: disable=ML014 — documented rule knob
 
@@ -64,9 +63,7 @@ class LegacyNumpyRandomRule(Rule):
     )
 
     def check(self, module: ModuleContext) -> Iterator[Finding]:
-        table = ImportTable.from_tree(module.tree)
-
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if isinstance(node, ast.ImportFrom) and node.module == "numpy.random":
                 for alias in node.names:
                     if alias.name in LEGACY_FUNCTIONS:
@@ -76,17 +73,14 @@ class LegacyNumpyRandomRule(Rule):
                             f"import of legacy numpy.random.{alias.name}; "
                             "use np.random.default_rng() or a passed-in Generator",
                         )
-
-        # Attribute chains are resolved through the import table, so any
-        # aliased spelling of numpy.random is seen for what it is.
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Attribute):
-                continue
-            resolved = table.resolve(node)
-            if resolved is not None and _is_legacy(resolved):
-                yield module.finding(
-                    self,
-                    node,
-                    f"legacy global-state call {resolved}; use a seeded "
-                    "np.random.default_rng() / passed-in Generator instead",
-                )
+            elif isinstance(node, ast.Attribute):
+                # Chains resolve through the import table, so any aliased
+                # spelling of numpy.random is seen for what it is.
+                resolved = module.imports.resolve(node)
+                if resolved is not None and _is_legacy(resolved):
+                    yield module.finding(
+                        self,
+                        node,
+                        f"legacy global-state call {resolved}; use a seeded "
+                        "np.random.default_rng() / passed-in Generator instead",
+                    )

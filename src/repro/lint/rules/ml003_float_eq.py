@@ -41,7 +41,7 @@ class FloatEqualityRule(Rule):
     )
 
     def check(self, module: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, ast.Compare):
                 continue
             comparators = [node.left, *node.comparators]

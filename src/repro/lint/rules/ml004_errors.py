@@ -60,7 +60,7 @@ class ErrorHierarchyRule(Rule):
     )
 
     def check(self, module: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if isinstance(node, ast.Raise):
                 if node.exc is None:
                     continue  # bare re-raise inside a handler

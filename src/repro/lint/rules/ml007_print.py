@@ -35,7 +35,7 @@ class BarePrintRule(Rule):
 
     def check(self, module: ModuleContext) -> Iterator[Finding]:
         shadowed = _module_level_rebindings(module.tree)
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Name)

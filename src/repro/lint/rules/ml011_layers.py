@@ -1,4 +1,4 @@
-"""ML011 — architecture layering and import cycles.
+"""ML011 — architecture layering, import confinement and import cycles.
 
 The codebase is layered so the physics stays importable without the
 protocol stack, and the protocol without the experiment harness:
@@ -23,21 +23,36 @@ partially-populated namespaces.  Deferred (function-level) imports and
 ``TYPE_CHECKING`` guards do not create import-time edges and are
 excluded from cycle detection; deferred imports still count for
 layering, ``TYPE_CHECKING`` imports do not.
+
+Some imports belong to one package alone (:data:`CONFINED_IMPORTS`):
+process pools (``multiprocessing``, ``concurrent.futures``) to
+``repro/parallel/``, whose executor owns fork-inherited closures,
+pre-spawned RNG streams and the merge of worker obs deltas; and the
+fault internals (``repro.faults.spec``/``plan``/``injectors``) to
+``repro/faults/``, whose public API keeps the clean pipeline untouched,
+draws every corruption from the plan's RNG stream and tallies it in
+``faults.injected``.  The check reads every linted file's resolved
+import records — inside ``repro`` or not, relative, deferred and
+``TYPE_CHECKING`` imports included — and exempts files under the
+owning package by path.
 """
 
 from __future__ import annotations
 
 import re
-from pathlib import Path
-from typing import TYPE_CHECKING, Iterator
+from pathlib import Path, PurePath
+from typing import Iterator
 
 from repro.lint.core import Finding, ProjectRule, Severity, register
-from repro.lint.project import repro_component
+from repro.lint.project import ModuleSummary, ProjectContext, repro_component
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.lint.project import ProjectContext
-
-__all__ = ["ArchitectureLayerRule", "LAYERS", "UNCONSTRAINED", "load_allowlist"]
+__all__ = [
+    "ArchitectureLayerRule",
+    "CONFINED_IMPORTS",  # milback: disable=ML014 — documented rule knob
+    "LAYERS",
+    "UNCONSTRAINED",
+    "load_allowlist",
+]
 
 #: Declared layer order, bottom (0) to top.  A package may import its
 #: own layer and below.
@@ -69,6 +84,23 @@ _LAYER_OF: dict[str, int] = {
     package: level for level, packages in enumerate(LAYERS) for package in packages
 }
 
+#: Imports confined to one package: dotted module prefix -> owning package.
+#: ``repro.faults.campaign`` is deliberately absent: it is orchestration,
+#: not corruption machinery, and the CLI drives it directly.
+CONFINED_IMPORTS: dict[str, str] = {
+    "multiprocessing": "repro.parallel",
+    "concurrent": "repro.parallel",
+    "repro.faults.spec": "repro.faults",
+    "repro.faults.plan": "repro.faults",
+    "repro.faults.injectors": "repro.faults",
+}
+
+#: What code outside the owning package should do instead.
+_CONFINEMENT_HINTS: dict[str, str] = {
+    "repro.parallel": "use repro.parallel.parallel_map (or move the code under repro/parallel/)",
+    "repro.faults": "inject faults through the repro.faults public API",
+}
+
 _ALLOWLIST_PATH = Path(__file__).resolve().parent.parent / "layering_allowlist.txt"
 
 _ENTRY_RE = re.compile(r"^(?P<module>[\w.]+)\s*->\s*(?P<package>\w+)\s*(?:#.*)?$")
@@ -90,6 +122,22 @@ def load_allowlist(path: Path | None = None) -> dict[tuple[str, str], int]:
     return entries
 
 
+def _confining_owner(module: str) -> str | None:
+    """The package ``module`` is confined to, if any prefix of it is."""
+    parts = module.split(".")
+    for end in range(1, len(parts) + 1):
+        owner = CONFINED_IMPORTS.get(".".join(parts[:end]))
+        if owner is not None:
+            return owner
+    return None
+
+
+def _inside(path: str, package: str) -> bool:
+    """True when ``path`` lies in the directory of dotted ``package``."""
+    parts, want = PurePath(path).parts, tuple(package.split("."))
+    return any(parts[i : i + len(want)] == want for i in range(len(parts)))
+
+
 @register
 class ArchitectureLayerRule(ProjectRule):
     rule_id = "ML011"
@@ -100,14 +148,42 @@ class ArchitectureLayerRule(ProjectRule):
         "channel/sim/kernels -> node/ap/protocol -> netsim -> "
         "experiments/...); "
         "upward edges need a layering_allowlist.txt entry, cycles are "
-        "always errors."
+        "always errors; process pools and fault internals are imported "
+        "only inside repro/parallel/ and repro/faults/."
     )
 
-    def check_project(self, project: "ProjectContext") -> Iterator[Finding]:
+    def _confinement(self, summary: ModuleSummary) -> Iterator[Finding]:
+        reported: set[tuple[int, int, str]] = set()
+        for record in summary.imports:
+            targets = [record.module]
+            if record.name is not None:
+                targets.append(f"{record.module}.{record.name}")
+            for target in targets:
+                owner = _confining_owner(target)
+                if owner is None or _inside(summary.path, owner):
+                    continue
+                key = (record.lineno, record.col, target)
+                if key not in reported:
+                    reported.add(key)
+                    yield Finding(
+                        path=summary.path,
+                        line=record.lineno,
+                        col=record.col + 1,
+                        rule_id=self.rule_id,
+                        message=(
+                            f"confined import: {target} belongs to {owner}; "
+                            f"{_CONFINEMENT_HINTS[owner]}"
+                        ),
+                        severity=self.severity,
+                    )
+                break
+
+    def check_project(self, project: ProjectContext) -> Iterator[Finding]:
         allowlist = load_allowlist()
         used_entries: set[tuple[str, str]] = set()
 
         for summary in project.summaries:
+            yield from self._confinement(summary)
             if summary.module is None:
                 continue
             src_component = repro_component(summary.module)

@@ -23,12 +23,10 @@ physics, only observability.
 
 from __future__ import annotations
 
-import ast
 from pathlib import PurePath
 from typing import Iterator
 
 from repro.lint.core import Finding, ModuleContext, Rule, register
-from repro.lint.imports import ImportTable
 
 __all__ = ["DeterminismRule", "FORBIDDEN_CALLS", "STDLIB_RANDOM_MODULE"]  # milback: disable=ML014 — documented rule knobs
 
@@ -77,29 +75,6 @@ def _violation(resolved: str) -> str | None:
     return None
 
 
-class _ReferenceVisitor(ast.NodeVisitor):
-    """Collect resolved name references without double-counting chains."""
-
-    def __init__(self, table: ImportTable) -> None:
-        self.table = table
-        self.hits: list[tuple[str, ast.expr]] = []
-
-    def visit_Attribute(self, node: ast.Attribute) -> None:
-        resolved = self.table.resolve(node)
-        if resolved is not None:
-            if _violation(resolved) is not None:
-                self.hits.append((resolved, node))
-            return  # the full chain subsumes its sub-chains
-        self.generic_visit(node)
-
-    def visit_Name(self, node: ast.Name) -> None:
-        if not isinstance(node.ctx, ast.Load):
-            return
-        resolved = self.table.resolve_dotted(node.id)
-        if resolved is not None and resolved != node.id and _violation(resolved) is not None:
-            self.hits.append((resolved, node))
-
-
 @register
 class DeterminismRule(Rule):
     rule_id = "ML012"
@@ -113,12 +88,9 @@ class DeterminismRule(Rule):
     def check(self, module: ModuleContext) -> Iterator[Finding]:
         if not _is_library_path(module.path):
             return
-        table = ImportTable.from_tree(module.tree)
-        visitor = _ReferenceVisitor(table)
-        visitor.visit(module.tree)
-        for resolved, node in visitor.hits:
-            yield module.finding(
-                self,
-                node,
-                f"nondeterministic reference {resolved}: {_violation(resolved)}",
-            )
+        for resolved, node in module.imports.references(module.nodes):
+            reason = _violation(resolved)
+            if reason is not None:
+                yield module.finding(
+                    self, node, f"nondeterministic reference {resolved}: {reason}"
+                )

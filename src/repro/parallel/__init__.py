@@ -23,7 +23,7 @@ Every map runs on one pool implementation,
 for a single call.
 
 This is the only module tree allowed to import process-pool primitives
-(`concurrent.futures` / `multiprocessing`) — lint rule ML008 enforces
+(`concurrent.futures` / `multiprocessing`) — lint rule ML011 enforces
 the boundary so pool lifecycle management never leaks into physics code.
 """
 

@@ -32,10 +32,11 @@ def rule_ids(findings):
 class TestEngine:
     def test_all_rules_registered(self):
         ids = [cls.rule_id for cls in all_rules()]
+        # ML005/ML008/ML009/ML010 are retired (ruff's B006/F541 and
+        # ML011's confinement table cover them) and never reused.
         assert ids == [
             "ML001", "ML002", "ML003", "ML004",
-            "ML005", "ML006", "ML007", "ML008",
-            "ML009", "ML010", "ML011", "ML012",
+            "ML006", "ML007", "ML011", "ML012",
             "ML013", "ML014",
         ]
 
@@ -334,32 +335,6 @@ class TestML004ErrorHierarchy:
         ) == []
 
 
-class TestML005MutableDefaults:
-    def test_fires_on_list_literal_default(self):
-        source = """\
-        __all__ = []
-        def f(acc=[]):
-            return acc
-        """
-        assert rule_ids(findings_for(source, select=["ML005"])) == ["ML005"]
-
-    def test_fires_on_dict_call_and_kwonly_default(self):
-        source = """\
-        __all__ = []
-        def f(*, cache=dict()):
-            return cache
-        """
-        assert rule_ids(findings_for(source, select=["ML005"])) == ["ML005"]
-
-    def test_silent_on_none_and_tuple_defaults(self):
-        source = """\
-        __all__ = []
-        def f(acc=None, shape=(3, 4), name="x"):
-            return acc, shape, name
-        """
-        assert findings_for(source, select=["ML005"]) == []
-
-
 class TestML006DunderAll:
     def test_fires_when_missing(self):
         findings = findings_for("def f():\n    return 1\n", select=["ML006"])
@@ -464,166 +439,148 @@ class TestML007BarePrint:
         assert findings_for(source, select=["ML007"]) == []
 
 
-class TestML008ConcurrencyImports:
-    def test_fires_on_multiprocessing_import(self):
-        source = """\
-        __all__ = []
-        import multiprocessing
-        """
-        findings = findings_for(source, select=["ML008"])
-        assert rule_ids(findings) == ["ML008"]
-        assert "repro.parallel" in findings[0].message
+def confinement_case(case_id, source, count, hint=None, path="pkg/module.py"):
+    return pytest.param(path, source, count, hint, id=case_id)
 
-    def test_fires_on_concurrent_futures_variants(self):
-        source = """\
-        __all__ = []
+
+PARALLEL_HINT = "repro.parallel"
+FAULTS_HINT = "public API"
+
+CONFINEMENT_CASES = [
+    # Process pools belong to repro/parallel/.
+    confinement_case("multiprocessing", "import multiprocessing\n", 1, PARALLEL_HINT),
+    confinement_case(
+        "concurrent_futures_variants",
+        """\
         import concurrent.futures
         from concurrent.futures import ProcessPoolExecutor
         from concurrent.futures.process import BrokenProcessPool
         from multiprocessing import get_context
-        """
-        assert rule_ids(findings_for(source, select=["ML008"])) == ["ML008"] * 4
+        """,
+        4,
+        PARALLEL_HINT,
+    ),
+    confinement_case(
+        "one_finding_per_statement",
+        "from multiprocessing import Pool, Queue\n",
+        1,
+        PARALLEL_HINT,
+    ),
+    confinement_case(
+        "deferred_and_type_checking",
+        """\
+        from typing import TYPE_CHECKING
 
-    def test_silent_inside_repro_parallel(self):
-        source = """\
-        __all__ = []
+        if TYPE_CHECKING:
+            from multiprocessing import Queue
+
+
+        def run():
+            import concurrent.futures
+            return concurrent.futures
+        """,
+        2,
+        PARALLEL_HINT,
+    ),
+    confinement_case(
+        "inside_repro_parallel",
+        """\
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
-        """
-        path = "src/repro/parallel/executor.py"
-        assert findings_for(source, path=path, select=["ML008"]) == []
-
-    def test_silent_on_unrelated_imports(self):
-        source = """\
-        __all__ = []
+        """,
+        0,
+        path="src/repro/parallel/executor.py",
+    ),
+    confinement_case(
+        "unrelated_imports",
+        """\
         import threading
         from concurrency_tools import pool  # different top-level module
         from repro.parallel import parallel_map
-        """
-        assert findings_for(source, select=["ML008"]) == []
-
-    def test_line_pragma_suppresses(self):
-        source = """\
-        __all__ = []
-        import multiprocessing  # milback: disable=ML008 — CPU-count probe only
-        """
-        assert findings_for(source, select=["ML008"]) == []
-
-    def test_executor_module_itself_is_exempt_on_disk(self):
-        # The real executor imports both restricted modules; the path
-        # carve-out (not a pragma) is what keeps the tree lint-clean.
-        path = SRC_ROOT / "repro" / "parallel" / "executor.py"
-        source = path.read_text(encoding="utf-8")
-        assert lint_source(source, str(path), select=["ML008"]) == []
-
-
-class TestML009RaiseFString:
-    def test_fires_on_placeholder_free_fstring(self):
-        source = """\
-        __all__ = []
-        def f(mode):
-            raise ValueError(f"mode must be batched or reference")
-        """
-        findings = findings_for(source, select=["ML009"])
-        assert rule_ids(findings) == ["ML009"]
-        assert "placeholder-free" in findings[0].message
-
-    def test_fires_on_bare_fstring_raise_inside_call_chain(self):
-        source = """\
-        __all__ = []
-        def f(err):
-            raise RuntimeError(str(f"static message"))
-        """
-        assert rule_ids(findings_for(source, select=["ML009"])) == ["ML009"]
-
-    def test_silent_with_placeholder(self):
-        source = """\
-        __all__ = []
-        def f(mode):
-            raise ValueError(f"unknown mode {mode!r}")
-        """
-        assert findings_for(source, select=["ML009"]) == []
-
-    def test_silent_on_format_spec_joinedstr(self):
-        # The ".3f" spec parses as its own placeholder-free JoinedStr;
-        # the rule must not mistake it for an authored f-string.
-        source = """\
-        __all__ = []
-        def f(x):
-            raise ValueError(f"x = {x:.3f} out of range")
-        """
-        assert findings_for(source, select=["ML009"]) == []
-
-    def test_silent_on_plain_string_and_non_raise_fstring(self):
-        source = """\
-        __all__ = []
-        def f(x):
-            label = f"constant label"
-            raise ValueError("plain message")
-        """
-        assert findings_for(source, select=["ML009"]) == []
-
-    def test_line_pragma_suppresses(self):
-        source = """\
-        __all__ = []
-        def f():
-            raise ValueError(f"kept for a template diff")  # milback: disable=ML009 — template parity
-        """
-        assert findings_for(source, select=["ML009"]) == []
-
-
-class TestML010FaultApi:
-    def test_fires_on_internal_module_imports(self):
-        source = """\
-        __all__ = []
+        """,
+        0,
+    ),
+    confinement_case(
+        "parallel_pragma",
+        "import multiprocessing  # milback: disable=ML011 — CPU-count probe only\n",
+        0,
+    ),
+    # Fault internals belong to repro/faults/.
+    confinement_case(
+        "faults_internal_modules",
+        """\
         import repro.faults.injectors
         from repro.faults.plan import FaultPlan
         from repro.faults.spec import FaultSpec
-        """
-        findings = findings_for(source, select=["ML010"])
-        assert rule_ids(findings) == ["ML010"] * 3
-        assert "public API" in findings[0].message
-
-    def test_fires_on_submodule_via_package_importfrom(self):
-        source = """\
-        __all__ = []
-        from repro.faults import plan
-        """
-        assert rule_ids(findings_for(source, select=["ML010"])) == ["ML010"]
-
-    def test_silent_on_public_api_imports(self):
-        source = """\
-        __all__ = []
+        """,
+        3,
+        FAULTS_HINT,
+    ),
+    confinement_case(
+        "faults_submodule_via_package", "from repro.faults import plan\n", 1, FAULTS_HINT
+    ),
+    confinement_case(
+        "faults_relative_module",
+        "from ..faults.plan import FaultPlan\n",
+        1,
+        FAULTS_HINT,
+        path="src/repro/experiments/x.py",
+    ),
+    confinement_case(
+        "faults_relative_submodule",
+        "from ..faults import plan\n",
+        1,
+        FAULTS_HINT,
+        path="src/repro/experiments/x.py",
+    ),
+    confinement_case(
+        "faults_public_api",
+        """\
         from repro import faults
         import repro.faults
         from repro.faults import FaultPlan, FaultSpec, activate
         from repro.faults import campaign
         from repro.faults.campaign import run_campaign
-        """
-        assert findings_for(source, select=["ML010"]) == []
-
-    def test_silent_inside_repro_faults(self):
-        source = """\
-        __all__ = []
+        """,
+        0,
+    ),
+    confinement_case(
+        "inside_repro_faults",
+        """\
         from repro.faults.spec import FaultSpec
         from repro.faults import injectors
-        """
-        path = "src/repro/faults/plan.py"
-        assert findings_for(source, path=path, select=["ML010"]) == []
+        """,
+        0,
+        path="src/repro/faults/plan.py",
+    ),
+    confinement_case(
+        "faults_pragma",
+        "from repro.faults.spec import FaultSpec  # milback: disable=ML011 — taxonomy docs tooling\n",
+        0,
+    ),
+]
 
-    def test_line_pragma_suppresses(self):
-        source = """\
-        __all__ = []
-        from repro.faults.spec import FaultSpec  # milback: disable=ML010 — taxonomy docs tooling
-        """
-        assert findings_for(source, select=["ML010"]) == []
 
-    def test_plan_module_itself_is_exempt_on_disk(self):
-        # plan.py imports the injectors; the path carve-out (not a
-        # pragma) is what keeps the tree lint-clean.
-        path = SRC_ROOT / "repro" / "faults" / "plan.py"
+class TestML011Confinement:
+    @pytest.mark.parametrize(("path", "source", "count", "hint"), CONFINEMENT_CASES)
+    def test_confined_imports(self, path, source, count, hint):
+        findings = findings_for(source, path=path, select=["ML011"])
+        assert rule_ids(findings) == ["ML011"] * count
+        assert all(hint in finding.message for finding in findings)
+
+    @pytest.mark.parametrize(
+        "relpath",
+        ["repro/parallel/pool.py", "repro/faults/plan.py"],
+        ids=["pool", "plan"],
+    )
+    def test_owner_module_exempt_on_disk(self, relpath):
+        # The real modules import what their package owns (the pool owns
+        # the stdlib pools, the plan the injectors); the path carve-out,
+        # not a pragma, is what keeps the tree lint-clean.
+        path = SRC_ROOT / relpath
         source = path.read_text(encoding="utf-8")
-        assert lint_source(source, str(path), select=["ML010"]) == []
+        assert lint_source(source, str(path), select=["ML011"]) == []
+        assert lint_source(source, "pkg/elsewhere.py", select=["ML011"]) != []
 
 
 class TestCli:
@@ -648,6 +605,46 @@ class TestCli:
         assert payload["summary"]["total"] == 1
         assert payload["summary"]["by_rule"] == {"ML001": 1}
         assert payload["findings"][0]["rule"] == "ML001"
+
+    def test_statistics_counts_rules_and_files(self, tmp_path, capsys):
+        dirty = "import numpy as np\nx = np.random.rand(3)\n"
+        write_tree(tmp_path, {
+            "pkg/dirty.py": dirty,
+            "pkg/clean.py": '__all__ = ["f"]\n\n\ndef f():\n    return 1\n',
+            "pkg/also_dirty.py": dirty + "y = np.random.rand(2)\n",
+        })
+        assert lint_main([str(tmp_path / "pkg"), "--select", "ML001", "--statistics"]) == 1
+        out = capsys.readouterr().out
+        assert "ML001: 3" in out
+        assert "files: 3  wall:" in out
+        assert out.rstrip().endswith("Found 3 finding(s).")
+
+    def test_statistics_counts_each_file_once(self, tmp_path, monkeypatch, capsys):
+        # Targets given relative to the working directory lie inside the
+        # usage roots that project rules discover as absolute paths; each
+        # file must still be analysed, and counted, exactly once.
+        write_tree(tmp_path, {
+            "docs/OBSERVABILITY.md": "# Observability\n",
+            "tests/test_a.py": "__all__ = []\n",
+            "tests/test_b.py": "__all__ = []\n",
+            "benchmarks/bench_c.py": "__all__ = []\n",
+            "examples/demo.py": "__all__ = []\n",
+        })
+        monkeypatch.chdir(tmp_path)
+        assert lint_main(["tests", "benchmarks", "examples", "--statistics"]) == 0
+        assert "files: 4  wall:" in capsys.readouterr().out
+
+    def test_json_output_is_deterministic(self, tmp_path, capsys):
+        dirty = "import numpy as np\nx = np.random.rand(3)\ny = np.random.rand(2)\n"
+        write_tree(tmp_path, {"pkg/a.py": dirty, "pkg/b.py": dirty})
+        argv = [str(tmp_path / "pkg"), "--select", "ML001", "--format", "json"]
+        assert lint_main(argv) == 1
+        first = capsys.readouterr().out
+        assert lint_main(argv) == 1
+        assert capsys.readouterr().out == first
+        payload = json.loads(first)
+        assert payload["summary"] == {"total": 4, "by_rule": {"ML001": 4}}
+        assert [f["line"] for f in payload["findings"]] == [2, 3, 2, 3]
 
     def test_unknown_rule_exits_two(self, tmp_path, capsys):
         target = tmp_path / "clean.py"
@@ -997,3 +994,57 @@ class TestML014DeadExports:
             return 1
         """
         assert findings_for(source, select=["ML014"]) == []
+
+
+class TestOnePass:
+    def test_each_file_parsed_once_and_checked_only_as_target(self, tmp_path, monkeypatch):
+        from repro.lint import ModuleContext, ProjectRule, lint_paths
+        from repro.lint.imports import ImportTable
+
+        write_tree(tmp_path, {
+            "docs/OBSERVABILITY.md": "# Observability\n",
+            "src/repro/alpha.py": '__all__ = ["f"]\n\n\ndef f():\n    return 1\n',
+            "src/repro/beta.py": "from repro.alpha import f\n\nf()\n",
+            "tests/test_alpha.py": "from repro.alpha import f\n",
+            "tests/test_beta.py": "import repro.beta\n",
+            "benchmarks/bench_alpha.py": "from repro.alpha import f\n",
+        })
+        monkeypatch.chdir(tmp_path)
+
+        parsed, tables, checked = [], [], []
+        from_source = ModuleContext.from_source.__func__
+        from_tree = ImportTable.from_tree.__func__
+
+        def counting_from_source(cls, source, path="<string>"):
+            parsed.append(Path(path).resolve())
+            return from_source(cls, source, path)
+
+        def counting_from_tree(cls, tree, package=None):
+            tables.append(tree)
+            return from_tree(cls, tree, package)
+
+        def counting_check(original):
+            def check(self, module):
+                checked.append((self.rule_id, module.path))
+                return original(self, module)
+            return check
+
+        monkeypatch.setattr(ModuleContext, "from_source", classmethod(counting_from_source))
+        monkeypatch.setattr(ImportTable, "from_tree", classmethod(counting_from_tree))
+        per_file_ids = []
+        for rule_cls in all_rules():
+            if not issubclass(rule_cls, ProjectRule):
+                per_file_ids.append(rule_cls.rule_id)
+                monkeypatch.setattr(rule_cls, "check", counting_check(rule_cls.check))
+
+        # One target lies inside the tests/ usage root.
+        lint_paths(["src", "tests/test_alpha.py"])
+
+        every_file = sorted(path.resolve() for path in tmp_path.rglob("*.py"))
+        assert len(every_file) == 5
+        assert sorted(parsed) == every_file
+        assert len(tables) == len(every_file)
+        targets = ["src/repro/alpha.py", "src/repro/beta.py", "tests/test_alpha.py"]
+        assert sorted(checked) == sorted(
+            (rule_id, target) for rule_id in per_file_ids for target in targets
+        )
