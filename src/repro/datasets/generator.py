@@ -37,6 +37,7 @@ from repro.channel.scene import Scene2D
 from repro.datasets.schema import DatasetConfig, RowParams
 from repro.datasets.writer import ShardWriter
 from repro.dsp.fftutils import window_taps
+from repro.errors import DatasetError
 from repro.kernels import rxchain
 from repro.obs import stream
 from repro.parallel import PersistentPool, active_pool, resolve_max_workers
@@ -185,7 +186,7 @@ def generate_dataset(
     resume boundaries.
     """
     if block_rows < 1:
-        block_rows = 1
+        raise DatasetError("block_rows must be at least 1")
     with obs.span("datasets.generate", rows=config.n_rows):
         writer = ShardWriter(out_dir, config, rows_per_shard=rows_per_shard, resume=resume)
         start = writer.rows_done

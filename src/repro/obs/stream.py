@@ -77,7 +77,7 @@ def _health_from_deltas(deltas: dict[str, float]) -> dict[str, str]:
     Two signals that matter on long dataset/sweep runs: the
     scene-invariant cache hit ratio since the last beat (a cold worker
     shows ~0%, a warm one climbs toward 100%), and how many bytes the
-    parallel transport shipped (shm and pipe combined). Both are pure
+    worker pool's pipe carried, both directions. Both are pure
     functions of counters the run already maintains — nothing new is
     measured, so heartbeats stay observation-only.
     """
@@ -86,9 +86,7 @@ def _health_from_deltas(deltas: dict[str, float]) -> dict[str, str]:
     misses = sum(v for k, v in deltas.items() if k.startswith("cache.misses"))
     if hits + misses > 0:
         health["cache"] = f"{100.0 * hits / (hits + misses):.0f}%"
-    shipped = sum(
-        v for k, v in deltas.items() if k.startswith("parallel.bytes_shipped")
-    )
+    shipped = deltas.get("parallel.bytes_shipped", 0.0)
     if shipped > 0:
         if shipped >= 1 << 20:
             health["shipped"] = f"{shipped / (1 << 20):.1f}MiB"

@@ -20,7 +20,8 @@ output. Three contracts make that safe (see ``docs/PERFORMANCE.md``):
 Every map runs on one pool implementation,
 :class:`~repro.parallel.pool.PersistentPool`: a warm one installed with
 ``with PersistentPool(...)``, or one that :func:`parallel_map` builds
-for a single call.
+for a single call. Every chunk crosses the pool's pipe, its items
+pickled once in the parent and its results once in the worker.
 
 This is the only module tree allowed to import process-pool primitives
 (`concurrent.futures` / `multiprocessing`) — lint rule ML011 enforces
@@ -29,13 +30,14 @@ the boundary so pool lifecycle management never leaks into physics code.
 
 from __future__ import annotations
 
-from repro.parallel.executor import (
+from repro.parallel.pool import (
     DEFAULT_WORKERS_ENV,
     ParallelResult,
+    PersistentPool,
+    active_pool,
     parallel_map,
     resolve_max_workers,
 )
-from repro.parallel.pool import PersistentPool, active_pool
 
 __all__ = [
     "DEFAULT_WORKERS_ENV",

@@ -1,18 +1,46 @@
 """The forked worker pool behind every :func:`parallel_map` call.
 
-:class:`PersistentPool` is the repo's one process pool. Constructed by
-hand it keeps its workers alive across calls, which sustained workloads
-need: corpus generation (:mod:`repro.datasets`) issues *many* map calls,
-and a pool per call would pay fork + executor spin-up again each time,
-then throw away every scene-invariant cache entry
-(:mod:`repro.sim.cache`) its workers just warmed. :func:`parallel_map`
-builds one that lives for a single call whenever no warm pool can take
-its function.
+Execution model
+---------------
+
+``parallel_map(fn, items)`` splits ``items`` into contiguous chunks and
+runs each chunk in a forked worker of a :class:`PersistentPool` — the
+one installed with ``with PersistentPool(...)`` when ``fn`` is
+picklable, otherwise a pool that lives for this one call. Workers are
+forked, not spawned, for one load-bearing reason: sweep trial functions
+are closures over experiment parameters (scene geometry, bit rates, …)
+and closures cannot cross a pickle boundary — but the one-call pool
+forks after ``fn`` is staged in the module global :data:`_WORKER_FN`,
+so its children inherit it by copy-on-write.
+
+Transport: one pipe. The parent pickles each chunk's items once
+(parameters and ``numpy.random.Generator`` streams, whose state
+survives pickling exactly), the worker pickles the chunk's results
+once, and ``ProcessPoolExecutor`` carries those bytes;
+``parallel.bytes_shipped`` adds up their lengths in both directions.
+
+Each worker chunk opens a fresh observation window (`obs.reset()` plus
+:meth:`~repro.obs.tracing.Tracer.detach_open_spans`), runs its tasks,
+and returns ``(values, registry state, finished spans, events, t0)``.
+The parent merges every chunk's registry delta and absorbs its spans —
+rebased onto the parent timeline at the chunk's dispatch instant — so
+one ``metrics.json``/trace describes the whole run no matter where the
+work happened.
+
+The pool
+--------
+
+Constructed by hand, a :class:`PersistentPool` keeps its workers alive
+across calls, which sustained workloads need: corpus generation
+(:mod:`repro.datasets`) issues *many* map calls, and a pool per call
+would pay fork + executor spin-up again each time, then throw away
+every scene-invariant cache entry (:mod:`repro.sim.cache`) its workers
+just warmed.
 
 * **Warm state.** Workers are forked once (inheriting the parent's
   caches copy-on-write) and then *keep* everything they warm up —
-  ``repro.sim.cache`` entries, imported modules, the shm resource
-  tracker — across chunks and across map calls.
+  ``repro.sim.cache`` entries and imported modules — across chunks and
+  across map calls.
 * **How the function gets there.** Workers forked before a function
   existed can only receive it by pickle, so a warm pool takes
   module-level functions or :func:`functools.partial` over picklable
@@ -21,18 +49,19 @@ its function.
   :func:`parallel_map` forks after the call's function is staged, so
   its workers inherit it — closures included — and its chunks carry
   only the items.
-* **Streaming.** :meth:`imap_chunks` yields ordered per-chunk results
-  as they arrive with a bounded submission window, so a consumer (the
-  dataset shard writer) runs with bounded memory no matter how large
-  the item list is.
+* **Streaming.** :meth:`~PersistentPool.imap_chunks` yields ordered
+  per-chunk results as they arrive with a bounded submission window, so
+  a consumer (the dataset shard writer) runs with bounded memory no
+  matter how large the item list is.
+* **Failures.** Exceptions raised by ``fn`` propagate exactly as in a
+  serial loop. Pool *infrastructure* failures (fork unavailable, pool
+  refuses to start, workers die) run every item no consumed chunk
+  covered in-process — bit-identical: the parent's RNG copies never
+  advanced, and only the consumed chunks' obs deltas merge — bump
+  ``parallel.fallbacks``, and leave the next call to fork a fresh pool.
 * **Lifecycle.** ``shutdown()`` is idempotent and also runs from a
-  context-manager exit and an ``atexit`` hook, so no run ends with
-  zombie workers. Shared-memory arenas are swept on every exit path —
-  success, trial exception, ``KeyboardInterrupt``, broken pool — and a
-  broken pool runs every item no consumed chunk covered in-process
-  (bit-identical: the parent's RNG copies never advanced, and only the
-  consumed chunks' obs deltas merge) while the next call forks a fresh
-  pool.
+  context-manager exit, on ``KeyboardInterrupt`` mid-map and from an
+  ``atexit`` hook, so no run ends with zombie workers.
 
 Entering the pool as a context manager also installs it process-wide:
 every :func:`parallel_map` call issued underneath (sweeps, campaigns,
@@ -45,26 +74,143 @@ from __future__ import annotations
 
 import atexit
 import multiprocessing
+import os
 import pickle
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Sequence
 
 from repro import obs
 from repro.errors import ConfigurationError
 from repro.obs import stream
-from repro.parallel import executor as _executor
-from repro.parallel import shm
-from repro.parallel.executor import ParallelResult, resolve_max_workers
 
-__all__ = ["PersistentPool", "active_pool", "is_picklable"]
+__all__ = [
+    "DEFAULT_WORKERS_ENV",
+    "ParallelResult",
+    "PersistentPool",
+    "active_pool",
+    "parallel_map",
+    "resolve_max_workers",
+]
+
+#: Environment variable consulted when ``max_workers`` is not given.
+DEFAULT_WORKERS_ENV = "REPRO_MAX_WORKERS"
+
+#: The chunk fan-out per worker: enough chunks that an uneven trial mix
+#: load-balances, few enough that per-chunk overhead stays negligible.
+_CHUNKS_PER_WORKER = 4
 
 #: In-flight chunk futures per map call: enough to keep every worker
 #: busy through result consumption, bounded so a streaming consumer
 #: never buffers an unbounded backlog of finished chunks.
 _WINDOW_PER_WORKER = 3
+
+# Fork-inherited worker state. parallel_map stages _WORKER_FN before its
+# one-call pool forks; the children see it by copy-on-write.
+_WORKER_FN: Callable[[Any], Any] | None = None
+_IN_WORKER = False
+
+
+def resolve_max_workers(max_workers: int | None) -> int:
+    """Turn the user-facing knob into an effective worker count.
+
+    ``None`` defers to ``$REPRO_MAX_WORKERS`` (absent/empty → 1, the
+    serial default); ``0`` or negative means "all cores". Inside a
+    worker process the answer is always 1 — nested pools would
+    oversubscribe and gain nothing.
+    """
+    if _IN_WORKER:
+        return 1
+    if max_workers is None:
+        raw = os.environ.get(DEFAULT_WORKERS_ENV, "").strip()
+        if not raw:
+            return 1
+        try:
+            max_workers = int(raw)
+        except ValueError:
+            raise ConfigurationError(
+                f"${DEFAULT_WORKERS_ENV}={raw!r} is not an integer"
+            ) from None
+    if max_workers <= 0:
+        return os.cpu_count() or 1
+    return int(max_workers)
+
+
+@dataclass(frozen=True)
+class ParallelResult:
+    """Outcome of one :func:`parallel_map` call."""
+
+    values: list[Any]
+    workers: int
+    n_chunks: int
+    #: None when the pool ran; otherwise why execution fell back to serial.
+    fallback_reason: str | None = None
+
+    @property
+    def parallel(self) -> bool:
+        return self.fallback_reason is None and self.workers > 1
+
+
+def _chunk_indices(n_items: int, workers: int, chunk_size: int | None) -> list[range]:
+    """Contiguous index ranges covering ``range(n_items)`` in order."""
+    if chunk_size is None:
+        chunk_size = max(1, -(-n_items // (workers * _CHUNKS_PER_WORKER)))
+    if chunk_size < 1:
+        raise ConfigurationError("chunk_size must be at least 1")
+    return [range(lo, min(lo + chunk_size, n_items)) for lo in range(0, n_items, chunk_size)]
+
+
+def _serial_loop(
+    fn: Callable[[Any], Any], items: Sequence[Any], start: int = 0
+) -> Iterator[Any]:
+    """In-process execution of ``items[start:]`` with live heartbeats."""
+    for i in range(start, len(items)):
+        yield fn(items[i])
+        stream.tick(done=i + 1, total=len(items), force=i + 1 == len(items))
+
+
+def parallel_map(
+    fn: Callable[[Any], Any],
+    items: Sequence[Any],
+    max_workers: int | None = None,
+    chunk_size: int | None = None,
+) -> ParallelResult:
+    """Run ``fn`` over ``items`` on a process pool, preserving order.
+
+    Results come back in item order regardless of which worker finished
+    first, worker obs metrics/spans are merged into the parent, and any
+    infrastructure failure degrades to an in-process serial loop. ``fn``
+    may be a closure; ``items`` must be picklable (RNG generators are).
+    """
+    global _WORKER_FN
+    items = list(items)
+    workers = resolve_max_workers(max_workers)
+    if workers <= 1 or len(items) <= 1:
+        # Intentional serial execution, not a degradation — no fallback
+        # counter, so parallel.fallbacks only ever flags real failures.
+        return ParallelResult(
+            values=list(_serial_loop(fn, items)),
+            workers=1,
+            n_chunks=0,
+            fallback_reason="serial",
+        )
+    active = active_pool()
+    if active is not None and _is_picklable(fn):
+        return active.map(fn, items, chunk_size=chunk_size)
+    # No usable pool: run on one that lives for this call and forks
+    # after _WORKER_FN is staged, so fn reaches its workers by fork
+    # inheritance, closures included. More workers than items would
+    # only fork idle processes (and would not change the chunking).
+    _WORKER_FN = fn
+    one_call = PersistentPool(min(workers, len(items)))
+    try:
+        return one_call.map(fn, items, chunk_size=chunk_size)
+    finally:
+        one_call.shutdown()
+        _WORKER_FN = None
 
 
 class _PoolBroken(Exception):
@@ -75,7 +221,7 @@ class _PoolBroken(Exception):
         self.reason = reason
 
 
-def is_picklable(fn: Callable[[Any], Any]) -> bool:
+def _is_picklable(fn: Callable[[Any], Any]) -> bool:
     """Can ``fn`` cross the pipe to an already-forked worker?"""
     try:
         pickle.dumps(fn)
@@ -85,40 +231,34 @@ def is_picklable(fn: Callable[[Any], Any]) -> bool:
 
 
 def _run_chunk(
-    fn: Callable[[Any], Any] | None, packed: shm.Packed
-) -> tuple[Any, dict, list[dict], list[dict], float]:
+    fn: Callable[[Any], Any] | None, payload: bytes
+) -> tuple[bytes, dict, list[dict], list[dict], float]:
     """Worker side: run one chunk and package results + obs delta.
 
     ``fn`` is ``None`` when this worker inherited the trial function at
-    fork time (:data:`repro.parallel.executor._WORKER_FN`); otherwise it
-    arrived by pickle.
+    fork time (:data:`_WORKER_FN`); otherwise it arrived by pickle.
+    ``payload`` is the chunk's pickled item list; the values go back
+    pickled the same way, with the obs delta beside them.
     """
-    _executor._IN_WORKER = True
+    global _IN_WORKER
+    _IN_WORKER = True
     if fn is None:
-        fn = _executor._WORKER_FN
+        fn = _WORKER_FN
     if fn is None:  # pragma: no cover - indicates a pool forked outside parallel_map
         raise ConfigurationError("worker has no inherited trial function")
-    # Mappings left over from earlier chunks on this worker can be
-    # closed now that their trial views are dead; the parent already
-    # unlinked those segments when it consumed the chunk results.
-    shm.purge_attached()
-    payloads = shm.unpack_views(packed)
+    items = pickle.loads(payload)
     # Fresh observation window: drop everything inherited from the
     # parent (at fork time or from earlier chunks) so the returned delta
     # covers exactly this chunk.
     obs.reset()
     obs.get_tracer().detach_open_spans()
     t0 = time.perf_counter()
-    result, result_arena = shm.pack([fn(payload) for payload in payloads])
-    obs.counter("parallel.bytes_shipped", path="shm").inc(result.nbytes)
-    if result_arena is not None:
-        # Close only the mapping; the parent unlinks the segment after
-        # copying the results out (shm.unpack_copies).
-        result_arena.close()
+    packed = pickle.dumps([fn(item) for item in items])
+    obs.counter("parallel.bytes_shipped").inc(len(packed))
     state = obs.get_registry().dump_state()
     spans = [s.to_dict() for s in obs.get_tracer().finished_spans()]
     events = [e.to_dict() for e in obs.get_tracer().events()]
-    return result, state, spans, events, t0
+    return packed, state, spans, events, t0
 
 
 def _noop(_: Any) -> None:
@@ -135,16 +275,15 @@ class PersistentPool:
     process-wide routing target for :func:`parallel_map`.
     """
 
-    def __init__(self, max_workers: int | None = None, chunk_size: int | None = None) -> None:
+    def __init__(self, max_workers: int | None = None) -> None:
         self.max_workers = resolve_max_workers(max_workers)
-        self.chunk_size = chunk_size
         self._pool: ProcessPoolExecutor | None = None
         self._closed = False
         self._previous_active: PersistentPool | None = None
         # The function parallel_map staged for fork inheritance when it
         # built this pool (None for a pool built anywhere else): its
         # workers already hold it, so its chunks ship no pickled copy.
-        self._inherited_fn = _executor._WORKER_FN
+        self._inherited_fn = _WORKER_FN
         atexit.register(self.shutdown)
 
     # --- lifecycle -------------------------------------------------------------------
@@ -194,9 +333,6 @@ class PersistentPool:
         if self._pool is None:
             if "fork" not in multiprocessing.get_all_start_methods():
                 raise _PoolBroken("no-fork")
-            # One resource tracker, spawned pre-fork, for every arena
-            # either side creates over the pool's whole lifetime.
-            shm.ensure_tracker()
             try:
                 self._pool = ProcessPoolExecutor(
                     max_workers=self.max_workers,
@@ -272,10 +408,8 @@ class PersistentPool:
         done = 0
         if self.max_workers > 1 and len(items) > 1:
             reason = "unpicklable"
-            if fn is self._inherited_fn or is_picklable(fn):
-                if chunk_size is None:
-                    chunk_size = self.chunk_size
-                chunks = _executor._chunk_indices(len(items), self.max_workers, chunk_size)
+            if fn is self._inherited_fn or _is_picklable(fn):
+                chunks = _chunk_indices(len(items), self.max_workers, chunk_size)
                 try:
                     for chunk_values in self._run_chunks(fn, items, chunks):
                         done += len(chunk_values)
@@ -290,9 +424,8 @@ class PersistentPool:
                     reason = exc.reason
             obs.counter("parallel.fallbacks", reason=reason).inc()
             outcome["fallback_reason"] = reason
-        for i in range(done, len(items)):
-            yield [fn(items[i])]
-            stream.tick(done=i + 1, total=len(items), force=i + 1 == len(items))
+        for value in _serial_loop(fn, items, done):
+            yield [value]
 
     def _run_chunks(
         self,
@@ -312,9 +445,7 @@ class PersistentPool:
         obs.counter("parallel.maps").inc()
         obs.counter("parallel.tasks").inc(len(items))
         obs.counter("parallel.chunks").inc(len(chunks))
-        obs.counter("parallel.pool.chunks").inc(len(chunks))
         window = _WINDOW_PER_WORKER * self.max_workers
-        item_arenas: dict[int, Any] = {}
         pending: dict[int, tuple[Any, float]] = {}
         emitter = stream.get_emitter()
         next_submit = 0
@@ -322,27 +453,11 @@ class PersistentPool:
 
         def _submit_next() -> None:
             nonlocal next_submit
-            chunk_index = next_submit
-            payload, arena = shm.pack([items[i] for i in chunks[chunk_index]])
-            if arena is not None:
-                item_arenas[chunk_index] = arena
-            # What crosses the pipe is the slotted remainder (RNG
-            # streams, scalars); the lifted arrays ride the arena.
-            obs.counter("parallel.bytes_shipped", path="shm").inc(payload.nbytes)
-            obs.counter("parallel.bytes_shipped", path="pickle").inc(
-                len(pickle.dumps(payload))
-            )
+            payload = pickle.dumps([items[i] for i in chunks[next_submit]])
+            obs.counter("parallel.bytes_shipped").inc(len(payload))
             future = pool.submit(_run_chunk, shipped_fn, payload)
-            pending[chunk_index] = (future, time.perf_counter())
+            pending[next_submit] = (future, time.perf_counter())
             next_submit += 1
-
-        def _sweep() -> None:
-            for future, _ in pending.values():
-                future.cancel()
-            pending.clear()
-            while item_arenas:
-                _, leftover = item_arenas.popitem()
-                shm.destroy(leftover)
 
         try:
             with obs.span("parallel.pool.map", tasks=len(items), workers=workers):
@@ -352,17 +467,14 @@ class PersistentPool:
                     future, dispatched = pending[chunk_index]
                     while True:
                         try:
-                            chunk_values, state, spans, events, t0 = future.result(
+                            packed, state, spans, events, t0 = future.result(
                                 timeout=emitter.interval_s if emitter else None
                             )
                             break
                         except FutureTimeoutError:
                             stream.tick(done=done_items, total=len(items))
                     del pending[chunk_index]
-                    chunk_values = shm.unpack_copies(chunk_values)
-                    arena = item_arenas.pop(chunk_index, None)
-                    if arena is not None:
-                        shm.destroy(arena)
+                    chunk_values = pickle.loads(packed)
                     offset = dispatched - t0
                     obs.get_registry().merge_state(state)
                     obs.get_tracer().absorb_spans(spans, offset_s=offset)
@@ -385,7 +497,8 @@ class PersistentPool:
             self.shutdown(wait=True)
             raise
         finally:
-            _sweep()
+            for future, _ in pending.values():
+                future.cancel()
 
 
 # --- process-wide routing ----------------------------------------------------------

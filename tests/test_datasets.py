@@ -260,6 +260,12 @@ class TestGeneratedContent:
         # Generation alone never validates (that counter is the reader's).
         assert "datasets.corpora.validated" not in snapshot
 
+    @pytest.mark.parametrize("block_rows", [0, -1])
+    def test_block_rows_below_one_rejected(self, tmp_path, block_rows):
+        with pytest.raises(DatasetError, match="block_rows"):
+            generate_dataset(TINY, tmp_path / "corpus", block_rows=block_rows)
+        assert not (tmp_path / "corpus").exists()
+
 
 class TestResume:
     def test_interrupted_run_resumes_byte_identical(self, tmp_path, monkeypatch):

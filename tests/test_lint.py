@@ -489,7 +489,7 @@ CONFINEMENT_CASES = [
         from concurrent.futures import ProcessPoolExecutor
         """,
         0,
-        path="src/repro/parallel/executor.py",
+        path="src/repro/parallel/pool.py",
     ),
     confinement_case(
         "unrelated_imports",

@@ -168,13 +168,10 @@ class TestHealthSection:
 
     def test_shipped_bytes_scale_units(self):
         assert _health_from_deltas(
-            {"parallel.bytes_shipped{path=shm}": 2048.0}
+            {"parallel.bytes_shipped": 2048.0}
         ) == {"shipped": "2.0KiB"}
         assert _health_from_deltas(
-            {
-                "parallel.bytes_shipped{path=shm}": float(3 << 20),
-                "parallel.bytes_shipped{path=pickle}": float(1 << 20),
-            }
+            {"parallel.bytes_shipped": float(4 << 20)}
         ) == {"shipped": "4.0MiB"}
 
     def test_quiet_deltas_give_no_vitals(self):
@@ -185,7 +182,7 @@ class TestHealthSection:
         emitter = HeartbeatEmitter(1.0, stream=io.StringIO(), clock=FakeClock())
         obs.counter("cache.hits", cache="gain").inc(3)
         obs.counter("cache.misses", cache="gain").inc(1)
-        obs.counter("parallel.bytes_shipped", path="shm").inc(4096)
+        obs.counter("parallel.bytes_shipped").inc(4096)
         beat = emitter.tick(1, 4, force=True)
         assert beat.health == {"cache": "75%", "shipped": "4.0KiB"}
         rendered = beat.render()

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -39,8 +40,7 @@ from repro.parallel import (
     resolve_max_workers,
 )
 from repro.parallel import pool as pool_module
-from repro.parallel import shm
-from repro.parallel.executor import _chunk_indices
+from repro.parallel.pool import _chunk_indices
 from repro.sim.engine import MilBackSimulator
 from repro.utils.rng import spawn_rngs
 from tests.kernel_reference import kernels_for
@@ -166,14 +166,13 @@ _ZERO_CHUNK_CALLS = {
     "imap_chunks": lambda pool, items: list(
         pool.imap_chunks(_pid_task, items, chunk_size=0)
     ),
-    "pool-default": lambda pool, items: pool.map(_pid_task, items),
 }
 
 
 @pytest.mark.parametrize("entry", sorted(_ZERO_CHUNK_CALLS))
 def test_zero_chunk_size_is_rejected(entry):
     """An explicit 0 is an error on every entry point, never "auto"."""
-    pool = PersistentPool(2, chunk_size=0 if entry == "pool-default" else None)
+    pool = PersistentPool(2)
     try:
         with pytest.raises(ConfigurationError, match="chunk_size"):
             _ZERO_CHUNK_CALLS[entry](pool, list(range(8)))
@@ -270,14 +269,6 @@ class TestSweepDeterminism:
         np.testing.assert_array_equal(serial.delivery, parallel.delivery)
 
 
-def _shm_segments() -> set[str]:
-    """Names of the POSIX shared-memory segments currently alive."""
-    try:
-        return set(os.listdir("/dev/shm"))
-    except FileNotFoundError:  # pragma: no cover - non-tmpfs platforms
-        return set()
-
-
 def _array_trial(item):
     """Trial with a large ndarray in *and* out, touching the AoA kernels."""
     weights, azimuth, rng = item
@@ -298,39 +289,11 @@ def _array_items(n):
 
 
 class TestShmTransport:
-    def test_pack_roundtrip_preserves_structure_and_dtypes(self):
-        rng = np.random.default_rng(3)
-        payload = [
-            {
-                "f": rng.normal(size=2048),
-                "c": rng.normal(size=1024) + 1j * rng.normal(size=1024),
-                "i": rng.integers(0, 99, size=1024),
-                "scalar": 2.5,
-            },
-            ("tag", rng.normal(size=700)),
-        ]
-        before = _shm_segments()
-        packed, arena = shm.pack(payload)
-        assert arena is not None
-        out = shm.unpack_copies(packed)
-        for key in ("f", "c", "i"):
-            assert out[0][key].dtype == payload[0][key].dtype
-            assert np.array_equal(out[0][key], payload[0][key])
-        assert out[0]["scalar"] == 2.5
-        assert out[1][0] == "tag"
-        # 700 float64s = 5600 bytes >= the 4096 threshold: lifted too.
-        assert np.array_equal(out[1][1], payload[1][1])
-        assert _shm_segments() == before
-
-    def test_small_payloads_skip_the_arena(self):
-        packed, arena = shm.pack([(1.0, np.arange(4)), "x"])
-        assert arena is None
-        assert packed.nbytes == 0
-        assert shm.unpack_copies(packed) == packed.payload
+    """Chunks cross the pool's pipe as bytes pickled once per direction."""
 
     @pytest.mark.parametrize("mode", ["batched", "reference"])
-    def test_bitwise_across_worker_counts_and_transports(self, mode):
-        """Large arrays cross by arena, RNG streams and scalars by pipe.
+    def test_bitwise_across_worker_counts(self, mode):
+        """8 KiB arrays, RNG streams and scalars all cross by pipe.
 
         The ``reference`` leg patches in the loop-form oracle kernels
         before the pools fork, so its workers run the oracle too.
@@ -344,51 +307,35 @@ class TestShmTransport:
                     assert np.array_equal(got[2], want[2]), workers
 
     def test_bytes_shipped_counters(self):
-        parallel_map(_array_trial, _array_items(6), max_workers=2)
-        shipped_shm = obs.counter("parallel.bytes_shipped", path="shm").value
-        shipped_pickle = obs.counter("parallel.bytes_shipped", path="pickle").value
-        # Item arrays (6 x 8 KiB) travel both directions (weights in,
-        # weights*error out) through arenas; the pipe carries only RNG
-        # streams, scalars, and slot markers.
-        assert shipped_shm >= 6 * 2 * 8192
-        assert 0 < shipped_pickle < shipped_shm
-
-    def test_no_segment_leak_on_success(self):
-        before = _shm_segments()
-        parallel_map(_array_trial, _array_items(8), max_workers=2)
-        assert _shm_segments() == before
-
-    def test_no_segment_leak_when_trial_raises(self):
-        def boom(item):
-            raise ValueError("mid-chunk")  # milback: disable=ML004 — test payload
-
-        before = _shm_segments()
-        items = [(np.random.default_rng(i).normal(size=1024),) for i in range(8)]
-        with pytest.raises(ValueError, match="mid-chunk"):
-            parallel_map(boom, items, max_workers=2)
-        assert _shm_segments() == before
+        """One unlabelled counter: every chunk's pickled items and results."""
+        result = parallel_map(_array_trial, _array_items(6), max_workers=2, chunk_size=2)
+        assert result.parallel and result.n_chunks == 3
+        items = _array_items(6)
+        values = [_array_trial(item) for item in _array_items(6)]
+        expected = sum(
+            len(pickle.dumps(items[lo : lo + 2])) + len(pickle.dumps(values[lo : lo + 2]))
+            for lo in range(0, 6, 2)
+        )
+        assert obs.counter("parallel.bytes_shipped").value == expected
+        assert not any("path=" in key for key in obs.get_registry().snapshot())
 
     def test_no_segment_leak_on_fallback(self, monkeypatch):
         monkeypatch.setattr(
             pool_module.multiprocessing, "get_all_start_methods", lambda: ["spawn"]
         )
-        before = _shm_segments()
         serial = [_array_trial(item) for item in _array_items(4)]
         result = parallel_map(_array_trial, _array_items(4), max_workers=2)
         assert result.fallback_reason == "no-fork"
         for got, want in zip(result.values, serial):
             assert got[0] == want[0] and np.array_equal(got[2], want[2])
-        assert _shm_segments() == before
 
     def test_faults_campaign_bitwise_at_any_worker_count(self):
         config = CampaignConfig(rates=(0.0, 0.3), n_trials=2)
-        before = _shm_segments()
         points = {
             workers: run_campaign(config, seed=0, max_workers=workers).points
             for workers in (1, 2, 4)
         }
         assert points[1] == points[2] == points[4]
-        assert _shm_segments() == before
 
 
 def _toy_pool_task(task):
@@ -484,7 +431,7 @@ class TestPersistentPool:
             assert active_pool() is pool
             result = parallel_map(_pid_task, list(range(8)), max_workers=2)
             assert set(result.values) <= set(pool.worker_pids())
-            assert obs.counter("parallel.pool.chunks").value > 0
+            assert obs.counter("parallel.chunks").value > 0
         assert active_pool() is None
 
     def test_closures_keep_the_cold_fork_path(self):
@@ -531,17 +478,7 @@ class TestPersistentPool:
         finally:
             pool.shutdown()
 
-    def test_no_shm_leak_on_success(self):
-        before = _shm_segments()
-        pool = PersistentPool(max_workers=2)
-        try:
-            pool.map(_array_trial, _array_items(6))
-        finally:
-            pool.shutdown()
-        assert _shm_segments() == before
-
-    def test_keyboard_interrupt_reaps_workers_and_arenas(self):
-        before = _shm_segments()
+    def test_keyboard_interrupt_reaps_workers(self):
         pool = PersistentPool(max_workers=2)
         try:
             with pytest.raises(KeyboardInterrupt):
@@ -549,19 +486,6 @@ class TestPersistentPool:
         finally:
             pool.shutdown()
         assert pool.closed
-        assert _shm_segments() == before
-
-    def test_no_shm_leak_after_broken_pool(self):
-        before = _shm_segments()
-        pool = PersistentPool(max_workers=2)
-        try:
-            pool.map(_array_trial, _array_items(4))
-            for pid in pool.worker_pids():
-                os.kill(pid, 9)
-            pool.map(_array_trial, _array_items(4))
-        finally:
-            pool.shutdown()
-        assert _shm_segments() == before
 
 
 def _boom_task(x):
