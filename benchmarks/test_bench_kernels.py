@@ -96,7 +96,8 @@ def test_bench_kernel_burst_synthesis(benchmark):
     variates = burst_kernel.draw_variates(
         rng, N_CHIRPS, N_RX, n,
         trigger_jitter_s=2e-9,
-        residual_fn=lambda: np.zeros(n, dtype=np.complex128),
+        residual_sigma=0.0,
+        residual_alpha=0.0,
     )
 
     reference = kernel_reference.synthesize_burst(params, variates)

@@ -8,6 +8,7 @@ the per-node energy cost against the paper's §9.6 power model.
 """
 
 import math
+import zlib
 
 from repro import MilBackLink, MilBackSimulator, Scene2D, SdmScheduler
 from repro.analysis.report import render_table
@@ -51,7 +52,7 @@ def main() -> None:
     rows = []
     for slot, group in enumerate(groups):
         for node_id in group.node_ids:
-            sim = MilBackSimulator(scene, seed=abs(hash(node_id)) % 10_000, node_id=node_id)
+            sim = MilBackSimulator(scene, seed=zlib.crc32(node_id.encode()), node_id=node_id)
             link = MilBackLink(sim)
             payload = f"{node_id}: reading={slot * 7 + 13}".encode()
             session = link.receive_from_node(payload, bit_rate_bps=10e6)

@@ -10,6 +10,7 @@ discovered tag to show the full pipeline.
 """
 
 import math
+import zlib
 
 import numpy as np
 
@@ -62,7 +63,7 @@ def main() -> None:
     found = inventory.run().inventoried[:3]
     print("\nreading records from the first three tags:")
     for tag_id in found:
-        sim = MilBackSimulator(scene, seed=abs(hash(tag_id)) % 10_000, node_id=tag_id)
+        sim = MilBackSimulator(scene, seed=zlib.crc32(tag_id.encode()), node_id=tag_id)
         link = MilBackLink(sim)
         session = link.receive_from_node(f"{tag_id}: qty=64".encode(), bit_rate_bps=10e6)
         print(f"  {tag_id}: delivered={session.delivered} "

@@ -9,6 +9,7 @@ average (symbol integration).
 from __future__ import annotations
 
 import numpy as np
+from scipy.signal import lfilter
 
 from repro.dsp.signal import Signal
 from repro.errors import ConfigurationError, SignalError
@@ -128,19 +129,9 @@ def single_pole_lowpass(signal: Signal, bandwidth_hz: float) -> Signal:
         raise ConfigurationError("bandwidth must be positive")
     dt = 1.0 / signal.sample_rate_hz
     alpha = 1.0 - np.exp(-2.0 * np.pi * bandwidth_hz * dt)
-    samples = signal.samples
     # First-order recursion; numpy cannot vectorize the dependence chain,
     # but scipy's lfilter can.
-    try:
-        from scipy.signal import lfilter
-
-        out = lfilter([alpha], [1.0, -(1.0 - alpha)], samples)
-    except ImportError:  # pragma: no cover - scipy is a hard dependency
-        out = np.empty_like(samples)
-        state = 0.0 + 0.0j
-        for i, x in enumerate(samples):
-            state = state + alpha * (x - state)
-            out[i] = state
+    out = lfilter([alpha], [1.0, -(1.0 - alpha)], signal.samples)
     return Signal(
         out,
         signal.sample_rate_hz,

@@ -32,7 +32,8 @@ Every kernel invocation counts one ``kernels.dispatch.batched``
 (labelled ``kernel=<name>``), so a metrics snapshot records how often
 each kernel ran.
 
-Layering: this package depends only on :mod:`numpy`, :mod:`repro.obs`
+Layering: this package depends only on :mod:`numpy`,
+:mod:`scipy.signal` (the burst kernel's residual filter), :mod:`repro.obs`
 and :mod:`repro.errors`. Kernels take and return plain arrays — the
 call sites (``repro.sim.engine``, ``repro.ap.*``, ``repro.dsp.*``) own
 the :class:`~repro.dsp.signal.Signal` / ``Spectrum`` wrapping.

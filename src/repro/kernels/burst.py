@@ -9,23 +9,25 @@ which the chirp axis carries toggle state, jitter, residual and Doppler,
 the antenna axis carries the steering phasor, and the sample axis
 carries the tone shapes.
 
-RNG discipline: the five-chirp background-subtraction scheme (and PR 3's
+RNG discipline: the five-chirp background-subtraction scheme (and the
 serial/parallel determinism guarantee) depends on the *order* variates
 leave the trial generator. :func:`draw_variates` therefore draws in the
 exact legacy order — per chirp: trigger jitter, cancellation residual,
 then one complex noise vector per antenna — before the kernel touches
-the arrays. The kernel and the test oracle's loop consume the same
-:class:`BurstVariates`, so serial, parallel and oracle runs are bitwise
-identical.
+the arrays. The cancellation residual is a kernel step too: band-limited
+complex noise, first-order filtered and scaled to a set RMS, drawn here
+from the two numbers the engine derives from its calibration. The kernel
+and the test oracle's loop consume the same :class:`BurstVariates`, so
+serial, parallel and oracle runs are bitwise identical.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
+from scipy.signal import lfilter
 
 from repro.kernels import count_dispatch
 
@@ -93,22 +95,33 @@ def draw_variates(
     n_rx: int,
     n: int,
     trigger_jitter_s: float,
-    residual_fn: Callable[[], np.ndarray],
+    residual_sigma: float,
+    residual_alpha: float,
 ) -> BurstVariates:
     """Pre-draw every burst variate in the exact legacy order.
 
     Legacy order per chirp: one trigger-jitter normal, the cancellation
-    residual (which draws nothing when cancellation is disabled — the
-    callable owns that decision), then per antenna one complex noise
-    vector. Preserving this order is what keeps pre-drawn batched runs
-    bitwise identical to the historical per-record loop.
+    residual, then per antenna one complex noise vector. Preserving this
+    order is what keeps pre-drawn batched runs bitwise identical to the
+    historical per-record loop.
+
+    The residual models how far background subtraction falls short:
+    two normal vectors form white complex noise, a first-order low-pass
+    with coefficient ``residual_alpha`` band-limits it, and it is scaled
+    to an RMS of ``residual_sigma``. A ``residual_sigma`` of 0 (no
+    cancellation floor) draws nothing and leaves the residual at zero.
     """
     tau_j = np.empty(n_chirps)
-    residuals = np.empty((n_chirps, n), dtype=np.complex128)
+    residuals = np.zeros((n_chirps, n), dtype=np.complex128)
     noise = np.empty((n_chirps, n_rx, n), dtype=np.complex128)
     for k in range(n_chirps):
         tau_j[k] = rng.normal(0.0, trigger_jitter_s)
-        residuals[k] = residual_fn()
+        if residual_sigma > 0:
+            white = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            smooth = lfilter([residual_alpha], [1.0, -(1.0 - residual_alpha)], white)
+            rms = float(np.sqrt(np.mean(np.abs(smooth) ** 2)))
+            if rms > 0:
+                residuals[k] = (residual_sigma / rms) * smooth
         for m in range(n_rx):
             noise[k, m] = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return BurstVariates(tau_j_s=tau_j, residuals=residuals, noise_white=noise)

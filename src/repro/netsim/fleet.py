@@ -1,14 +1,15 @@
 """Fleet actors: nodes, access points, and the processes between them.
 
 The actors drive the *existing* protocol machinery over the event
-kernel. :class:`InventoryProcess` runs the same framed slotted-ALOHA
-algorithm as :class:`repro.protocol.inventory.SlottedInventory` — same
-RNG draw order, same Q-adaptation, same SDM collision resolution via
-:class:`repro.protocol.mac.SdmScheduler` — but frame by frame on the
-simulated clock, with each tag's reply additionally gated by the link
-budget (an out-of-range tag draws its slot and goes unheard). With all
-tags in range and the default frame cap, its result is *equal* to
-``SlottedInventory.run()`` on the same scene and seed; tests pin that.
+kernel. :class:`InventoryProcess` runs the protocol's own frame
+function, :func:`repro.protocol.inventory.inventory_frame`, and its
+Q-adaptation rule, frame by frame on the simulated clock. It hears a
+tag only when the link budget clears both detection floors (an
+out-of-range tag draws its slot and goes unheard), and it builds the
+:class:`repro.protocol.mac.SdmScheduler` over the pending tags' current
+poses. With all tags in range and the default frame cap, its result is
+*equal* to ``SlottedInventory.run()`` on the same scene and seed; tests
+pin that.
 
 :class:`FleetLink` duck-types the one-link interface
 :class:`repro.protocol.arq.ReliableChannel` consumes, so the stock
@@ -32,7 +33,12 @@ from repro.errors import NetworkSimError, ProtocolError
 from repro.node.firmware import PayloadDirection
 from repro.phy.ber import ook_matched_filter_ber
 from repro.protocol.arq import ReliableChannel, RetryBackoff, TransferResult
-from repro.protocol.inventory import InventoryResult, InventoryRound
+from repro.protocol.inventory import (
+    InventoryResult,
+    InventoryRound,
+    inventory_frame,
+    next_frame_size,
+)
 from repro.protocol.mac import SdmScheduler
 from repro.utils.geometry import Pose2D
 
@@ -110,17 +116,13 @@ class FleetLink:
         model: FleetLinkModel,
         ap: FleetAp,
         node: FleetNode,
-        interference_dbm: Callable[[float, Pose2D], tuple[float, ...]] | None = None,
-        min_downlink_snr_db: float = MIN_DOWNLINK_SNR_DB,
-        min_uplink_sinr_db: float = MIN_UPLINK_SINR_DB,
+        interference_dbm: Callable[[Pose2D], tuple[float, ...]] | None = None,
     ) -> None:
         self.sim = sim
         self.model = model
         self.ap = ap
         self.node = node
         self._interference_dbm = interference_dbm
-        self.min_downlink_snr_db = min_downlink_snr_db
-        self.min_uplink_sinr_db = min_uplink_sinr_db
 
     def _observe(self) -> LinkObservation:
         return self.model.observe(
@@ -130,8 +132,7 @@ class FleetLink:
     def _uplink_sinr_db(self, observation: LinkObservation) -> float:
         interference: tuple[float, ...] = ()
         if self._interference_dbm is not None:
-            node_pose = self.node.pose_at(self.sim.now_s)
-            interference = self._interference_dbm(self.sim.now_s, node_pose)
+            interference = self._interference_dbm(self.node.pose_at(self.sim.now_s))
         return self.model.uplink_sinr_db(observation, interference)
 
     def _deliver(self, payload: bytes, bit_rate_bps: float, snr_db: float):
@@ -145,7 +146,7 @@ class FleetLink:
     def send_to_node(self, payload: bytes, bit_rate_bps: float = 10e6):
         """Downlink frame: AP illuminates, the node's detector decodes."""
         observation = self._observe()
-        if observation.downlink_snr_db < self.min_downlink_snr_db:
+        if observation.downlink_snr_db < MIN_DOWNLINK_SNR_DB:
             raise ProtocolError(
                 f"node {self.node.node_id!r} cannot detect the downlink "
                 f"({observation.downlink_snr_db:.1f} dB at "
@@ -156,13 +157,13 @@ class FleetLink:
     def receive_from_node(self, payload: bytes, bit_rate_bps: float = 10e6):
         """Uplink frame: the node backscatters, the AP decodes."""
         observation = self._observe()
-        if observation.downlink_snr_db < self.min_downlink_snr_db:
+        if observation.downlink_snr_db < MIN_DOWNLINK_SNR_DB:
             raise ProtocolError(
                 f"node {self.node.node_id!r} never heard the query "
                 f"({observation.downlink_snr_db:.1f} dB downlink)"
             )
         sinr_db = self._uplink_sinr_db(observation)
-        if sinr_db < self.min_uplink_sinr_db:
+        if sinr_db < MIN_UPLINK_SINR_DB:
             raise ProtocolError(
                 f"backscatter from {self.node.node_id!r} below the AP's "
                 f"detection floor ({sinr_db:.1f} dB SINR)"
@@ -181,16 +182,14 @@ class _DeliveryReport:
 class InventoryProcess:
     """Event-driven framed slotted-ALOHA inventory for one AP.
 
-    Draw-for-draw compatible with ``SlottedInventory.run()``: per frame
-    every pending tag draws ``rng.integers(0, frame_size)`` in pending
-    order, then singles resolve, SDM-separable collisions resolve, and
-    the next frame sizes to ``max(min(2 * collisions, frame_cap), 2)``.
-    The fleet layer adds (a) simulated air time — each frame occupies
-    ``frame_size * slot_s`` on the clock — and (b) link-budget gating:
-    a tag whose downlink or uplink margin is below the detection floors
-    still draws its slot but is never heard, so it can neither resolve
-    nor collide. Gating is threshold-based (no RNG draws), preserving
-    the draw sequence exactly.
+    Each frame is :func:`repro.protocol.inventory.inventory_frame`, the
+    function ``SlottedInventory.run()`` runs, so the two are draw-for-draw
+    compatible. The fleet layer adds (a) simulated air time — each frame
+    occupies ``frame_size * slot_s`` on the clock — and (b) link-budget
+    gating: a tag whose downlink or uplink margin is below the detection
+    floors still draws its slot but is never heard, so it can neither
+    resolve nor collide. Gating is threshold-based (no RNG draws),
+    preserving the draw sequence exactly.
     """
 
     def __init__(
@@ -200,11 +199,10 @@ class InventoryProcess:
         ap: FleetAp,
         nodes: dict[str, FleetNode],
         rng: np.random.Generator,
-        sdm_separation_deg: float = 18.0,
         max_rounds: int = 32,
         frame_cap: int = 64,
         slot_s: float = 25e-6,
-        interference_dbm: Callable[[float, Pose2D], tuple[float, ...]] | None = None,
+        interference_dbm: Callable[[Pose2D], tuple[float, ...]] | None = None,
         on_complete: Callable[[InventoryResult], None] | None = None,
     ) -> None:
         if frame_cap < 2:
@@ -218,7 +216,6 @@ class InventoryProcess:
         self.ap = ap
         self.nodes = nodes
         self.rng = rng
-        self.sdm_separation_deg = sdm_separation_deg
         self.max_rounds = max_rounds
         self.frame_cap = frame_cap
         self.slot_s = slot_s
@@ -242,17 +239,13 @@ class InventoryProcess:
     # --- internals -----------------------------------------------------------------
 
     def _reachable(self, node_id: str) -> bool:
-        node = self.nodes[node_id]
-        observation = self.model.observe(
-            self.ap.pose, node.pose_at(self.sim.now_s)
-        )
+        node_pose = self.nodes[node_id].pose_at(self.sim.now_s)
+        observation = self.model.observe(self.ap.pose, node_pose)
         if observation.downlink_snr_db < MIN_DOWNLINK_SNR_DB:
             return False
         interference: tuple[float, ...] = ()
         if self._interference_dbm is not None:
-            interference = self._interference_dbm(
-                self.sim.now_s, node.pose_at(self.sim.now_s)
-            )
+            interference = self._interference_dbm(node_pose)
         return (
             self.model.uplink_sinr_db(observation, interference)
             >= MIN_UPLINK_SINR_DB
@@ -270,42 +263,12 @@ class InventoryProcess:
             self._finish()
             return
         frame_size = self._frame_size
-        # Every pending tag draws its slot — in pending order, exactly
-        # as SlottedInventory does — whether or not the AP can hear it.
-        slots: dict[int, list[str]] = {}
-        heard = 0
-        for tag in self.pending:
-            slot = int(self.rng.integers(0, frame_size))
-            if self._reachable(tag):
-                slots.setdefault(slot, []).append(tag)
-                heard += 1
-        scheduler: SdmScheduler | None = None
-        if any(len(occupants) > 1 for occupants in slots.values()):
-            scheduler = SdmScheduler(self._frame_scene(), self.sdm_separation_deg)
-        resolved: list[str] = []
-        singles = collisions = sdm_saves = 0
-        for occupants in slots.values():
-            if len(occupants) == 1:
-                singles += 1
-                resolved.append(occupants[0])
-                continue
-            assert scheduler is not None
-            separable = all(
-                not scheduler.conflicts(a, b)
-                for i, a in enumerate(occupants)
-                for b in occupants[i + 1 :]
-            )
-            if separable:
-                sdm_saves += 1
-                resolved.extend(occupants)
-            else:
-                collisions += 1
-        round_stats = InventoryRound(
-            frame_size=frame_size,
-            singles=singles,
-            collisions=collisions,
-            empties=frame_size - len(slots),
-            resolved_by_sdm=sdm_saves,
+        round_stats, resolved, heard = inventory_frame(
+            self.rng,
+            self.pending,
+            frame_size,
+            heard=self._reachable,
+            scheduler=lambda: SdmScheduler(self._frame_scene()),
         )
         self.rounds.append(round_stats)
         obs.counter("netsim.rounds").inc()
@@ -318,13 +281,12 @@ class InventoryProcess:
             ap=self.ap.ap_id,
             frame_size=frame_size,
             heard=heard,
-            singles=singles,
-            collisions=collisions,
-            resolved_by_sdm=sdm_saves,
+            singles=round_stats.singles,
+            collisions=round_stats.collisions,
+            resolved_by_sdm=round_stats.resolved_by_sdm,
             remaining=len(self.pending),
         )
-        backlog = max(2 * round_stats.collisions, 1)
-        self._frame_size = max(min(backlog, self.frame_cap), 2)
+        self._frame_size = next_frame_size(round_stats.collisions, self.frame_cap)
         self.sim.schedule(frame_size * self.slot_s, self._run_frame)
 
     def _finish(self) -> None:
@@ -359,7 +321,7 @@ class TransferProcess:
         payload_bytes: int = 32,
         bit_rate_bps: float = 10e6,
         max_attempts: int = 4,
-        interference_dbm: Callable[[float, Pose2D], tuple[float, ...]] | None = None,
+        interference_dbm: Callable[[Pose2D], tuple[float, ...]] | None = None,
         on_complete: Callable[["TransferProcess"], None] | None = None,
     ) -> None:
         if payload_bytes < 1:

@@ -57,6 +57,9 @@ __all__ = ["LinkObservation", "FleetLinkModel"]
 #: engine's full detector chain is calibrated against.
 NODE_NOISE_FLOOR_DBM = -35.0
 
+#: Uplink symbol bandwidth [Hz]: the AP's kTB+NF floor is taken over it.
+SYMBOL_BANDWIDTH_HZ = 10e6
+
 
 @dataclass(frozen=True)
 class LinkObservation:
@@ -81,27 +84,17 @@ class FleetLinkModel:
     def __init__(
         self,
         calibration: Calibration | None = None,
-        frequency_hz: float = BAND_CENTER_HZ,
-        symbol_bandwidth_hz: float = 10e6,
-        tx_power_dbm: float = AP_TX_POWER_DBM,
-        node_noise_floor_dbm: float = NODE_NOISE_FLOOR_DBM,
         cache_size: int = 65536,
     ) -> None:
-        if symbol_bandwidth_hz <= 0:
-            raise NetworkSimError("symbol bandwidth must be positive")
         if cache_size < 1:
             raise NetworkSimError("cache size must be at least 1")
         self.calibration = calibration or default_calibration()
-        self.frequency_hz = frequency_hz
-        self.symbol_bandwidth_hz = symbol_bandwidth_hz
-        self.tx_power_dbm = tx_power_dbm
-        self.node_noise_floor_dbm = node_noise_floor_dbm
         self._fsa = DualPortFsa()
         self._tx_horn = HornAntenna(AP_HORN_GAIN_DBI)
         self._rx_horn = HornAntenna(AP_HORN_GAIN_DBI)
         self._switch = SpdtSwitch()
         self._noise_floor_dbm = thermal_noise_power_dbm(
-            symbol_bandwidth_hz, self.calibration.ap_noise_figure_db
+            SYMBOL_BANDWIDTH_HZ, self.calibration.ap_noise_figure_db
         )
         self._cache: dict[tuple[float, float, float], LinkObservation] = {}
         self._cache_size = cache_size
@@ -160,19 +153,16 @@ class FleetLinkModel:
             rx_horn=self._rx_horn,
             switch=self._switch,
             calibration=self.calibration,
-            tx_power_dbm=self.tx_power_dbm,
+            tx_power_dbm=AP_TX_POWER_DBM,
             node_id="node",
         )
         downlink_gain_db, uplink_gain_db = budget.port_gains_db("A", tone_hz)
-        rss_dbm = self.tx_power_dbm + uplink_gain_db - 2.0 * blockage_db
+        rss_dbm = AP_TX_POWER_DBM + uplink_gain_db - 2.0 * blockage_db
         uplink_snr_db = min(
             rss_dbm - self._noise_floor_dbm, self.calibration.uplink_sinr_cap_db
         )
         downlink_snr_db = (
-            self.tx_power_dbm
-            + downlink_gain_db
-            - blockage_db
-            - self.node_noise_floor_dbm
+            AP_TX_POWER_DBM + downlink_gain_db - blockage_db - NODE_NOISE_FLOOR_DBM
         )
         observation = LinkObservation(
             distance_m=distance_m,
@@ -212,10 +202,10 @@ class FleetLinkModel:
             rx_ap_pose.bearing_to(tx_ap_pose), rx_ap_pose.bearing_to(rx_target_pose)
         )
         return (
-            self.tx_power_dbm
-            + float(self._tx_horn.gain_dbi(tx_offset_deg, self.frequency_hz))
-            + float(self._rx_horn.gain_dbi(rx_offset_deg, self.frequency_hz))
-            - float(free_space_path_loss_db(distance_m, self.frequency_hz))
+            AP_TX_POWER_DBM
+            + float(self._tx_horn.gain_dbi(tx_offset_deg, BAND_CENTER_HZ))
+            + float(self._rx_horn.gain_dbi(rx_offset_deg, BAND_CENTER_HZ))
+            - float(free_space_path_loss_db(distance_m, BAND_CENTER_HZ))
         )
 
     def uplink_sinr_db(

@@ -157,18 +157,17 @@ class RoamingController:
     def interference_for(self, ap_id: str):
         """Interference field seen by ``ap_id``'s receiver.
 
-        Returns a callable ``(time_s, node_pose) -> tuple[dBm, ...]``
-        suitable for :class:`repro.netsim.fleet.FleetLink`: every other
-        AP contributes its carrier through both horns' patterns, with
-        the receiving AP steered at the node it is decoding and each
+        Returns a callable ``(node_pose) -> tuple[dBm, ...]`` suitable
+        for :class:`repro.netsim.fleet.FleetLink`: every other AP
+        contributes its carrier through both horns' patterns, with the
+        receiving AP steered at the node it is decoding and each
         interferer steered at its own boresight.
         """
         if ap_id not in self.aps:
             raise NetworkSimError(f"unknown AP {ap_id!r}")
         rx_ap = self.aps[ap_id]
 
-        def field(time_s: float, node_pose: Pose2D) -> tuple[float, ...]:
-            del time_s  # pointing is pose-derived; kept for the contract
+        def field(node_pose: Pose2D) -> tuple[float, ...]:
             return tuple(
                 self.model.ap_interference_dbm(
                     rx_ap.pose,

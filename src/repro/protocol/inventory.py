@@ -6,18 +6,34 @@ one reply succeed (MilBack additionally lets *spatially separable*
 collisions through — the SDM bonus the paper's §7 hints at); collided
 tags retry next frame. The frame size adapts to the estimated backlog
 (Q-algorithm style: Q ≈ backlog).
+
+One frame is :func:`inventory_frame` and the next frame's size is
+:func:`next_frame_size`. :class:`SlottedInventory` runs them with every
+tag heard and one scheduler over the whole scene; netsim's
+:class:`repro.netsim.fleet.InventoryProcess` runs the same two functions
+on the simulated clock, hearing only the tags whose link budget clears
+the detection floors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Sequence
+
+import numpy as np
 
 from repro.errors import ProtocolError
 from repro.protocol.mac import SdmScheduler
 from repro.channel.scene import Scene2D
 from repro.utils.rng import RngLike, make_rng
 
-__all__ = ["InventoryRound", "InventoryResult", "SlottedInventory"]
+__all__ = [
+    "InventoryRound",
+    "InventoryResult",
+    "SlottedInventory",
+    "inventory_frame",
+    "next_frame_size",
+]
 
 
 @dataclass(frozen=True)
@@ -74,6 +90,8 @@ class SlottedInventory:
 
     def run(self, initial_frame_size: int | None = None) -> InventoryResult:
         """Inventory every tag or exhaust ``max_rounds``."""
+        if initial_frame_size is not None and initial_frame_size < 1:
+            raise ProtocolError("initial frame size must be at least 1")
         pending = [p.node_id for p in self.scene.nodes]
         frame_size = initial_frame_size or max(len(pending), 2)
         inventoried: list[str] = []
@@ -81,53 +99,80 @@ class SlottedInventory:
         for _ in range(self.max_rounds):
             if not pending:
                 break
-            round_stats, resolved = self._one_frame(pending, frame_size)
+            round_stats, resolved, _ = inventory_frame(
+                self.rng,
+                pending,
+                frame_size,
+                heard=lambda tag: True,
+                scheduler=lambda: self.scheduler,
+            )
             rounds.append(round_stats)
             for tag in resolved:
                 pending.remove(tag)
                 inventoried.append(tag)
-            # Q-adaptation: size the next frame to the estimated backlog
-            # (collided slots held >= 2 tags each).
-            backlog = max(2 * round_stats.collisions, 1)
-            frame_size = max(min(backlog, 64), 2)
+            frame_size = next_frame_size(round_stats.collisions, 64)
         return InventoryResult(tuple(inventoried), tuple(rounds))
 
-    # --- internals -----------------------------------------------------------------
 
-    def _one_frame(
-        self, pending: list[str], frame_size: int
-    ) -> tuple[InventoryRound, list[str]]:
-        slots: dict[int, list[str]] = {}
-        for tag in pending:
-            slot = int(self.rng.integers(0, frame_size))
+def inventory_frame(
+    rng: np.random.Generator,
+    pending: Sequence[str],
+    frame_size: int,
+    heard: Callable[[str], bool],
+    scheduler: Callable[[], SdmScheduler],
+) -> tuple[InventoryRound, list[str], int]:
+    """Run one frame; return its statistics, the resolved tags, the heard count.
+
+    Every pending tag draws ``rng.integers(0, frame_size)`` in pending
+    order, and only the tags ``heard`` accepts occupy their slot: an
+    unheard tag still consumes its draw, so gating never shifts the
+    RNG stream. A slot with one reply resolves it. A collision resolves
+    when SDM separates every pair of its tags (the AP forms one beam
+    per tag). ``scheduler`` builds that SDM view; it is called at most
+    once, and only when a heard collision needs it. Resolved tags come
+    back in slot order.
+    """
+    slots: dict[int, list[str]] = {}
+    n_heard = 0
+    for tag in pending:
+        slot = int(rng.integers(0, frame_size))
+        if heard(tag):
             slots.setdefault(slot, []).append(tag)
-        resolved: list[str] = []
-        singles = collisions = sdm_saves = 0
-        for occupants in slots.values():
-            if len(occupants) == 1:
-                singles += 1
-                resolved.append(occupants[0])
-                continue
-            # A collision resolves when every pair of colliding tags is
-            # separable by SDM (the AP forms one beam per tag).
-            separable = all(
-                not self.scheduler.conflicts(a, b)
-                for i, a in enumerate(occupants)
-                for b in occupants[i + 1 :]
-            )
-            if separable:
-                sdm_saves += 1
-                resolved.extend(occupants)
-            else:
-                collisions += 1
-        empties = frame_size - len(slots)
-        return (
-            InventoryRound(
-                frame_size=frame_size,
-                singles=singles,
-                collisions=collisions,
-                empties=empties,
-                resolved_by_sdm=sdm_saves,
-            ),
-            resolved,
+            n_heard += 1
+    sdm: SdmScheduler | None = None
+    resolved: list[str] = []
+    singles = collisions = sdm_saves = 0
+    for occupants in slots.values():
+        if len(occupants) == 1:
+            singles += 1
+            resolved.append(occupants[0])
+            continue
+        if sdm is None:
+            sdm = scheduler()
+        separable = all(
+            not sdm.conflicts(a, b)
+            for i, a in enumerate(occupants)
+            for b in occupants[i + 1 :]
         )
+        if separable:
+            sdm_saves += 1
+            resolved.extend(occupants)
+        else:
+            collisions += 1
+    round_stats = InventoryRound(
+        frame_size=frame_size,
+        singles=singles,
+        collisions=collisions,
+        empties=frame_size - len(slots),
+        resolved_by_sdm=sdm_saves,
+    )
+    return round_stats, resolved, n_heard
+
+
+def next_frame_size(collisions: int, cap: int) -> int:
+    """Q-adaptation: size the next frame to the estimated backlog.
+
+    Each collided slot held at least two tags; the result is clamped to
+    ``[2, cap]``.
+    """
+    return max(min(max(2 * collisions, 1), cap), 2)

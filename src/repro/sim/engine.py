@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import lfilter
 
 from repro import faults, obs
 from repro.antennas.dual_port_fsa import TonePair
@@ -46,7 +45,24 @@ __all__ = [
     "DownlinkResult",
     "UplinkResult",
     "MilBackSimulator",
+    "detector_input_grid",
 ]
+
+
+def detector_input_grid(node: BackscatterNode, symbol_rate_hz: float) -> tuple[int, float]:
+    """Samples per symbol and sample rate of a node's detector input.
+
+    At least 64 samples per symbol, and at least four times the wider
+    video bandwidth of the node's two detectors, so the detector's own
+    noise and rise time are resolved; the rate is a whole number of
+    samples per symbol.
+    """
+    target_hz = max(64.0 * symbol_rate_hz, 4.0 * max(
+        node.config.detector_a.video_bandwidth_hz,
+        node.config.detector_b.video_bandwidth_hz,
+    ))
+    samples_per_symbol = int(round(target_hz / symbol_rate_hz))
+    return samples_per_symbol, samples_per_symbol * symbol_rate_hz
 
 
 # --- result records ----------------------------------------------------------------
@@ -192,16 +208,18 @@ class MilBackSimulator:
         self.ap = ap or AccessPoint(node_fsa=self.node.fsa)
         self.rng = make_rng(seed)
         self.node_id = node_id
-        cal = calibration or default_calibration()
         # Per-run instrument systematics (constant within one measurement
         # run, fresh across runs): generator slope miscalibration and RX
         # baseline phase-center offset.
+        cal = self.calibration
         self._slope_error = float(self.rng.normal(0.0, cal.slope_error_sigma))
         self._aoa_bias_deg = float(self.rng.normal(0.0, cal.aoa_bias_sigma_deg))
-        # Per-instance memos for quantities that mix the instance's own
-        # ripple realization with scene-invariant terms; keyed by
-        # (kind, port, grid key). The cross-instance RNG-free pieces live
-        # in repro.sim.cache.
+        # The instance's own ripple realization (control points per port,
+        # drawn on the port's first use) and memos of what mixes it with
+        # scene-invariant terms, keyed by (port, grid key) and
+        # (passes, port, grid key). The cross-instance RNG-free pieces
+        # live in repro.sim.cache.
+        self._ripple_tables: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         self._ripple_interp: dict[tuple, np.ndarray] = {}
         self._amplitude_memo: dict[tuple, np.ndarray] = {}
         self.budget = LinkBudget(
@@ -218,13 +236,8 @@ class MilBackSimulator:
 
     # --- FSA gain ripple ------------------------------------------------------------
 
-    def _gain_ripple_db(
-        self,
-        port: str,
-        freqs_hz: np.ndarray,
-        grid_key: tuple | None = None,
-    ) -> np.ndarray:
-        """Slowly varying random gain ripple across the band for one port.
+    def _gain_ripple_db(self, port: str, grid: simcache.ChirpGrid) -> np.ndarray:
+        """Slowly varying random gain ripple across a chirp grid for one port.
 
         Drawn once per simulator instance (one physical measurement run):
         Gaussian control points every ``fsa_ripple_correlation_hz``,
@@ -233,19 +246,16 @@ class MilBackSimulator:
         orientation experiments.
 
         The control points come from the trial RNG, so they can never be
-        shared across instances — but the interpolation onto a named
-        frequency grid is memoized per ``(port, grid_key)`` within this
-        instance (the grid never changes between bursts of one run).
+        shared across instances — but the interpolation onto a grid is
+        memoized per ``(port, grid.key)`` within this instance (the grid
+        never changes between bursts of one run).
         """
         cal = self.calibration
         if cal.fsa_gain_ripple_db <= 0:
-            return np.zeros_like(np.asarray(freqs_hz, dtype=float))
-        if grid_key is not None:
-            cached = self._ripple_interp.get((port, grid_key))
-            if cached is not None:
-                return cached
-        if not hasattr(self, "_ripple_tables"):
-            self._ripple_tables = {}
+            return np.zeros_like(grid.f_inst)
+        cached = self._ripple_interp.get((port, grid.key))
+        if cached is not None:
+            return cached
         if port not in self._ripple_tables:
             lo, hi = self.node.fsa.band_hz
             span = hi - lo
@@ -254,99 +264,44 @@ class MilBackSimulator:
             ctrl_v = cal.fsa_gain_ripple_db * self.rng.standard_normal(n_ctrl)
             self._ripple_tables[port] = (ctrl_f, ctrl_v)
         ctrl_f, ctrl_v = self._ripple_tables[port]
-        ripple = np.interp(np.asarray(freqs_hz, dtype=float), ctrl_f, ctrl_v)
-        if grid_key is not None:
-            ripple = simcache.frozen_array(ripple)
-            self._ripple_interp[(port, grid_key)] = ripple
+        ripple = simcache.frozen_array(np.interp(grid.f_inst, ctrl_f, ctrl_v))
+        self._ripple_interp[(port, grid.key)] = ripple
         return ripple
 
     # --- vectorized budget helpers ------------------------------------------------
 
-    def _backscatter_amplitude(
-        self,
-        port: str,
-        freqs_hz: np.ndarray,
-        grid: simcache.ChirpGrid | None = None,
-    ) -> np.ndarray:
-        """Field gain of the node's reflection across frequencies.
+    def _port_amplitude(self, port: str, grid: simcache.ChirpGrid, passes: int) -> np.ndarray:
+        """Field gain through one FSA port across a chirp grid, memoized.
 
-        Frequency-resolved version of
-        :meth:`LinkBudget.backscatter_gain_db` (the FSA gain sweeps with
-        the chirp, everything else is flat across the band). With a
-        ``grid``, the flat budget scalar and FSA sweep come from the
-        scene-invariant caches and the full array is memoized for this
-        instance.
+        The FSA gain (and its ripple) sweeps with the chirp; the rest of
+        the budget is flat across the band. ``passes=2`` is the node's
+        reflection (:meth:`LinkBudget.backscatter_gain_db`), which
+        crosses the pattern twice; ``passes=1`` is the downlink into the
+        port's detector (:meth:`LinkBudget.downlink_port_gain_db`).
         """
-        if grid is not None:
-            cached = self._amplitude_memo.get(("backscatter", port, grid.key))
-            if cached is not None:
-                return cached
-            flat_db = simcache.backscatter_gain_db(self.budget, port, grid.mean_hz)
-            fsa_flat = float(
-                self.node.fsa.gain_dbi(
-                    port, self.budget.node_orientation_deg(), grid.mean_hz
-                )
-            )
-            fsa_sweep = simcache.fsa_gain_sweep(
-                self.node.fsa, port, self.budget.node_orientation_deg(), grid
-            )
-            ripple = self._gain_ripple_db(port, grid.f_inst, grid_key=grid.key)
-            gain_db = flat_db + 2.0 * (fsa_sweep - fsa_flat) + 2.0 * ripple
-            amplitude = simcache.frozen_array(np.power(10.0, gain_db / 20.0))
-            self._amplitude_memo[("backscatter", port, grid.key)] = amplitude
-            return amplitude
-        flat_db = self.budget.backscatter_gain_db(port, float(np.mean(freqs_hz)))
-        fsa_flat = float(
-            self.node.fsa.gain_dbi(
-                port, self.budget.node_orientation_deg(), float(np.mean(freqs_hz))
-            )
+        key = (passes, port, grid.key)
+        cached = self._amplitude_memo.get(key)
+        if cached is not None:
+            return cached
+        flat_gain_db = (
+            simcache.backscatter_gain_db if passes == 2 else simcache.downlink_port_gain_db
         )
-        fsa_sweep = np.asarray(
-            self.node.fsa.gain_dbi(port, self.budget.node_orientation_deg(), freqs_hz),
-            dtype=float,
-        )
-        gain_db = flat_db + 2.0 * (fsa_sweep - fsa_flat)
-        gain_db = gain_db + 2.0 * self._gain_ripple_db(port, freqs_hz)
-        return np.power(10.0, gain_db / 20.0)
+        flat_db = flat_gain_db(self.budget, port, grid.mean_hz)
+        orientation = self.budget.node_orientation_deg()
+        fsa_flat = float(self.node.fsa.gain_dbi(port, orientation, grid.mean_hz))
+        fsa_sweep = simcache.fsa_gain_sweep(self.node.fsa, port, orientation, grid)
+        ripple = self._gain_ripple_db(port, grid)
+        gain_db = flat_db + passes * (fsa_sweep - fsa_flat) + passes * ripple
+        amplitude = simcache.frozen_array(np.power(10.0, gain_db / 20.0))
+        self._amplitude_memo[key] = amplitude
+        return amplitude
 
-    def _downlink_amplitude(
-        self,
-        port: str,
-        freqs_hz: np.ndarray,
-        grid: simcache.ChirpGrid | None = None,
-    ) -> np.ndarray:
-        """Field gain into one FSA port's detector across frequencies."""
-        if grid is not None:
-            cached = self._amplitude_memo.get(("downlink", port, grid.key))
-            if cached is not None:
-                return cached
-            flat_db = simcache.downlink_port_gain_db(self.budget, port, grid.mean_hz)
-            fsa_flat = float(
-                self.node.fsa.gain_dbi(
-                    port, self.budget.node_orientation_deg(), grid.mean_hz
-                )
-            )
-            fsa_sweep = simcache.fsa_gain_sweep(
-                self.node.fsa, port, self.budget.node_orientation_deg(), grid
-            )
-            ripple = self._gain_ripple_db(port, grid.f_inst, grid_key=grid.key)
-            gain_db = flat_db + (fsa_sweep - fsa_flat) + ripple
-            amplitude = simcache.frozen_array(np.power(10.0, gain_db / 20.0))
-            self._amplitude_memo[("downlink", port, grid.key)] = amplitude
-            return amplitude
-        flat_db = self.budget.downlink_port_gain_db(port, float(np.mean(freqs_hz)))
-        fsa_flat = float(
-            self.node.fsa.gain_dbi(
-                port, self.budget.node_orientation_deg(), float(np.mean(freqs_hz))
-            )
+    def _port_detectors(self):
+        """Each FSA port with the envelope detector behind it."""
+        return (
+            (FsaPort.A, self.node.config.detector_a),
+            (FsaPort.B, self.node.config.detector_b),
         )
-        fsa_sweep = np.asarray(
-            self.node.fsa.gain_dbi(port, self.budget.node_orientation_deg(), freqs_hz),
-            dtype=float,
-        )
-        gain_db = flat_db + (fsa_sweep - fsa_flat)
-        gain_db = gain_db + self._gain_ripple_db(port, freqs_hz)
-        return np.power(10.0, gain_db / 20.0)
 
     # --- FMCW beat-record synthesis -------------------------------------------------
 
@@ -429,7 +384,7 @@ class MilBackSimulator:
         node_tone = np.exp(1j * (2.0 * math.pi * node_beat * t + node_phase0))
         node_shape = np.zeros(n, dtype=np.complex128)
         for port in ports[toggled_port]:
-            node_shape += self._backscatter_amplitude(port, grid.f_inst, grid=grid) * node_tone
+            node_shape += self._port_amplitude(port, grid, passes=2) * node_tone
         node_shape *= sqrt_ptx * steer_factor
 
         # Mirror-image reflection of the FSA ground plane (Fig. 13b
@@ -487,13 +442,20 @@ class MilBackSimulator:
             doppler_step_rad=doppler_step,
             noise_sigma=math.sqrt(noise_power / 2.0),
         )
+        # Background subtraction cancels the static paths only down to
+        # clutter_cancellation_db: the kernel draws a fresh band-limited
+        # residual per chirp.
+        cal = self.calibration
         variates = burst_kernel.draw_variates(
             self.rng,
             n_chirps,
             n_rx_antennas,
             n,
-            self.calibration.trigger_jitter_s,
-            lambda: self._cancellation_residual(n, fs_hz),
+            cal.trigger_jitter_s,
+            residual_sigma=10.0 ** (-cal.clutter_cancellation_db / 20.0),
+            residual_alpha=1.0 - math.exp(
+                -2.0 * math.pi * cal.cancellation_residual_bandwidth_hz / fs_hz
+            ),
         )
         samples = burst_kernel.synthesize_burst(params, variates)
         samples = faults.corrupt_burst(samples)
@@ -509,30 +471,6 @@ class MilBackSimulator:
                     )
                 )
         return records
-
-    def _cancellation_residual(self, n: int, fs: float) -> np.ndarray:
-        """Per-chirp multiplicative residual on the static paths.
-
-        Background subtraction cancels static clutter only down to a
-        floor (TX phase noise, quantization, micro-motion). The residual
-        is modeled as band-limited complex noise — fresh each chirp, so
-        pairwise subtraction leaves ~``clutter_cancellation_db`` of
-        suppression, smeared over the residual bandwidth in beat
-        frequency (i.e. range).
-        """
-        cal = self.calibration
-        sigma = 10.0 ** (-cal.clutter_cancellation_db / 20.0)
-        if sigma <= 0:
-            return np.zeros(n, dtype=np.complex128)
-        white = self.rng.standard_normal(n) + 1j * self.rng.standard_normal(n)
-        alpha = 1.0 - math.exp(
-            -2.0 * math.pi * cal.cancellation_residual_bandwidth_hz / fs
-        )
-        smooth = lfilter([alpha], [1.0, -(1.0 - alpha)], white)
-        rms = float(np.sqrt(np.mean(np.abs(smooth) ** 2)))
-        if rms <= 0:
-            return np.zeros(n, dtype=np.complex128)
-        return (sigma / rms) * smooth
 
     def _path_azimuth(self, label: str) -> float:
         """World azimuth (off AP boresight) of a named path's source."""
@@ -578,23 +516,31 @@ class MilBackSimulator:
 
     # --- localization (paper §5.1, Fig. 12) --------------------------------------------
 
-    @obs.traced("engine.localization", count="engine.localization.trials")
-    def simulate_localization(self) -> LocalizationResult:
-        """FMCW ranging + two-antenna AoA, one full Field-2 burst."""
-        records_rx1, records_rx2 = self._beat_records(toggled_port="both")
-        estimate = self.ap.fmcw.estimate_range(records_rx1)
-        aoa = self.ap.aoa.estimate(records_rx1, records_rx2, estimate.beat_frequency_hz)
-        # The processor divides by the *assumed* slope; a generator slope
-        # off by ε yields a distance off by ε·d. Likewise the AoA carries
-        # the run's baseline-calibration bias.
-        distance = estimate.distance_m * (1.0 + self._slope_error)
+    def _location_fix(self, estimate, angle_deg: float) -> LocalizationResult:
+        """A range estimate and an AoA, with this run's systematics applied.
+
+        The processor divides by the *assumed* slope; a generator slope
+        off by ε yields a distance off by ε·d. Likewise the AoA carries
+        the run's baseline-calibration bias.
+        """
         return LocalizationResult(
-            distance_est_m=distance,
+            distance_est_m=estimate.distance_m * (1.0 + self._slope_error),
             distance_true_m=self.budget.node_distance_m(),
-            angle_est_deg=aoa.angle_deg + self._aoa_bias_deg,
+            angle_est_deg=angle_deg + self._aoa_bias_deg,
             angle_true_deg=self.budget.node_azimuth_deg(),
             beat_frequency_hz=estimate.beat_frequency_hz,
         )
+
+    def _two_horn_fix(self, records) -> LocalizationResult:
+        """FMCW range off the first RX horn plus two-horn phase AoA."""
+        estimate = self.ap.fmcw.estimate_range(records[0])
+        aoa = self.ap.aoa.estimate(records[0], records[1], estimate.beat_frequency_hz)
+        return self._location_fix(estimate, aoa.angle_deg)
+
+    @obs.traced("engine.localization", count="engine.localization.trials")
+    def simulate_localization(self) -> LocalizationResult:
+        """FMCW ranging + two-antenna AoA, one full Field-2 burst."""
+        return self._two_horn_fix(self._beat_records(toggled_port="both"))
 
     @obs.traced("engine.observe", count="engine.observe.trials")
     def observe_burst(self, radial_velocity_mps: float = 0.0) -> BurstObservables:
@@ -627,15 +573,7 @@ class MilBackSimulator:
         )
         localization: LocalizationResult | None
         try:
-            estimate = self.ap.fmcw.estimate_range(records[0])
-            aoa = self.ap.aoa.estimate(records[0], records[1], estimate.beat_frequency_hz)
-            localization = LocalizationResult(
-                distance_est_m=estimate.distance_m * (1.0 + self._slope_error),
-                distance_true_m=self.budget.node_distance_m(),
-                angle_est_deg=aoa.angle_deg + self._aoa_bias_deg,
-                angle_true_deg=self.budget.node_azimuth_deg(),
-                beat_frequency_hz=estimate.beat_frequency_hz,
-            )
+            localization = self._two_horn_fix(records)
         except LocalizationError:
             obs.counter("engine.observe.failed").inc()
             localization = None
@@ -700,14 +638,7 @@ class MilBackSimulator:
             self.ap.config.ranging_chirp.center_hz,
         )
         aoa = estimator.estimate(records, estimate.beat_frequency_hz, method)
-        distance = estimate.distance_m * (1.0 + self._slope_error)
-        return LocalizationResult(
-            distance_est_m=distance,
-            distance_true_m=self.budget.node_distance_m(),
-            angle_est_deg=aoa.angle_deg + self._aoa_bias_deg,
-            angle_true_deg=self.budget.node_azimuth_deg(),
-            beat_frequency_hz=estimate.beat_frequency_hz,
-        )
+        return self._location_fix(estimate, aoa.angle_deg)
 
     # --- AP-side orientation (paper §5.2a, Fig. 13b) -----------------------------------
 
@@ -747,11 +678,8 @@ class MilBackSimulator:
         sqrt_ptx = math.sqrt(self.budget.tx_power_w())
         traces = {}
         adc_streams = {}
-        for port, detector in (
-            (FsaPort.A, self.node.config.detector_a),
-            (FsaPort.B, self.node.config.detector_b),
-        ):
-            amplitude = sqrt_ptx * self._downlink_amplitude(port, grid.f_inst, grid=grid)
+        for port, detector in self._port_detectors():
+            amplitude = sqrt_ptx * self._port_amplitude(port, grid, passes=1)
             rf = Signal(amplitude.astype(np.complex128), sim_rate_hz, 0.0, 0.0)
             video = detector.detect(rf, rng=self.rng)
             adc_streams[port] = self.node.config.mcu.sample_detector(video)
@@ -791,11 +719,8 @@ class MilBackSimulator:
         sqrt_ptx = math.sqrt(self.budget.tx_power_w())
         active = (True, True, True) if announce_uplink else (True, False, True)
         streams = []
-        for port, detector in (
-            (FsaPort.A, self.node.config.detector_a),
-            (FsaPort.B, self.node.config.detector_b),
-        ):
-            amp_one = sqrt_ptx * self._downlink_amplitude(port, grid.f_inst, grid=grid)
+        for port, detector in self._port_detectors():
+            amp_one = sqrt_ptx * self._port_amplitude(port, grid, passes=1)
             pieces = [amp_one if on else np.zeros(n_slot) for on in active]
             amplitude = np.concatenate(pieces)
             rf = Signal(amplitude.astype(np.complex128), sim_rate_hz, 0.0, 0.0)
@@ -804,6 +729,20 @@ class MilBackSimulator:
         return streams[0], streams[1]
 
     # --- downlink (paper §6.1–6.2, Figs. 11 & 14) ----------------------------------------
+
+    def _tone_amplitudes(self, pair: TonePair) -> dict[tuple[str, float], float]:
+        """Field amplitude of each OAQFM tone at each port's detector.
+
+        Each tone carries half the TX power; ``(port, freq_hz)`` keys the
+        amplitude that tone reaches the port with, through its pattern.
+        """
+        sqrt_tone_power = math.sqrt(self.budget.tx_power_w() / 2.0)
+        return {
+            (port, f): sqrt_tone_power
+            * 10.0 ** (simcache.downlink_port_gain_db(self.budget, port, f) / 20.0)
+            for port in (FsaPort.A, FsaPort.B)
+            for f in (pair.freq_a_hz, pair.freq_b_hz)
+        }
 
     @obs.traced("engine.downlink", count="engine.downlink.trials")
     def simulate_downlink(
@@ -828,9 +767,7 @@ class MilBackSimulator:
         orientation = self.budget.node_orientation_deg()
         if pair is None:
             pair = self.ap.tone_pair_for_orientation(orientation)
-        use_ook = pair.separation_hz < self.ap.downlink_tx.min_tone_separation_hz
-
-        if use_ook:
+        if pair.separation_hz < self.ap.downlink_tx.min_tone_separation_hz:
             obs.counter("engine.downlink.ook_fallbacks").inc()
             return self._simulate_downlink_ook(bits, bit_rate_bps, pair, keep_traces)
 
@@ -838,26 +775,11 @@ class MilBackSimulator:
 
         symbols = bits_to_symbols(bits)
         symbol_rate_bps = bit_rate_bps / 2.0
-        sim_rate = max(64.0 * symbol_rate_bps, 4.0 * max(
-            self.node.config.detector_a.video_bandwidth_hz,
-            self.node.config.detector_b.video_bandwidth_hz,
-        ))
-        samples_per_symbol = int(round(sim_rate / symbol_rate_bps))
-        sim_rate = samples_per_symbol * symbol_rate_bps
+        samples_per_symbol, sim_rate = detector_input_grid(self.node, symbol_rate_bps)
         gate_a, gate_b = tone_gates(symbols, samples_per_symbol)
-        sqrt_tone_power = math.sqrt(self.budget.tx_power_w() / 2.0)
-
-        amp = {
-            (port, f): sqrt_tone_power
-            * 10.0 ** (simcache.downlink_port_gain_db(self.budget, port, f) / 20.0)
-            for port in (FsaPort.A, FsaPort.B)
-            for f in (pair.freq_a_hz, pair.freq_b_hz)
-        }
+        amp = self._tone_amplitudes(pair)
         detector_out = {}
-        for port, detector in (
-            (FsaPort.A, self.node.config.detector_a),
-            (FsaPort.B, self.node.config.detector_b),
-        ):
+        for port, detector in self._port_detectors():
             # Each port sees BOTH tones through its own pattern: its
             # aligned tone at beam gain and the other at sidelobe level.
             # The phase-averaged envelope is symmetric in the two.
@@ -918,28 +840,14 @@ class MilBackSimulator:
             )
         levels_a, levels_b = dense_symbol_levels(bits, scheme)
         n_symbols = levels_a.size
-        sim_rate_target = max(64.0 * symbol_rate_hz, 4.0 * max(
-            self.node.config.detector_a.video_bandwidth_hz,
-            self.node.config.detector_b.video_bandwidth_hz,
-        ))
-        samples_per_symbol = int(round(sim_rate_target / symbol_rate_hz))
-        sim_rate = samples_per_symbol * symbol_rate_hz
+        samples_per_symbol, sim_rate = detector_input_grid(self.node, symbol_rate_hz)
         amp_a_levels = np.array([scheme.amplitude_for_level(l) for l in levels_a])
         amp_b_levels = np.array([scheme.amplitude_for_level(l) for l in levels_b])
         gate_a = np.repeat(amp_a_levels, samples_per_symbol)
         gate_b = np.repeat(amp_b_levels, samples_per_symbol)
-        sqrt_tone_power = math.sqrt(self.budget.tx_power_w() / 2.0)
-        amp = {
-            (port, f): sqrt_tone_power
-            * 10.0 ** (simcache.downlink_port_gain_db(self.budget, port, f) / 20.0)
-            for port in (FsaPort.A, FsaPort.B)
-            for f in (pair.freq_a_hz, pair.freq_b_hz)
-        }
+        amp = self._tone_amplitudes(pair)
         measured = {}
-        for port, detector in (
-            (FsaPort.A, self.node.config.detector_a),
-            (FsaPort.B, self.node.config.detector_b),
-        ):
+        for port, detector in self._port_detectors():
             own_gate, other_gate = (
                 (gate_a, gate_b) if port == FsaPort.A else (gate_b, gate_a)
             )
@@ -976,11 +884,11 @@ class MilBackSimulator:
         pair: TonePair,
         keep_traces: bool,
     ) -> DownlinkResult:
-        """Normal-incidence fallback: one carrier_hz, both ports receive it."""
-        symbol_rate_bps = bit_rate_bps
-        sim_rate_target = max(64.0 * symbol_rate_bps, 160e6)
-        samples_per_symbol = int(round(sim_rate_target / symbol_rate_bps))
-        sim_rate = samples_per_symbol * symbol_rate_bps
+        """Normal-incidence fallback: one carrier_hz, both ports receive it.
+
+        One bit per symbol, on the same detector-input grid as OAQFM.
+        """
+        samples_per_symbol, sim_rate = detector_input_grid(self.node, bit_rate_bps)
         carrier_hz = 0.5 * (pair.freq_a_hz + pair.freq_b_hz)
         gate = np.repeat(bits.astype(float), samples_per_symbol)
         sqrt_ptx = math.sqrt(self.budget.tx_power_w())
@@ -989,9 +897,7 @@ class MilBackSimulator:
         )
         rf = Signal((gate * amp_a).astype(np.complex128), sim_rate, 0.0, 0.0)
         video = self.node.config.detector_a.detect(rf, rng=self.rng)
-        rx_bits, sinr = self.node.demodulator.decode_ook(
-            video, symbol_rate_bps, bits.size
-        )
+        rx_bits, sinr = self.node.demodulator.decode_ook(video, bit_rate_bps, bits.size)
         return DownlinkResult(
             tx_bits=bits,
             rx_bits=rx_bits,

@@ -21,12 +21,15 @@ from repro.antennas.fsa import FsaPort
 from repro.ap.access_point import AccessPoint
 from repro.ap.uplink_rx import PILOT_SYMBOLS, pilot_bits
 from repro.channel.scene import Scene2D
+from repro.dsp.envelope import two_tone_mean_envelope
 from repro.dsp.noise import thermal_noise_power_w
 from repro.dsp.signal import Signal
 from repro.errors import ConfigurationError
 from repro.node.node import BackscatterNode
 from repro.phy.ber import measure_ber
+from repro.phy.oaqfm import bits_to_symbols, tone_gates
 from repro.sim.calibration import Calibration, default_calibration
+from repro.sim.engine import detector_input_grid
 from repro.sim.linkbudget import LinkBudget
 from repro.utils.geometry import angle_between_deg
 from repro.utils.rng import RngLike, make_rng
@@ -49,9 +52,9 @@ class ConcurrentNodeResult:
         return self.ber == 0.0  # milback: disable=ML003
 
 
-class MultiNodeUplink:
-    """Simulates one concurrent uplink slot with N simultaneously served
-    nodes, each with its own beam and OAQFM tone pair."""
+class _ConcurrentSlot:
+    """One AP serving every node of a scene on its own beam: the scene,
+    the node and AP models, and one link budget per node."""
 
     def __init__(
         self,
@@ -81,6 +84,15 @@ class MultiNodeUplink:
             )
             for placement in scene.nodes
         }
+
+    def _tone_pair(self, node_id: str):
+        orientation = self.scene.node_orientation_deg(node_id)
+        return self.node.fsa.alignment_pair(orientation)
+
+
+class MultiNodeUplink(_ConcurrentSlot):
+    """Simulates one concurrent uplink slot with N simultaneously served
+    nodes, each with its own beam and OAQFM tone pair."""
 
     def spatial_isolation_db(self, served_id: str, interferer_id: str) -> float:
         """Two-way beam roll-off of the interferer inside the served
@@ -165,10 +177,6 @@ class MultiNodeUplink:
         return results
 
     # --- internals ---------------------------------------------------------------
-
-    def _tone_pair(self, node_id: str):
-        orientation = self.scene.node_orientation_deg(node_id)
-        return self.node.fsa.alignment_pair(orientation)
 
     def _decode_one(
         self,
@@ -258,7 +266,7 @@ class MultiNodeUplink:
         )
 
 
-class MultiNodeDownlink:
+class MultiNodeDownlink(_ConcurrentSlot):
     """Concurrent SDM downlink: one beam per node, each carrying its own
     OAQFM tone pair.
 
@@ -270,35 +278,6 @@ class MultiNodeDownlink:
     lumped interferers enter the detector envelope as a power-summed
     second component (exact for one interferer, RMS-approximate beyond).
     """
-
-    def __init__(
-        self,
-        scene: Scene2D,
-        node: BackscatterNode | None = None,
-        ap: AccessPoint | None = None,
-        calibration: Calibration | None = None,
-        seed: RngLike = None,
-    ) -> None:
-        if len(scene.nodes) < 1:
-            raise ConfigurationError("scene has no nodes")
-        self.scene = scene
-        self.node = node or BackscatterNode()
-        self.ap = ap or AccessPoint(node_fsa=self.node.fsa)
-        self.calibration = calibration or default_calibration()
-        self.rng = make_rng(seed)
-        self.budgets = {
-            placement.node_id: LinkBudget(
-                scene=scene,
-                fsa=self.node.fsa,
-                tx_horn=self.ap.config.tx_horn,
-                rx_horn=self.ap.config.rx_horn,
-                switch=self.node.config.switch_a,
-                calibration=self.calibration,
-                tx_power_dbm=self.ap.config.tx_power_dbm,
-                node_id=placement.node_id,
-            )
-            for placement in scene.nodes
-        }
 
     def tx_beam_rolloff_db(self, beam_node_id: str, at_node_id: str) -> float:
         """TX beam (pointed at ``beam_node_id``) roll-off at another
@@ -315,20 +294,10 @@ class MultiNodeDownlink:
         bit_rate_bps: float = 2e6,
     ) -> dict[str, "ConcurrentNodeResult"]:
         """Send every node its own payload concurrently for one slot."""
-        from repro.antennas.fsa import FsaPort as _Port
-        from repro.dsp.envelope import two_tone_mean_envelope
-        from repro.dsp.signal import Signal as _Signal
-        from repro.phy.oaqfm import bits_to_symbols, tone_gates
-
         if not payloads:
             raise ConfigurationError("no payloads to send")
         symbol_rate_bps = bit_rate_bps / 2.0
-        sim_rate_target = max(64.0 * symbol_rate_bps, 4.0 * max(
-            self.node.config.detector_a.video_bandwidth_hz,
-            self.node.config.detector_b.video_bandwidth_hz,
-        ))
-        samples_per_symbol = int(round(sim_rate_target / symbol_rate_bps))
-        sim_rate = samples_per_symbol * symbol_rate_bps
+        samples_per_symbol, sim_rate = detector_input_grid(self.node, symbol_rate_bps)
         sqrt_tone_power = math.sqrt(
             self.budgets[next(iter(payloads))].tx_power_w() / 2.0
         )
@@ -339,21 +308,18 @@ class MultiNodeDownlink:
             self.scene.node(node_id)
             symbols = bits_to_symbols(np.asarray(list(bits), dtype=np.uint8))
             gate_a, gate_b = tone_gates(symbols, samples_per_symbol)
-            orientation = self.scene.node_orientation_deg(node_id)
-            pair = self.node.fsa.alignment_pair(orientation)
-            streams[node_id] = (symbols, gate_a, gate_b, pair)
+            streams[node_id] = (symbols, gate_a, gate_b, self._tone_pair(node_id))
 
         results = {}
         for node_id, bits in payloads.items():
             symbols, gate_a, gate_b, pair = streams[node_id]
-            orientation = self.scene.node_orientation_deg(node_id)
             budget = self.budgets[node_id]
             detector_out = {}
             interference_total = 0.0
             for port, detector, own_freq, own_gate, other_gate, other_freq in (
-                (_Port.A, self.node.config.detector_a, pair.freq_a_hz, gate_a,
+                (FsaPort.A, self.node.config.detector_a, pair.freq_a_hz, gate_a,
                  gate_b, pair.freq_b_hz),
-                (_Port.B, self.node.config.detector_b, pair.freq_b_hz, gate_b,
+                (FsaPort.B, self.node.config.detector_b, pair.freq_b_hz, gate_b,
                  gate_a, pair.freq_a_hz),
             ):
                 n = own_gate.size
@@ -381,11 +347,11 @@ class MultiNodeDownlink:
                         leak_power[:m] = leak_power[:m] + (o_gate[:m] * amp) ** 2
                         interference_total += amp**2 / 2.0
                 envelope = two_tone_mean_envelope(own, np.sqrt(leak_power))
-                rf = _Signal(envelope.astype(np.complex128), sim_rate, 0.0, 0.0)
+                rf = Signal(envelope.astype(np.complex128), sim_rate, 0.0, 0.0)
                 detector_out[port] = detector.detect(rf, rng=self.rng)
             decode = self.node.demodulator.decode(
-                detector_out[_Port.A],
-                detector_out[_Port.B],
+                detector_out[FsaPort.A],
+                detector_out[FsaPort.B],
                 symbol_rate_bps,
                 len(symbols),
             )

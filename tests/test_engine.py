@@ -9,7 +9,10 @@ import pytest
 
 from repro.channel.scene import Scene2D
 from repro.errors import ConfigurationError
+from repro.hardware.envelope_detector import EnvelopeDetector
+from repro.node.config import NodeConfig
 from repro.node.firmware import PayloadDirection
+from repro.node.node import BackscatterNode
 from repro.sim.calibration import Calibration
 from repro.sim.engine import MilBackSimulator
 
@@ -121,6 +124,38 @@ class TestDownlink:
         sim = MilBackSimulator(scene_at(), seed=13)
         result = sim.simulate_downlink([1, 0, 1, 1], 2e6, keep_traces=True)
         assert result.detector_a is not None
+
+    def test_ook_fallback_samples_a_fast_detector_like_oaqfm(self):
+        # A 400 MHz detector (as the detector-bandwidth ablation builds)
+        # must be sampled on the same grid on both paths, or the OOK
+        # path under-resolves its noise and overstates the SINR.
+        def fast_node():
+            return BackscatterNode(
+                NodeConfig(
+                    detector_a=EnvelopeDetector(video_bandwidth_hz=400e6),
+                    detector_b=EnvelopeDetector(video_bandwidth_hz=400e6),
+                )
+            )
+
+        # One on-symbol pair, then a long quiet tail: only noise is left
+        # once the first 16 symbols have settled.
+        bits = np.array([1, 0] * 4 + [0] * 56, dtype=np.uint8)
+        ratios = {}
+        rates = {}
+        for orientation, ook in ((0.0, True), (10.0, False)):
+            node = fast_node()
+            sim = MilBackSimulator(scene_at(3.0, orientation), node=node, seed=11)
+            result = sim.simulate_downlink(bits, 2e6, keep_traces=True)
+            assert result.used_ook_fallback is ook
+            trace = result.detector_a
+            symbol_rate = 2e6 if result.used_ook_fallback else 1e6
+            samples_per_symbol = round(trace.sample_rate_hz / symbol_rate)
+            quiet = trace.samples.real[16 * samples_per_symbol :]
+            sigma = node.config.detector_a.output_noise_sigma_v()
+            ratios[result.used_ook_fallback] = float(np.std(quiet)) / sigma
+            rates[result.used_ook_fallback] = trace.sample_rate_hz
+        assert rates[True] == rates[False]
+        assert ratios[True] == pytest.approx(ratios[False], rel=0.10)
 
 
 class TestUplink:

@@ -5,6 +5,8 @@ rotting. Output is captured and spot-checked for the headline lines.
 """
 
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -20,6 +22,25 @@ def run_example(name: str, capsys) -> str:
     spec.loader.exec_module(module)
     module.main()
     return capsys.readouterr().out
+
+
+def assert_replays_in_subprocess(name: str, out: str) -> None:
+    """Run the example as a script under a fixed string-hash salt.
+
+    Python salts ``str`` hashes per process, so an example whose output
+    depends on ``hash()`` prints something else here than in-process.
+    """
+    src = str(EXAMPLES_DIR.parent / "src")
+    pythonpath = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = {**os.environ, "PYTHONHASHSEED": "1", "PYTHONPATH": pythonpath}
+    script = subprocess.run(
+        [sys.executable, str(EXAMPLES_DIR / name)],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert script.stdout == out
 
 
 def test_quickstart(capsys):
@@ -39,6 +60,7 @@ def test_iot_sensor_network(capsys):
     out = run_example("iot_sensor_network.py", capsys)
     assert "SDM schedule" in out
     assert "packets delivered" in out
+    assert_replays_in_subprocess("iot_sensor_network.py", out)
 
 
 def test_warehouse_inventory(capsys):
@@ -76,3 +98,4 @@ def test_multi_tag_inventory(capsys):
     out = run_example("multi_tag_inventory.py", capsys)
     assert "Inventory of 12 tags" in out
     assert "delivered=True" in out
+    assert_replays_in_subprocess("multi_tag_inventory.py", out)

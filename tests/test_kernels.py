@@ -12,6 +12,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
 from repro import obs
 from repro.channel.scene import Scene2D
@@ -139,7 +140,8 @@ def _burst_fixture(n_chirps, n_rx, n, seed=0):
         n_rx,
         n,
         trigger_jitter_s=2e-9,
-        residual_fn=lambda: np.zeros(n, dtype=np.complex128),
+        residual_sigma=0.0,
+        residual_alpha=0.0,
     )
     return params, variates
 
@@ -184,24 +186,44 @@ class TestBurstSynthesis:
         for rec_b, rec_r in zip(results["batched"], results["reference"]):
             assert np.array_equal(rec_b, rec_r)
 
+    @staticmethod
+    def _legacy_residual(rng, n, sigma, alpha):
+        # The legacy per-chirp residual loop: white complex noise, a
+        # first-order low-pass, then scaled to an RMS of ``sigma``.
+        white = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        smooth = lfilter([alpha], [1.0, -(1.0 - alpha)], white)
+        rms = float(np.sqrt(np.mean(np.abs(smooth) ** 2)))
+        return (sigma / rms) * smooth
+
     def test_variates_draw_order_matches_legacy(self):
         # Same generator state must yield the same stream the legacy loop
         # consumed: per chirp jitter, residual, then per-antenna noise.
+        # A zero sigma draws no residual; a positive one draws its two
+        # normal vectors between the jitter and the noise.
         n_chirps, n_rx, n = 3, 2, 8
-        v = burst_kernel.draw_variates(
-            np.random.default_rng(5),
-            n_chirps,
-            n_rx,
-            n,
-            trigger_jitter_s=1e-9,
-            residual_fn=lambda: np.zeros(n, dtype=np.complex128),
-        )
-        rng = np.random.default_rng(5)
-        for k in range(n_chirps):
-            assert v.tau_j_s[k] == rng.normal(0.0, 1e-9)
-            for m in range(n_rx):
-                expect = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-                assert np.array_equal(v.noise_white[k, m], expect)
+        for sigma, alpha in ((0.0, 0.0), (0.01, 0.047)):
+            v = burst_kernel.draw_variates(
+                np.random.default_rng(5),
+                n_chirps,
+                n_rx,
+                n,
+                trigger_jitter_s=1e-9,
+                residual_sigma=sigma,
+                residual_alpha=alpha,
+            )
+            rng = np.random.default_rng(5)
+            for k in range(n_chirps):
+                assert v.tau_j_s[k] == rng.normal(0.0, 1e-9)
+                if sigma > 0:
+                    expect = self._legacy_residual(rng, n, sigma, alpha)
+                    assert np.array_equal(v.residuals[k], expect)
+                    rms = np.sqrt(np.mean(np.abs(v.residuals[k]) ** 2))
+                    assert rms == pytest.approx(sigma, rel=1e-12)
+                else:
+                    assert not v.residuals[k].any()
+                for m in range(n_rx):
+                    expect = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                    assert np.array_equal(v.noise_white[k, m], expect)
 
 
 # --- receive chain ----------------------------------------------------------------

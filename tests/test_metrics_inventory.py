@@ -16,7 +16,8 @@ from repro.dsp.noise import awgn
 from repro.dsp.signal import Signal
 from repro.dsp.waveforms import SawtoothChirp, sawtooth_chirp, tone, two_tone
 from repro.errors import ProtocolError, SignalError
-from repro.protocol.inventory import SlottedInventory
+from repro.protocol.inventory import SlottedInventory, inventory_frame, next_frame_size
+from repro.protocol.mac import SdmScheduler
 from repro.utils.geometry import Pose2D
 
 
@@ -153,3 +154,86 @@ class TestSlottedInventory:
     def test_empty_scene_rejected(self):
         with pytest.raises(ProtocolError):
             SlottedInventory(Scene2D())
+
+    @pytest.mark.parametrize("initial_frame_size", [0, -3])
+    def test_initial_frame_size_below_one_rejected(self, initial_frame_size):
+        inventory = SlottedInventory(tag_scene([-30.0, 30.0]), seed=4)
+        with pytest.raises(ProtocolError, match="at least 1"):
+            inventory.run(initial_frame_size=initial_frame_size)
+
+
+class TestInventoryFrame:
+    """The one frame function both inventories run."""
+
+    def _counting_factory(self, scene):
+        calls = []
+
+        def factory():
+            calls.append(1)
+            return SdmScheduler(scene)
+
+        return factory, calls
+
+    def test_no_heard_collision_never_builds_the_scheduler(self):
+        scene = tag_scene([-30.0, 0.0, 30.0])
+        factory, calls = self._counting_factory(scene)
+        tags = [p.node_id for p in scene.nodes]
+        # A frame far larger than the tag count: find a seed where every
+        # tag lands in its own slot.
+        for seed in range(100):
+            slots = np.random.default_rng(seed).integers(0, 64, size=len(tags))
+            if len(set(slots.tolist())) == len(tags):
+                break
+        stats, resolved, heard = inventory_frame(
+            np.random.default_rng(seed), tags, 64, lambda tag: True, factory
+        )
+        assert calls == []
+        assert (stats.singles, stats.collisions, stats.resolved_by_sdm) == (3, 0, 0)
+        assert heard == 3
+        assert sorted(resolved) == sorted(tags)
+
+    def test_collisions_build_the_scheduler_once_per_frame(self):
+        # One slot: the four tags collide in it. Two pairs of them are
+        # close in azimuth, so SDM cannot separate the slot.
+        scene = tag_scene([-30.0, -28.0, 28.0, 30.0])
+        factory, calls = self._counting_factory(scene)
+        tags = [p.node_id for p in scene.nodes]
+        stats, resolved, heard = inventory_frame(
+            np.random.default_rng(0), tags, 1, lambda tag: True, factory
+        )
+        assert calls == [1]
+        assert (stats.collisions, stats.empties, heard, resolved) == (1, 0, 4, [])
+        # Two slots that each hold two tags (close pairs collide, far
+        # pairs resolve by SDM): still one build for the whole frame.
+        for seed in range(100):
+            slots = np.random.default_rng(seed).integers(0, 2, size=len(tags))
+            if int(slots.sum()) == 2:
+                break
+        factory, calls = self._counting_factory(scene)
+        stats, _, _ = inventory_frame(
+            np.random.default_rng(seed), tags, 2, lambda tag: True, factory
+        )
+        assert calls == [1]
+        assert stats.collisions + stats.resolved_by_sdm == 2
+
+    def test_unheard_tag_consumes_its_draw(self):
+        scene = tag_scene([-30.0, 0.0, 30.0])
+        tags = [p.node_id for p in scene.nodes]
+        rng = np.random.default_rng(3)
+        stats, resolved, heard = inventory_frame(
+            rng, tags, 8, lambda tag: tag != "tag-1", lambda: SdmScheduler(scene)
+        )
+        assert heard == 2
+        assert "tag-1" not in resolved
+        assert stats.singles + stats.collisions + stats.resolved_by_sdm <= 2
+        # The stream advanced by one draw per pending tag, heard or not.
+        reference = np.random.default_rng(3)
+        for _ in tags:
+            reference.integers(0, 8)
+        assert rng.integers(0, 2**32) == reference.integers(0, 2**32)
+
+    def test_next_frame_size_clamps_the_backlog(self):
+        assert [next_frame_size(c, 64) for c in (0, 1, 2, 31, 32, 33)] == [
+            2, 2, 4, 62, 64, 64,
+        ]
+        assert next_frame_size(5, 2) == 2
