@@ -39,7 +39,7 @@ case "$workload" in
     $check --min-subsystems 3 --min-metrics 10 --require-nesting
     ;;
   netsim)
-    matrix="--scenarios single-ap-500,three-ap-roaming --seed 0"
+    matrix="--scenarios all --seed 0"
     python -m repro netsim matrix $matrix --workers 1 --json netsim-w1.json
     python -m repro netsim matrix $matrix --workers "$workers" \
       --json "netsim-w$workers.json" $obs

@@ -5,7 +5,8 @@ kernel. :class:`InventoryProcess` runs the protocol's own frame
 function, :func:`repro.protocol.inventory.inventory_frame`, and its
 Q-adaptation rule, frame by frame on the simulated clock. It hears a
 tag only when the link budget clears both detection floors (an
-out-of-range tag draws its slot and goes unheard), and it builds the
+out-of-range tag draws its slot and goes unheard), gating every pending
+tag of a frame with one link-model batch, and it builds the
 :class:`repro.protocol.mac.SdmScheduler` over the pending tags' current
 poses. With all tags in range and the default frame cap, its result is
 *equal* to ``SlottedInventory.run()`` on the same scene and seed; tests
@@ -22,7 +23,7 @@ the physical layer uses.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Protocol, Sequence, overload
 
 import numpy as np
 
@@ -49,6 +50,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints only
     from repro.netsim.roaming import RoamingController
 
 __all__ = [
+    "InterferenceField",
     "FleetNode",
     "FleetAp",
     "FleetLink",
@@ -64,6 +66,16 @@ MIN_DOWNLINK_SNR_DB = 6.0
 
 #: Minimum AP-side SINR for a backscatter reply to be detectable.
 MIN_UPLINK_SINR_DB = 0.0
+
+
+class InterferenceField(Protocol):
+    """Interference [dBm] at one AP's receiver, one value per other AP
+    (:meth:`repro.netsim.roaming.RoamingController.interference_for`)."""
+
+    @overload
+    def __call__(self, node_pose: Pose2D, /) -> tuple[float, ...]: ...
+    @overload
+    def __call__(self, node_pose: Sequence[Pose2D], /) -> np.ndarray: ...
 
 
 @dataclass
@@ -116,7 +128,7 @@ class FleetLink:
         model: FleetLinkModel,
         ap: FleetAp,
         node: FleetNode,
-        interference_dbm: Callable[[Pose2D], tuple[float, ...]] | None = None,
+        interference_dbm: InterferenceField | None = None,
     ) -> None:
         self.sim = sim
         self.model = model
@@ -125,15 +137,13 @@ class FleetLink:
         self._interference_dbm = interference_dbm
 
     def _observe(self) -> LinkObservation:
-        return self.model.observe(
-            self.ap.pose, self.node.pose_at(self.sim.now_s)
-        )
+        return self.model.observe(self.ap.pose, self.node.pose_at(self.sim.now_s))
 
     def _uplink_sinr_db(self, observation: LinkObservation) -> float:
         interference: tuple[float, ...] = ()
         if self._interference_dbm is not None:
             interference = self._interference_dbm(self.node.pose_at(self.sim.now_s))
-        return self.model.uplink_sinr_db(observation, interference)
+        return self.model.uplink_sinr_db(observation.rss_dbm, interference)
 
     def _deliver(self, payload: bytes, bit_rate_bps: float, snr_db: float):
         bits = len(payload) * 8 + FRAME_OVERHEAD_BITS
@@ -202,7 +212,7 @@ class InventoryProcess:
         max_rounds: int = 32,
         frame_cap: int = 64,
         slot_s: float = 25e-6,
-        interference_dbm: Callable[[Pose2D], tuple[float, ...]] | None = None,
+        interference_dbm: InterferenceField | None = None,
         on_complete: Callable[[InventoryResult], None] | None = None,
     ) -> None:
         if frame_cap < 2:
@@ -238,18 +248,20 @@ class InventoryProcess:
 
     # --- internals -----------------------------------------------------------------
 
-    def _reachable(self, node_id: str) -> bool:
-        node_pose = self.nodes[node_id].pose_at(self.sim.now_s)
-        observation = self.model.observe(self.ap.pose, node_pose)
-        if observation.downlink_snr_db < MIN_DOWNLINK_SNR_DB:
-            return False
-        interference: tuple[float, ...] = ()
+    def _reachable(self) -> set[str]:
+        """Pending tags clearing both detection floors, from one batch per
+        frame; it draws no randomness and the clock stands still in a frame."""
+        poses = [self.nodes[tag].pose_at(self.sim.now_s) for tag in self.pending]
+        rss_dbm, _, downlink_snr_db = self.model.observe_many(self.ap.pose, poses)
+        rows = np.flatnonzero(downlink_snr_db >= MIN_DOWNLINK_SNR_DB).tolist()
+        interference = [()] * len(rows)
         if self._interference_dbm is not None:
-            interference = self._interference_dbm(node_pose)
-        return (
-            self.model.uplink_sinr_db(observation, interference)
-            >= MIN_UPLINK_SINR_DB
-        )
+            interference = self._interference_dbm([poses[i] for i in rows]).tolist()
+        return {
+            self.pending[i]
+            for i, dbm in zip(rows, interference, strict=True)
+            if self.model.uplink_sinr_db(rss_dbm[i], dbm) >= MIN_UPLINK_SINR_DB
+        }
 
     def _frame_scene(self) -> Scene2D:
         placements = tuple(
@@ -267,7 +279,7 @@ class InventoryProcess:
             self.rng,
             self.pending,
             frame_size,
-            heard=self._reachable,
+            heard=self._reachable().__contains__,
             scheduler=lambda: SdmScheduler(self._frame_scene()),
         )
         self.rounds.append(round_stats)
@@ -321,7 +333,7 @@ class TransferProcess:
         payload_bytes: int = 32,
         bit_rate_bps: float = 10e6,
         max_attempts: int = 4,
-        interference_dbm: Callable[[Pose2D], tuple[float, ...]] | None = None,
+        interference_dbm: InterferenceField | None = None,
         on_complete: Callable[["TransferProcess"], None] | None = None,
     ) -> None:
         if payload_bytes < 1:

@@ -2,7 +2,7 @@
 
 A thousand-node simulation cannot afford per-node waveform synthesis;
 what it needs from the physics is the *link budget* — and that is
-already exact in :class:`repro.sim.linkbudget.LinkBudget`, which every
+already exact in :mod:`repro.sim.linkbudget`, which every
 figure-reproduction waveform is scaled by. This module evaluates that
 same budget per (AP pose, node pose) pair and reduces it to the three
 quantities the network layer consumes:
@@ -17,37 +17,31 @@ quantities the network layer consumes:
 
 Evaluations are cached per model instance keyed by exact geometry, so
 static fleets pay for each distinct pose once; the cache is bounded and
-its traffic lands in ``cache.{hits,misses}{cache=netsim_link}``. Mobile
-fleets, whose poses rarely repeat, pay an evaluation per observation,
-so a miss evaluates the FSA pattern and the free-space path loss once
-and derives both directions from them
-(:meth:`~repro.sim.linkbudget.LinkBudget.port_gains_db`). All
-outputs are pure functions of the inputs — no RNG, no wall clock — so
-a scenario's link behaviour replays identically anywhere.
+its traffic lands in ``cache.{hits,misses}{cache=netsim_link}``. A
+caller asking about many nodes at one simulated instant (a roaming
+tick, an inventory frame) takes :meth:`FleetLinkModel.observe_many`:
+one array pass over the batch's misses, each evaluating the FSA pattern
+and the path loss once for both directions
+(:meth:`~repro.sim.linkbudget.PortBudget.gains_at_db`). All outputs are
+pure functions of the inputs — no RNG, no wall clock — so a scenario's
+link behaviour replays identically anywhere.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 from repro import obs
-from repro.antennas.dual_port_fsa import DualPortFsa
-from repro.antennas.fixed import HornAntenna
 from repro.channel.propagation import free_space_path_loss_db
-from repro.channel.scene import NodePlacement, Scene2D
-from repro.constants import (
-    AP_HORN_GAIN_DBI,
-    AP_TX_POWER_DBM,
-    BAND_CENTER_HZ,
-    BAND_START_HZ,
-    BAND_STOP_HZ,
-)
+from repro.constants import AP_TX_POWER_DBM, BAND_CENTER_HZ, BAND_START_HZ, BAND_STOP_HZ
 from repro.dsp.noise import thermal_noise_power_dbm
 from repro.errors import NetworkSimError
-from repro.hardware.switch import SpdtSwitch
 from repro.sim.calibration import Calibration, default_calibration
-from repro.sim.linkbudget import LinkBudget
+from repro.sim.linkbudget import PortBudget
 from repro.utils.geometry import Pose2D, angle_between_deg
 
 __all__ = ["LinkObservation", "FleetLinkModel"]
@@ -89,14 +83,11 @@ class FleetLinkModel:
         if cache_size < 1:
             raise NetworkSimError("cache size must be at least 1")
         self.calibration = calibration or default_calibration()
-        self._fsa = DualPortFsa()
-        self._tx_horn = HornAntenna(AP_HORN_GAIN_DBI)
-        self._rx_horn = HornAntenna(AP_HORN_GAIN_DBI)
-        self._switch = SpdtSwitch()
+        self._budget = PortBudget(calibration=self.calibration)
         self._noise_floor_dbm = thermal_noise_power_dbm(
             SYMBOL_BANDWIDTH_HZ, self.calibration.ap_noise_figure_db
         )
-        self._cache: dict[tuple[float, float, float], LinkObservation] = {}
+        self._cache: dict[tuple[float, float, float], tuple[float, ...]] = {}
         self._cache_size = cache_size
 
     @property
@@ -113,84 +104,101 @@ class FleetLinkModel:
         """Evaluate the (AP, node) link budget at the given poses.
 
         ``blockage_db`` is a *one-way* LoS obstruction loss: it enters
-        the downlink once and the backscatter round trip twice.
-
-        The operating tone is *steered*: the FSA's beam direction is a
-        function of frequency, so the AP queries each node at the
-        port-A alignment frequency for that node's orientation (the
-        paper's frequency-selective addressing). Orientations whose
-        aligned tone falls outside the band get the nearest in-band
-        tone and degrade through beam squint, exactly as the hardware
-        would.
+        the downlink once and the backscatter round trip twice. A hit
+        returns the bits of the call that filled the entry: one that
+        :meth:`observe_many` filled can differ from a fresh evaluation
+        here in the last bits (~1e-12 dB). The query order is
+        deterministic, so runs still replay bit for bit.
         """
         distance_m = ap_pose.distance_to(node_pose)
         azimuth_deg = ap_pose.relative_bearing_to(node_pose)
         orientation_deg = node_pose.relative_bearing_to(ap_pose)
         # The budget depends on geometry only through distance and
-        # orientation (the AP steers at the node), so the cache key is
-        # exact — a collision can only return the identical answer.
+        # orientation (the AP steers at the node), so this key is exact.
         key = (distance_m, orientation_deg, blockage_db)
-        cached = self._cache.get(key)
-        if cached is not None:
+        budgets = self._cache.get(key)
+        if budgets is None:
+            obs.counter("cache.misses", cache="netsim_link").inc()
+            evaluated = self._evaluate(distance_m, orientation_deg, blockage_db)
+            budgets = self._store(key, tuple(map(float, evaluated)))
+        else:
             obs.counter("cache.hits", cache="netsim_link").inc()
-            return LinkObservation(
-                distance_m,
-                azimuth_deg,
-                cached.orientation_deg,
-                cached.rss_dbm,
-                cached.uplink_snr_db,
-                cached.downlink_snr_db,
+        return LinkObservation(distance_m, azimuth_deg, orientation_deg, *budgets)
+
+    def observe_many(
+        self, ap_pose: Pose2D, node_poses: Sequence[Pose2D]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """RSS [dBm], uplink SNR [dB] and downlink SNR [dB] from one AP
+        to many unblocked nodes at one instant, as arrays in
+        ``node_poses`` order. The batch's cache misses are evaluated in
+        one array pass; hits and misses count as a loop of :meth:`observe`
+        would. A row can differ from :meth:`observe` in the last bits
+        (~1e-12 dB): BLAS sums the FSA array factor of one point and of
+        many differently."""
+        keys = [
+            (ap_pose.distance_to(pose), pose.relative_bearing_to(ap_pose), 0.0)
+            for pose in node_poses
+        ]
+        budgets = {key: self._cache[key] for key in keys if key in self._cache}
+        fresh = [key for key in dict.fromkeys(keys) if key not in budgets]
+        if fresh:
+            distance_m, orientation_deg, _ = zip(*fresh)
+            columns = self._evaluate(
+                np.array(distance_m), np.array(orientation_deg), 0.0
             )
-        obs.counter("cache.misses", cache="netsim_link").inc()
-        aligned_hz = float(
-            self._fsa.port_a.alignment_frequency_hz(orientation_deg)
+            for key, row in zip(fresh, zip(*(c.tolist() for c in columns))):
+                budgets[key] = self._store(key, row)
+            obs.counter("cache.misses", cache="netsim_link").inc(len(fresh))
+        if len(keys) > len(fresh):
+            obs.counter("cache.hits", cache="netsim_link").inc(len(keys) - len(fresh))
+        table = np.array([budgets[key] for key in keys], dtype=float).reshape(-1, 3)
+        return table[:, 0], table[:, 1], table[:, 2]
+
+    def _evaluate(self, distance_m, orientation_deg, blockage_db):
+        """(RSS, uplink SNR, downlink SNR) on scalars or arrays. The AP
+        queries each node at the port-A alignment frequency for its
+        orientation (the paper's frequency-selective addressing); a tone
+        outside the band is clamped to the nearest edge and degrades
+        through beam squint, as the hardware would."""
+        tone_hz = np.clip(
+            self._budget.fsa.port_a.alignment_frequency_hz(orientation_deg),
+            BAND_START_HZ,
+            BAND_STOP_HZ,
         )
-        tone_hz = min(max(aligned_hz, BAND_START_HZ), BAND_STOP_HZ)
-        budget = LinkBudget(
-            scene=Scene2D(ap_pose, (NodePlacement(node_pose, "node"),), ()),
-            fsa=self._fsa,
-            tx_horn=self._tx_horn,
-            rx_horn=self._rx_horn,
-            switch=self._switch,
-            calibration=self.calibration,
-            tx_power_dbm=AP_TX_POWER_DBM,
-            node_id="node",
+        downlink_gain_db, uplink_gain_db = self._budget.gains_at_db(
+            "A", distance_m, orientation_deg, tone_hz
         )
-        downlink_gain_db, uplink_gain_db = budget.port_gains_db("A", tone_hz)
         rss_dbm = AP_TX_POWER_DBM + uplink_gain_db - 2.0 * blockage_db
-        uplink_snr_db = min(
+        uplink_snr_db = np.minimum(
             rss_dbm - self._noise_floor_dbm, self.calibration.uplink_sinr_cap_db
         )
         downlink_snr_db = (
             AP_TX_POWER_DBM + downlink_gain_db - blockage_db - NODE_NOISE_FLOOR_DBM
         )
-        observation = LinkObservation(
-            distance_m=distance_m,
-            azimuth_deg=azimuth_deg,
-            orientation_deg=orientation_deg,
-            rss_dbm=rss_dbm,
-            uplink_snr_db=uplink_snr_db,
-            downlink_snr_db=downlink_snr_db,
-        )
+        return rss_dbm, uplink_snr_db, downlink_snr_db
+
+    def _store(self, key: tuple[float, float, float], budgets: tuple) -> tuple:
         if len(self._cache) >= self._cache_size:
             self._cache.pop(next(iter(self._cache)))
-        self._cache[key] = observation
-        return observation
+        self._cache[key] = budgets
+        return budgets
 
     # --- inter-AP interference ----------------------------------------------------
 
     def ap_interference_dbm(
         self,
         rx_ap_pose: Pose2D,
-        rx_target_pose: Pose2D,
+        rx_target_pose: Pose2D | Sequence[Pose2D],
         tx_ap_pose: Pose2D,
         tx_target_pose: Pose2D,
-    ) -> float:
+    ) -> float | np.ndarray:
         """Power one AP's transmission couples into another AP's receiver.
 
         The receiving AP's horn points at the node it is serving, the
         interfering AP's horn at *its* target; both patterns attenuate
-        the AP↔AP path at the respective angular offsets.
+        the AP↔AP path at the respective angular offsets. One
+        ``rx_target_pose`` gives a float; a sequence gives an array, one
+        entry per pose, with the per-AP-pair terms evaluated once.
         """
         distance_m = tx_ap_pose.distance_to(rx_ap_pose)
         if distance_m <= 0:
@@ -198,26 +206,29 @@ class FleetLinkModel:
         tx_offset_deg = angle_between_deg(
             tx_ap_pose.bearing_to(rx_ap_pose), tx_ap_pose.bearing_to(tx_target_pose)
         )
-        rx_offset_deg = angle_between_deg(
-            rx_ap_pose.bearing_to(tx_ap_pose), rx_ap_pose.bearing_to(rx_target_pose)
-        )
+        rx_bearing_deg = rx_ap_pose.bearing_to(tx_ap_pose)
+
+        def rx_offset_deg(pose: Pose2D) -> float:
+            return angle_between_deg(rx_bearing_deg, rx_ap_pose.bearing_to(pose))
+
+        offsets_deg: float | np.ndarray
+        if isinstance(rx_target_pose, Pose2D):
+            offsets_deg = rx_offset_deg(rx_target_pose)
+        else:
+            offsets_deg = np.array([rx_offset_deg(pose) for pose in rx_target_pose])
         return (
             AP_TX_POWER_DBM
-            + float(self._tx_horn.gain_dbi(tx_offset_deg, BAND_CENTER_HZ))
-            + float(self._rx_horn.gain_dbi(rx_offset_deg, BAND_CENTER_HZ))
+            + float(self._budget.tx_horn.gain_dbi(tx_offset_deg, BAND_CENTER_HZ))
+            + self._budget.rx_horn.gain_dbi(offsets_deg, BAND_CENTER_HZ)
             - float(free_space_path_loss_db(distance_m, BAND_CENTER_HZ))
         )
 
     def uplink_sinr_db(
-        self,
-        observation: LinkObservation,
-        interference_dbm: list[float] | tuple[float, ...] = (),
+        self, rss_dbm: float, interference_dbm: Sequence[float] = ()
     ) -> float:
-        """SINR [dB]: the observation's RSS over noise + interference."""
+        """SINR [dB]: RSS over noise + interference, with one
+        interference value [dBm] per interfering AP."""
         noise_mw = 10.0 ** (self._noise_floor_dbm / 10.0)
         interference_mw = sum(10.0 ** (i / 10.0) for i in interference_dbm)
         denominator_dbm = 10.0 * math.log10(noise_mw + interference_mw)
-        return min(
-            observation.rss_dbm - denominator_dbm,
-            self.calibration.uplink_sinr_cap_db,
-        )
+        return min(rss_dbm - denominator_dbm, self.calibration.uplink_sinr_cap_db)

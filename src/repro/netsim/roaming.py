@@ -4,25 +4,29 @@ A fleet larger than one room needs several APs, and a mobile node must
 pick which one serves it. The controller re-evaluates every node's RSS
 toward every AP on a fixed simulated-time cadence and hands the node
 over only when another AP beats the serving one by a hysteresis margin
-— the classic guard against ping-ponging on the cell edge.
+— the classic guard against ping-ponging on the cell edge. Each
+evaluation asks the link model one batch per AP, not one call per
+(node, AP) pair.
 
 Co-channel APs also interfere: an AP decoding a tag's backscatter hears
 every other AP's carrier through both horns' off-axis patterns. The
-controller exposes that as a per-AP interference field the link layer
-folds into its SINR, so cell-edge tags degrade the way a real
-deployment's would rather than enjoying single-AP physics.
+controller exposes that as a per-AP interference field over node poses
+that the link layer folds into its SINR, so cell-edge tags degrade the
+way a real deployment's would rather than enjoying single-AP physics.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from repro import obs
 from repro.errors import NetworkSimError
 from repro.utils.geometry import Pose2D
 
 from repro.netsim.core import NetworkSimulation
-from repro.netsim.fleet import FleetAp, FleetNode
+from repro.netsim.fleet import FleetAp, FleetNode, InterferenceField
 from repro.netsim.linkmodel import FleetLinkModel
 
 __all__ = ["RoamingController"]
@@ -82,25 +86,20 @@ class RoamingController:
 
     def attach_all(self) -> None:
         """Give every node its best-RSS serving AP (initial attachment)."""
-        for node_id in sorted(self.nodes):
-            node = self.nodes[node_id]
-            best = self._best_ap(node)
-            node.serving_ap = best
-            self.aps[best].members.append(node_id)
+        nodes = [node for _, node in sorted(self.nodes.items())]
+        for node, rss_dbm in zip(nodes, self._rss_by_node(nodes)):
+            # max() keeps the first maximum: ties go to the lowest ap id.
+            node.serving_ap = max(rss_dbm, key=rss_dbm.__getitem__)
+            self.aps[node.serving_ap].members.append(node.node_id)
 
-    def _best_ap(self, node: FleetNode) -> str:
-        pose = node.pose_at(self.sim.now_s)
-        # Ties break on ap id: sort ascending, take the max of
-        # (rss, reversed-id preference) deterministically.
-        best_id: str | None = None
-        best_rss_dbm = -math.inf
-        for ap_id in sorted(self.aps):
-            rss_dbm = self.model.observe(self.aps[ap_id].pose, pose).rss_dbm
-            if rss_dbm > best_rss_dbm:
-                best_rss_dbm = rss_dbm
-                best_id = ap_id
-        assert best_id is not None
-        return best_id
+    def _rss_by_node(self, nodes: list[FleetNode]) -> list[dict[str, float]]:
+        """Each node's RSS [dBm] per AP in ap id order: one batch per AP."""
+        poses = [node.pose_at(self.sim.now_s) for node in nodes]
+        columns = {
+            ap_id: self.model.observe_many(ap.pose, poses)[0].tolist()
+            for ap_id, ap in sorted(self.aps.items())
+        }
+        return [dict(zip(columns, row)) for row in zip(*columns.values())]
 
     # --- periodic handoff evaluation -----------------------------------------------
 
@@ -109,22 +108,21 @@ class RoamingController:
         self.sim.schedule(self.interval_s, self._tick)
 
     def _tick(self) -> None:
-        now_s = self.sim.now_s
-        for node_id in sorted(self.nodes):
-            node = self.nodes[node_id]
-            serving = node.serving_ap
-            if serving is None:
-                continue
-            pose = node.pose_at(now_s)
-            serving_rss_dbm = self.model.observe(self.aps[serving].pose, pose).rss_dbm
-            for ap_id in sorted(self.aps):
-                if ap_id == serving:
-                    continue
-                rss_dbm = self.model.observe(self.aps[ap_id].pose, pose).rss_dbm
-                if rss_dbm > serving_rss_dbm + self.hysteresis_db:
-                    self._handoff(node, serving, ap_id, serving_rss_dbm, rss_dbm)
+        live = [
+            (node, node.serving_ap)
+            for _, node in sorted(self.nodes.items())
+            if node.serving_ap is not None
+        ]
+        # A handoff changes only its own node, so one evaluation of
+        # every (node, AP) pair decides as node-by-node evaluation would.
+        rows = self._rss_by_node([node for node, _ in live])
+        for (node, serving), rss_dbm in zip(live, rows):
+            serving_rss_dbm = rss_dbm.pop(serving)
+            for ap_id, to_rss_dbm in rss_dbm.items():
+                if to_rss_dbm > serving_rss_dbm + self.hysteresis_db:
+                    self._handoff(node, serving, ap_id, serving_rss_dbm, to_rss_dbm)
                     break
-        if self.horizon_s is None or now_s + self.interval_s <= self.horizon_s:
+        if self.horizon_s is None or self.sim.now_s + self.interval_s <= self.horizon_s:
             self.sim.schedule(self.interval_s, self._tick)
 
     def _handoff(
@@ -154,29 +152,30 @@ class RoamingController:
 
     # --- interference --------------------------------------------------------------
 
-    def interference_for(self, ap_id: str):
+    def interference_for(self, ap_id: str) -> InterferenceField:
         """Interference field seen by ``ap_id``'s receiver.
 
-        Returns a callable ``(node_pose) -> tuple[dBm, ...]`` suitable
-        for :class:`repro.netsim.fleet.FleetLink`: every other AP
-        contributes its carrier through both horns' patterns, with the
-        receiving AP steered at the node it is decoding and each
-        interferer steered at its own boresight.
+        Every other AP contributes its carrier through both horns'
+        patterns, with the receiving AP steered at the node it is
+        decoding and each interferer steered at its own boresight. The
+        field maps one node pose to a tuple of dBm, one per other AP in
+        ap id order, and a sequence of poses to an array with one row
+        per pose and one column per other AP.
         """
         if ap_id not in self.aps:
             raise NetworkSimError(f"unknown AP {ap_id!r}")
         rx_ap = self.aps[ap_id]
 
-        def field(node_pose: Pose2D) -> tuple[float, ...]:
-            return tuple(
+        def field(node_poses):
+            columns = [
                 self.model.ap_interference_dbm(
-                    rx_ap.pose,
-                    node_pose,
-                    other.pose,
-                    _boresight_target(other.pose),
+                    rx_ap.pose, node_poses, other.pose, _boresight_target(other.pose)
                 )
                 for other_id, other in sorted(self.aps.items())
                 if other_id != ap_id
-            )
+            ]
+            if isinstance(node_poses, Pose2D):
+                return tuple(columns)
+            return np.column_stack(columns)
 
         return field

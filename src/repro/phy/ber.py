@@ -31,11 +31,18 @@ __all__ = [
 FloatOrArray = Union[float, NDArray[np.float64]]
 
 
+#: ``math.erfc`` per element; NumPy has no erfc ufunc, and SciPy's
+#: differs from it by tens of ulp.
+_erfc = np.vectorize(math.erfc, otypes=[float])
+
+
 def q_function(x: ArrayLike) -> FloatOrArray:
     """Gaussian tail probability Q(x)."""
     arr = np.asarray(x, dtype=float)
-    result = 0.5 * np.vectorize(math.erfc)(arr / math.sqrt(2.0))
-    return result if result.ndim else float(result)
+    if arr.ndim == 0:
+        return 0.5 * math.erfc(float(arr) / math.sqrt(2.0))
+    result: NDArray[np.float64] = 0.5 * _erfc(arr / math.sqrt(2.0))
+    return result
 
 
 def ook_matched_filter_ber(snr_db: ArrayLike) -> FloatOrArray:

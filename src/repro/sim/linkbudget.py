@@ -25,7 +25,7 @@ from repro.hardware.switch import SpdtSwitch
 from repro.sim.calibration import Calibration, default_calibration
 from repro.utils.units import dbm_to_watts
 
-__all__ = ["PathGain", "LinkBudget"]
+__all__ = ["PathGain", "PortBudget", "LinkBudget"]
 
 
 @dataclass(frozen=True)
@@ -44,8 +44,93 @@ class PathGain:
         return 10.0 ** (self.gain_db / 20.0)
 
 
+@dataclass(kw_only=True)
+class PortBudget:
+    """One FSA port's downlink and backscatter gains from link geometry.
+
+    The scene-free core of :class:`LinkBudget`. With the AP's horns
+    steered at the node, a port's gains depend on the geometry only
+    through the node's range and orientation, which these methods take
+    as scalars (floats come back) or as arrays (one entry per link).
+    """
+
+    fsa: DualPortFsa = field(default_factory=DualPortFsa)
+    tx_horn: HornAntenna = field(default_factory=lambda: HornAntenna(AP_HORN_GAIN_DBI))
+    rx_horn: HornAntenna = field(default_factory=lambda: HornAntenna(AP_HORN_GAIN_DBI))
+    switch: SpdtSwitch = field(default_factory=SpdtSwitch)
+    calibration: Calibration = field(default_factory=default_calibration)
+    #: Weather condition; None means indoor (no atmospheric loss).
+    atmosphere: AtmosphereModel | None = None
+
+    def _port_terms_at(self, port: str, distance_m, orientation_deg, frequency_hz):
+        """The geometry-dependent terms every port budget shares:
+        (FSA gain [dBi] toward the AP, one-way FSPL [dB], one-way
+        atmospheric loss [dB]).
+
+        The FSA pattern is the costly one — a full array-factor sum —
+        so callers needing both directions take :meth:`gains_at_db`
+        rather than evaluating it twice.
+        """
+        fspl = free_space_path_loss_db(distance_m, frequency_hz)
+        fsa_gain = self.fsa.gain_dbi(port, orientation_deg, frequency_hz)
+        atmo_db = (
+            self.atmosphere.one_way_loss_db(distance_m, frequency_hz)
+            if self.atmosphere is not None
+            else 0.0
+        )
+        return fsa_gain, fspl, atmo_db
+
+    def gains_at_db(self, port: str, distance_m, orientation_deg, frequency_hz):
+        """(downlink, backscatter) power gains [dB] of one port at one
+        tone, for a node ``distance_m`` away at ``orientation_deg``.
+
+        One FSA-pattern and one path-loss evaluation serve both
+        directions.
+        """
+        fsa_gain, fspl, atmo_db = self._port_terms_at(
+            port, distance_m, orientation_deg, frequency_hz
+        )
+        return (
+            self._downlink_gain_db(fsa_gain, fspl, atmo_db),
+            self._backscatter_gain_db(
+                fsa_gain, fspl, atmo_db, include_modulation_loss=True
+            ),
+        )
+
+    def _downlink_gain_db(self, fsa_gain, fspl, atmo_db):
+        switch_db = -20.0 * math.log10(self.switch.through_amplitude())
+        return (
+            self.tx_horn.peak_gain_dbi
+            + fsa_gain
+            - fspl
+            - switch_db
+            - atmo_db
+            - self.calibration.downlink_implementation_loss_db
+        )
+
+    def _backscatter_gain_db(self, fsa_gain, fspl, atmo_db, include_modulation_loss):
+        # Reflect-state loss: the shorted port reflects fully minus two
+        # passes through the switch.
+        reflect_db = 2.0 * self.switch.insertion_loss_db
+        modulation_db = (
+            self.calibration.backscatter_modulation_loss_db
+            if include_modulation_loss
+            else 0.0
+        )
+        return (
+            self.tx_horn.peak_gain_dbi
+            + 2.0 * fsa_gain
+            + self.rx_horn.peak_gain_dbi
+            - 2.0 * fspl
+            - reflect_db
+            - modulation_db
+            - 2.0 * atmo_db
+            - self.calibration.uplink_implementation_loss_db
+        )
+
+
 @dataclass
-class LinkBudget:
+class LinkBudget(PortBudget):
     """Computes every path gain the simulator needs for one scene.
 
     The AP's horns are assumed steered at the node (the paper steers
@@ -54,15 +139,8 @@ class LinkBudget:
     """
 
     scene: Scene2D
-    fsa: DualPortFsa = field(default_factory=DualPortFsa)
-    tx_horn: HornAntenna = field(default_factory=lambda: HornAntenna(AP_HORN_GAIN_DBI))
-    rx_horn: HornAntenna = field(default_factory=lambda: HornAntenna(AP_HORN_GAIN_DBI))
-    switch: SpdtSwitch = field(default_factory=SpdtSwitch)
-    calibration: Calibration = field(default_factory=default_calibration)
     tx_power_dbm: float = AP_TX_POWER_DBM
     node_id: str | None = None
-    #: Weather condition; None means indoor (no atmospheric loss).
-    atmosphere: AtmosphereModel | None = None
 
     # --- geometry shortcuts ---------------------------------------------------
 
@@ -85,24 +163,10 @@ class LinkBudget:
     # --- per-port budgets --------------------------------------------------------
 
     def _port_terms(self, port: str, frequency_hz: float) -> tuple[float, float, float]:
-        """The geometry-dependent terms every port budget shares:
-        (FSA gain [dBi] toward the AP, one-way FSPL [dB], one-way
-        atmospheric loss [dB]).
-
-        The FSA pattern is the costly one — a full array-factor sum —
-        so callers needing both directions take
-        :meth:`port_gains_db` rather than evaluating it twice.
-        """
-        d = self.node_distance_m()
-        orientation = self.node_orientation_deg()
-        fspl = float(free_space_path_loss_db(d, frequency_hz))
-        fsa_gain = float(self.fsa.gain_dbi(port, orientation, frequency_hz))
-        atmo_db = (
-            self.atmosphere.one_way_loss_db(d, frequency_hz)
-            if self.atmosphere is not None
-            else 0.0
+        """:meth:`_port_terms_at` this scene's node geometry."""
+        return self._port_terms_at(
+            port, self.node_distance_m(), self.node_orientation_deg(), frequency_hz
         )
-        return fsa_gain, fspl, atmo_db
 
     def port_gains_db(self, port: str, frequency_hz: float) -> tuple[float, float]:
         """(downlink, backscatter) power gains [dB] of one port at one tone.
@@ -111,12 +175,8 @@ class LinkBudget:
         directions; each value is bitwise equal to
         :meth:`downlink_port_gain_db` / :meth:`backscatter_gain_db`.
         """
-        fsa_gain, fspl, atmo_db = self._port_terms(port, frequency_hz)
-        return (
-            self._downlink_gain_db(fsa_gain, fspl, atmo_db),
-            self._backscatter_gain_db(
-                fsa_gain, fspl, atmo_db, include_modulation_loss=True
-            ),
+        return self.gains_at_db(
+            port, self.node_distance_m(), self.node_orientation_deg(), frequency_hz
         )
 
     # --- downlink (AP → node port) ---------------------------------------------
@@ -129,17 +189,6 @@ class LinkBudget:
         − FSPL − switch insertion − implementation loss.
         """
         return self._downlink_gain_db(*self._port_terms(port, frequency_hz))
-
-    def _downlink_gain_db(self, fsa_gain: float, fspl: float, atmo_db: float) -> float:
-        switch_db = -20.0 * math.log10(self.switch.through_amplitude())
-        return (
-            self.tx_horn.peak_gain_dbi
-            + fsa_gain
-            - fspl
-            - switch_db
-            - atmo_db
-            - self.calibration.downlink_implementation_loss_db
-        )
 
     def downlink_path(self, port: str, frequency_hz: float) -> PathGain:
         """Downlink gain packaged with the propagation delay."""
@@ -168,32 +217,6 @@ class LinkBudget:
         """
         return self._backscatter_gain_db(
             *self._port_terms(port, frequency_hz), include_modulation_loss
-        )
-
-    def _backscatter_gain_db(
-        self,
-        fsa_gain: float,
-        fspl: float,
-        atmo_db: float,
-        include_modulation_loss: bool,
-    ) -> float:
-        # Reflect-state loss: the shorted port reflects fully minus two
-        # passes through the switch.
-        reflect_db = 2.0 * self.switch.insertion_loss_db
-        modulation_db = (
-            self.calibration.backscatter_modulation_loss_db
-            if include_modulation_loss
-            else 0.0
-        )
-        return (
-            self.tx_horn.peak_gain_dbi
-            + 2.0 * fsa_gain
-            + self.rx_horn.peak_gain_dbi
-            - 2.0 * fspl
-            - reflect_db
-            - modulation_db
-            - 2.0 * atmo_db
-            - self.calibration.uplink_implementation_loss_db
         )
 
     def backscatter_path(self, port: str, frequency_hz: float) -> PathGain:

@@ -1,5 +1,6 @@
 """Tests for repro.netsim: kernel, link model, fleet actors, determinism."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -30,6 +31,7 @@ from repro.netsim import (
 )
 from repro.netsim.core import EventQueue
 from repro.netsim.linkmodel import NODE_NOISE_FLOOR_DBM
+from repro.netsim.roaming import _boresight_target
 from repro.protocol.arq import ReliableChannel
 from repro.protocol.inventory import SlottedInventory
 from repro.sim import linkbudget
@@ -224,16 +226,76 @@ class TestFleetLinkModel:
             clear.downlink_snr_db - 10.0
         )
 
+    @staticmethod
+    def _random_poses(n, seed=0):
+        rng = np.random.default_rng(seed)
+        return [
+            Pose2D.at(x, y, heading)
+            for x, y, heading in zip(
+                rng.uniform(0.5, 16.0, n),
+                rng.uniform(-8.0, 8.0, n),
+                rng.uniform(-180.0, 180.0, n),
+            )
+        ]
+
+    def test_observe_many_rows_match_observe(self):
+        # Headings round the full circle: many tones clamp to a band edge.
+        ap = Pose2D.at(0.5, -0.25, 20.0)
+        poses = self._random_poses(200)
+        batch = FleetLinkModel().observe_many(ap, poses)
+        single = FleetLinkModel()
+        for row, pose in enumerate(poses):
+            got = single.observe(ap, pose)
+            expected = (got.rss_dbm, got.uplink_snr_db, got.downlink_snr_db)
+            for column, value in zip(batch, expected):
+                assert abs(column[row] - value) <= 1e-9
+
+    def test_observe_many_counts_cache_traffic(self):
+        obs.reset()
+        model = FleetLinkModel()
+        ap = Pose2D.at(0.0, 0.0, 0.0)
+        poses = self._random_poses(7, seed=1)
+
+        def traffic():
+            return (
+                obs.counter("cache.hits", cache="netsim_link").value,
+                obs.counter("cache.misses", cache="netsim_link").value,
+            )
+
+        rss_dbm, uplink_snr_db, downlink_snr_db = model.observe_many(ap, poses)
+        assert rss_dbm.shape == uplink_snr_db.shape == downlink_snr_db.shape == (7,)
+        assert traffic() == (0, 7)
+        again = model.observe_many(ap, poses)
+        assert traffic() == (7, 7)
+        for column, first in zip(again, (rss_dbm, uplink_snr_db, downlink_snr_db)):
+            assert np.array_equal(column, first)
+        # Inside one batch a repeated new key is a hit after its first row.
+        fresh = self._random_poses(2, seed=2)
+        repeated = model.observe_many(ap, [fresh[0], fresh[1], fresh[0]])
+        assert traffic() == (8, 9)
+        assert repeated[0][0] == repeated[0][2]
+        empty = model.observe_many(ap, [])
+        assert all(column.shape == (0,) for column in empty)
+        assert traffic() == (8, 9)
+        # The cache is shared: observe hits a batch's entry, bit for bit.
+        hit = model.observe(ap, poses[3])
+        assert traffic() == (9, 9)
+        assert (hit.rss_dbm, hit.uplink_snr_db, hit.downlink_snr_db) == (
+            rss_dbm[3],
+            uplink_snr_db[3],
+            downlink_snr_db[3],
+        )
+
     def test_interference_lowers_sinr(self):
         model = FleetLinkModel()
         ap = Pose2D.at(0.0, 0.0, 90.0)
         observation = model.observe(ap, Pose2D.at(0.0, 5.0, 270.0))
-        clean = model.uplink_sinr_db(observation)
+        clean = model.uplink_sinr_db(observation.rss_dbm)
         other = Pose2D.at(24.0, 0.0, 90.0)
         interference = model.ap_interference_dbm(
             ap, Pose2D.at(0.0, 5.0), other, Pose2D.at(24.0, 10.0)
         )
-        assert model.uplink_sinr_db(observation, (interference,)) <= clean
+        assert model.uplink_sinr_db(observation.rss_dbm, (interference,)) <= clean
 
     def test_invalid_construction(self):
         with pytest.raises(NetworkSimError):
@@ -372,6 +434,26 @@ class TestRoaming:
         assert len(values) == 1
         assert values[0] < 0.0  # dBm, attenuated below TX power
 
+    def test_interference_field_rows_match_scalar(self):
+        sim, controller, _ = self._mobile_fixture()
+        controller.aps["ap-2"] = FleetAp("ap-2", Pose2D.at(12.0, 20.0, 270.0))
+        poses = TestFleetLinkModel._random_poses(50, seed=3)
+        for ap_id, rx_ap in controller.aps.items():
+            field = controller.interference_for(ap_id)(poses)
+            others = [
+                ap for other_id, ap in sorted(controller.aps.items()) if other_id != ap_id
+            ]
+            assert field.shape == (len(poses), len(others))
+            for row, pose in enumerate(poses):
+                for column, other in enumerate(others):
+                    scalar = controller.model.ap_interference_dbm(
+                        rx_ap.pose,
+                        pose,
+                        other.pose,
+                        _boresight_target(other.pose),
+                    )
+                    assert abs(field[row, column] - scalar) <= 1e-9
+
     def test_needs_two_aps(self):
         model = FleetLinkModel()
         sim = NetworkSimulation()
@@ -470,3 +552,39 @@ class TestScenarioOutcomes:
         assert spec.trace_capacity is not None
         result = run_scenario("three-ap-roaming", seed=0)
         assert result.trace_events <= spec.trace_capacity
+
+
+class TestBatchedLinkQueries:
+    def test_one_batch_per_ap_per_tick_and_per_frame(self, monkeypatch):
+        # Without transfers every link query comes from roaming and
+        # inventory; a slide back to per-node queries trips `observe`.
+        spec = dataclasses.replace(
+            get_scenario("three-ap-roaming"),
+            name="three-ap-roaming-12-mobile-0.5s",
+            n_nodes=12,
+            mobile_fraction=1.0,
+            horizon_s=0.5,
+            transfers=False,
+        )
+        monkeypatch.setitem(SCENARIOS, spec.name, spec)
+        calls = {"observe": 0, "observe_many": 0, "_tick": 0}
+
+        def counted(cls, name):
+            method = getattr(cls, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return method(*args, **kwargs)
+
+            monkeypatch.setattr(cls, name, wrapper)
+
+        counted(FleetLinkModel, "observe")
+        counted(FleetLinkModel, "observe_many")
+        counted(RoamingController, "_tick")
+        obs.reset()
+        run_scenario(spec.name, seed=0)
+        frames = obs.counter("netsim.rounds").value
+        assert frames > 0 and calls["_tick"] > 0
+        assert calls["observe"] == 0
+        # One batch per AP at attachment and at every tick, one per frame.
+        assert calls["observe_many"] == spec.n_aps * (1 + calls["_tick"]) + frames

@@ -1,5 +1,7 @@
 """PHY layer tests: OAQFM, OOK, framing, BER."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -183,6 +185,17 @@ class TestFraming:
 
 
 class TestBer:
+    def test_q_function_is_erfc_per_element_bit_for_bit(self):
+        values = np.random.default_rng(0).uniform(-40.0, 40.0, 20_000)
+        expected = np.array([0.5 * math.erfc(v / math.sqrt(2.0)) for v in values])
+        assert np.array_equal(q_function(values), expected)
+        assert np.array_equal(
+            q_function(values.reshape(100, 200)), expected.reshape(100, 200)
+        )
+        scalars = [q_function(v) for v in values.tolist()]
+        assert all(type(q) is float for q in scalars)
+        assert scalars == expected.tolist()
+
     def test_q_function_values(self):
         assert q_function(0.0) == pytest.approx(0.5)
         assert q_function(3.0) == pytest.approx(1.35e-3, rel=0.01)

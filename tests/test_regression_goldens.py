@@ -6,13 +6,25 @@ survive innocuous RNG-order changes in the same code path, tight enough
 to flag a physics regression.
 """
 
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.channel.scene import Scene2D
 from repro.hardware.power import NodeMode
+from repro.netsim import (
+    SCENARIOS,
+    dump_json,
+    get_scenario,
+    matrix_document,
+    run_scenario,
+)
 from repro.node.node import BackscatterNode
 from repro.sim.engine import MilBackSimulator
+
+GOLDENS = Path(__file__).parent / "goldens"
 
 
 class TestHeadlineGoldens:
@@ -85,3 +97,27 @@ class TestHeadlineGoldens:
         # The Fig. 11 anchor: tones near 28.44 / 27.35 GHz at 10.5 deg.
         assert pair.freq_a_hz == pytest.approx(28.46e9, rel=3e-3)
         assert pair.freq_b_hz == pytest.approx(27.35e9, rel=3e-3)
+
+
+class TestNetsimGoldens:
+    """Netsim's canonical JSON, byte for byte, against files recorded
+    before the link model evaluated fleets in array form. A mismatch
+    shows as a diff of the two documents."""
+
+    #: The e2e benchmark's ``fleet-roaming`` cut of ``three-ap-roaming``;
+    #: seed 0 hands off five times.
+    ROAMING_CUT = {
+        "name": "three-ap-roaming-40-mobile-2s",
+        "n_nodes": 40,
+        "mobile_fraction": 1.0,
+        "horizon_s": 2.0,
+    }
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matrix_json_matches_golden(self, seed, monkeypatch):
+        cut = dataclasses.replace(get_scenario("three-ap-roaming"), **self.ROAMING_CUT)
+        monkeypatch.setitem(SCENARIOS, cut.name, cut)
+        names = ("five-node-crosscheck", "single-ap-100", cut.name)
+        results = [run_scenario(name, seed=seed) for name in names]
+        expected = (GOLDENS / f"netsim-seed{seed}.json").read_text()
+        assert dump_json(matrix_document(results, seed)) == expected
