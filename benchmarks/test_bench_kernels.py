@@ -54,8 +54,8 @@ CALLS_PER_BLOCK = 60
 
 def _burst_inputs():
     sim = MilBackSimulator(Scene2D.single_node(4.0, orientation_deg=10.0), seed=3)
-    recs = sim._beat_records(toggled_port="both", n_chirps=N_CHIRPS, n_rx_antennas=N_RX)
-    return sim, recs
+    burst = sim.beat_burst(toggled_port="both", n_chirps=N_CHIRPS, n_rx_antennas=N_RX)
+    return sim, burst
 
 
 def _block_s(fn) -> float:
@@ -76,8 +76,8 @@ def _timed_pair(reference_fn, batched_fn) -> tuple[float, float]:
 
 
 def test_bench_kernel_burst_synthesis(benchmark):
-    sim, recs = _burst_inputs()
-    n = recs[0][0].samples.size
+    sim, burst = _burst_inputs()
+    n = burst.shape[-1]
     rng = np.random.default_rng(3)
     params = burst_kernel.BurstParams(
         static=rng.standard_normal((N_RX, n)) + 1j * rng.standard_normal((N_RX, n)),
@@ -123,11 +123,12 @@ def test_bench_kernel_burst_synthesis(benchmark):
 
 
 def test_bench_kernel_rx_chain(benchmark):
-    sim, recs = _burst_inputs()
-    rx1 = recs[0]
+    sim, burst = _burst_inputs()
+    rx1 = burst[:, 0]
+    fs_hz = sim.ap.config.beat_sample_rate_hz
 
     def rx_chain():
-        return sim.ap.fmcw.background_subtracted(rx1).values
+        return sim.ap.fmcw.background_subtracted(rx1, fs_hz).values
 
     def rx_chain_reference():
         with reference_kernels():
@@ -145,7 +146,7 @@ def test_bench_kernel_rx_chain(benchmark):
     obs.gauge("bench.kernel.rx_chain_reference_s").set(reference_s)
     obs.gauge("bench.kernel.rx_chain_batched_s").set(batched_s)
     assert speedup >= 1.5
-    n = rx1[0].samples.size
+    n = rx1.shape[-1]
     print(f"\nAP receive chain ({N_CHIRPS} chirps x {n} samples): "
           f"reference {1e6 * reference_s:.0f} us, batched {1e6 * batched_s:.0f} us, "
           f"speedup {speedup:.2f}x")
@@ -169,10 +170,11 @@ def _aoa_inputs():
     sim = MilBackSimulator(
         Scene2D.single_node(3.0, azimuth_deg=12.0, orientation_deg=10.0), seed=6
     )
-    records = sim._beat_records(toggled_port="both", n_rx_antennas=AOA_ANTENNAS)
-    beat_hz = sim.ap.fmcw.estimate_range(records[0]).beat_frequency_hz
+    burst = sim.beat_burst(toggled_port="both", n_rx_antennas=AOA_ANTENNAS)
+    fs_hz = sim.ap.config.beat_sample_rate_hz
+    beat_hz = sim.ap.fmcw.estimate_range(burst[:, 0], fs_hz).beat_frequency_hz
     estimator = ArrayAoaEstimator(AOA_ANTENNAS, sim.ap.config.rx_baseline_m, 28e9)
-    snapshots = estimator.snapshots(records, beat_hz)
+    snapshots = estimator.snapshots(burst, fs_hz, beat_hz)
     covariance = snapshots.T @ snapshots.conj() / snapshots.shape[0]
     noise = aoa.noise_subspace(covariance, n_sources=1)
     return covariance, noise, estimator._steering

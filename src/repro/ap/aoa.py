@@ -3,6 +3,9 @@
 After background subtraction isolates the node's beat tone, the tone's
 complex value at the two RX chains differs only by the inter-antenna
 phase 2π·d·sinθ/λ. Comparing those phases gives the node's direction.
+The input is the whole ``(n_chirps, 2, n)`` beat burst; only the first
+chirp pair of each chain is read, so only those four chirps are
+transformed.
 """
 
 from __future__ import annotations
@@ -12,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.antennas.array import aoa_from_phase_deg
-from repro.ap.fmcw import FmcwProcessor
-from repro.dsp.signal import Signal
+from repro.ap.fmcw import FmcwProcessor, check_burst
 from repro.errors import LocalizationError
 
 __all__ = ["AoaEstimate", "AoaEstimator"]
@@ -44,18 +46,20 @@ class AoaEstimator:
 
     def estimate(
         self,
-        beat_records_rx1: list[Signal],
-        beat_records_rx2: list[Signal],
+        burst: np.ndarray,
+        sample_rate_hz: float,
         beat_frequency_hz: float,
     ) -> AoaEstimate:
         """AoA from the node's complex beat value on each RX chain.
 
-        ``beat_frequency_hz`` is the node's beat (from ranging); the
-        complex spectra are compared at that bin. Pair-differencing is
-        applied on each chain first so clutter does not bias the phase.
+        ``burst`` is ``(n_chirps, 2, n)``; ``beat_frequency_hz`` is the
+        node's beat (from ranging), the bin at which the complex spectra
+        are compared. Pair-differencing is applied on each chain first
+        so clutter does not bias the phase.
         """
-        spec1 = self.processor.subtracted_pair_complex(beat_records_rx1)
-        spec2 = self.processor.subtracted_pair_complex(beat_records_rx2)
+        check_burst(burst, ndim=3, n_rx=2)
+        spec1 = self.processor.subtracted_pair_complex(burst[:, 0], sample_rate_hz)
+        spec2 = self.processor.subtracted_pair_complex(burst[:, 1], sample_rate_hz)
         v1 = spec1.value_at(beat_frequency_hz)
         v2 = spec2.value_at(beat_frequency_hz)
         if abs(v1) == 0 or abs(v2) == 0:

@@ -6,7 +6,8 @@ this deliberately — it toggles reflect/absorb every chirp, so only
 every *other* chirp carries its return. Pulse pairs therefore run at
 lag 2 over the reflect-state chirps, which halves the unambiguous
 velocity (still ±26 m/s at the default timing — far beyond indoor
-motion). Not in the paper; a natural next step for its VR/AR story.
+motion). The input is one RX chain's ``(n_chirps, n)`` slice of the beat
+burst. Not in the paper; a natural next step for its VR/AR story.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.ap.fmcw import check_burst
 from repro.constants import SPEED_OF_LIGHT
-from repro.dsp.signal import Signal
 from repro.errors import LocalizationError
 from repro.kernels import rxchain
 
@@ -34,7 +35,7 @@ class VelocityEstimate:
 
 
 class DopplerEstimator:
-    """Pulse-pair velocity estimation over MilBack beat records."""
+    """Pulse-pair velocity estimation over a MilBack beat burst."""
 
     #: Pulse-pair lag in chirps: the node reflects on every other chirp.
     TOGGLE_LAG = 2
@@ -59,7 +60,8 @@ class DopplerEstimator:
 
     def estimate(
         self,
-        beat_records: list[Signal],
+        chain: np.ndarray,
+        sample_rate_hz: float,
         beat_frequency_hz: float,
         node_toggles: bool = True,
     ) -> VelocityEstimate:
@@ -70,13 +72,8 @@ class DopplerEstimator:
         For a conventional constant reflector pass ``False`` to use
         every adjacent pair.
         """
-        if len(beat_records) < 3:
-            raise LocalizationError("need at least three chirps for pulse pairs")
-        values = rxchain.complex_bin_values(
-            np.stack([record.samples for record in beat_records]),
-            beat_records[0].sample_rate_hz,
-            beat_frequency_hz,
-        )
+        check_burst(chain, ndim=2, min_chirps=3)
+        values = rxchain.complex_bin_values(chain, sample_rate_hz, beat_frequency_hz)
         if node_toggles:
             carriers = values[0::2]  # reflect-state chirps
             lag = self.TOGGLE_LAG

@@ -6,6 +6,11 @@ reflector becomes a beat tone at slope·2d/c. Static clutter produces the
 absorptive between chirps — produces a tone whose amplitude alternates.
 Subtracting consecutive chirp spectra therefore cancels clutter and
 self-interference and leaves only the node (paper §5.1).
+
+A beat burst is one array: the engine's ``(n_chirps, n_rx, n)`` burst,
+of which the processor reads one RX chain's ``(n_chirps, n)`` slice,
+sampled at a rate the caller passes alongside. :func:`check_burst` is the
+shape contract every AP estimator applies to it.
 """
 
 from __future__ import annotations
@@ -15,13 +20,32 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.constants import SPEED_OF_LIGHT
-from repro.dsp.fftutils import Spectrum, interpolated_peak, window_taps, windowed_fft
-from repro.dsp.signal import Signal
+from repro.dsp.fftutils import Spectrum, interpolated_peak, window_taps
 from repro.dsp.waveforms import SawtoothChirp
 from repro.errors import LocalizationError
 from repro.kernels import rxchain
 
-__all__ = ["RangeEstimate", "FmcwProcessor"]
+__all__ = ["RangeEstimate", "FmcwProcessor", "check_burst"]
+
+
+def check_burst(
+    burst: np.ndarray, ndim: int, min_chirps: int = 2, n_rx: int | None = None
+) -> None:
+    """Reject a beat burst the estimators cannot read.
+
+    ``burst`` is ``(n_chirps, n)`` for one RX chain (``ndim=2``) or
+    ``(n_chirps, n_rx, n)`` for the whole receiver (``ndim=3``); it needs
+    ``min_chirps`` chirps, non-empty records and, when given, ``n_rx``
+    RX chains.
+    """
+    if burst.ndim != ndim:
+        raise LocalizationError(f"expected a {ndim}-D beat burst, got shape {burst.shape}")
+    if burst.shape[0] < min_chirps:
+        raise LocalizationError(f"need at least {min_chirps} chirps")
+    if burst.shape[-1] == 0:
+        raise LocalizationError("beat records are empty")
+    if n_rx is not None and burst.shape[1] != n_rx:
+        raise LocalizationError(f"got {burst.shape[1]} RX chains for {n_rx} antennas")
 
 
 @dataclass(frozen=True)
@@ -35,7 +59,7 @@ class RangeEstimate:
 
 
 class FmcwProcessor:
-    """Range processing over a burst of dechirped (beat) records."""
+    """Range processing over one RX chain's burst of dechirped chirps."""
 
     def __init__(self, chirp: SawtoothChirp | None = None) -> None:
         self.chirp = chirp or SawtoothChirp()
@@ -52,58 +76,48 @@ class FmcwProcessor:
 
     # --- spectra ----------------------------------------------------------------
 
-    def chirp_spectra(self, beat_records: list[Signal]) -> list[Spectrum]:
-        """Windowed FFT of every per-chirp beat record (equal grids).
+    def chirp_spectra(
+        self, chain: np.ndarray, sample_rate_hz: float
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Windowed FFT of every chirp of one RX chain.
 
-        The burst is stacked and transformed as one
-        ``(n_chirps, n)`` array by :mod:`repro.kernels.rxchain` — per
-        record this is exactly :func:`~repro.dsp.fftutils.windowed_fft`.
+        ``chain`` is ``(n_chirps, n)``; returns the fft-shifted frequency
+        axis ``(n,)`` and the ``(n_chirps, n)`` complex spectra, each row
+        exactly :func:`~repro.dsp.fftutils.windowed_fft` of its chirp.
         """
-        if len(beat_records) < 2:
-            raise LocalizationError("need at least two chirps")
-        n = beat_records[0].samples.size
-        for record in beat_records[1:]:
-            if record.samples.size != n:
-                raise LocalizationError("beat records differ in length")
-        if n == 0:
-            return [windowed_fft(record) for record in beat_records]
-        fs_hz = beat_records[0].sample_rate_hz
-        values = rxchain.windowed_spectra(
-            np.stack([record.samples for record in beat_records]),
-            window_taps("hann", n),
-        )
-        freqs = np.fft.fftshift(np.fft.fftfreq(n, d=1.0 / fs_hz))
-        return [Spectrum(freqs, row) for row in values]
+        check_burst(chain, ndim=2)
+        n = chain.shape[-1]
+        values = rxchain.windowed_spectra(chain, window_taps("hann", n))
+        freqs = np.fft.fftshift(np.fft.fftfreq(n, d=1.0 / sample_rate_hz))
+        return freqs, values
 
-    def background_subtracted(self, beat_records: list[Signal]) -> Spectrum:
+    def background_subtracted(self, chain: np.ndarray, sample_rate_hz: float) -> Spectrum:
         """Pairwise-differenced spectrum, averaged over all adjacent pairs.
 
         With the node toggling once per chirp, each difference contains
         ±(node tone) and no clutter; magnitudes are averaged across the
         (n−1) pairs — the paper's five-chirp scheme gives four pairs.
         """
-        spectra = self.chirp_spectra(beat_records)
-        mean_mag = rxchain.mean_abs_pair_diff(
-            np.stack([spectrum.values for spectrum in spectra])
-        )
-        return Spectrum(spectra[0].frequencies_hz, mean_mag.astype(np.complex128))
+        freqs, values = self.chirp_spectra(chain, sample_rate_hz)
+        mean_mag = rxchain.mean_abs_pair_diff(values)
+        return Spectrum(freqs, mean_mag.astype(np.complex128))
 
-    def subtracted_pair_complex(self, beat_records: list[Signal]) -> Spectrum:
+    def subtracted_pair_complex(self, chain: np.ndarray, sample_rate_hz: float) -> Spectrum:
         """One complex difference spectrum (first adjacent pair).
 
         AoA and orientation need the node component's *complex* value;
-        magnitude averaging would destroy its phase.
+        magnitude averaging would destroy its phase. Only the first two
+        chirps are transformed.
         """
-        spectra = self.chirp_spectra(beat_records)
-        return Spectrum(
-            spectra[0].frequencies_hz, spectra[0].values - spectra[1].values
-        )
+        freqs, values = self.chirp_spectra(chain[:2], sample_rate_hz)
+        return Spectrum(freqs, values[0] - values[1])
 
     # --- ranging -----------------------------------------------------------------
 
     def estimate_range(
         self,
-        beat_records: list[Signal],
+        chain: np.ndarray,
+        sample_rate_hz: float,
         min_distance_m: float = 0.5,
         max_distance_m: float | None = None,
     ) -> RangeEstimate:
@@ -113,12 +127,11 @@ class FmcwProcessor:
         The search floor excludes the DC/self-interference region; the
         ceiling defaults to the capture's unambiguous range.
         """
-        spectrum = self.background_subtracted(beat_records)
-        fs_hz = beat_records[0].sample_rate_hz
+        spectrum = self.background_subtracted(chain, sample_rate_hz)
         max_d = (
             max_distance_m
             if max_distance_m is not None
-            else self.beat_to_distance_m(fs_hz / 2.0) * 0.95
+            else self.beat_to_distance_m(sample_rate_hz / 2.0) * 0.95
         )
         peak = interpolated_peak(
             spectrum,

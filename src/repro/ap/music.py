@@ -4,8 +4,9 @@ The paper's AP uses two horns and phase comparison, noting that "the
 angle estimation can also be further improved if the AP uses a phased
 array with a large number of elements" (§9.2). This module is that
 upgrade: per-antenna snapshots of the node's background-subtracted beat
-tone feed a classical array processor — Bartlett beamforming as the
-robust baseline, MUSIC for super-resolution.
+tone, read off the whole ``(n_chirps, n_antennas, n)`` beat burst, feed
+a classical array processor — Bartlett beamforming as the robust
+baseline, MUSIC for super-resolution.
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ from typing import Callable
 
 import numpy as np
 
+from repro.ap.fmcw import check_burst
 from repro.constants import SPEED_OF_LIGHT
-from repro.dsp.signal import Signal
+from repro.dsp.fftutils import parabolic_vertex
 from repro.errors import LocalizationError
 from repro.kernels import aoa, rxchain
 
@@ -34,7 +36,7 @@ class ArrayAoaEstimate:
 
 
 class ArrayAoaEstimator:
-    """MUSIC / Bartlett AoA from per-antenna beat records."""
+    """MUSIC / Bartlett AoA from a beat burst across the array."""
 
     def __init__(
         self,
@@ -64,33 +66,20 @@ class ArrayAoaEstimator:
 
     def snapshots(
         self,
-        per_antenna_records: tuple[list[Signal], ...],
+        burst: np.ndarray,
+        sample_rate_hz: float,
         beat_frequency_hz: float,
     ) -> np.ndarray:
         """Node-component array snapshots, one per adjacent chirp pair.
 
-        Pair differencing removes clutter per antenna; the complex value
-        at the node's beat bin across antennas is one spatial snapshot.
-        Returns shape (n_pairs, n_antennas).
+        ``burst`` is ``(n_chirps, n_antennas, n)``. Pair differencing
+        removes clutter per antenna; the complex value at the node's
+        beat bin across antennas is one spatial snapshot. Returns shape
+        (n_pairs, n_antennas).
         """
-        if len(per_antenna_records) != self.n_antennas:
-            raise LocalizationError(
-                f"got {len(per_antenna_records)} record lists for "
-                f"{self.n_antennas} antennas"
-            )
-        n_chirps = len(per_antenna_records[0])
-        if n_chirps < 2:
-            raise LocalizationError("need at least two chirps")
-        stacked = np.stack(
-            [
-                [record.samples for record in records]
-                for records in per_antenna_records
-            ]
-        )
-        values = rxchain.complex_bin_values(
-            stacked, per_antenna_records[0][0].sample_rate_hz, beat_frequency_hz
-        )
-        return (values[:, :-1] - values[:, 1:]).T
+        check_burst(burst, ndim=3, n_rx=self.n_antennas)
+        values = rxchain.complex_bin_values(burst, sample_rate_hz, beat_frequency_hz)
+        return values[:-1] - values[1:]
 
     def steering_vector(self, angle_deg: float) -> np.ndarray:
         """ULA steering vector toward ``angle_deg``."""
@@ -102,12 +91,13 @@ class ArrayAoaEstimator:
 
     def estimate(
         self,
-        per_antenna_records: tuple[list[Signal], ...],
+        burst: np.ndarray,
+        sample_rate_hz: float,
         beat_frequency_hz: float,
         method: str = "music",
     ) -> ArrayAoaEstimate:
         """AoA by the chosen method ("music" or "bartlett")."""
-        snapshots = self.snapshots(per_antenna_records, beat_frequency_hz)
+        snapshots = self.snapshots(burst, sample_rate_hz, beat_frequency_hz)
         # R[i, j] = E[x_i x_j*] with snapshots stacked as rows.
         covariance = snapshots.T @ snapshots.conj() / snapshots.shape[0]
         if method == "bartlett":
@@ -149,9 +139,6 @@ class ArrayAoaEstimator:
         """
         grid_deg = self.grid_deg
         if 0 < k < grid_deg.size - 1:
-            a, b, c = window(self._steering[k - 1 : k + 2])
-            denom = a - 2.0 * b + c
-            if abs(denom) > 1e-18:
-                delta = float(np.clip(0.5 * (a - c) / denom, -0.5, 0.5))
-                return float(grid_deg[k] + delta * (grid_deg[1] - grid_deg[0]))
+            delta = parabolic_vertex(*window(self._steering[k - 1 : k + 2]))
+            return float(grid_deg[k] + delta * (grid_deg[1] - grid_deg[0]))
         return float(grid_deg[k])

@@ -9,6 +9,7 @@ the FSA dispersion to the node's orientation.
 Pipeline (matching the paper's description): FFT → background
 subtraction → isolate the node's beat bins → IFFT → |amplitude| versus
 time ≡ versus chirp frequency → interpolated peak → dispersion inverse.
+The input is one RX chain's ``(n_chirps, n)`` slice of the beat burst.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.antennas.fsa import FrequencyScanningAntenna
-from repro.ap.fmcw import FmcwProcessor
-from repro.dsp.signal import Signal
+from repro.ap.fmcw import FmcwProcessor, check_burst
+from repro.dsp.fftutils import parabolic_vertex
 from repro.errors import LocalizationError
 from repro.kernels import rxchain
 
@@ -54,19 +55,20 @@ class ApOrientationEstimator:
 
     def estimate(
         self,
-        beat_records: list[Signal],
+        chain: np.ndarray,
+        sample_rate_hz: float,
         beat_frequency_hz: float,
     ) -> ApOrientationEstimate:
-        """Estimate node orientation from one RX chain's chirp burst.
+        """Estimate node orientation from one RX chain's ``(n_chirps, n)``
+        chirp burst.
 
         ``beat_frequency_hz`` (from ranging) centers the isolation mask.
         """
         chirp = self.processor.chirp
-        fs_hz = beat_records[0].sample_rate_hz
-        profile = self._node_amplitude_profile(beat_records, beat_frequency_hz)
+        profile = self._node_amplitude_profile(chain, sample_rate_hz, beat_frequency_hz)
         n = profile.size
         # Time within the chirp maps linearly to swept frequency.
-        times = np.arange(n) / fs_hz
+        times = np.arange(n) / sample_rate_hz
         freqs = chirp.instantaneous_frequency_hz(times)
         # Trim the edges: windowing and the mask's IFFT ringing corrupt
         # the first/last few percent of the sweep.
@@ -86,31 +88,23 @@ class ApOrientationEstimator:
 
     def _node_amplitude_profile(
         self,
-        beat_records: list[Signal],
+        chain: np.ndarray,
+        sample_rate_hz: float,
         beat_frequency_hz: float,
     ) -> np.ndarray:
         """|node reflection| versus time-within-chirp, averaged over the
         adjacent-pair differences of the burst."""
-        if len(beat_records) < 2:
-            raise LocalizationError("need at least two chirps")
-        n = beat_records[0].samples.size
-        fs_hz = beat_records[0].sample_rate_hz
-        freqs = np.fft.fftfreq(n, d=1.0 / fs_hz)
+        check_burst(chain, ndim=2)
+        freqs = np.fft.fftfreq(chain.shape[-1], d=1.0 / sample_rate_hz)
         mask = np.abs(freqs - beat_frequency_hz) <= self.MASK_HALF_WIDTH_HZ
         if not mask.any():
             raise LocalizationError("beat mask selects no bins")
-        return rxchain.masked_pair_profile(
-            np.stack([record.samples for record in beat_records]), mask
-        )
+        return rxchain.masked_pair_profile(chain, mask)
 
     @staticmethod
     def _refine_peak(freqs: np.ndarray, profile: np.ndarray, k: int) -> float:
         """Parabolic refinement of the profile peak on the frequency axis."""
         if 0 < k < profile.size - 1:
-            a, b, c = profile[k - 1], profile[k], profile[k + 1]
-            denom = a - 2.0 * b + c
-            if abs(denom) > 1e-18:
-                delta = float(np.clip(0.5 * (a - c) / denom, -0.5, 0.5))
-                step = freqs[min(k + 1, freqs.size - 1)] - freqs[k]
-                return float(freqs[k] + delta * step)
+            delta = parabolic_vertex(profile[k - 1], profile[k], profile[k + 1])
+            return float(freqs[k] + delta * (freqs[k + 1] - freqs[k]))
         return float(freqs[k])

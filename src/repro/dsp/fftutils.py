@@ -23,6 +23,7 @@ __all__ = [
     "windowed_fft",
     "interpolated_peak",
     "find_peaks_above",
+    "parabolic_vertex",
     "PeakEstimate",
 ]
 
@@ -102,6 +103,21 @@ def windowed_fft(
     return Spectrum(freqs, spec)
 
 
+def parabolic_vertex(a: float, b: float, c: float) -> float:
+    """Offset of the vertex of the parabola through three equally spaced
+    samples, in sample steps from the middle one.
+
+    ``0.5·(a−c)/(a−2b+c)`` clipped to ±0.5 — the sub-sample refinement
+    every peak picker here applies around its peak sample ``b`` — and 0
+    when the curvature is numerically zero. Callers keep their own edge
+    and positivity guards and scale the offset by their own step.
+    """
+    denom = a - 2.0 * b + c
+    if abs(denom) < 1e-18:
+        return 0.0
+    return float(np.clip(0.5 * (a - c) / denom, -0.5, 0.5))
+
+
 @dataclass(frozen=True)
 class PeakEstimate:
     """An interpolated spectral peak."""
@@ -136,10 +152,7 @@ def interpolated_peak(
     # Parabolic interpolation using log-magnitude of the three bins around
     # the peak (guarded at the spectrum edges).
     if 0 < k < mag.size - 1 and mag[k - 1] > 0 and mag[k + 1] > 0 and mag[k] > 0:
-        a, b, c = np.log(mag[k - 1]), np.log(mag[k]), np.log(mag[k + 1])
-        denom = a - 2.0 * b + c
-        delta = 0.0 if abs(denom) < 1e-18 else 0.5 * (a - c) / denom
-        delta = float(np.clip(delta, -0.5, 0.5))
+        delta = parabolic_vertex(np.log(mag[k - 1]), np.log(mag[k]), np.log(mag[k + 1]))
     else:
         delta = 0.0
     return PeakEstimate(
@@ -178,10 +191,7 @@ def find_peaks_above(
     for k in kept:
         a, b, c = mag[k - 1], mag[k], mag[k + 1]
         if a > 0 and b > 0 and c > 0:
-            la, lb, lc = np.log(a), np.log(b), np.log(c)
-            denom = la - 2.0 * lb + lc
-            delta = 0.0 if abs(denom) < 1e-18 else 0.5 * (la - lc) / denom
-            delta = float(np.clip(delta, -0.5, 0.5))
+            delta = parabolic_vertex(np.log(a), np.log(b), np.log(c))
         else:
             delta = 0.0
         peaks.append(

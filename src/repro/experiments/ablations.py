@@ -21,7 +21,7 @@ from repro import obs
 from repro.analysis.report import render_table
 from repro.antennas.fsa import FsaDesign
 from repro.channel.scene import Scene2D
-from repro.dsp.fftutils import interpolated_peak
+from repro.dsp.fftutils import Spectrum, interpolated_peak
 from repro.hardware.envelope_detector import EnvelopeDetector
 from repro.hardware.switch import SpdtSwitch
 from repro.node.config import NodeConfig
@@ -61,15 +61,15 @@ def run_background_subtraction_ablation(
     spectrum (which the back wall dominates)."""
     scene = Scene2D.single_node(distance_m, orientation_deg=orientation_deg)
     sim = MilBackSimulator(scene, seed=seed)
-    records, _ = sim._beat_records(toggled_port="both")
+    chain = sim.beat_burst(toggled_port="both")[:, 0]
+    fs_hz = sim.ap.config.beat_sample_rate_hz
     processor = sim.ap.fmcw
 
-    with_sub_m = processor.estimate_range(records).distance_m
+    with_sub_m = processor.estimate_range(chain, fs_hz).distance_m
 
-    raw_spectrum = processor.chirp_spectra(records)[0]
-    fs_hz = records[0].sample_rate_hz
+    freqs, spectra = processor.chirp_spectra(chain, fs_hz)
     peak = interpolated_peak(
-        raw_spectrum,
+        Spectrum(freqs, spectra[0]),
         min_hz=processor.distance_to_beat_hz(0.3),
         max_hz=processor.distance_to_beat_hz(
             processor.beat_to_distance_m(fs_hz / 2.0) * 0.95
@@ -365,8 +365,10 @@ def run_subtraction_burst_ablation(
                 Scene2D.single_node(distance_m, orientation_deg=10.0),
                 seed=seed + t,
             )
-            records, _ = sim._beat_records(toggled_port="both", n_chirps=n_chirps)
-            estimate = sim.ap.fmcw.estimate_range(records)
+            burst = sim.beat_burst(toggled_port="both", n_chirps=n_chirps)
+            estimate = sim.ap.fmcw.estimate_range(
+                burst[:, 0], sim.ap.config.beat_sample_rate_hz
+            )
             errors.append(abs(estimate.distance_m - distance_m))
         rows.append(
             {

@@ -35,8 +35,8 @@ each kernel ran.
 Layering: this package depends only on :mod:`numpy`,
 :mod:`scipy.signal` (the burst kernel's residual filter), :mod:`repro.obs`
 and :mod:`repro.errors`. Kernels take and return plain arrays — the
-call sites (``repro.sim.engine``, ``repro.ap.*``, ``repro.dsp.*``) own
-the :class:`~repro.dsp.signal.Signal` / ``Spectrum`` wrapping.
+engine's beat burst is one already, and the call sites
+(``repro.ap.*``, ``repro.dsp.*``) own any ``Spectrum`` wrapping.
 """
 
 from __future__ import annotations

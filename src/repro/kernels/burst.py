@@ -1,13 +1,16 @@
 """Burst synthesis kernel: all FMCW beat records in one broadcast.
 
-The engine's ``_beat_records`` loop assembled each of the
-``n_chirps × n_rx`` records separately — per chirp a trigger-jitter
-phasor, a cancellation residual and a Doppler rotation, per antenna a
-steering phase and a fresh noise draw. All of that is a rank-3
-broadcast: the full burst is one ``(n_chirps, n_rx, n)`` expression in
-which the chirp axis carries toggle state, jitter, residual and Doppler,
-the antenna axis carries the steering phasor, and the sample axis
-carries the tone shapes.
+The engine once assembled each of the ``n_chirps × n_rx`` records
+separately — per chirp a trigger-jitter phasor, a cancellation residual
+and a Doppler rotation, per antenna a steering phase and a fresh noise
+draw. All of that is a rank-3 broadcast: the full burst is one
+``(n_chirps, n_rx, n)`` expression in which the chirp axis carries
+toggle state, jitter, residual and Doppler, the antenna axis carries
+the steering phasor, and the sample axis carries the tone shapes. That
+array is the only form a beat burst takes:
+:meth:`~repro.sim.engine.MilBackSimulator.beat_burst` returns it as is,
+and every AP estimator reads it or one RX chain's ``(n_chirps, n)``
+slice of it.
 
 RNG discipline: the five-chirp background-subtraction scheme (and the
 serial/parallel determinism guarantee) depends on the *order* variates

@@ -1,11 +1,12 @@
-"""AP receive-chain kernels: batched FFT stacks and pair differencing.
+"""AP receive-chain kernels: batched FFTs and pair differencing.
 
 The background-subtraction scheme at the heart of MilBack's localization
 is chirp-parallel: every per-record operation (window, FFT, adjacent-pair
 difference, beat-bin extraction, masked IFFT profile) applies the same
-transform to every record of a burst. Stacking the records into one 2-D
-(or 3-D) array turns each per-record Python loop into a single NumPy
-call along the last axis.
+transform to every record of a burst. Each kernel is a single NumPy call
+along the last axis of the engine's beat burst: one RX chain's
+``(n_records, n)`` slice of it, or for ``complex_bin_values`` also the
+whole ``(n_chirps, n_rx, n)`` burst.
 
 Bitwise note: NumPy's pocketfft computes an ``axis=-1`` transform of a
 stacked array row by row with the same plan as the equivalent 1-D calls,

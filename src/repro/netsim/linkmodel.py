@@ -87,7 +87,7 @@ class FleetLinkModel:
         self._noise_floor_dbm = thermal_noise_power_dbm(
             SYMBOL_BANDWIDTH_HZ, self.calibration.ap_noise_figure_db
         )
-        self._cache: dict[tuple[float, float, float], tuple[float, ...]] = {}
+        self._cache: dict[tuple[float, float], tuple[float, ...]] = {}
         self._cache_size = cache_size
 
     @property
@@ -95,17 +95,10 @@ class FleetLinkModel:
         """kTB+NF in the symbol bandwidth at the AP receiver."""
         return self._noise_floor_dbm
 
-    def observe(
-        self,
-        ap_pose: Pose2D,
-        node_pose: Pose2D,
-        blockage_db: float = 0.0,
-    ) -> LinkObservation:
+    def observe(self, ap_pose: Pose2D, node_pose: Pose2D) -> LinkObservation:
         """Evaluate the (AP, node) link budget at the given poses.
 
-        ``blockage_db`` is a *one-way* LoS obstruction loss: it enters
-        the downlink once and the backscatter round trip twice. A hit
-        returns the bits of the call that filled the entry: one that
+        A hit returns the bits of the call that filled the entry: one that
         :meth:`observe_many` filled can differ from a fresh evaluation
         here in the last bits (~1e-12 dB). The query order is
         deterministic, so runs still replay bit for bit.
@@ -115,11 +108,11 @@ class FleetLinkModel:
         orientation_deg = node_pose.relative_bearing_to(ap_pose)
         # The budget depends on geometry only through distance and
         # orientation (the AP steers at the node), so this key is exact.
-        key = (distance_m, orientation_deg, blockage_db)
+        key = (distance_m, orientation_deg)
         budgets = self._cache.get(key)
         if budgets is None:
             obs.counter("cache.misses", cache="netsim_link").inc()
-            evaluated = self._evaluate(distance_m, orientation_deg, blockage_db)
+            evaluated = self._evaluate(distance_m, orientation_deg)
             budgets = self._store(key, tuple(map(float, evaluated)))
         else:
             obs.counter("cache.hits", cache="netsim_link").inc()
@@ -129,23 +122,21 @@ class FleetLinkModel:
         self, ap_pose: Pose2D, node_poses: Sequence[Pose2D]
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """RSS [dBm], uplink SNR [dB] and downlink SNR [dB] from one AP
-        to many unblocked nodes at one instant, as arrays in
+        to many nodes at one instant, as arrays in
         ``node_poses`` order. The batch's cache misses are evaluated in
         one array pass; hits and misses count as a loop of :meth:`observe`
         would. A row can differ from :meth:`observe` in the last bits
         (~1e-12 dB): BLAS sums the FSA array factor of one point and of
         many differently."""
         keys = [
-            (ap_pose.distance_to(pose), pose.relative_bearing_to(ap_pose), 0.0)
+            (ap_pose.distance_to(pose), pose.relative_bearing_to(ap_pose))
             for pose in node_poses
         ]
         budgets = {key: self._cache[key] for key in keys if key in self._cache}
         fresh = [key for key in dict.fromkeys(keys) if key not in budgets]
         if fresh:
-            distance_m, orientation_deg, _ = zip(*fresh)
-            columns = self._evaluate(
-                np.array(distance_m), np.array(orientation_deg), 0.0
-            )
+            distance_m, orientation_deg = zip(*fresh)
+            columns = self._evaluate(np.array(distance_m), np.array(orientation_deg))
             for key, row in zip(fresh, zip(*(c.tolist() for c in columns))):
                 budgets[key] = self._store(key, row)
             obs.counter("cache.misses", cache="netsim_link").inc(len(fresh))
@@ -154,7 +145,7 @@ class FleetLinkModel:
         table = np.array([budgets[key] for key in keys], dtype=float).reshape(-1, 3)
         return table[:, 0], table[:, 1], table[:, 2]
 
-    def _evaluate(self, distance_m, orientation_deg, blockage_db):
+    def _evaluate(self, distance_m, orientation_deg):
         """(RSS, uplink SNR, downlink SNR) on scalars or arrays. The AP
         queries each node at the port-A alignment frequency for its
         orientation (the paper's frequency-selective addressing); a tone
@@ -168,16 +159,14 @@ class FleetLinkModel:
         downlink_gain_db, uplink_gain_db = self._budget.gains_at_db(
             "A", distance_m, orientation_deg, tone_hz
         )
-        rss_dbm = AP_TX_POWER_DBM + uplink_gain_db - 2.0 * blockage_db
+        rss_dbm = AP_TX_POWER_DBM + uplink_gain_db
         uplink_snr_db = np.minimum(
             rss_dbm - self._noise_floor_dbm, self.calibration.uplink_sinr_cap_db
         )
-        downlink_snr_db = (
-            AP_TX_POWER_DBM + downlink_gain_db - blockage_db - NODE_NOISE_FLOOR_DBM
-        )
+        downlink_snr_db = AP_TX_POWER_DBM + downlink_gain_db - NODE_NOISE_FLOOR_DBM
         return rss_dbm, uplink_snr_db, downlink_snr_db
 
-    def _store(self, key: tuple[float, float, float], budgets: tuple) -> tuple:
+    def _store(self, key: tuple[float, float], budgets: tuple) -> tuple:
         if len(self._cache) >= self._cache_size:
             self._cache.pop(next(iter(self._cache)))
         self._cache[key] = budgets

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.antennas.dual_port_fsa import DualPortFsa
+from repro.dsp.fftutils import parabolic_vertex
 from repro.dsp.signal import Signal
 from repro.dsp.waveforms import TriangularChirp
 from repro.errors import LocalizationError
@@ -114,9 +115,5 @@ class NodeOrientationEstimator:
         """Peak index: plain argmax, or parabolic-refined when enabled."""
         k = int(np.argmax(values))
         if self.refine_peaks and 0 < k < values.size - 1:
-            a, b, c = values[k - 1], values[k], values[k + 1]
-            denom = a - 2.0 * b + c
-            if abs(denom) > 1e-18:
-                delta = float(np.clip(0.5 * (a - c) / denom, -0.5, 0.5))
-                return k + delta
+            return k + parabolic_vertex(values[k - 1], values[k], values[k + 1])
         return float(k)

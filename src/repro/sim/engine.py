@@ -1,7 +1,7 @@
 """End-to-end MilBack simulator: AP ↔ channel ↔ node.
 
 The engine synthesizes exactly the observables each receiver in the real
-testbed digitizes — dechirped beat records at the AP's scope, envelope
+testbed digitizes — the dechirped beat burst at the AP's scope, envelope
 voltages at the node's MCU, post-mixer baseband at the AP's uplink
 branches — from the scene geometry, the antenna models and the link
 budget, then runs the same estimation/demodulation code a deployment
@@ -303,18 +303,18 @@ class MilBackSimulator:
             (FsaPort.B, self.node.config.detector_b),
         )
 
-    # --- FMCW beat-record synthesis -------------------------------------------------
+    # --- FMCW beat-burst synthesis --------------------------------------------------
 
     @obs.traced("engine.beat_records")
-    def _beat_records(
+    def beat_burst(
         self,
         toggled_port: str = "both",
         n_chirps: int | None = None,
         steer_azimuth_deg: float | None = None,
         radial_velocity_mps: float = 0.0,
         n_rx_antennas: int = 2,
-    ) -> tuple[list[Signal], ...]:
-        """Synthesize the dechirped (beat) records both RX chains capture.
+    ) -> np.ndarray:
+        """Synthesize the dechirped (beat) burst the RX chains capture.
 
         Stretch processing turns a reflector with round-trip delay τ into
         a tone at slope_hz_per_s·τ with phase 2π·f₀·τ; the node's contribution is
@@ -328,8 +328,11 @@ class MilBackSimulator:
         roll-off twice and the clutter picture shifts accordingly.
         ``n_rx_antennas`` generalizes the AP's two-horn receiver to a
         uniform linear array at the same baseline_m spacing (the phased-
-        array upgrade §9.2 points at); the return is one record list per
-        antenna.
+        array upgrade §9.2 points at).
+
+        Returns the ``(n_chirps, n_rx_antennas, n)`` complex burst at
+        ``ApConfig.beat_sample_rate_hz``, as the burst kernel made it and
+        the fault hook left it; every AP estimator reads this array.
         """
         cfg = self.ap.config
         chirp = cfg.ranging_chirp
@@ -425,9 +428,9 @@ class MilBackSimulator:
         )
         # Assemble the whole burst through the kernel layer: variates are
         # pre-drawn in the exact legacy order (per chirp: trigger jitter,
-        # cancellation residual, then per-antenna noise), then every
-        # record comes out of one (n_chirps, n_rx, n) computation —
-        # bitwise identical to the per-record loop the test oracle keeps.
+        # cancellation residual, then per-antenna noise), then the burst
+        # comes out of one (n_chirps, n_rx, n) computation — bitwise
+        # identical to the per-record loop the test oracle keeps.
         params = burst_kernel.BurstParams(
             static=np.stack(static),
             node_shape=node_shape,
@@ -457,20 +460,7 @@ class MilBackSimulator:
                 -2.0 * math.pi * cal.cancellation_residual_bandwidth_hz / fs_hz
             ),
         )
-        samples = burst_kernel.synthesize_burst(params, variates)
-        samples = faults.corrupt_burst(samples)
-        records = tuple([] for _ in range(n_rx_antennas))
-        for k in range(n_chirps):
-            for m in range(n_rx_antennas):
-                records[m].append(
-                    Signal(
-                        samples[k, m],
-                        fs_hz,
-                        0.0,
-                        k * cfg.chirp_repetition_interval_s,
-                    )
-                )
-        return records
+        return faults.corrupt_burst(burst_kernel.synthesize_burst(params, variates))
 
     def _path_azimuth(self, label: str) -> float:
         """World azimuth (off AP boresight) of a named path's source."""
@@ -494,16 +484,15 @@ class MilBackSimulator:
         Field 2 (default 11 chirps → 10 pairs) so the statistic separates
         cleanly.
         """
-        records, _ = self._beat_records(
+        chain = self.beat_burst(
             toggled_port="both",
             n_chirps=n_chirps,
             steer_azimuth_deg=steer_azimuth_deg,
-        )
-        estimate = self.ap.fmcw.estimate_range(records)
-        spectra = self.ap.fmcw.chirp_spectra(records)
-        values = np.array(
-            [s.value_at(estimate.beat_frequency_hz) for s in spectra]
-        )
+        )[:, 0]
+        fs_hz = self.ap.config.beat_sample_rate_hz
+        estimate = self.ap.fmcw.estimate_range(chain, fs_hz)
+        freqs, spectra = self.ap.fmcw.chirp_spectra(chain, fs_hz)
+        values = spectra[:, np.argmin(np.abs(freqs - estimate.beat_frequency_hz))]
         diffs = values[:-1] - values[1:]
         signs = np.array([(-1.0) ** k for k in range(diffs.size)])
         denominator = float(np.sum(np.abs(diffs)))
@@ -531,16 +520,17 @@ class MilBackSimulator:
             beat_frequency_hz=estimate.beat_frequency_hz,
         )
 
-    def _two_horn_fix(self, records) -> LocalizationResult:
+    def _two_horn_fix(self, burst: np.ndarray) -> LocalizationResult:
         """FMCW range off the first RX horn plus two-horn phase AoA."""
-        estimate = self.ap.fmcw.estimate_range(records[0])
-        aoa = self.ap.aoa.estimate(records[0], records[1], estimate.beat_frequency_hz)
+        fs_hz = self.ap.config.beat_sample_rate_hz
+        estimate = self.ap.fmcw.estimate_range(burst[:, 0], fs_hz)
+        aoa = self.ap.aoa.estimate(burst, fs_hz, estimate.beat_frequency_hz)
         return self._location_fix(estimate, aoa.angle_deg)
 
     @obs.traced("engine.localization", count="engine.localization.trials")
     def simulate_localization(self) -> LocalizationResult:
         """FMCW ranging + two-antenna AoA, one full Field-2 burst."""
-        return self._two_horn_fix(self._beat_records(toggled_port="both"))
+        return self._two_horn_fix(self.beat_burst(toggled_port="both"))
 
     @obs.traced("engine.observe", count="engine.observe.trials")
     def observe_burst(self, radial_velocity_mps: float = 0.0) -> BurstObservables:
@@ -553,13 +543,8 @@ class MilBackSimulator:
         cannot localize still yields a row, with
         ``localization=None`` and ``engine.observe.failed`` bumped.
         """
-        records = self._beat_records(
+        samples = self.beat_burst(
             toggled_port="both", radial_velocity_mps=radial_velocity_mps
-        )
-        # (n_chirps, n_rx, n) — the same layout the burst kernel produces.
-        samples = np.stack(
-            [np.stack([rec.samples for rec in per_antenna]) for per_antenna in records],
-            axis=1,
         )
         chirp = self.ap.config.ranging_chirp
         port_power_dbm = (
@@ -573,7 +558,7 @@ class MilBackSimulator:
         )
         localization: LocalizationResult | None
         try:
-            localization = self._two_horn_fix(records)
+            localization = self._two_horn_fix(samples)
         except LocalizationError:
             obs.counter("engine.observe.failed").inc()
             localization = None
@@ -600,17 +585,18 @@ class MilBackSimulator:
         """
         from repro.ap.doppler import DopplerEstimator
 
-        records, _ = self._beat_records(
+        chain = self.beat_burst(
             toggled_port="both",
             n_chirps=n_chirps,
             radial_velocity_mps=radial_velocity_mps,
-        )
-        estimate = self.ap.fmcw.estimate_range(records)
+        )[:, 0]
+        fs_hz = self.ap.config.beat_sample_rate_hz
+        estimate = self.ap.fmcw.estimate_range(chain, fs_hz)
         doppler = DopplerEstimator(
             self.ap.config.chirp_repetition_interval_s,
             self.ap.config.ranging_chirp.center_hz,
         )
-        velocity = doppler.estimate(records, estimate.beat_frequency_hz)
+        velocity = doppler.estimate(chain, fs_hz, estimate.beat_frequency_hz)
         return estimate, velocity
 
     @obs.traced("engine.localization_array", count="engine.localization_array.trials")
@@ -628,16 +614,17 @@ class MilBackSimulator:
         """
         from repro.ap.music import ArrayAoaEstimator
 
-        records = self._beat_records(
+        burst = self.beat_burst(
             toggled_port="both", n_chirps=n_chirps, n_rx_antennas=n_antennas
         )
-        estimate = self.ap.fmcw.estimate_range(records[0])
+        fs_hz = self.ap.config.beat_sample_rate_hz
+        estimate = self.ap.fmcw.estimate_range(burst[:, 0], fs_hz)
         estimator = ArrayAoaEstimator(
             n_antennas,
             self.ap.config.rx_baseline_m,
             self.ap.config.ranging_chirp.center_hz,
         )
-        aoa = estimator.estimate(records, estimate.beat_frequency_hz, method)
+        aoa = estimator.estimate(burst, fs_hz, estimate.beat_frequency_hz, method)
         return self._location_fix(estimate, aoa.angle_deg)
 
     # --- AP-side orientation (paper §5.2a, Fig. 13b) -----------------------------------
@@ -646,10 +633,11 @@ class MilBackSimulator:
     def simulate_ap_orientation(self) -> ApOrientationResult:
         """One port toggles, the AP reads orientation off the reflection
         spectrum."""
-        records_rx1, _ = self._beat_records(toggled_port="A")
-        estimate = self.ap.fmcw.estimate_range(records_rx1)
+        chain = self.beat_burst(toggled_port="A")[:, 0]
+        fs_hz = self.ap.config.beat_sample_rate_hz
+        estimate = self.ap.fmcw.estimate_range(chain, fs_hz)
         orientation = self.ap.orientation.estimate(
-            records_rx1, estimate.beat_frequency_hz
+            chain, fs_hz, estimate.beat_frequency_hz
         )
         return ApOrientationResult(
             orientation_est_deg=orientation.orientation_deg,

@@ -216,6 +216,12 @@ class TestAblations:
         rows = ablations.run_modulation_ablation(n_bits=32)
         assert rows[0]["Throughput (Mbps)"] == 2 * rows[1]["Throughput (Mbps)"]
 
+    def test_subtraction_burst_rows(self):
+        rows = ablations.run_subtraction_burst_ablation(n_chirps_options=(3, 5), n_trials=2)
+        assert [(r["Chirps"], r["Pairs"]) for r in rows] == [(3, 2), (5, 4)]
+        for row in rows:
+            assert 0.0 <= row["Mean error (cm)"] <= row["Worst error (cm)"] < 5.0
+
 
 class TestBootstrapCi:
     def test_ci_brackets_mean(self):

@@ -10,47 +10,50 @@ from repro.antennas.dual_port_fsa import TonePair
 from repro.ap.access_point import AccessPoint
 from repro.ap.aoa import AoaEstimator
 from repro.ap.config import ApConfig
+from repro.ap.doppler import DopplerEstimator
 from repro.ap.downlink_tx import DownlinkTransmitter
 from repro.ap.fmcw import FmcwProcessor
+from repro.ap.music import ArrayAoaEstimator
+from repro.ap.orientation import ApOrientationEstimator
 from repro.ap.uplink_rx import PILOT_SYMBOLS, UplinkReceiver, pilot_bits
 from repro.constants import SPEED_OF_LIGHT
+from repro.dsp.fftutils import Spectrum, interpolated_peak, windowed_fft
 from repro.dsp.signal import Signal
 from repro.dsp.waveforms import SawtoothChirp
 from repro.errors import ConfigurationError, DecodingError, LocalizationError
 
 
-def synth_beat_records(
+FS = 40e6
+
+
+def synth_chain(
     distances_amps,
     n_chirps=5,
-    fs=40e6,
     chirp=None,
     modulated_flags=None,
     noise=1e-9,
     rx_phase=0.0,
     seed=0,
 ):
-    """Synthetic dechirped records: tones at beat(d) with given amplitudes.
+    """Synthetic ``(n_chirps, n)`` dechirped chain at ``FS``: tones at
+    beat(d) with given amplitudes.
 
     ``modulated_flags[i]`` makes path i toggle per chirp (node-like).
     """
     chirp = chirp or SawtoothChirp()
     proc = FmcwProcessor(chirp)
-    n = int(round(chirp.duration_s * fs))
-    t = np.arange(n) / fs
+    n = int(round(chirp.duration_s * FS))
+    t = np.arange(n) / FS
     rng = np.random.default_rng(seed)
     modulated_flags = modulated_flags or [False] * len(distances_amps)
-    records = []
+    chain = np.zeros((n_chirps, n), dtype=complex)
     for k in range(n_chirps):
-        samples = np.zeros(n, dtype=complex)
         for (d, amp), modulated in zip(distances_amps, modulated_flags):
             beat = proc.distance_to_beat_hz(d)
             factor = 1.0 if (not modulated or k % 2 == 0) else 0.03
-            samples += factor * amp * np.exp(
-                1j * (2 * np.pi * beat * t + rx_phase)
-            )
-        samples += noise * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        records.append(Signal(samples, fs, 0.0, k * 50e-6))
-    return records
+            chain[k] += factor * amp * np.exp(1j * (2 * np.pi * beat * t + rx_phase))
+        chain[k] += noise * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    return chain
 
 
 class TestApConfig:
@@ -83,40 +86,41 @@ class TestFmcwProcessor:
         assert proc.beat_to_distance_m(proc.distance_to_beat_hz(6.5)) == pytest.approx(6.5)
 
     def test_background_subtraction_removes_static(self):
-        records = synth_beat_records(
-            [(3.0, 1e-4), (9.0, 1e-2)], modulated_flags=[True, False]
-        )
+        chain = synth_chain([(3.0, 1e-4), (9.0, 1e-2)], modulated_flags=[True, False])
         proc = FmcwProcessor()
-        est = proc.estimate_range(records)
+        est = proc.estimate_range(chain, FS)
         # The static 9 m path is 40 dB stronger but cancels; the weak
         # modulated 3 m path wins.
         assert est.distance_m == pytest.approx(3.0, abs=0.05)
 
     def test_without_subtraction_static_dominates(self):
-        from repro.dsp.fftutils import interpolated_peak
-
-        records = synth_beat_records(
-            [(3.0, 1e-4), (9.0, 1e-2)], modulated_flags=[True, False]
-        )
+        chain = synth_chain([(3.0, 1e-4), (9.0, 1e-2)], modulated_flags=[True, False])
         proc = FmcwProcessor()
-        spec = proc.chirp_spectra(records)[0]
-        peak = interpolated_peak(spec, min_hz=proc.distance_to_beat_hz(0.5))
+        freqs, spectra = proc.chirp_spectra(chain, FS)
+        peak = interpolated_peak(
+            Spectrum(freqs, spectra[0]), min_hz=proc.distance_to_beat_hz(0.5)
+        )
         assert proc.beat_to_distance_m(peak.frequency_hz) == pytest.approx(9.0, abs=0.1)
 
-    def test_single_chirp_rejected(self):
-        records = synth_beat_records([(3.0, 1.0)], n_chirps=1)
-        with pytest.raises(LocalizationError):
-            FmcwProcessor().estimate_range(records)
+    def test_chirp_spectra_rows_are_windowed_ffts(self):
+        chain = synth_chain([(3.0, 1.0)], n_chirps=3)
+        freqs, spectra = FmcwProcessor().chirp_spectra(chain, FS)
+        assert spectra.shape == chain.shape
+        for row, samples in zip(spectra, chain):
+            expected = windowed_fft(Signal(samples, FS))
+            assert np.array_equal(freqs, expected.frequencies_hz)
+            assert np.array_equal(row, expected.values)
 
-    def test_mismatched_lengths_rejected(self):
-        records = synth_beat_records([(3.0, 1.0)], n_chirps=2)
-        records[1] = Signal(records[1].samples[:-10], 40e6)
+    def test_single_chirp_rejected(self):
+        chain = synth_chain([(3.0, 1.0)], n_chirps=1)
         with pytest.raises(LocalizationError):
-            FmcwProcessor().chirp_spectra(records)
+            FmcwProcessor().estimate_range(chain, FS)
 
     def test_range_search_window(self):
-        records = synth_beat_records([(2.0, 1.0)], modulated_flags=[True])
-        est = FmcwProcessor().estimate_range(records, min_distance_m=0.5, max_distance_m=5.0)
+        chain = synth_chain([(2.0, 1.0)], modulated_flags=[True])
+        est = FmcwProcessor().estimate_range(
+            chain, FS, min_distance_m=0.5, max_distance_m=5.0
+        )
         assert est.distance_m == pytest.approx(2.0, abs=0.05)
 
 
@@ -126,19 +130,76 @@ class TestAoa:
         baseline = 0.5 * SPEED_OF_LIGHT / chirp.center_hz
         angle_true = 11.0
         phase = aoa_phase_rad(angle_true, baseline, chirp.center_hz)
-        rx1 = synth_beat_records([(3.0, 1.0)], modulated_flags=[True], seed=1)
-        rx2 = synth_beat_records(
-            [(3.0, 1.0)], modulated_flags=[True], rx_phase=phase, seed=2
-        )
+        rx1 = synth_chain([(3.0, 1.0)], modulated_flags=[True], seed=1)
+        rx2 = synth_chain([(3.0, 1.0)], modulated_flags=[True], rx_phase=phase, seed=2)
         proc = FmcwProcessor(chirp)
         estimator = AoaEstimator(baseline, chirp.center_hz, proc)
         beat = proc.distance_to_beat_hz(3.0)
-        est = estimator.estimate(rx1, rx2, beat)
+        est = estimator.estimate(np.stack([rx1, rx2], axis=1), FS, beat)
         assert est.angle_deg == pytest.approx(angle_true, abs=0.3)
 
     def test_zero_baseline_rejected(self):
         with pytest.raises(LocalizationError):
             AoaEstimator(0.0, 28e9)
+
+
+def _burst_contract():
+    """Estimator -> (call on a burst, rank, fewest chirps, RX chains)."""
+    proc = FmcwProcessor()
+    baseline = 0.5 * SPEED_OF_LIGHT / 28e9
+    beat = proc.distance_to_beat_hz(3.0)
+    orientation = ApOrientationEstimator(AccessPoint().node_fsa.port_a, proc)
+    array = ArrayAoaEstimator(4, baseline, 28e9)
+    return {
+        "chirp_spectra": (lambda b: proc.chirp_spectra(b, FS), 2, 2, None),
+        "background_subtracted": (lambda b: proc.background_subtracted(b, FS), 2, 2, None),
+        "subtracted_pair_complex": (
+            lambda b: proc.subtracted_pair_complex(b, FS), 2, 2, None
+        ),
+        "estimate_range": (lambda b: proc.estimate_range(b, FS), 2, 2, None),
+        "ap_orientation": (lambda b: orientation.estimate(b, FS, beat), 2, 2, None),
+        "doppler": (lambda b: DopplerEstimator(50e-6, 28e9).estimate(b, FS, beat), 2, 3, None),
+        "aoa": (lambda b: AoaEstimator(baseline, 28e9, proc).estimate(b, FS, beat), 3, 2, 2),
+        "array_snapshots": (lambda b: array.snapshots(b, FS, beat), 3, 2, 4),
+        "array_estimate": (lambda b: array.estimate(b, FS, beat), 3, 2, 4),
+    }
+
+
+def _malformed_bursts(ndim, min_chirps, n_rx):
+    """Each way a burst can be wrong for an estimator, by name."""
+    n = 720
+    inner = (n_rx, n) if ndim == 3 else (n,)
+    cases = {
+        "wrong-rank": np.zeros((5, n) if ndim == 3 else (5, 2, n), complex),
+        "too-few-chirps": np.zeros((min_chirps - 1, *inner), complex),
+        "empty-records": np.zeros((5, *inner[:-1], 0), complex),
+    }
+    if n_rx is not None:
+        cases["wrong-rx-count"] = np.zeros((5, n_rx + 1, n), complex)
+    return cases
+
+
+class TestBurstContract:
+    """Every AP estimator reads the engine's beat-burst array and rejects
+    a malformed one with LocalizationError, never a bare SignalError."""
+
+    CASES = [
+        (name, case)
+        for name, (_, *shape) in _burst_contract().items()
+        for case in _malformed_bursts(*shape)
+    ]
+
+    @pytest.mark.parametrize("name,case", CASES, ids=[f"{n}-{c}" for n, c in CASES])
+    def test_malformed_burst_rejected(self, name, case):
+        call, *shape = _burst_contract()[name]
+        with pytest.raises(LocalizationError):
+            call(_malformed_bursts(*shape)[case])
+
+    def test_well_formed_bursts_accepted(self):
+        chain = synth_chain([(3.0, 1e-4)], modulated_flags=[True])
+        for name, (call, ndim, _, n_rx) in _burst_contract().items():
+            burst = chain if ndim == 2 else np.stack([chain] * n_rx, axis=1)
+            assert call(burst) is not None, name
 
 
 class TestUplinkReceiver:

@@ -22,7 +22,7 @@ class TestDopplerEstimator:
     def test_too_few_chirps_rejected(self):
         est = DopplerEstimator(50e-6, 28e9)
         with pytest.raises(LocalizationError):
-            est.estimate([], 1e6)
+            est.estimate(np.zeros((2, 720), complex), 40e6, 1e6)
 
 
 class TestEngineVelocity:

@@ -191,27 +191,26 @@ class TestNoOpFastPath:
 class TestInjection:
     def test_chirp_drop_zeroes_whole_chirps(self):
         sim_clean = make_sim(seed=11)
-        clean_r1, _ = sim_clean._beat_records(toggled_port="both")
+        clean = sim_clean.beat_burst(toggled_port="both")
         sim = make_sim(seed=11)
         plan = faults.FaultPlan([faults.FaultSpec("chirp_drop", rate=1.0)], rng=4)
         with faults.activate(plan):
-            r1, _ = sim._beat_records(toggled_port="both")
-        assert plan.injections["chirp_drop"] == len(r1)
-        assert all(np.all(rec.samples == 0) for rec in r1)
-        assert any(np.any(rec.samples != 0) for rec in clean_r1)
+            burst = sim.beat_burst(toggled_port="both")
+        assert plan.injections["chirp_drop"] == burst.shape[0]
+        assert np.all(burst == 0)
+        assert np.any(clean != 0)
 
     def test_interference_burst_raises_record_power(self):
         sim_clean = make_sim(seed=11)
-        clean_r1, _ = sim_clean._beat_records(toggled_port="both")
+        clean = sim_clean.beat_burst(toggled_port="both")
         sim = make_sim(seed=11)
         plan = faults.FaultPlan(
             [faults.FaultSpec("interference_burst", rate=1.0, intensity=1.0)], rng=4
         )
         with faults.activate(plan):
-            r1, _ = sim._beat_records(toggled_port="both")
-        clean_power = sum(rec.mean_power_w() for rec in clean_r1)
-        faulty_power = sum(rec.mean_power_w() for rec in r1)
-        assert faulty_power > 1.5 * clean_power
+            burst = sim.beat_burst(toggled_port="both")
+        rx1_power = np.mean(np.abs(burst[:, 0]) ** 2)
+        assert rx1_power > 1.5 * np.mean(np.abs(clean[:, 0]) ** 2)
 
     def test_adc_saturation_counts_clips_and_sets_metadata(self):
         rng = np.random.default_rng(5)

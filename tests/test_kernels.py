@@ -168,23 +168,20 @@ class TestBurstSynthesis:
             sim = MilBackSimulator(
                 Scene2D.single_node(4.0, orientation_deg=10.0), seed=3
             )
-            recs = sim._beat_records(toggled_port="both", n_chirps=5, n_rx_antennas=2)
-            return [[r.samples for r in ant] for ant in recs]
+            return sim.beat_burst(toggled_port="both", n_chirps=5, n_rx_antennas=2)
 
         results = both_modes(run)
-        for ant_b, ant_r in zip(results["batched"], results["reference"]):
-            for rec_b, rec_r in zip(ant_b, ant_r):
-                assert np.array_equal(rec_b, rec_r)
+        assert results["batched"].shape[:2] == (5, 2)
+        assert np.array_equal(results["batched"], results["reference"])
 
     def test_engine_single_antenna_two_chirps(self):
         def run():
             sim = MilBackSimulator(Scene2D.single_node(3.0), seed=7)
-            recs = sim._beat_records(toggled_port="A", n_chirps=2, n_rx_antennas=1)
-            return [r.samples for r in recs[0]]
+            return sim.beat_burst(toggled_port="A", n_chirps=2, n_rx_antennas=1)
 
         results = both_modes(run)
-        for rec_b, rec_r in zip(results["batched"], results["reference"]):
-            assert np.array_equal(rec_b, rec_r)
+        assert results["batched"].shape[:2] == (2, 1)
+        assert np.array_equal(results["batched"], results["reference"])
 
     @staticmethod
     def _legacy_residual(rng, n, sigma, alpha):
@@ -267,9 +264,9 @@ class TestRxChain:
     def test_background_subtraction_end_to_end(self):
         def run():
             sim = MilBackSimulator(Scene2D.single_node(4.0), seed=3)
-            recs = sim._beat_records(toggled_port="both", n_chirps=5, n_rx_antennas=2)
-            sub = sim.ap.fmcw.background_subtracted(recs[0])
-            return sub.values
+            burst = sim.beat_burst(toggled_port="both", n_chirps=5, n_rx_antennas=2)
+            fs_hz = sim.ap.config.beat_sample_rate_hz
+            return sim.ap.fmcw.background_subtracted(burst[:, 0], fs_hz).values
 
         results = both_modes(run)
         assert np.array_equal(results["batched"], results["reference"])

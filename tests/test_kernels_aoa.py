@@ -264,12 +264,13 @@ class TestEstimateExactness:
         sim = MilBackSimulator(
             Scene2D.single_node(3.0, azimuth_deg=12.0, orientation_deg=10.0), seed=6
         )
-        records = sim._beat_records(n_rx_antennas=8)
-        beat_hz = sim.ap.fmcw.estimate_range(records[0]).beat_frequency_hz
+        burst = sim.beat_burst(n_rx_antennas=8)
+        fs_hz = sim.ap.config.beat_sample_rate_hz
+        beat_hz = sim.ap.fmcw.estimate_range(burst[:, 0], fs_hz).beat_frequency_hz
         estimator = ArrayAoaEstimator(8, sim.ap.config.rx_baseline_m, 28e9)
 
         def run():
-            estimate = estimator.estimate(records, beat_hz, method=method)
+            estimate = estimator.estimate(burst, fs_hz, beat_hz, method=method)
             return estimate.angle_deg, int(np.argmax(estimate.spectrum))
 
         results = both_modes(run)

@@ -40,15 +40,16 @@ class TestValidation:
 
     def test_wrong_record_count_rejected(self):
         sim = MilBackSimulator(Scene2D.single_node(3.0, orientation_deg=10.0), seed=1)
-        records = sim._beat_records(n_rx_antennas=4)
+        burst = sim.beat_burst(n_rx_antennas=4)
         with pytest.raises(LocalizationError):
-            make_estimator(8).snapshots(records, 1e6)
+            make_estimator(8).snapshots(burst, sim.ap.config.beat_sample_rate_hz, 1e6)
 
     def test_unknown_method_rejected(self):
         sim = MilBackSimulator(Scene2D.single_node(3.0, orientation_deg=10.0), seed=2)
-        records = sim._beat_records(n_rx_antennas=8)
+        burst = sim.beat_burst(n_rx_antennas=8)
+        fs_hz = sim.ap.config.beat_sample_rate_hz
         with pytest.raises(LocalizationError):
-            make_estimator(8).estimate(records, 1e6, method="esprit")
+            make_estimator(8).estimate(burst, fs_hz, 1e6, method="esprit")
 
 
 class TestArrayLocalization:
@@ -92,9 +93,10 @@ class TestArrayLocalization:
         sim = MilBackSimulator(
             Scene2D.single_node(3.0, azimuth_deg=12.0, orientation_deg=10.0), seed=6
         )
-        records = sim._beat_records(n_rx_antennas=8)
-        estimate = sim.ap.fmcw.estimate_range(records[0])
-        est = make_estimator(8).estimate(records, estimate.beat_frequency_hz)
+        burst = sim.beat_burst(n_rx_antennas=8)
+        fs_hz = sim.ap.config.beat_sample_rate_hz
+        estimate = sim.ap.fmcw.estimate_range(burst[:, 0], fs_hz)
+        est = make_estimator(8).estimate(burst, fs_hz, estimate.beat_frequency_hz)
         assert est.spectrum.size == est.spectrum_angles_deg.size
         peak_angle = est.spectrum_angles_deg[np.argmax(est.spectrum)]
         assert peak_angle == pytest.approx(12.0, abs=2.0)

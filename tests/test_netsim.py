@@ -189,24 +189,18 @@ class TestFleetLinkModel:
                 budget.fsa.port_a.alignment_frequency_hz(budget.node_orientation_deg())
             )
             tone_hz = min(max(aligned_hz, BAND_START_HZ), BAND_STOP_HZ)
-            for blockage_db in (0.0, 6.5):
-                got = model.observe(ap, node, blockage_db)
-                rss_dbm = (
-                    AP_TX_POWER_DBM
-                    + budget.backscatter_gain_db("A", tone_hz)
-                    - 2.0 * blockage_db
-                )
-                assert got.rss_dbm == rss_dbm
-                assert got.uplink_snr_db == min(
-                    rss_dbm - model.ap_noise_floor_dbm,
-                    model.calibration.uplink_sinr_cap_db,
-                )
-                assert got.downlink_snr_db == (
-                    AP_TX_POWER_DBM
-                    + budget.downlink_port_gain_db("A", tone_hz)
-                    - blockage_db
-                    - NODE_NOISE_FLOOR_DBM
-                )
+            got = model.observe(ap, node)
+            rss_dbm = AP_TX_POWER_DBM + budget.backscatter_gain_db("A", tone_hz)
+            assert got.rss_dbm == rss_dbm
+            assert got.uplink_snr_db == min(
+                rss_dbm - model.ap_noise_floor_dbm,
+                model.calibration.uplink_sinr_cap_db,
+            )
+            assert got.downlink_snr_db == (
+                AP_TX_POWER_DBM
+                + budget.downlink_port_gain_db("A", tone_hz)
+                - NODE_NOISE_FLOOR_DBM
+            )
 
     def test_cache_is_bounded(self):
         model = FleetLinkModel(cache_size=2)
@@ -214,17 +208,6 @@ class TestFleetLinkModel:
         for d in (2.0, 3.0, 4.0, 5.0):
             model.observe(ap, Pose2D.at(d, 0.0, 180.0))
         assert len(model._cache) == 2
-
-    def test_blockage_hits_uplink_twice(self):
-        model = FleetLinkModel()
-        ap = Pose2D.at(0.0, 0.0, 0.0)
-        node = Pose2D.at(5.0, 0.0, 180.0)
-        clear = model.observe(ap, node)
-        blocked = model.observe(ap, node, blockage_db=10.0)
-        assert blocked.rss_dbm == pytest.approx(clear.rss_dbm - 20.0)
-        assert blocked.downlink_snr_db == pytest.approx(
-            clear.downlink_snr_db - 10.0
-        )
 
     @staticmethod
     def _random_poses(n, seed=0):

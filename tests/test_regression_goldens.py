@@ -7,6 +7,7 @@ to flag a physics regression.
 """
 
 import dataclasses
+import json
 from pathlib import Path
 
 import numpy as np
@@ -22,9 +23,71 @@ from repro.netsim import (
     run_scenario,
 )
 from repro.node.node import BackscatterNode
+from repro.protocol.link import MilBackLink
 from repro.sim.engine import MilBackSimulator
+from repro.utils.rng import indexed_rngs
 
 GOLDENS = Path(__file__).parent / "goldens"
+
+#: (distance m, azimuth deg, orientation deg) of the sensing goldens' scenes.
+SENSING_SCENES = ((1.5, -20.0, 10.0), (3.0, 0.0, -15.0), (6.0, 25.0, 5.0))
+SENSING_SEEDS = 2
+SENSING_VELOCITY_MPS = 1.5
+#: Probe pointing relative to the node's azimuth: on the node, and off it.
+SENSING_PROBE_OFFSETS_DEG = (0.0, 15.0)
+
+
+def _fields(prefix: str, record) -> dict[str, float]:
+    return {
+        f"{prefix}/{f.name}": float(getattr(record, f.name))
+        for f in dataclasses.fields(record)
+    }
+
+
+def sensing_document() -> dict[str, float]:
+    """Every sensing-path return over the scene × seed grid, flattened to
+    ``"case/call/field" -> value``.
+
+    Each call gets its own simulator on its own ``indexed_rngs`` stream, so
+    one call's draws never shift another's.
+    """
+    doc: dict[str, float] = {}
+    for i, (distance_m, azimuth_deg, orientation_deg) in enumerate(SENSING_SCENES):
+        scene = Scene2D.single_node(distance_m, azimuth_deg, orientation_deg)
+        for s in range(SENSING_SEEDS):
+            case = f"d{distance_m}-az{azimuth_deg}-o{orientation_deg}/s{s}"
+            rngs = iter(indexed_rngs(0, i * SENSING_SEEDS + s, 8))
+
+            def sim() -> MilBackSimulator:
+                return MilBackSimulator(scene, seed=next(rngs))
+
+            doc.update(_fields(f"{case}/localize", MilBackLink(sim()).localize()))
+            doc.update(_fields(
+                f"{case}/music8", sim().simulate_localization_array(8, "music")
+            ))
+            doc.update(_fields(
+                f"{case}/bartlett4", sim().simulate_localization_array(4, "bartlett")
+            ))
+            doc.update(_fields(f"{case}/ap_orientation", sim().simulate_ap_orientation()))
+            rng_est, vel_est = sim().simulate_velocity(SENSING_VELOCITY_MPS)
+            doc.update({
+                f"{case}/velocity/distance_m": rng_est.distance_m,
+                f"{case}/velocity/beat_frequency_hz": rng_est.beat_frequency_hz,
+                f"{case}/velocity/peak_magnitude": rng_est.peak_magnitude,
+            })
+            doc.update(_fields(f"{case}/velocity", vel_est))
+            for offset in SENSING_PROBE_OFFSETS_DEG:
+                probe = sim().probe_direction(azimuth_deg + offset)
+                for name, value in zip(("magnitude", "distance_m", "coherence"), probe):
+                    doc[f"{case}/probe{offset}/{name}"] = float(value)
+            observed = sim().observe_burst()
+            for port, power in zip("AB", observed.port_power_dbm):
+                doc[f"{case}/observe/port_power_dbm_{port}"] = power
+            for m, mean_v in enumerate(observed.envelope_mean_v):
+                doc[f"{case}/observe/envelope_mean_v_{m}"] = mean_v
+            if observed.localization is not None:
+                doc.update(_fields(f"{case}/observe/fix", observed.localization))
+    return doc
 
 
 class TestHeadlineGoldens:
@@ -121,3 +184,17 @@ class TestNetsimGoldens:
         results = [run_scenario(name, seed=seed) for name in names]
         expected = (GOLDENS / f"netsim-seed{seed}.json").read_text()
         assert dump_json(matrix_document(results, seed)) == expected
+
+
+class TestSensingGoldens:
+    """The sensing path's returns (ranging, two-horn and array AoA, AP
+    orientation, velocity, discovery probes, dataset observables) against
+    values recorded before the beat burst became one array end to end.
+
+    ``rel=1e-9`` is tight enough to catch a changed formula or draw
+    order, and loose enough for last-bit differences between CPUs.
+    """
+
+    def test_sensing_returns_match_golden(self):
+        expected = json.loads((GOLDENS / "sensing-seed0.json").read_text())
+        assert sensing_document() == pytest.approx(expected, rel=1e-9)
