@@ -52,7 +52,7 @@ def two_tone_mean_envelope(amplitude_a, amplitude_b):
 def ideal_envelope(signal: Signal) -> Signal:
     """Magnitude envelope |x(t)| as a real baseband signal."""
     return Signal(
-        np.abs(signal.samples).astype(np.complex128),
+        np.abs(signal.samples),
         signal.sample_rate_hz,
         0.0,
         signal.start_time_s,
@@ -66,7 +66,7 @@ def power_envelope(signal: Signal) -> Signal:
     power, so this is the physically right observable for the node.
     """
     return Signal(
-        (np.abs(signal.samples) ** 2).astype(np.complex128),
+        np.abs(signal.samples) ** 2,
         signal.sample_rate_hz,
         0.0,
         signal.start_time_s,

@@ -1,4 +1,4 @@
-"""Complex-baseband signal container.
+"""Baseband signal container.
 
 Simulating 28 GHz waveforms sample-by-sample would need >60 GSa/s, so the
 whole stack works in the standard *equivalent complex baseband*: a signal
@@ -6,6 +6,10 @@ is a vector of complex samples at a modest sample rate plus the RF center
 frequency it is referenced to. Up/downconversion then becomes bookkeeping
 on ``center_frequency_hz`` and phase, which is exactly how the paper's AP
 hardware (mixers + scope) treats the problem.
+
+Voltages that are real by nature stay real: the node's envelope
+detector output, the ADC codes the MCU reads and the streams its
+firmware and demodulators consume are float64 from end to end.
 """
 
 from __future__ import annotations
@@ -23,10 +27,13 @@ __all__ = ["Signal"]
 
 @dataclass
 class Signal:
-    """A uniformly sampled complex-baseband signal.
+    """A uniformly sampled baseband signal, complex or real.
 
     Attributes:
-        samples: complex sample vector (1-D). Real input is upcast.
+        samples: sample vector (1-D). Complex input is kept as given;
+            real, integer and boolean input is stored as float64.
+            Transforms that multiply by a complex phasor return complex
+            samples.
         sample_rate_hz: sampling rate of ``samples``.
         center_frequency_hz: RF frequency the baseband is referenced to
             (0 for a true baseband signal such as a detector output).
@@ -50,7 +57,7 @@ class Signal:
         if self.samples.ndim != 1:
             raise SignalError(f"samples must be 1-D, got shape {self.samples.shape}")
         if not np.iscomplexobj(self.samples):
-            self.samples = self.samples.astype(np.complex128)
+            self.samples = self.samples.astype(np.float64, copy=False)
         if self.sample_rate_hz <= 0:
             raise SignalError(f"sample_rate_hz must be positive, got {self.sample_rate_hz}")
 
@@ -250,15 +257,13 @@ class Signal:
         )
 
     def padded(self, n_before: int = 0, n_after: int = 0) -> "Signal":
-        """Zero-pad; ``start_time_s`` moves back by the front padding."""
+        """Zero-pad, keeping the samples' dtype; ``start_time_s`` moves
+        back by the front padding."""
         if n_before < 0 or n_after < 0:
             raise SignalError("padding must be non-negative")
+        dtype = self.samples.dtype
         samples = np.concatenate(
-            [
-                np.zeros(n_before, dtype=np.complex128),
-                self.samples,
-                np.zeros(n_after, dtype=np.complex128),
-            ]
+            [np.zeros(n_before, dtype), self.samples, np.zeros(n_after, dtype)]
         )
         return Signal(
             samples,

@@ -41,7 +41,7 @@ class Adc:
 
     def sample(self, analog: Signal) -> Signal:
         """Decimate the analog (real) waveform onto the ADC grid and
-        quantize.
+        quantize, returning the quantized voltages as float64.
 
         Values beyond the unipolar range [0, full_scale] clip — the same
         overrange behaviour as the real converter. Overrange samples are
@@ -68,9 +68,8 @@ class Adc:
         clipped = np.clip(values, 0.0, self.full_scale_v)
         codes = np.round(clipped / self.lsb_v)
         codes = faults.adc_codes(codes, self.n_bits)
-        quantized = codes * self.lsb_v
         return Signal(
-            quantized.astype(np.complex128),
+            codes * self.lsb_v,
             self.sample_rate_hz,
             0.0,
             analog.start_time_s,

@@ -11,6 +11,10 @@ properties MilBack depends on:
   time (this is the 36 Mbps downlink ceiling, §9.4);
 * additive output noise with a flat density (thermal + detector shot
   noise, lumped), which sets the node's downlink sensitivity.
+
+The output is a real video voltage, so the model runs on float64 from
+the input magnitude on: both first-order filter passes and the noise
+(one ``standard_normal`` call per detection) are real arrays.
 """
 
 from __future__ import annotations
@@ -92,39 +96,30 @@ class EnvelopeDetector:
         """Convert an RF signal into the detector's video output voltage.
 
         Output = responsivity × |v_in|, low-pass filtered by the video
-        bandwidth, plus output-referred Gaussian noise. The result is a
-        real baseband :class:`Signal` in volts.
+        bandwidth, plus output-referred Gaussian noise filtered the same
+        way. The chain runs on float64 from the magnitude on, and the
+        result is a real :class:`Signal` in volts.
         """
         if rf_input.samples.size == 0:
             raise HardwareError("empty RF input")
         fs_hz = rf_input.sample_rate_hz
         envelope_v = self.responsivity_v_per_sqrt_w * np.abs(rf_input.samples)
         envelope_v = faults.detector_output(envelope_v)
-        envelope = Signal(
-            envelope_v.astype(np.complex128),
-            fs_hz,
-            0.0,
-            rf_input.start_time_s,
+        filtered = single_pole_lowpass(
+            Signal(envelope_v, fs_hz, 0.0, rf_input.start_time_s),
+            self.video_bandwidth_hz,
         )
-        filtered = single_pole_lowpass(envelope, self.video_bandwidth_hz)
         rng = make_rng(rng)
         # White noise sampled at fs_hz, then band-limited the same way the
         # signal is, so the in-band density equals the spec value.
         raw_sigma = self.output_noise_v_per_rt_hz * math.sqrt(fs_hz / 2.0)
         noise = Signal(
-            raw_sigma * rng.standard_normal(len(filtered)).astype(np.complex128),
+            raw_sigma * rng.standard_normal(len(filtered)),
             fs_hz,
             0.0,
             filtered.start_time_s,
         )
-        noisy = filtered + single_pole_lowpass(noise, self.video_bandwidth_hz)
-        # Output stays real: keep the real part only.
-        return Signal(
-            noisy.samples.real.astype(np.complex128),
-            fs_hz,
-            0.0,
-            noisy.start_time_s,
-        )
+        return filtered + single_pole_lowpass(noise, self.video_bandwidth_hz)
 
     def output_voltage_for_power(self, input_power_w: float) -> float:
         """Steady-state output for a CW input of the given power."""

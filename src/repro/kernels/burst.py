@@ -14,7 +14,8 @@ slice of it.
 
 RNG discipline: the five-chirp background-subtraction scheme (and the
 serial/parallel determinism guarantee) depends on the *order* variates
-leave the trial generator. :func:`draw_variates` therefore draws in the
+leave the trial generator. :func:`draw_variates` therefore takes all of
+a burst's normals in one ``standard_normal`` call and slices them in the
 exact legacy order — per chirp: trigger jitter, cancellation residual,
 then one complex noise vector per antenna — before the kernel touches
 the arrays. The cancellation residual is a kernel step too: band-limited
@@ -101,32 +102,40 @@ def draw_variates(
     residual_sigma: float,
     residual_alpha: float,
 ) -> BurstVariates:
-    """Pre-draw every burst variate in the exact legacy order.
+    """Draw every burst variate in one call, sliced in the legacy order.
 
     Legacy order per chirp: one trigger-jitter normal, the cancellation
-    residual, then per antenna one complex noise vector. Preserving this
-    order is what keeps pre-drawn batched runs bitwise identical to the
-    historical per-record loop.
+    residual's two normal vectors (real, then imaginary), then per
+    antenna one complex noise vector (real, then imaginary). Every draw
+    is a standard normal, and ``standard_normal(N)`` yields the same
+    stream as consecutive smaller calls, so one call for the whole burst,
+    reshaped to one row per chirp and sliced in that order, keeps batched
+    runs bitwise identical to the historical per-record loop. The jitter
+    is ``0.0 + σ·z``, which is what ``rng.normal(0.0, σ)`` computes.
 
     The residual models how far background subtraction falls short:
     two normal vectors form white complex noise, a first-order low-pass
-    with coefficient ``residual_alpha`` band-limits it, and it is scaled
-    to an RMS of ``residual_sigma``. A ``residual_sigma`` of 0 (no
-    cancellation floor) draws nothing and leaves the residual at zero.
+    with coefficient ``residual_alpha`` band-limits it (one filter pass
+    along the sample axis of every chirp), and it is scaled to an RMS of
+    ``residual_sigma``. A ``residual_sigma`` of 0 (no cancellation
+    floor) draws nothing and leaves the residual at zero.
     """
-    tau_j = np.empty(n_chirps)
+    n_residual = 2 * n if residual_sigma > 0 else 0
+    rows = rng.standard_normal(n_chirps * (1 + n_residual + 2 * n * n_rx)).reshape(
+        n_chirps, -1
+    )
+    tau_j = 0.0 + trigger_jitter_s * rows[:, 0]
     residuals = np.zeros((n_chirps, n), dtype=np.complex128)
+    if n_residual:
+        white = rows[:, 1 : 1 + n] + 1j * rows[:, 1 + n : 1 + n_residual]
+        smooth = lfilter([residual_alpha], [1.0, -(1.0 - residual_alpha)], white, axis=-1)
+        rms = np.sqrt(np.mean(np.abs(smooth) ** 2, axis=-1))
+        live = rms > 0
+        residuals[live] = (residual_sigma / rms[live])[:, None] * smooth[live]
+    noise_normals = rows[:, 1 + n_residual :].reshape(n_chirps, n_rx, 2, n)
     noise = np.empty((n_chirps, n_rx, n), dtype=np.complex128)
-    for k in range(n_chirps):
-        tau_j[k] = rng.normal(0.0, trigger_jitter_s)
-        if residual_sigma > 0:
-            white = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            smooth = lfilter([residual_alpha], [1.0, -(1.0 - residual_alpha)], white)
-            rms = float(np.sqrt(np.mean(np.abs(smooth) ** 2)))
-            if rms > 0:
-                residuals[k] = (residual_sigma / rms) * smooth
-        for m in range(n_rx):
-            noise[k, m] = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    noise.real = noise_normals[:, :, 0]
+    noise.imag = noise_normals[:, :, 1]
     return BurstVariates(tau_j_s=tau_j, residuals=residuals, noise_white=noise)
 
 

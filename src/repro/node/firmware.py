@@ -62,17 +62,19 @@ class NodeFirmware:
         (uplink); a dead middle slot means the two-chirps-with-gap
         downlink announcement.
         """
-        slots = self._slot_waveforms(adc_a, adc_b)
-        energies = self._slot_energies(adc_a, adc_b)
+        slots_a, slots_b = self._port_slots(adc_a, adc_b)
+        combined = slots_a + slots_b
+        slots = combined - np.median(combined, axis=-1, keepdims=True)
+        energies = self._burst_energies(slots_a) + self._burst_energies(slots_b)
         # Both patterns have chirps in the first and last slots; a frame
         # missing either is not a MilBack preamble.
         if energies[0] < 0.05 * energies.max() or energies[2] < 0.05 * energies.max():
             raise ProtocolError(
                 "Field 1 malformed: first/last chirp slots carry no bursts"
             )
-        reference = slots[0]
-        corr_mid = self._slot_correlation(slots[1], reference)
-        corr_last = self._slot_correlation(slots[2], reference)
+        # Inner products against the first slot's burst shape.
+        corr_mid = float(np.dot(slots[1], slots[0]))
+        corr_last = float(np.dot(slots[2], slots[0]))
         if corr_last <= 0:
             raise ProtocolError(
                 "Field 1 malformed: first/last chirp slots do not correlate"
@@ -111,8 +113,9 @@ class NodeFirmware:
 
     # --- internals -----------------------------------------------------------------
 
-    def _slot_waveforms(self, adc_a: Signal, adc_b: Signal) -> list[np.ndarray]:
-        """Per-slot baseline-removed detector waveforms (ports summed)."""
+    def _port_slots(self, adc_a: Signal, adc_b: Signal) -> tuple[np.ndarray, np.ndarray]:
+        """Each port's capture viewed as one ``(slots, slot_samples)`` row
+        per Field-1 chirp slot."""
         fs_hz = adc_a.sample_rate_hz
         # Both ports sample on one MCU clock; the grids must match exactly.
         if adc_b.sample_rate_hz != fs_hz:  # milback: disable=ML003
@@ -121,41 +124,16 @@ class NodeFirmware:
         needed = self.FIELD1_SLOTS * slot_samples
         if adc_a.samples.size < needed or adc_b.samples.size < needed:
             raise ProtocolError(f"Field 1 capture too short: need {needed} samples")
-        slots = []
-        for k in range(self.FIELD1_SLOTS):
-            sl = slice(k * slot_samples, (k + 1) * slot_samples)
-            combined = adc_a.samples[sl].real + adc_b.samples[sl].real
-            slots.append(combined - np.median(combined))
-        return slots
+        shape = (self.FIELD1_SLOTS, slot_samples)
+        return (
+            adc_a.samples[:needed].real.reshape(shape),
+            adc_b.samples[:needed].real.reshape(shape),
+        )
 
     @staticmethod
-    def _slot_correlation(slot: np.ndarray, reference: np.ndarray) -> float:
-        """Inner product against the reference slot's burst shape."""
-        n = min(slot.size, reference.size)
-        return float(np.dot(slot[:n], reference[:n]))
-
-    def _slot_energies(self, adc_a: Signal, adc_b: Signal) -> np.ndarray:
-        fs_hz = adc_a.sample_rate_hz
-        # Both ports sample on one MCU clock; the grids must match exactly.
-        if adc_b.sample_rate_hz != fs_hz:  # milback: disable=ML003
-            raise ProtocolError("port ADC streams have different rates")
-        slot_samples = int(round(self.chirp.duration_s * fs_hz))
-        needed = self.FIELD1_SLOTS * slot_samples
-        if adc_a.samples.size < needed or adc_b.samples.size < needed:
-            raise ProtocolError(
-                f"Field 1 capture too short: need {needed} samples"
-            )
-        energies = np.empty(self.FIELD1_SLOTS)
-        for k in range(self.FIELD1_SLOTS):
-            sl = slice(k * slot_samples, (k + 1) * slot_samples)
-            energies[k] = self._burst_energy(adc_a.samples[sl].real) + (
-                self._burst_energy(adc_b.samples[sl].real)
-            )
-        return energies
-
-    @staticmethod
-    def _burst_energy(samples: np.ndarray) -> float:
-        """Energy of samples decisively above the slot's own noise floor.
+    def _burst_energies(slots: np.ndarray) -> np.ndarray:
+        """Per slot, the energy of samples decisively above the slot's own
+        noise floor.
 
         The detector noise accumulated over a 45 µs slot rivals the
         energy of the brief beam-crossing bursts, so plain energy sums
@@ -164,8 +142,12 @@ class NodeFirmware:
         contributes ~nothing (the firmware equivalent is a comparator
         threshold set from a quiet reference).
         """
-        baseline = float(np.median(samples))
-        mad = float(np.median(np.abs(samples - baseline)))
-        threshold = baseline + 5.0 * max(mad, 1e-12)
-        burst = samples[samples > threshold] - baseline
-        return float(np.sum(burst**2))
+        baselines = np.median(slots, axis=-1, keepdims=True)
+        mads = np.median(np.abs(slots - baselines), axis=-1, keepdims=True)
+        thresholds = baselines + 5.0 * np.maximum(mads, 1e-12)
+        # Each slot's burst samples are summed as one array of their own,
+        # so the pairwise sum groups them as a per-slot loop does.
+        return np.array([
+            np.sum((row[row > threshold] - baseline) ** 2)
+            for row, threshold, baseline in zip(slots, thresholds[:, 0], baselines[:, 0])
+        ])

@@ -668,7 +668,7 @@ class MilBackSimulator:
         adc_streams = {}
         for port, detector in self._port_detectors():
             amplitude = sqrt_ptx * self._port_amplitude(port, grid, passes=1)
-            rf = Signal(amplitude.astype(np.complex128), sim_rate_hz, 0.0, 0.0)
+            rf = Signal(amplitude, sim_rate_hz, 0.0, 0.0)
             video = detector.detect(rf, rng=self.rng)
             adc_streams[port] = self.node.config.mcu.sample_detector(video)
             if return_traces:
@@ -711,7 +711,7 @@ class MilBackSimulator:
             amp_one = sqrt_ptx * self._port_amplitude(port, grid, passes=1)
             pieces = [amp_one if on else np.zeros(n_slot) for on in active]
             amplitude = np.concatenate(pieces)
-            rf = Signal(amplitude.astype(np.complex128), sim_rate_hz, 0.0, 0.0)
+            rf = Signal(amplitude, sim_rate_hz, 0.0, 0.0)
             video = detector.detect(rf, rng=self.rng)
             streams.append(self.node.config.mcu.sample_detector(video))
         return streams[0], streams[1]
@@ -764,17 +764,20 @@ class MilBackSimulator:
         symbols = bits_to_symbols(bits)
         symbol_rate_bps = bit_rate_bps / 2.0
         samples_per_symbol, sim_rate = detector_input_grid(self.node, symbol_rate_bps)
-        gate_a, gate_b = tone_gates(symbols, samples_per_symbol)
+        # The gates are constant within a symbol, so the detector input is
+        # evaluated once per symbol and repeated onto the sample grid.
+        gate_a, gate_b = tone_gates(symbols, 1)
         amp = self._tone_amplitudes(pair)
         detector_out = {}
         for port, detector in self._port_detectors():
             # Each port sees BOTH tones through its own pattern: its
             # aligned tone at beam gain and the other at sidelobe level.
             # The phase-averaged envelope is symmetric in the two.
-            tone_a_component = gate_a * amp[(port, pair.freq_a_hz)]
-            tone_b_component = gate_b * amp[(port, pair.freq_b_hz)]
-            envelope = two_tone_mean_envelope(tone_a_component, tone_b_component)
-            rf = Signal(envelope.astype(np.complex128), sim_rate, 0.0, 0.0)
+            envelope = two_tone_mean_envelope(
+                gate_a * amp[(port, pair.freq_a_hz)],
+                gate_b * amp[(port, pair.freq_b_hz)],
+            )
+            rf = Signal(np.repeat(envelope, samples_per_symbol), sim_rate, 0.0, 0.0)
             detector_out[port] = detector.detect(rf, rng=self.rng)
 
         decode = self.node.demodulator.decode(
@@ -829,10 +832,8 @@ class MilBackSimulator:
         levels_a, levels_b = dense_symbol_levels(bits, scheme)
         n_symbols = levels_a.size
         samples_per_symbol, sim_rate = detector_input_grid(self.node, symbol_rate_hz)
-        amp_a_levels = np.array([scheme.amplitude_for_level(l) for l in levels_a])
-        amp_b_levels = np.array([scheme.amplitude_for_level(l) for l in levels_b])
-        gate_a = np.repeat(amp_a_levels, samples_per_symbol)
-        gate_b = np.repeat(amp_b_levels, samples_per_symbol)
+        gate_a = np.array([scheme.amplitude_for_level(l) for l in levels_a])
+        gate_b = np.array([scheme.amplitude_for_level(l) for l in levels_b])
         amp = self._tone_amplitudes(pair)
         measured = {}
         for port, detector in self._port_detectors():
@@ -848,7 +849,7 @@ class MilBackSimulator:
                 own_gate * amp[(port, own_freq)],
                 other_gate * amp[(port, other_freq)],
             )
-            rf = Signal(envelope.astype(np.complex128), sim_rate, 0.0, 0.0)
+            rf = Signal(np.repeat(envelope, samples_per_symbol), sim_rate, 0.0, 0.0)
             video = detector.detect(rf, rng=self.rng)
             measured[port] = symbol_integrate(video, 1.0 / symbol_rate_hz, n_symbols)
         rx_bits = decode_dense_levels(measured[FsaPort.A], measured[FsaPort.B], scheme)
@@ -878,12 +879,11 @@ class MilBackSimulator:
         """
         samples_per_symbol, sim_rate = detector_input_grid(self.node, bit_rate_bps)
         carrier_hz = 0.5 * (pair.freq_a_hz + pair.freq_b_hz)
-        gate = np.repeat(bits.astype(float), samples_per_symbol)
         sqrt_ptx = math.sqrt(self.budget.tx_power_w())
         amp_a = sqrt_ptx * 10.0 ** (
             simcache.downlink_port_gain_db(self.budget, FsaPort.A, carrier_hz) / 20.0
         )
-        rf = Signal((gate * amp_a).astype(np.complex128), sim_rate, 0.0, 0.0)
+        rf = Signal(np.repeat(bits * amp_a, samples_per_symbol), sim_rate, 0.0, 0.0)
         video = self.node.config.detector_a.detect(rf, rng=self.rng)
         rx_bits, sinr = self.node.demodulator.decode_ook(video, bit_rate_bps, bits.size)
         return DownlinkResult(

@@ -302,12 +302,15 @@ class MultiNodeDownlink(_ConcurrentSlot):
             self.budgets[next(iter(payloads))].tx_power_w() / 2.0
         )
 
-        # Per-node symbol gates + tone pairs.
+        # Per-node symbol gates + tone pairs. Every stream shares
+        # samples_per_symbol and its gates are constant within a symbol,
+        # so each detector input is built per symbol (foreign streams cut
+        # to the shorter one in symbols) and repeated onto the sample grid.
         streams = {}
         for node_id, bits in payloads.items():
             self.scene.node(node_id)
             symbols = bits_to_symbols(np.asarray(list(bits), dtype=np.uint8))
-            gate_a, gate_b = tone_gates(symbols, samples_per_symbol)
+            gate_a, gate_b = tone_gates(symbols, 1)
             streams[node_id] = (symbols, gate_a, gate_b, self._tone_pair(node_id))
 
         results = {}
@@ -347,7 +350,7 @@ class MultiNodeDownlink(_ConcurrentSlot):
                         leak_power[:m] = leak_power[:m] + (o_gate[:m] * amp) ** 2
                         interference_total += amp**2 / 2.0
                 envelope = two_tone_mean_envelope(own, np.sqrt(leak_power))
-                rf = Signal(envelope.astype(np.complex128), sim_rate, 0.0, 0.0)
+                rf = Signal(np.repeat(envelope, samples_per_symbol), sim_rate, 0.0, 0.0)
                 detector_out[port] = detector.detect(rf, rng=self.rng)
             decode = self.node.demodulator.decode(
                 detector_out[FsaPort.A],

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from repro import faults
 from repro.constants import NODE_ADC_RATE_HZ
+from repro.dsp.filters import single_pole_lowpass
 from repro.dsp.signal import Signal
 from repro.dsp.waveforms import SawtoothChirp, tone
 from repro.errors import ConfigurationError, HardwareError
@@ -121,7 +123,40 @@ class TestEnvelopeDetector:
         det = EnvelopeDetector()
         sig = tone(28e9, 1e-7, 1e9, center_frequency_hz=28e9)
         out = det.detect(sig, rng=0)
-        assert np.allclose(out.samples.imag, 0.0)
+        assert out.samples.dtype == np.float64
+
+    @staticmethod
+    def _complex_chain_detect(det, rf, rng):
+        """The detector chain as it once ran, on complex128 samples whose
+        imaginary part is zero, reduced to its real part at the end."""
+        fs_hz = rf.sample_rate_hz
+        envelope_v = faults.detector_output(
+            det.responsivity_v_per_sqrt_w * np.abs(rf.samples)
+        )
+        filtered = single_pole_lowpass(
+            Signal(envelope_v.astype(np.complex128), fs_hz), det.video_bandwidth_hz
+        )
+        raw_sigma = det.output_noise_v_per_rt_hz * math.sqrt(fs_hz / 2.0)
+        noise = Signal(
+            raw_sigma * rng.standard_normal(len(filtered)).astype(np.complex128), fs_hz
+        )
+        return (filtered + single_pole_lowpass(noise, det.video_bandwidth_hz)).samples.real
+
+    @pytest.mark.parametrize("drift", [False, True])
+    def test_detect_matches_complex_chain_bitwise(self, drift):
+        # A 32-byte OAQFM port input on the engine's grid: 128 symbols of
+        # 190 samples, about the length one detect call sees per session.
+        det = EnvelopeDetector()
+        levels = np.random.default_rng(4).choice([1e-3, 0.012, 0.02], size=128)
+        rf = Signal(np.repeat(levels, 190), 190e6)
+        specs = [faults.FaultSpec("detector_gain_drift", rate=1.0)] if drift else []
+
+        with faults.activate(faults.FaultPlan(specs, rng=21)):
+            out = det.detect(rf, rng=np.random.default_rng(9))
+        with faults.activate(faults.FaultPlan(specs, rng=21)):
+            expected = self._complex_chain_detect(det, rf, np.random.default_rng(9))
+        assert out.samples.dtype == np.float64
+        assert np.array_equal(out.samples, expected)
 
     def test_noise_sigma(self):
         det = EnvelopeDetector(
@@ -203,6 +238,14 @@ class TestAdc:
     def test_invalid_bits_rejected(self):
         with pytest.raises(HardwareError):
             Adc(1e6, n_bits=0)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_sample_returns_float64(self, dtype):
+        adc = Adc(1e6)
+        analog = Signal(np.linspace(0, 1, 1000).astype(dtype), 10e6)
+        digital = adc.sample(analog)
+        assert digital.samples.dtype == np.float64
+        assert np.allclose(digital.samples, np.linspace(0, 1, 1000)[::10], atol=adc.lsb_v)
 
 
 class TestMcu:

@@ -196,31 +196,37 @@ class TestBurstSynthesis:
         # Same generator state must yield the same stream the legacy loop
         # consumed: per chirp jitter, residual, then per-antenna noise.
         # A zero sigma draws no residual; a positive one draws its two
-        # normal vectors between the jitter and the noise.
-        n_chirps, n_rx, n = 3, 2, 8
-        for sigma, alpha in ((0.0, 0.0), (0.01, 0.047)):
-            v = burst_kernel.draw_variates(
-                np.random.default_rng(5),
-                n_chirps,
-                n_rx,
-                n,
-                trigger_jitter_s=1e-9,
-                residual_sigma=sigma,
-                residual_alpha=alpha,
-            )
-            rng = np.random.default_rng(5)
-            for k in range(n_chirps):
-                assert v.tau_j_s[k] == rng.normal(0.0, 1e-9)
-                if sigma > 0:
-                    expect = self._legacy_residual(rng, n, sigma, alpha)
-                    assert np.array_equal(v.residuals[k], expect)
-                    rms = np.sqrt(np.mean(np.abs(v.residuals[k]) ** 2))
-                    assert rms == pytest.approx(sigma, rel=1e-12)
-                else:
-                    assert not v.residuals[k].any()
-                for m in range(n_rx):
-                    expect = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-                    assert np.array_equal(v.noise_white[k, m], expect)
+        # normal vectors between the jitter and the noise. The engine's
+        # burst shapes (5 chirps of 720 samples on 2 or 8 antennas) check
+        # that filtering and averaging all chirps' residuals at once
+        # matches the per-chirp loop bit for bit.
+        for n_chirps, n_rx, n in ((3, 2, 8), (5, 2, 720), (5, 8, 720)):
+            for sigma, alpha in ((0.0, 0.0), (0.01, 0.047)):
+                drawn = np.random.default_rng(5)
+                v = burst_kernel.draw_variates(
+                    drawn,
+                    n_chirps,
+                    n_rx,
+                    n,
+                    trigger_jitter_s=1e-9,
+                    residual_sigma=sigma,
+                    residual_alpha=alpha,
+                )
+                rng = np.random.default_rng(5)
+                for k in range(n_chirps):
+                    assert v.tau_j_s[k] == rng.normal(0.0, 1e-9)
+                    if sigma > 0:
+                        expect = self._legacy_residual(rng, n, sigma, alpha)
+                        assert np.array_equal(v.residuals[k], expect)
+                        rms = np.sqrt(np.mean(np.abs(v.residuals[k]) ** 2))
+                        assert rms == pytest.approx(sigma, rel=1e-12)
+                    else:
+                        assert not v.residuals[k].any()
+                    for m in range(n_rx):
+                        expect = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                        assert np.array_equal(v.noise_white[k, m], expect)
+                # Both left the generator at the same point.
+                assert drawn.standard_normal() == rng.standard_normal()
 
 
 # --- receive chain ----------------------------------------------------------------

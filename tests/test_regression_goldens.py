@@ -8,12 +8,13 @@ to flag a physics regression.
 
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.channel.scene import Scene2D
+from repro.channel.scene import NodePlacement, Scene2D
 from repro.hardware.power import NodeMode
 from repro.netsim import (
     SCENARIOS,
@@ -22,9 +23,11 @@ from repro.netsim import (
     matrix_document,
     run_scenario,
 )
+from repro.node.firmware import PayloadDirection
 from repro.node.node import BackscatterNode
 from repro.protocol.link import MilBackLink
 from repro.sim.engine import MilBackSimulator
+from repro.utils.geometry import Pose2D
 from repro.utils.rng import indexed_rngs
 
 GOLDENS = Path(__file__).parent / "goldens"
@@ -87,6 +90,99 @@ def sensing_document() -> dict[str, float]:
                 doc[f"{case}/observe/envelope_mean_v_{m}"] = mean_v
             if observed.localization is not None:
                 doc.update(_fields(f"{case}/observe/fix", observed.localization))
+    return doc
+
+
+#: (distance m, azimuth deg, orientation deg) of the comms goldens' scenes;
+#: the 0° node sits at normal incidence, where the downlink falls back to OOK.
+COMMS_SCENES = ((2.0, -15.0, 10.0), (6.0, 20.0, -12.0), (3.0, 5.0, 0.0))
+COMMS_SEEDS = 2
+COMMS_PAYLOAD = b"MilBack comms golden"
+#: Two-node downlink slot: payloads of unequal length, so each node's
+#: foreign-beam gates are cut to the shorter stream.
+COMMS_SLOT_BITS = {"n0": 64, "n1": 48}
+
+
+def comms_document() -> dict[str, float]:
+    """Every communication-path return over the scene × seed grid, flattened
+    to ``"case/call/field" -> value``: both session directions, the Field-1
+    firmware decision, node orientation, OAQFM (or OOK), dense OAQFM and
+    uplink bursts with their detector traces reduced to sum and sum of
+    squares, and one two-node SDM downlink slot.
+
+    As in :func:`sensing_document`, each call gets its own simulator on its
+    own ``indexed_rngs`` stream.
+    """
+    from repro.phy.dense_oaqfm import DenseOaqfmScheme
+    from repro.sim.multinode import MultiNodeDownlink
+
+    doc: dict[str, float] = {}
+    for i, (distance_m, azimuth_deg, orientation_deg) in enumerate(COMMS_SCENES):
+        scene = Scene2D.single_node(distance_m, azimuth_deg, orientation_deg)
+        for s in range(COMMS_SEEDS):
+            case = f"d{distance_m}-az{azimuth_deg}-o{orientation_deg}/s{s}"
+            rngs = iter(indexed_rngs(1, i * COMMS_SEEDS + s, 10))
+            bits = np.random.default_rng(100 + i * COMMS_SEEDS + s).integers(0, 2, 96)
+
+            def sim() -> MilBackSimulator:
+                return MilBackSimulator(scene, seed=next(rngs))
+
+            for name, exchange in (
+                ("send", MilBackLink.send_to_node),
+                ("receive", MilBackLink.receive_from_node),
+            ):
+                session = exchange(MilBackLink(sim()), COMMS_PAYLOAD)
+                for field in ("crc_ok", "delivered", "link_quality_db", "air_time_s"):
+                    doc[f"{case}/{name}/{field}"] = float(getattr(session, field))
+                doc.update(_fields(f"{case}/{name}/node_orientation", session.node_orientation))
+            for announce_uplink in (True, False):
+                simulator = sim()
+                decision = simulator.node.firmware.classify_field1(
+                    *simulator.simulate_field1(announce_uplink)
+                )
+                key = f"{case}/field1_{'up' if announce_uplink else 'down'}"
+                doc[f"{key}/uplink"] = float(decision.direction is PayloadDirection.UPLINK)
+                for k, energy in enumerate(decision.slot_energies):
+                    doc[f"{key}/slot_energy_{k}"] = energy
+            doc.update(_fields(f"{case}/node_orientation", sim().simulate_node_orientation()))
+            downlink = sim().simulate_downlink(bits, keep_traces=True)
+            doc[f"{case}/downlink/ook"] = float(downlink.used_ook_fallback)
+            doc[f"{case}/downlink/ber"] = downlink.ber
+            for port, trace in (("a", downlink.detector_a), ("b", downlink.detector_b)):
+                if trace is not None:
+                    doc[f"{case}/downlink/sinr_{port}_db"] = getattr(
+                        downlink, f"sinr_{port}_db"
+                    )
+                    video_v = trace.samples.real
+                    doc[f"{case}/downlink/trace_{port}_sum"] = float(np.sum(video_v))
+                    doc[f"{case}/downlink/trace_{port}_sumsq"] = float(np.sum(video_v**2))
+            if not downlink.used_ook_fallback:
+                dense = sim().simulate_downlink_dense(bits, DenseOaqfmScheme(4))
+                doc[f"{case}/downlink_dense/ber"] = dense.ber
+            uplink = sim().simulate_uplink(bits)
+            doc.update({
+                f"{case}/uplink/ber": uplink.ber,
+                f"{case}/uplink/snr_a_db": uplink.snr_a_db,
+                f"{case}/uplink/snr_b_db": uplink.snr_b_db,
+            })
+    # n0 at -9° facing 18° off the AP, n1 at +9° facing -12° off it.
+    n1_pose = Pose2D.at(
+        3.0 * math.cos(math.radians(9.0)), 3.0 * math.sin(math.radians(9.0)), 201.0
+    )
+    slot_scene = Scene2D.single_node(3.0, -9.0, 18.0, node_id="n0").with_node(
+        NodePlacement(n1_pose, "n1")
+    )
+    payload_rng = np.random.default_rng(7)
+    payloads = {
+        node_id: payload_rng.integers(0, 2, n_bits)
+        for node_id, n_bits in COMMS_SLOT_BITS.items()
+    }
+    slot = MultiNodeDownlink(slot_scene, seed=indexed_rngs(1, 99, 1)[0]).simulate_slot(
+        payloads
+    )
+    for node_id, result in slot.items():
+        for field in ("ber", "sinr_db", "interference_over_noise_db"):
+            doc[f"multinode_downlink/{node_id}/{field}"] = float(getattr(result, field))
     return doc
 
 
@@ -198,3 +294,18 @@ class TestSensingGoldens:
     def test_sensing_returns_match_golden(self):
         expected = json.loads((GOLDENS / "sensing-seed0.json").read_text())
         assert sensing_document() == pytest.approx(expected, rel=1e-9)
+
+
+class TestCommsGoldens:
+    """The communication path's returns (sessions in both directions,
+    Field-1 decisions with their slot energies, node orientation, OAQFM,
+    OOK, dense and uplink bursts, detector traces, an SDM downlink slot)
+    against values recorded before the node's receive chain became real.
+
+    The headline goldens bound these paths only within dB-wide bands;
+    ``rel=1e-9`` catches a changed formula or draw order here too.
+    """
+
+    def test_comms_returns_match_golden(self):
+        expected = json.loads((GOLDENS / "comms-seed0.json").read_text())
+        assert comms_document() == pytest.approx(expected, rel=1e-9)

@@ -12,9 +12,22 @@ def make_signal(n=100, fs=1e6, **kw):
 
 
 class TestConstruction:
-    def test_real_input_upcast(self):
-        s = Signal(np.ones(4), 1e3)
-        assert np.iscomplexobj(s.samples)
+    def test_real_input_stays_real(self):
+        # Float64 stays float64; int, bool and narrower floats become
+        # float64; complex input is kept as given.
+        assert Signal(np.ones(4), 1e3).samples.dtype == np.float64
+        for real in (np.arange(4), np.ones(4, dtype=bool), np.ones(4, dtype=np.float32)):
+            assert Signal(real, 1e3).samples.dtype == np.float64
+        for cplx in (np.complex64, np.complex128):
+            assert Signal(np.ones(4, dtype=cplx), 1e3).samples.dtype == cplx
+        # A complex phasor makes real samples complex.
+        assert np.iscomplexobj(Signal(np.ones(4), 1e3).phase_shifted(0.5).samples)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_padded_keeps_dtype(self, dtype):
+        padded = Signal(np.ones(4, dtype=dtype), 1e3).padded(2, 3)
+        assert padded.samples.dtype == dtype
+        assert np.array_equal(padded.samples, [0, 0, 1, 1, 1, 1, 0, 0, 0])
 
     def test_rejects_2d(self):
         with pytest.raises(SignalError):
