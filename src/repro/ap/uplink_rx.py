@@ -16,7 +16,7 @@ from repro.dsp.mixing import remove_dc
 from repro.dsp.modulation import bits_from_levels, symbol_integrate
 from repro.dsp.signal import Signal
 from repro.errors import DecodingError
-from repro.node.demodulator import measure_level_sinr_db
+from repro.node.demodulator import _safe_sinr
 
 __all__ = ["UplinkDecodeResult", "UplinkReceiver", "PILOT_SYMBOLS", "pilot_bits"]
 
@@ -99,8 +99,8 @@ class UplinkReceiver:
             bits=bits[2 * n_pilot_symbols :],
             levels_a=data_a,
             levels_b=data_b,
-            snr_a_db=_safe_snr(levels_a),
-            snr_b_db=_safe_snr(levels_b),
+            snr_a_db=_safe_sinr(levels_a),
+            snr_b_db=_safe_sinr(levels_b),
         )
 
 
@@ -135,10 +135,3 @@ def _polarity_normalized(levels: np.ndarray) -> np.ndarray:
     if np.abs(levels.min()) > np.abs(levels.max()):
         return -levels
     return levels
-
-
-def _safe_snr(levels: np.ndarray) -> float:
-    try:
-        return measure_level_sinr_db(levels)
-    except DecodingError:
-        return float("nan")

@@ -248,12 +248,4 @@ class MilBackLink:
         n = int(round(chirp.duration_s * fs_hz))
         first_a = Signal(adc_a.samples[:n], fs_hz, 0.0, adc_a.start_time_s)
         first_b = Signal(adc_b.samples[:n], fs_hz, 0.0, adc_b.start_time_s)
-        estimate = self.sim.node.orientation_estimator.estimate(
-            first_a, first_b, n_chirps=1
-        )
-        return NodeOrientationResult(
-            orientation_est_deg=estimate.orientation_deg,
-            orientation_true_deg=self.sim.budget.node_orientation_deg(),
-            orientation_a_deg=estimate.orientation_a_deg,
-            orientation_b_deg=estimate.orientation_b_deg,
-        )
+        return self.sim.node_orientation_fix(first_a, first_b, n_chirps=1)

@@ -37,7 +37,7 @@ from typing import Callable, Hashable, TypeVar
 import numpy as np
 
 from repro import obs
-from repro.constants import SPEED_OF_LIGHT
+from repro.antennas.array import aoa_phase_rad
 from repro.sim.linkbudget import LinkBudget, PathGain
 
 __all__ = [
@@ -268,17 +268,16 @@ def static_beat_field(
     pointing_azimuth_deg: float,
     n_rx_antennas: int,
     baseline_m: float,
-    path_azimuth: Callable[[str], float],
 ) -> tuple[np.ndarray, ...]:
     """Per-antenna sum of all static beat tones (clutter + TX leakage).
 
     Identical for every chirp of every trial in a scene: each static
     path contributes a fixed tone at slope·τ with a fixed per-antenna
-    phase progression. The per-chirp stochastic parts (cancellation
-    residual, jitter, noise) multiply this field later in the engine.
-    The accumulation reproduces the engine's original per-path loop
-    operation-for-operation, so cached and uncached runs are bitwise
-    identical.
+    phase progression, set by the azimuth of its source. Each clutter
+    path comes from the scene reflector in the same place of
+    ``scene.clutter_geometry()``; the TX leakage arrives on axis. The
+    per-chirp stochastic parts (cancellation residual, jitter, noise)
+    multiply this field later in the engine.
     """
     key = (
         budget.scene,
@@ -294,21 +293,20 @@ def static_beat_field(
     def build() -> tuple[np.ndarray, ...]:
         chirp = grid.chirp
         slope_hz_per_s = chirp.slope_hz_per_s
-        lam = SPEED_OF_LIGHT / chirp.center_hz
         sqrt_ptx = math.sqrt(budget.tx_power_w())
         static = [np.zeros(grid.n, dtype=np.complex128) for _ in range(n_rx_antennas)]
-        paths = list(clutter_paths(budget, chirp.center_hz, pointing_azimuth_deg))
-        paths.append(budget.self_interference_path())
-        for path in paths:
+        paths = [
+            *clutter_paths(budget, chirp.center_hz, pointing_azimuth_deg),
+            budget.self_interference_path(),
+        ]
+        azimuths = [azimuth for _, _, azimuth in budget.scene.clutter_geometry()] + [0.0]
+        for path, azimuth in zip(paths, azimuths, strict=True):
             beat = slope_hz_per_s * path.delay_s
             phase0 = 2.0 * math.pi * chirp.start_hz * path.delay_s
             tone_shape = path.amplitude * sqrt_ptx * np.exp(
                 1j * (2.0 * math.pi * beat * grid.t + phase0)
             )
-            azimuth = path_azimuth(path.label)
-            unit_phase = (
-                2.0 * math.pi * baseline_m * math.sin(math.radians(azimuth)) / lam
-            )
+            unit_phase = aoa_phase_rad(azimuth, baseline_m, chirp.center_hz)
             for m in range(n_rx_antennas):
                 static[m] += tone_shape * np.exp(1j * m * unit_phase)
         return tuple(_frozen(s) for s in static)

@@ -9,19 +9,28 @@ would. RF-rate waveforms are never materialized: each receiver's
 observable has an exact complex-baseband or envelope-domain form (see
 the per-method notes), which is what keeps full evaluation sweeps at
 laptop scale.
+
+Each receive step exists once, as a module function the SDM slots of
+:mod:`repro.sim.multinode` call too: :func:`link_budget` builds a node's
+budget, :func:`detect_symbols` runs the node's detectors over per-symbol
+envelopes, and :func:`receive_uplink` synthesizes and decodes the AP's
+two mixed uplink branches.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from repro import faults, obs
+from repro.antennas.array import aoa_phase_rad
 from repro.antennas.dual_port_fsa import TonePair
 from repro.antennas.fsa import FsaPort
 from repro.ap.access_point import AccessPoint
+from repro.ap.uplink_rx import PILOT_SYMBOLS, pilot_bits
 from repro.channel.propagation import propagation_delay_s
 from repro.channel.scene import Scene2D
 from repro.constants import SPEED_OF_LIGHT
@@ -30,6 +39,7 @@ from repro.dsp.noise import thermal_noise_power_w
 from repro.dsp.signal import Signal
 from repro.errors import ConfigurationError, LocalizationError
 from repro.kernels import burst as burst_kernel
+from repro.node.modulator import GatePair
 from repro.node.node import BackscatterNode
 from repro.phy.ber import measure_ber
 from repro.sim import cache as simcache
@@ -45,24 +55,11 @@ __all__ = [
     "DownlinkResult",
     "UplinkResult",
     "MilBackSimulator",
-    "detector_input_grid",
+    "detect_symbols",
+    "link_budget",
+    "receive_uplink",
+    "uplink_gates",
 ]
-
-
-def detector_input_grid(node: BackscatterNode, symbol_rate_hz: float) -> tuple[int, float]:
-    """Samples per symbol and sample rate of a node's detector input.
-
-    At least 64 samples per symbol, and at least four times the wider
-    video bandwidth of the node's two detectors, so the detector's own
-    noise and rise time are resolved; the rate is a whole number of
-    samples per symbol.
-    """
-    target_hz = max(64.0 * symbol_rate_hz, 4.0 * max(
-        node.config.detector_a.video_bandwidth_hz,
-        node.config.detector_b.video_bandwidth_hz,
-    ))
-    samples_per_symbol = int(round(target_hz / symbol_rate_hz))
-    return samples_per_symbol, samples_per_symbol * symbol_rate_hz
 
 
 # --- result records ----------------------------------------------------------------
@@ -173,6 +170,143 @@ class UplinkResult:
         return min(values) if values else float("nan")
 
 
+# --- receive steps, shared with the SDM slots ----------------------------------------
+
+
+def link_budget(
+    scene: Scene2D,
+    node: BackscatterNode,
+    ap: AccessPoint,
+    calibration: Calibration,
+    node_id: str | None = None,
+    atmosphere=None,
+) -> LinkBudget:
+    """The link budget of one node of ``scene``: through the node's FSA
+    and switch, the AP's horns and at the AP's TX power."""
+    return LinkBudget(
+        scene=scene,
+        fsa=node.fsa,
+        tx_horn=ap.config.tx_horn,
+        rx_horn=ap.config.rx_horn,
+        switch=node.config.switch_a,
+        calibration=calibration,
+        tx_power_dbm=ap.config.tx_power_dbm,
+        node_id=node_id,
+        atmosphere=atmosphere,
+    )
+
+
+def detect_symbols(
+    node: BackscatterNode,
+    rng: np.random.Generator,
+    envelopes: Sequence[np.ndarray],
+    symbol_rate_hz: float,
+) -> tuple[Signal, ...]:
+    """The node's detector outputs for per-symbol input envelopes.
+
+    ``envelopes`` holds one per-symbol envelope per port, port A first;
+    a single envelope drives detector A alone. Each is repeated onto the
+    detector-input grid and detected, port A first. The grid has at
+    least 64 samples per symbol, and at least four times the wider video
+    bandwidth of the node's two detectors, so the detector's own noise
+    and rise time are resolved; its rate is a whole number of samples
+    per symbol.
+    """
+    detectors = (node.config.detector_a, node.config.detector_b)
+    target_hz = max(64.0 * symbol_rate_hz, 4.0 * max(
+        detector.video_bandwidth_hz for detector in detectors
+    ))
+    samples_per_symbol = int(round(target_hz / symbol_rate_hz))
+    sim_rate = samples_per_symbol * symbol_rate_hz
+    return tuple(
+        detector.detect(
+            Signal(np.repeat(envelope, samples_per_symbol), sim_rate, 0.0, 0.0), rng=rng
+        )
+        for detector, envelope in zip(detectors, envelopes)
+    )
+
+
+def uplink_gates(node: BackscatterNode, bits: np.ndarray, bit_rate_bps: float) -> GatePair:
+    """The node's switch gates for one uplink burst: the pilot prefix,
+    then ``bits``, at 16 samples per symbol."""
+    tx_stream = np.concatenate([pilot_bits(), bits])
+    return node.modulator.gates_for_bits(
+        tx_stream, bit_rate_bps, sample_rate_hz=16.0 * bit_rate_bps / 2.0
+    )
+
+
+def receive_uplink(
+    rng: np.random.Generator,
+    budget: LinkBudget,
+    ap: AccessPoint,
+    gates: GatePair,
+    bits: np.ndarray,
+    pair: TonePair,
+    leaks: Mapping[str, Sequence[tuple[float, np.ndarray]]] | None = None,
+) -> UplinkResult:
+    """The AP's two mixed branches while the node reflects through
+    ``gates`` (from :func:`uplink_gates` for ``bits``), decoded.
+
+    Per mixed branch, the node's gated reflection of "its" tone is a
+    baseband square wave; self-interference/clutter are the DC the
+    receiver blocks; thermal noise enters at kT·NF over the simulated
+    band and is narrowed by symbol integration. A per-symbol
+    multiplicative term models TX phase noise / residual SI, capping
+    the short-range SNR (``Calibration.uplink_sinr_cap_db``).
+
+    ``leaks`` maps a port to the ``(amplitude, gate)`` of each foreign
+    reflection on its branch — an SDM slot's other nodes; a lone node
+    has none. Each branch, port A first, draws its carrier phase, its
+    per-symbol normals, one phase per leak, then its noise.
+    """
+    cal = budget.calibration
+    n = gates.gate_a.size
+    sim_rate = gates.samples_per_symbol * gates.symbol_rate_hz
+    sqrt_tone_power = math.sqrt(budget.tx_power_w() / 2.0)
+    # The mixer's conversion loss attenuates signal and (LNA-dominated,
+    # input-referred) noise alike, so it cancels out of the branch SNR
+    # and is deliberately not applied here.
+    eps = 10.0 ** (-cal.uplink_sinr_cap_db / 20.0)
+    sigma = math.sqrt(thermal_noise_power_w(sim_rate, cal.ap_noise_figure_db) / 2.0)
+    branches = []
+    for port, gate, freq in (
+        (FsaPort.A, gates.gate_a, pair.freq_a_hz),
+        (FsaPort.B, gates.gate_b, pair.freq_b_hz),
+    ):
+        amp = sqrt_tone_power * 10.0 ** (
+            simcache.backscatter_gain_db(budget, port, freq) / 20.0
+        )
+        phase = rng.uniform(0.0, 2.0 * math.pi)
+        # Per-symbol multiplicative noise (correlated within a symbol).
+        mult = 1.0 + eps * np.repeat(
+            rng.standard_normal(gates.n_symbols), gates.samples_per_symbol
+        )
+        # Static residue: clutter + SI that the DC block removes.
+        samples = amp * gate * mult[:n] * np.exp(1j * phase) + 10.0 * amp
+        for leak_amp, leak_gate in (leaks or {}).get(port, ()):
+            leak_phase = rng.uniform(0.0, 2.0 * math.pi)
+            m = min(n, leak_gate.size)
+            samples[:m] = samples[:m] + leak_amp * leak_gate[:m] * np.exp(1j * leak_phase)
+        noise = sigma * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        branches.append(Signal(samples + noise, sim_rate, 0.0, 0.0))
+
+    decode = ap.uplink_rx.decode(
+        *branches,
+        gates.symbol_rate_hz,
+        gates.n_symbols,
+        n_pilot_symbols=len(PILOT_SYMBOLS),
+    )
+    padded_tx = np.concatenate([bits, np.zeros(decode.bits.size - bits.size, np.uint8)])
+    return UplinkResult(
+        tx_bits=padded_tx,
+        rx_bits=decode.bits,
+        ber=measure_ber(padded_tx, decode.bits),
+        snr_a_db=decode.snr_a_db,
+        snr_b_db=decode.snr_b_db,
+        pair=pair,
+    )
+
+
 # --- the engine ----------------------------------------------------------------------
 
 
@@ -215,23 +349,13 @@ class MilBackSimulator:
         self._slope_error = float(self.rng.normal(0.0, cal.slope_error_sigma))
         self._aoa_bias_deg = float(self.rng.normal(0.0, cal.aoa_bias_sigma_deg))
         # The instance's own ripple realization (control points per port,
-        # drawn on the port's first use) and memos of what mixes it with
-        # scene-invariant terms, keyed by (port, grid key) and
-        # (passes, port, grid key). The cross-instance RNG-free pieces
-        # live in repro.sim.cache.
+        # drawn on the port's first use) and a memo of the port amplitudes
+        # it shapes, keyed by (passes, port, grid key). The cross-instance
+        # RNG-free pieces live in repro.sim.cache.
         self._ripple_tables: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        self._ripple_interp: dict[tuple, np.ndarray] = {}
         self._amplitude_memo: dict[tuple, np.ndarray] = {}
-        self.budget = LinkBudget(
-            scene=scene,
-            fsa=self.node.fsa,
-            tx_horn=self.ap.config.tx_horn,
-            rx_horn=self.ap.config.rx_horn,
-            switch=self.node.config.switch_a,
-            calibration=self.calibration,
-            tx_power_dbm=self.ap.config.tx_power_dbm,
-            node_id=node_id,
-            atmosphere=atmosphere,
+        self.budget = link_budget(
+            scene, self.node, self.ap, self.calibration, node_id, atmosphere
         )
 
     # --- FSA gain ripple ------------------------------------------------------------
@@ -246,16 +370,13 @@ class MilBackSimulator:
         orientation experiments.
 
         The control points come from the trial RNG, so they can never be
-        shared across instances — but the interpolation onto a grid is
-        memoized per ``(port, grid.key)`` within this instance (the grid
-        never changes between bursts of one run).
+        shared across instances. The interpolation onto a grid is not
+        memoized: it only runs on a miss of :meth:`_port_amplitude`'s memo,
+        which already covers each ``(passes, port, grid)`` once.
         """
         cal = self.calibration
         if cal.fsa_gain_ripple_db <= 0:
             return np.zeros_like(grid.f_inst)
-        cached = self._ripple_interp.get((port, grid.key))
-        if cached is not None:
-            return cached
         if port not in self._ripple_tables:
             lo, hi = self.node.fsa.band_hz
             span = hi - lo
@@ -264,9 +385,7 @@ class MilBackSimulator:
             ctrl_v = cal.fsa_gain_ripple_db * self.rng.standard_normal(n_ctrl)
             self._ripple_tables[port] = (ctrl_f, ctrl_v)
         ctrl_f, ctrl_v = self._ripple_tables[port]
-        ripple = simcache.frozen_array(np.interp(grid.f_inst, ctrl_f, ctrl_v))
-        self._ripple_interp[(port, grid.key)] = ripple
-        return ripple
+        return np.interp(grid.f_inst, ctrl_f, ctrl_v)
 
     # --- vectorized budget helpers ------------------------------------------------
 
@@ -295,13 +414,6 @@ class MilBackSimulator:
         amplitude = simcache.frozen_array(np.power(10.0, gain_db / 20.0))
         self._amplitude_memo[key] = amplitude
         return amplitude
-
-    def _port_detectors(self):
-        """Each FSA port with the envelope detector behind it."""
-        return (
-            (FsaPort.A, self.node.config.detector_a),
-            (FsaPort.B, self.node.config.detector_b),
-        )
 
     # --- FMCW beat-burst synthesis --------------------------------------------------
 
@@ -336,7 +448,15 @@ class MilBackSimulator:
         """
         cfg = self.ap.config
         chirp = cfg.ranging_chirp
-        n_chirps = n_chirps or cfg.n_ranging_chirps
+        if n_chirps is None:
+            n_chirps = cfg.n_ranging_chirps
+        if n_chirps < 1:
+            raise ConfigurationError("need at least one chirp")
+        if n_rx_antennas < 1:
+            raise ConfigurationError("need at least one RX antenna")
+        ports = {"both": (FsaPort.A, FsaPort.B), "A": (FsaPort.A,), "B": (FsaPort.B,)}
+        if toggled_port not in ports:
+            raise ConfigurationError("toggled_port must be 'both', 'A' or 'B'")
         obs.counter("engine.chirps.synthesized").inc(n_chirps)
         fs_hz = cfg.beat_sample_rate_hz
         # Scene-invariant pieces (time grid, static clutter field, FSA
@@ -346,12 +466,9 @@ class MilBackSimulator:
         n = grid.n
         t = grid.t
         slope_hz_per_s = chirp.slope_hz_per_s
-        lam = SPEED_OF_LIGHT / chirp.center_hz
         baseline_m = cfg.rx_baseline_m
         sqrt_ptx = math.sqrt(self.budget.tx_power_w())
 
-        if n_rx_antennas < 1:
-            raise ConfigurationError("need at least one RX antenna")
         # Static paths: clutter + self-interference (identical every chirp).
         node_azimuth = self.budget.node_azimuth_deg()
         pointing = node_azimuth if steer_azimuth_deg is None else steer_azimuth_deg
@@ -366,24 +483,14 @@ class MilBackSimulator:
         )
         steer_factor = 10.0 ** (horn_rolloff_db / 20.0)
         static = simcache.static_beat_field(
-            self.budget,
-            grid,
-            pointing,
-            n_rx_antennas,
-            baseline_m,
-            self._path_azimuth,
+            self.budget, grid, pointing, n_rx_antennas, baseline_m
         )
 
         # Node path: FSA-shaped amplitude, toggled per chirp.
-        ports = {"both": (FsaPort.A, FsaPort.B), "A": (FsaPort.A,), "B": (FsaPort.B,)}
-        if toggled_port not in ports:
-            raise ConfigurationError("toggled_port must be 'both', 'A' or 'B'")
         node_delay = 2.0 * propagation_delay_s(self.budget.node_distance_m())
         node_beat = slope_hz_per_s * node_delay
         node_phase0 = 2.0 * math.pi * chirp.start_hz * node_delay
-        node_rx2_phase = (
-            2.0 * math.pi * baseline_m * math.sin(math.radians(node_azimuth)) / lam
-        )
+        node_rx2_phase = aoa_phase_rad(node_azimuth, baseline_m, chirp.center_hz)
         node_tone = np.exp(1j * (2.0 * math.pi * node_beat * t + node_phase0))
         node_shape = np.zeros(n, dtype=np.complex128)
         for port in ports[toggled_port]:
@@ -461,13 +568,6 @@ class MilBackSimulator:
             ),
         )
         return faults.corrupt_burst(burst_kernel.synthesize_burst(params, variates))
-
-    def _path_azimuth(self, label: str) -> float:
-        """World azimuth (off AP boresight) of a named path's source."""
-        for reflector, _distance, azimuth in self.scene.clutter_geometry():
-            if label == f"clutter-{reflector.name}":
-                return azimuth
-        return 0.0  # self-interference: on-axis
 
     @obs.traced("engine.probe_direction", count="engine.probe_direction.trials")
     def probe_direction(
@@ -647,6 +747,44 @@ class MilBackSimulator:
 
     # --- node-side orientation (paper §5.2b, Fig. 13a) ----------------------------------
 
+    def _field1_captures(
+        self, grid: simcache.ChirpGrid, lit: tuple[bool, ...]
+    ) -> tuple[tuple[Signal, Signal], ...]:
+        """Each port's detector video and ADC stream, port A first, while
+        the Field-1 chirp sweeps ``grid`` once per lit slot of ``lit`` and
+        the unlit slots stay silent.
+
+        The detector input during a sweep is a single tone whose
+        amplitude is the port's path gain at the chirp's instantaneous
+        frequency — so the envelope-domain synthesis is exact. Each port
+        is detected and then sampled before the next port, the order in
+        which an armed fault plan's detector and ADC hooks draw.
+        """
+        sqrt_ptx = math.sqrt(self.budget.tx_power_w())
+        captures = []
+        for port, detector in (
+            (FsaPort.A, self.node.config.detector_a),
+            (FsaPort.B, self.node.config.detector_b),
+        ):
+            sweep = sqrt_ptx * self._port_amplitude(port, grid, passes=1)
+            amplitude = np.concatenate([sweep if on else np.zeros(grid.n) for on in lit])
+            video = detector.detect(Signal(amplitude, grid.fs_hz, 0.0, 0.0), rng=self.rng)
+            captures.append((video, self.node.config.mcu.sample_detector(video)))
+        return tuple(captures)
+
+    def node_orientation_fix(
+        self, adc_a: Signal, adc_b: Signal, n_chirps: int
+    ) -> NodeOrientationResult:
+        """The node's orientation estimate from its two ADC captures of
+        ``n_chirps`` triangular chirps, against ground truth."""
+        estimate = self.node.orientation_estimator.estimate(adc_a, adc_b, n_chirps=n_chirps)
+        return NodeOrientationResult(
+            orientation_est_deg=estimate.orientation_deg,
+            orientation_true_deg=self.budget.node_orientation_deg(),
+            orientation_a_deg=estimate.orientation_a_deg,
+            orientation_b_deg=estimate.orientation_b_deg,
+        )
+
     @obs.traced("engine.node_orientation", count="engine.node_orientation.trials")
     def simulate_node_orientation(
         self,
@@ -654,36 +792,15 @@ class MilBackSimulator:
         sim_rate_hz: float = 200e6,
         return_traces: bool = False,
     ):
-        """Triangular chirps; the node measures its detector peak gaps.
-
-        The detector input during a sweep is a single tone whose
-        amplitude is the port's path gain at the chirp's instantaneous
-        frequency — so the envelope-domain synthesis is exact.
-        """
+        """Triangular chirps; the node measures its detector peak gaps."""
         chirp = self.ap.config.field1_chirp
         n = int(round(n_chirps * chirp.duration_s * sim_rate_hz))
-        grid = simcache.chirp_grid(chirp, sim_rate_hz, n)
-        sqrt_ptx = math.sqrt(self.budget.tx_power_w())
-        traces = {}
-        adc_streams = {}
-        for port, detector in self._port_detectors():
-            amplitude = sqrt_ptx * self._port_amplitude(port, grid, passes=1)
-            rf = Signal(amplitude, sim_rate_hz, 0.0, 0.0)
-            video = detector.detect(rf, rng=self.rng)
-            adc_streams[port] = self.node.config.mcu.sample_detector(video)
-            if return_traces:
-                traces[port] = video
-        estimate = self.node.orientation_estimator.estimate(
-            adc_streams[FsaPort.A], adc_streams[FsaPort.B], n_chirps=n_chirps
+        (video_a, adc_a), (video_b, adc_b) = self._field1_captures(
+            simcache.chirp_grid(chirp, sim_rate_hz, n), (True,)
         )
-        result = NodeOrientationResult(
-            orientation_est_deg=estimate.orientation_deg,
-            orientation_true_deg=self.budget.node_orientation_deg(),
-            orientation_a_deg=estimate.orientation_a_deg,
-            orientation_b_deg=estimate.orientation_b_deg,
-        )
+        result = self.node_orientation_fix(adc_a, adc_b, n_chirps)
         if return_traces:
-            return result, traces
+            return result, {FsaPort.A: video_a, FsaPort.B: video_b}
         return result
 
     # --- preamble Field 1 (paper §7, Fig. 8) -------------------------------------------
@@ -701,36 +818,48 @@ class MilBackSimulator:
         port-B ADC streams the firmware classifies.
         """
         chirp = self.ap.config.field1_chirp
-        slot_s = chirp.duration_s
-        n_slot = int(round(slot_s * sim_rate_hz))
-        grid = simcache.chirp_grid(chirp, sim_rate_hz, n_slot)
-        sqrt_ptx = math.sqrt(self.budget.tx_power_w())
-        active = (True, True, True) if announce_uplink else (True, False, True)
-        streams = []
-        for port, detector in self._port_detectors():
-            amp_one = sqrt_ptx * self._port_amplitude(port, grid, passes=1)
-            pieces = [amp_one if on else np.zeros(n_slot) for on in active]
-            amplitude = np.concatenate(pieces)
-            rf = Signal(amplitude, sim_rate_hz, 0.0, 0.0)
-            video = detector.detect(rf, rng=self.rng)
-            streams.append(self.node.config.mcu.sample_detector(video))
-        return streams[0], streams[1]
+        n_slot = int(round(chirp.duration_s * sim_rate_hz))
+        lit = (True, True, True) if announce_uplink else (True, False, True)
+        (_, adc_a), (_, adc_b) = self._field1_captures(
+            simcache.chirp_grid(chirp, sim_rate_hz, n_slot), lit
+        )
+        return adc_a, adc_b
 
     # --- downlink (paper §6.1–6.2, Figs. 11 & 14) ----------------------------------------
 
-    def _tone_amplitudes(self, pair: TonePair) -> dict[tuple[str, float], float]:
-        """Field amplitude of each OAQFM tone at each port's detector.
+    def _detect_two_tones(
+        self,
+        gate_a: np.ndarray,
+        gate_b: np.ndarray,
+        pair: TonePair,
+        symbol_rate_hz: float,
+    ) -> tuple[Signal, ...]:
+        """Each port's detector output while the tones of ``pair`` carry
+        the per-symbol amplitudes ``gate_a`` and ``gate_b``.
 
-        Each tone carries half the TX power; ``(port, freq_hz)`` keys the
-        amplitude that tone reaches the port with, through its pattern.
+        Each tone carries half the TX power. Each port sees BOTH tones
+        through its own pattern, at the frequency-exact port gain: its
+        aligned tone at beam gain and the other at sidelobe level. The
+        detector input is their phase-averaged two-tone envelope — see
+        :func:`repro.dsp.envelope.two_tone_mean_envelope` for why this is
+        the exact post-video-filter observable — which is symmetric in
+        the two.
         """
         sqrt_tone_power = math.sqrt(self.budget.tx_power_w() / 2.0)
-        return {
-            (port, f): sqrt_tone_power
-            * 10.0 ** (simcache.downlink_port_gain_db(self.budget, port, f) / 20.0)
+
+        def tone_amplitude(port: str, freq_hz: float) -> float:
+            return sqrt_tone_power * 10.0 ** (
+                simcache.downlink_port_gain_db(self.budget, port, freq_hz) / 20.0
+            )
+
+        envelopes = [
+            two_tone_mean_envelope(
+                gate_a * tone_amplitude(port, pair.freq_a_hz),
+                gate_b * tone_amplitude(port, pair.freq_b_hz),
+            )
             for port in (FsaPort.A, FsaPort.B)
-            for f in (pair.freq_a_hz, pair.freq_b_hz)
-        }
+        ]
+        return detect_symbols(self.node, self.rng, envelopes, symbol_rate_hz)
 
     @obs.traced("engine.downlink", count="engine.downlink.trials")
     def simulate_downlink(
@@ -742,11 +871,9 @@ class MilBackSimulator:
     ) -> DownlinkResult:
         """AP sends OAQFM (or OOK at normal incidence), node decodes.
 
-        The per-port detector input is the phase-averaged two-tone
-        envelope of (own tone, leaked other tone), each gated by its bit
-        stream and scaled by the frequency-exact port gain — see
-        :func:`repro.dsp.envelope.two_tone_mean_envelope` for why this is
-        the exact post-video-filter observable.
+        Each tone is gated by its bit stream; the gates are constant
+        within a symbol, so the detector input is evaluated once per
+        symbol (:meth:`_detect_two_tones`).
         """
         bits = np.asarray(list(bits), dtype=np.uint8)
         if bits.size == 0:
@@ -763,28 +890,11 @@ class MilBackSimulator:
 
         symbols = bits_to_symbols(bits)
         symbol_rate_bps = bit_rate_bps / 2.0
-        samples_per_symbol, sim_rate = detector_input_grid(self.node, symbol_rate_bps)
-        # The gates are constant within a symbol, so the detector input is
-        # evaluated once per symbol and repeated onto the sample grid.
-        gate_a, gate_b = tone_gates(symbols, 1)
-        amp = self._tone_amplitudes(pair)
-        detector_out = {}
-        for port, detector in self._port_detectors():
-            # Each port sees BOTH tones through its own pattern: its
-            # aligned tone at beam gain and the other at sidelobe level.
-            # The phase-averaged envelope is symmetric in the two.
-            envelope = two_tone_mean_envelope(
-                gate_a * amp[(port, pair.freq_a_hz)],
-                gate_b * amp[(port, pair.freq_b_hz)],
-            )
-            rf = Signal(np.repeat(envelope, samples_per_symbol), sim_rate, 0.0, 0.0)
-            detector_out[port] = detector.detect(rf, rng=self.rng)
-
+        detector_a, detector_b = self._detect_two_tones(
+            *tone_gates(symbols, 1), pair, symbol_rate_bps
+        )
         decode = self.node.demodulator.decode(
-            detector_out[FsaPort.A],
-            detector_out[FsaPort.B],
-            symbol_rate_bps,
-            len(symbols),
+            detector_a, detector_b, symbol_rate_bps, len(symbols)
         )
         padded_tx = np.concatenate([bits, np.zeros(len(symbols) * 2 - bits.size, np.uint8)])
         return DownlinkResult(
@@ -795,8 +905,8 @@ class MilBackSimulator:
             sinr_b_db=decode.sinr_b_db,
             used_ook_fallback=False,
             pair=pair,
-            detector_a=detector_out[FsaPort.A] if keep_traces else None,
-            detector_b=detector_out[FsaPort.B] if keep_traces else None,
+            detector_a=detector_a if keep_traces else None,
+            detector_b=detector_b if keep_traces else None,
         )
 
     @obs.traced("engine.downlink_dense", count="engine.downlink_dense.trials")
@@ -831,28 +941,16 @@ class MilBackSimulator:
             )
         levels_a, levels_b = dense_symbol_levels(bits, scheme)
         n_symbols = levels_a.size
-        samples_per_symbol, sim_rate = detector_input_grid(self.node, symbol_rate_hz)
-        gate_a = np.array([scheme.amplitude_for_level(l) for l in levels_a])
-        gate_b = np.array([scheme.amplitude_for_level(l) for l in levels_b])
-        amp = self._tone_amplitudes(pair)
-        measured = {}
-        for port, detector in self._port_detectors():
-            own_gate, other_gate = (
-                (gate_a, gate_b) if port == FsaPort.A else (gate_b, gate_a)
-            )
-            own_freq, other_freq = (
-                (pair.freq_a_hz, pair.freq_b_hz)
-                if port == FsaPort.A
-                else (pair.freq_b_hz, pair.freq_a_hz)
-            )
-            envelope = two_tone_mean_envelope(
-                own_gate * amp[(port, own_freq)],
-                other_gate * amp[(port, other_freq)],
-            )
-            rf = Signal(np.repeat(envelope, samples_per_symbol), sim_rate, 0.0, 0.0)
-            video = detector.detect(rf, rng=self.rng)
-            measured[port] = symbol_integrate(video, 1.0 / symbol_rate_hz, n_symbols)
-        rx_bits = decode_dense_levels(measured[FsaPort.A], measured[FsaPort.B], scheme)
+        videos = self._detect_two_tones(
+            np.array([scheme.amplitude_for_level(l) for l in levels_a]),
+            np.array([scheme.amplitude_for_level(l) for l in levels_b]),
+            pair,
+            symbol_rate_hz,
+        )
+        measured_a, measured_b = (
+            symbol_integrate(video, 1.0 / symbol_rate_hz, n_symbols) for video in videos
+        )
+        rx_bits = decode_dense_levels(measured_a, measured_b, scheme)
         padded_tx = np.concatenate(
             [bits, np.zeros(n_symbols * scheme.bits_per_symbol - bits.size, np.uint8)]
         )
@@ -877,14 +975,12 @@ class MilBackSimulator:
 
         One bit per symbol, on the same detector-input grid as OAQFM.
         """
-        samples_per_symbol, sim_rate = detector_input_grid(self.node, bit_rate_bps)
         carrier_hz = 0.5 * (pair.freq_a_hz + pair.freq_b_hz)
         sqrt_ptx = math.sqrt(self.budget.tx_power_w())
         amp_a = sqrt_ptx * 10.0 ** (
             simcache.downlink_port_gain_db(self.budget, FsaPort.A, carrier_hz) / 20.0
         )
-        rf = Signal(np.repeat(bits * amp_a, samples_per_symbol), sim_rate, 0.0, 0.0)
-        video = self.node.config.detector_a.detect(rf, rng=self.rng)
+        (video,) = detect_symbols(self.node, self.rng, (bits * amp_a,), bit_rate_bps)
         rx_bits, sinr = self.node.demodulator.decode_ook(video, bit_rate_bps, bits.size)
         return DownlinkResult(
             tx_bits=bits,
@@ -907,79 +1003,13 @@ class MilBackSimulator:
         bit_rate_bps: float = 10e6,
         pair: TonePair | None = None,
     ) -> UplinkResult:
-        """Node backscatters the AP's two-tone query; AP decodes.
-
-        Per mixed branch, the node's gated reflection of "its" tone is a
-        baseband square wave; self-interference/clutter are the DC the
-        receiver blocks; thermal noise enters at kT·NF over the simulated
-        band and is narrowed by symbol integration. A per-symbol
-        multiplicative term models TX phase noise / residual SI, capping
-        the short-range SNR (``Calibration.uplink_sinr_cap_db``).
-        """
+        """Node backscatters the AP's two-tone query; AP decodes
+        (:func:`receive_uplink`)."""
         bits = np.asarray(list(bits), dtype=np.uint8)
         if bits.size == 0:
             raise ConfigurationError("no bits to send")
         orientation = self.budget.node_orientation_deg()
         if pair is None:
             pair = self.ap.tone_pair_for_orientation(orientation)
-        from repro.ap.uplink_rx import PILOT_SYMBOLS, pilot_bits
-
-        n_pilots = len(PILOT_SYMBOLS)
-        tx_stream = np.concatenate([pilot_bits(), bits])
-        gates = self.node.modulator.gates_for_bits(
-            tx_stream, bit_rate_bps, sample_rate_hz=16.0 * bit_rate_bps / 2.0
-        )
-        symbol_rate_hz = gates.symbol_rate_hz
-        sim_rate = gates.samples_per_symbol * symbol_rate_hz
-        n = gates.gate_a.size
-        n_symbols = gates.n_symbols
-        sqrt_tone_power = math.sqrt(self.budget.tx_power_w() / 2.0)
-        # The mixer's conversion loss attenuates signal and (LNA-dominated,
-        # input-referred) noise alike, so it cancels out of the branch SNR
-        # and is deliberately not applied here.
-        eps = 10.0 ** (-self.calibration.uplink_sinr_cap_db / 20.0)
-        noise_power = thermal_noise_power_w(
-            sim_rate, self.calibration.ap_noise_figure_db
-        )
-
-        branches = {}
-        for port, gate, freq in (
-            (FsaPort.A, gates.gate_a, pair.freq_a_hz),
-            (FsaPort.B, gates.gate_b, pair.freq_b_hz),
-        ):
-            amp = sqrt_tone_power * 10.0 ** (
-                simcache.backscatter_gain_db(self.budget, port, freq) / 20.0
-            )
-            phase = self.rng.uniform(0.0, 2.0 * math.pi)
-            # Per-symbol multiplicative noise (correlated within a symbol).
-            mult = 1.0 + eps * np.repeat(
-                self.rng.standard_normal(n_symbols), gates.samples_per_symbol
-            )
-            signal = amp * gate * mult[:n] * np.exp(1j * phase)
-            # Static residue: clutter + SI that the DC block removes.
-            dc = 10.0 * amp
-            sigma = math.sqrt(noise_power / 2.0)
-            noise = sigma * (
-                self.rng.standard_normal(n) + 1j * self.rng.standard_normal(n)
-            )
-            branches[port] = Signal(signal + dc + noise, sim_rate, 0.0, 0.0)
-
-        decode = self.ap.uplink_rx.decode(
-            branches[FsaPort.A],
-            branches[FsaPort.B],
-            symbol_rate_hz,
-            n_symbols,
-            n_pilot_symbols=n_pilots,
-        )
-        n_data_symbols = n_symbols - n_pilots
-        padded_tx = np.concatenate(
-            [bits, np.zeros(n_data_symbols * 2 - bits.size, np.uint8)]
-        )
-        return UplinkResult(
-            tx_bits=padded_tx,
-            rx_bits=decode.bits,
-            ber=measure_ber(padded_tx, decode.bits),
-            snr_a_db=decode.snr_a_db,
-            snr_b_db=decode.snr_b_db,
-            pair=pair,
-        )
+        gates = uplink_gates(self.node, bits, bit_rate_bps)
+        return receive_uplink(self.rng, self.budget, self.ap, gates, bits, pair)

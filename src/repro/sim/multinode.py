@@ -1,13 +1,22 @@
-"""Concurrent multi-node uplink over space-division multiplexing.
+"""Concurrent multi-node links over space-division multiplexing.
 
 Paper §7: "MilBack can potentially support multiple nodes by using
 spatial division multiplexing … the AP can create multiple beams towards
 different nodes and establish communication links with them
-concurrently." This module makes that claim quantitative: each node is
-served by a beam pointed at it, and every *other* concurrently-served
-node leaks into that beam through its pattern sidelobes — attenuated
-spatially (beam roll-off, twice) and spectrally (tone separation versus
-the receiver's symbol bandwidth).
+concurrently." This module makes that claim quantitative for both
+directions: each node is served by a beam pointed at it, and every
+*other* concurrently-served node leaks into that beam.
+:class:`MultiNodeUplink` attenuates the leak spatially (beam roll-off,
+twice) and spectrally (tone separation versus the receiver's symbol
+bandwidth); :class:`MultiNodeDownlink` attenuates each foreign beam by
+the AP's TX roll-off and this node's port gain at the foreign tones.
+
+The slots model only that: isolation, foreign-beam power and per-node
+bookkeeping. Each node's link budget, the AP's uplink branches and the
+node's detector step are the engine's own (:func:`link_budget`,
+:func:`receive_uplink`, :func:`detect_symbols` in
+:mod:`repro.sim.engine`), so from the same generator state a one-node
+slot returns what the engine's uplink, or OAQFM downlink, returns.
 """
 
 from __future__ import annotations
@@ -19,18 +28,15 @@ import numpy as np
 
 from repro.antennas.fsa import FsaPort
 from repro.ap.access_point import AccessPoint
-from repro.ap.uplink_rx import PILOT_SYMBOLS, pilot_bits
 from repro.channel.scene import Scene2D
 from repro.dsp.envelope import two_tone_mean_envelope
 from repro.dsp.noise import thermal_noise_power_w
-from repro.dsp.signal import Signal
 from repro.errors import ConfigurationError
 from repro.node.node import BackscatterNode
 from repro.phy.ber import measure_ber
 from repro.phy.oaqfm import bits_to_symbols, tone_gates
 from repro.sim.calibration import Calibration, default_calibration
-from repro.sim.engine import detector_input_grid
-from repro.sim.linkbudget import LinkBudget
+from repro.sim.engine import detect_symbols, link_budget, receive_uplink, uplink_gates
 from repro.utils.geometry import angle_between_deg
 from repro.utils.rng import RngLike, make_rng
 
@@ -72,15 +78,8 @@ class _ConcurrentSlot:
         self.calibration = calibration or default_calibration()
         self.rng = make_rng(seed)
         self.budgets = {
-            placement.node_id: LinkBudget(
-                scene=scene,
-                fsa=self.node.fsa,
-                tx_horn=self.ap.config.tx_horn,
-                rx_horn=self.ap.config.rx_horn,
-                switch=self.node.config.switch_a,
-                calibration=self.calibration,
-                tx_power_dbm=self.ap.config.tx_power_dbm,
-                node_id=placement.node_id,
+            placement.node_id: link_budget(
+                scene, self.node, self.ap, self.calibration, placement.node_id
             )
             for placement in scene.nodes
         }
@@ -134,136 +133,77 @@ class MultiNodeUplink(_ConcurrentSlot):
         payloads: dict[str, np.ndarray],
         bit_rate_bps: float = 10e6,
     ) -> dict[str, ConcurrentNodeResult]:
-        """Serve every node in ``payloads`` concurrently for one slot."""
+        """Serve every node in ``payloads`` concurrently for one slot.
+
+        Every other node's port-A gate stream leaks onto both of a
+        node's branches through the beam sidelobes and whatever spectral
+        offset its tones have; the interference it reports is that leak
+        power over the branch's thermal noise.
+        """
         if not payloads:
             raise ConfigurationError("no payloads to send")
         for node_id in payloads:
             self.scene.node(node_id)  # validates existence
-        symbol_rate_bps = bit_rate_bps / 2.0
-        samples_per_symbol = 16
-        sim_rate = samples_per_symbol * symbol_rate_bps
-        eps = 10.0 ** (-self.calibration.uplink_sinr_cap_db / 20.0)
-        noise_power = thermal_noise_power_w(
-            sim_rate, self.calibration.ap_noise_figure_db
+        bits = {
+            node_id: np.asarray(list(payload), dtype=np.uint8)
+            for node_id, payload in payloads.items()
+        }
+        # Every node's gate streams, built once (shared across beams).
+        gates = {
+            node_id: uplink_gates(self.node, node_bits, bit_rate_bps)
+            for node_id, node_bits in bits.items()
+        }
+        symbol_rate_hz = bit_rate_bps / 2.0
+        # Every node's branches share one sample grid, so one noise floor.
+        first_id = next(iter(payloads))
+        noise_power_w = thermal_noise_power_w(
+            gates[first_id].samples_per_symbol * symbol_rate_hz,
+            self.calibration.ap_noise_figure_db,
         )
-        sqrt_tone_power = math.sqrt(
-            self.budgets[next(iter(payloads))].tx_power_w() / 2.0
-        )
-
-        # Build every node's gate streams once (shared across beams).
-        streams = {}
-        for node_id, bits in payloads.items():
-            tx_stream = np.concatenate(
-                [pilot_bits(), np.asarray(list(bits), dtype=np.uint8)]
-            )
-            gates = self.node.modulator.gates_for_bits(
-                tx_stream, bit_rate_bps, sample_rate_hz=sim_rate
-            )
-            streams[node_id] = (tx_stream, gates)
-
-        n_symbols = max(g.n_symbols for _, g in streams.values())
+        sqrt_tone_power = math.sqrt(self.budgets[first_id].tx_power_w() / 2.0)
         results = {}
         for node_id in payloads:
-            results[node_id] = self._decode_one(
-                node_id,
-                streams,
-                symbol_rate_bps,
-                sim_rate,
-                n_symbols,
-                sqrt_tone_power,
-                eps,
-                noise_power,
+            others = [other_id for other_id in payloads if other_id != node_id]
+            isolation_db = {
+                other_id: self.spatial_isolation_db(node_id, other_id)
+                + self.spectral_isolation_db(node_id, other_id, symbol_rate_hz)
+                for other_id in others
+            }
+            leaks = {FsaPort.A: [], FsaPort.B: []}
+            for port, port_leaks in leaks.items():
+                for other_id in others:
+                    gain_db = self.budgets[other_id].backscatter_gain_db(
+                        port, self._tone_pair(other_id).freq_a_hz
+                    )
+                    leak_amp = sqrt_tone_power * 10.0 ** (
+                        (gain_db - isolation_db[other_id]) / 20.0
+                    )
+                    port_leaks.append((leak_amp, gates[other_id].gate_a))
+            interference_w = sum(
+                leak_amp**2 / 2.0
+                for port_leaks in leaks.values()
+                for leak_amp, _ in port_leaks
+            )
+            run = receive_uplink(
+                self.rng,
+                self.budgets[node_id],
+                self.ap,
+                gates[node_id],
+                bits[node_id],
+                self._tone_pair(node_id),
+                leaks,
+            )
+            results[node_id] = ConcurrentNodeResult(
+                node_id=node_id,
+                ber=run.ber,
+                sinr_db=min(run.snr_a_db, run.snr_b_db),
+                interference_over_noise_db=(
+                    10.0 * math.log10(interference_w / noise_power_w)
+                    if interference_w > 0
+                    else -math.inf
+                ),
             )
         return results
-
-    # --- internals ---------------------------------------------------------------
-
-    def _decode_one(
-        self,
-        node_id: str,
-        streams: dict,
-        symbol_rate: float,
-        sim_rate: float,
-        n_symbols: int,
-        sqrt_tone_power: float,
-        eps: float,
-        noise_power: float,
-    ) -> ConcurrentNodeResult:
-        budget = self.budgets[node_id]
-        pair = self._tone_pair(node_id)
-        tx_stream, gates = streams[node_id]
-        n = gates.gate_a.size
-        interference_power_total = 0.0
-        branches = {}
-        for port, gate, freq in (
-            (FsaPort.A, gates.gate_a, pair.freq_a_hz),
-            (FsaPort.B, gates.gate_b, pair.freq_b_hz),
-        ):
-            amp = sqrt_tone_power * 10.0 ** (
-                budget.backscatter_gain_db(port, freq) / 20.0
-            )
-            phase = self.rng.uniform(0.0, 2.0 * math.pi)
-            mult = 1.0 + eps * np.repeat(
-                self.rng.standard_normal(gates.n_symbols), gates.samples_per_symbol
-            )
-            samples = amp * gate * mult[:n] * np.exp(1j * phase) + 10.0 * amp
-
-            # Every other concurrently-served node leaks in through the
-            # beam sidelobes and whatever spectral offset its tones have.
-            for other_id, (_, other_gates) in streams.items():
-                if other_id == node_id:
-                    continue
-                other_budget = self.budgets[other_id]
-                other_pair = self._tone_pair(other_id)
-                isolation_db = self.spatial_isolation_db(node_id, other_id)
-                isolation_db += self.spectral_isolation_db(
-                    node_id, other_id, symbol_rate
-                )
-                leak_amp = sqrt_tone_power * 10.0 ** (
-                    (
-                        other_budget.backscatter_gain_db(port, other_pair.freq_a_hz)
-                        - isolation_db
-                    )
-                    / 20.0
-                )
-                leak_phase = self.rng.uniform(0.0, 2.0 * math.pi)
-                m = min(n, other_gates.gate_a.size)
-                samples[:m] = samples[:m] + leak_amp * other_gates.gate_a[:m] * np.exp(
-                    1j * leak_phase
-                )
-                interference_power_total += leak_amp**2 / 2.0
-
-            sigma = math.sqrt(noise_power / 2.0)
-            samples = samples + sigma * (
-                self.rng.standard_normal(n) + 1j * self.rng.standard_normal(n)
-            )
-            branches[port] = Signal(samples, sim_rate, 0.0, 0.0)
-
-        decode = self.ap.uplink_rx.decode(
-            branches[FsaPort.A],
-            branches[FsaPort.B],
-            symbol_rate,
-            gates.n_symbols,
-            n_pilot_symbols=len(PILOT_SYMBOLS),
-        )
-        data_bits = tx_stream[2 * len(PILOT_SYMBOLS) :]
-        padded_tx = np.concatenate(
-            [
-                data_bits,
-                np.zeros(decode.bits.size - data_bits.size, dtype=np.uint8),
-            ]
-        )
-        ion_db = (
-            10.0 * math.log10(interference_power_total / noise_power)
-            if interference_power_total > 0
-            else -math.inf
-        )
-        return ConcurrentNodeResult(
-            node_id=node_id,
-            ber=measure_ber(padded_tx, decode.bits),
-            sinr_db=decode.snr_db,
-            interference_over_noise_db=ion_db,
-        )
 
 
 class MultiNodeDownlink(_ConcurrentSlot):
@@ -297,15 +237,12 @@ class MultiNodeDownlink(_ConcurrentSlot):
         if not payloads:
             raise ConfigurationError("no payloads to send")
         symbol_rate_bps = bit_rate_bps / 2.0
-        samples_per_symbol, sim_rate = detector_input_grid(self.node, symbol_rate_bps)
         sqrt_tone_power = math.sqrt(
             self.budgets[next(iter(payloads))].tx_power_w() / 2.0
         )
 
-        # Per-node symbol gates + tone pairs. Every stream shares
-        # samples_per_symbol and its gates are constant within a symbol,
-        # so each detector input is built per symbol (foreign streams cut
-        # to the shorter one in symbols) and repeated onto the sample grid.
+        # Per-node symbol gates + tone pairs. Each detector input is
+        # built per symbol, foreign streams cut to the shorter one.
         streams = {}
         for node_id, bits in payloads.items():
             self.scene.node(node_id)
@@ -317,13 +254,11 @@ class MultiNodeDownlink(_ConcurrentSlot):
         for node_id, bits in payloads.items():
             symbols, gate_a, gate_b, pair = streams[node_id]
             budget = self.budgets[node_id]
-            detector_out = {}
+            envelopes = []
             interference_total = 0.0
-            for port, detector, own_freq, own_gate, other_gate, other_freq in (
-                (FsaPort.A, self.node.config.detector_a, pair.freq_a_hz, gate_a,
-                 gate_b, pair.freq_b_hz),
-                (FsaPort.B, self.node.config.detector_b, pair.freq_b_hz, gate_b,
-                 gate_a, pair.freq_a_hz),
+            for port, own_freq, own_gate, other_gate, other_freq in (
+                (FsaPort.A, pair.freq_a_hz, gate_a, gate_b, pair.freq_b_hz),
+                (FsaPort.B, pair.freq_b_hz, gate_b, gate_a, pair.freq_a_hz),
             ):
                 n = own_gate.size
                 own = own_gate * sqrt_tone_power * 10.0 ** (
@@ -349,14 +284,12 @@ class MultiNodeDownlink(_ConcurrentSlot):
                         )
                         leak_power[:m] = leak_power[:m] + (o_gate[:m] * amp) ** 2
                         interference_total += amp**2 / 2.0
-                envelope = two_tone_mean_envelope(own, np.sqrt(leak_power))
-                rf = Signal(np.repeat(envelope, samples_per_symbol), sim_rate, 0.0, 0.0)
-                detector_out[port] = detector.detect(rf, rng=self.rng)
+                envelopes.append(two_tone_mean_envelope(own, np.sqrt(leak_power)))
+            detector_a, detector_b = detect_symbols(
+                self.node, self.rng, envelopes, symbol_rate_bps
+            )
             decode = self.node.demodulator.decode(
-                detector_out[FsaPort.A],
-                detector_out[FsaPort.B],
-                symbol_rate_bps,
-                len(symbols),
+                detector_a, detector_b, symbol_rate_bps, len(symbols)
             )
             tx_bits = np.asarray(list(bits), dtype=np.uint8)
             padded = np.concatenate(

@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.antennas.dual_port_fsa import TonePair
+from repro.channel.multipath import Reflector
 from repro.channel.scene import Scene2D
 from repro.errors import ConfigurationError
 from repro.sim.engine import MilBackSimulator
+from repro.utils.geometry import Point2D
 
 
 class TestOddInputs:
@@ -123,3 +126,48 @@ class TestDynamicRange:
         sim = MilBackSimulator(Scene2D.single_node(0.5, orientation_deg=10.0), seed=21)
         bits = np.random.default_rng(0).integers(0, 2, 64)
         assert sim.simulate_downlink(bits, 2e6).ber == 0.0
+
+
+class TestBeatBurstArguments:
+    """Only ``None`` means the default burst; a count below one is
+    rejected before the burst is counted."""
+
+    @pytest.mark.parametrize("n_chirps", [0, -2])
+    def test_chirp_count_below_one_rejected(self, n_chirps):
+        sim = MilBackSimulator(Scene2D.single_node(3.0, orientation_deg=10.0), seed=1)
+        synthesized = obs.counter("engine.chirps.synthesized").value
+        with pytest.raises(ConfigurationError):
+            sim.beat_burst(n_chirps=n_chirps)
+        with pytest.raises(ConfigurationError):
+            sim.simulate_localization_array(n_chirps=n_chirps)
+        assert obs.counter("engine.chirps.synthesized").value == synthesized
+
+    def test_rx_antenna_count_below_one_rejected_before_counting(self):
+        sim = MilBackSimulator(Scene2D.single_node(3.0, orientation_deg=10.0), seed=1)
+        synthesized = obs.counter("engine.chirps.synthesized").value
+        with pytest.raises(ConfigurationError):
+            sim.beat_burst(n_rx_antennas=0)
+        assert obs.counter("engine.chirps.synthesized").value == synthesized
+
+    def test_none_gives_the_default_burst(self):
+        sim = MilBackSimulator(Scene2D.single_node(3.0, orientation_deg=10.0), seed=1)
+        synthesized = obs.counter("engine.chirps.synthesized").value
+        burst = sim.beat_burst(n_chirps=None)
+        assert burst.shape[0] == sim.ap.config.n_ranging_chirps == 5
+        assert obs.counter("engine.chirps.synthesized").value == synthesized + 5
+
+
+class TestClutterNames:
+    def test_reflectors_sharing_a_name_keep_their_own_azimuths(self):
+        """A reflector's name labels it; its phase across the RX array
+        comes from where it stands."""
+
+        def burst(first: str, second: str) -> np.ndarray:
+            scene = (
+                Scene2D.single_node(3.0, azimuth_deg=5.0, orientation_deg=10.0, with_clutter=False)
+                .with_clutter(Reflector(Point2D(4.0, -2.5), rcs_dbsm=3.0, name=first))
+                .with_clutter(Reflector(Point2D(5.5, 2.5), rcs_dbsm=3.0, name=second))
+            )
+            return MilBackSimulator(scene, seed=3).beat_burst()
+
+        assert np.array_equal(burst("shelf", "shelf"), burst("shelf-1", "shelf-2"))

@@ -1,5 +1,6 @@
-"""Concurrent SDM uplink tests (repro.sim.multinode)."""
+"""Concurrent SDM uplink and downlink tests (repro.sim.multinode)."""
 
+import copy
 import math
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 
 from repro.channel.scene import NodePlacement, Scene2D
 from repro.errors import ConfigurationError
-from repro.sim.multinode import MultiNodeUplink
+from repro.sim.engine import MilBackSimulator
+from repro.sim.multinode import MultiNodeDownlink, MultiNodeUplink
 from repro.utils.geometry import Pose2D
 
 
@@ -22,6 +24,11 @@ def scene_with_pair(separation_deg: float, distance_m: float = 3.0) -> Scene2D:
     return scene.with_node(
         NodePlacement(Pose2D.at(x, y, half + 180.0 - 10.0), "n1")
     )
+
+
+def lone_node_scene() -> Scene2D:
+    """One node, off the AP's boresight and turned away from it."""
+    return Scene2D.single_node(6.0, azimuth_deg=15.0, orientation_deg=-12.0, node_id="n0")
 
 
 @pytest.fixture
@@ -94,10 +101,17 @@ class TestConcurrentSlot:
         )
 
     def test_single_node_slot_matches_isolated_link(self, payloads):
-        mn = MultiNodeUplink(scene_with_pair(30.0), seed=9)
-        solo = mn.simulate_slot({"n0": payloads["n0"]})
-        assert solo["n0"].ber == 0.0
-        assert solo["n0"].interference_over_noise_db == -math.inf
+        """A one-node slot is the engine's uplink: from the same generator
+        state it draws the same variates and decodes the same bits."""
+        for scene in (scene_with_pair(30.0), lone_node_scene()):
+            sim = MilBackSimulator(scene, seed=9, node_id="n0")
+            mn = MultiNodeUplink(scene, node=sim.node, ap=sim.ap, seed=copy.deepcopy(sim.rng))
+            solo = mn.simulate_slot({"n0": payloads["n0"]})
+            isolated = sim.simulate_uplink(payloads["n0"])
+            assert solo["n0"].ber == 0.0
+            assert solo["n0"].interference_over_noise_db == -math.inf
+            assert solo["n0"].ber == isolated.ber
+            assert solo["n0"].sinr_db == isolated.snr_db
 
     def test_unknown_node_rejected(self, payloads):
         mn = MultiNodeUplink(scene_with_pair(30.0), seed=10)
@@ -135,16 +149,12 @@ class TestConcurrentDownlink:
         return {"n0": rng.integers(0, 2, 64), "n1": rng.integers(0, 2, 64)}
 
     def test_distinct_orientations_deliver_error_free(self, dl_payloads):
-        from repro.sim.multinode import MultiNodeDownlink
-
         scene = scene_with_pair_orientations(18.0, 18.0, -12.0)
         results = MultiNodeDownlink(scene, seed=5).simulate_slot(dl_payloads)
         assert results["n0"].ber == 0.0
         assert results["n1"].ber == 0.0
 
     def test_sinr_grows_with_separation(self, dl_payloads):
-        from repro.sim.multinode import MultiNodeDownlink
-
         sinrs = []
         for separation in (8.0, 18.0, 36.0):
             scene = scene_with_pair_orientations(separation, 18.0, -12.0)
@@ -156,8 +166,6 @@ class TestConcurrentDownlink:
         """Two nodes with identical orientation share tone frequencies;
         only wide beam separation can isolate them — the downlink-SDM
         planning constraint this module surfaces."""
-        from repro.sim.multinode import MultiNodeDownlink
-
         close = scene_with_pair_orientations(8.0, 10.0, 10.0)
         wide = scene_with_pair_orientations(36.0, 10.0, 10.0)
         ber_close = MultiNodeDownlink(close, seed=6).simulate_slot(dl_payloads)["n0"].ber
@@ -165,9 +173,20 @@ class TestConcurrentDownlink:
         assert ber_wide == 0.0
         assert ber_close > ber_wide
 
-    def test_empty_payloads_rejected(self):
-        from repro.sim.multinode import MultiNodeDownlink
+    def test_single_node_slot_matches_isolated_link(self, dl_payloads):
+        """A one-node slot is the engine's OAQFM downlink, bit for bit."""
+        for scene in (scene_with_pair_orientations(18.0, 18.0, -12.0), lone_node_scene()):
+            sim = MilBackSimulator(scene, seed=5, node_id="n0")
+            mn = MultiNodeDownlink(
+                scene, node=sim.node, ap=sim.ap, seed=copy.deepcopy(sim.rng)
+            )
+            solo = mn.simulate_slot({"n0": dl_payloads["n0"]})["n0"]
+            isolated = sim.simulate_downlink(dl_payloads["n0"])
+            assert not isolated.used_ook_fallback
+            assert solo.ber == isolated.ber
+            assert solo.sinr_db == isolated.sinr_db
 
+    def test_empty_payloads_rejected(self):
         scene = scene_with_pair_orientations(18.0, 18.0, -12.0)
         with pytest.raises(ConfigurationError):
             MultiNodeDownlink(scene, seed=7).simulate_slot({})

@@ -14,7 +14,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro import faults
 from repro.channel.scene import NodePlacement, Scene2D
+from repro.errors import ProtocolError
 from repro.hardware.power import NodeMode
 from repro.netsim import (
     SCENARIOS,
@@ -101,6 +103,16 @@ COMMS_PAYLOAD = b"MilBack comms golden"
 #: Two-node downlink slot: payloads of unequal length, so each node's
 #: foreign-beam gates are cut to the shorter stream.
 COMMS_SLOT_BITS = {"n0": 64, "n1": 48}
+#: Three-node uplink slot, unequal payloads again.
+COMMS_UPLINK_SLOT_BITS = {"n0": 64, "n1": 48, "n2": 80}
+#: Detector and ADC faults that strike about every other opportunity. Each
+#: hook draws from the plan's RNG when it is called, so the armed returns
+#: pin the order in which the node detects and samples its two ports.
+COMMS_FAULTS = (
+    faults.FaultSpec("detector_gain_drift", rate=0.5, intensity=0.5),
+    faults.FaultSpec("adc_saturation", rate=0.5, intensity=0.5),
+    faults.FaultSpec("adc_stuck_bits", rate=0.5, intensity=0.5),
+)
 
 
 def comms_document() -> dict[str, float]:
@@ -108,24 +120,29 @@ def comms_document() -> dict[str, float]:
     to ``"case/call/field" -> value``: both session directions, the Field-1
     firmware decision, node orientation, OAQFM (or OOK), dense OAQFM and
     uplink bursts with their detector traces reduced to sum and sum of
-    squares, and one two-node SDM downlink slot.
+    squares; Field 1, node orientation and a downlink session under
+    :data:`COMMS_FAULTS`; one two-node SDM downlink slot and one
+    three-node SDM uplink slot.
 
     As in :func:`sensing_document`, each call gets its own simulator on its
     own ``indexed_rngs`` stream.
     """
     from repro.phy.dense_oaqfm import DenseOaqfmScheme
-    from repro.sim.multinode import MultiNodeDownlink
+    from repro.sim.multinode import MultiNodeDownlink, MultiNodeUplink
 
     doc: dict[str, float] = {}
     for i, (distance_m, azimuth_deg, orientation_deg) in enumerate(COMMS_SCENES):
         scene = Scene2D.single_node(distance_m, azimuth_deg, orientation_deg)
         for s in range(COMMS_SEEDS):
             case = f"d{distance_m}-az{azimuth_deg}-o{orientation_deg}/s{s}"
-            rngs = iter(indexed_rngs(1, i * COMMS_SEEDS + s, 10))
+            rngs = iter(indexed_rngs(1, i * COMMS_SEEDS + s, 14))
             bits = np.random.default_rng(100 + i * COMMS_SEEDS + s).integers(0, 2, 96)
 
             def sim() -> MilBackSimulator:
                 return MilBackSimulator(scene, seed=next(rngs))
+
+            def faulted():
+                return faults.activate(faults.FaultPlan(COMMS_FAULTS, rng=next(rngs)))
 
             for name, exchange in (
                 ("send", MilBackLink.send_to_node),
@@ -165,6 +182,27 @@ def comms_document() -> dict[str, float]:
                 f"{case}/uplink/snr_a_db": uplink.snr_a_db,
                 f"{case}/uplink/snr_b_db": uplink.snr_b_db,
             })
+            with faulted():
+                simulator = sim()
+                decision = simulator.node.firmware.classify_field1(
+                    *simulator.simulate_field1(True)
+                )
+            for k, energy in enumerate(decision.slot_energies):
+                doc[f"{case}/faulted/field1_up/slot_energy_{k}"] = energy
+            with faulted():
+                orientation = sim().simulate_node_orientation()
+            doc.update(_fields(f"{case}/faulted/node_orientation", orientation))
+            with faulted():
+                try:
+                    session = MilBackLink(sim()).send_to_node(COMMS_PAYLOAD)
+                except ProtocolError:
+                    doc[f"{case}/faulted/send/failed"] = 1.0
+                else:
+                    for field in ("crc_ok", "link_quality_db"):
+                        doc[f"{case}/faulted/send/{field}"] = float(getattr(session, field))
+                    doc.update(_fields(
+                        f"{case}/faulted/send/node_orientation", session.node_orientation
+                    ))
     # n0 at -9° facing 18° off the AP, n1 at +9° facing -12° off it.
     n1_pose = Pose2D.at(
         3.0 * math.cos(math.radians(9.0)), 3.0 * math.sin(math.radians(9.0)), 201.0
@@ -183,6 +221,20 @@ def comms_document() -> dict[str, float]:
     for node_id, result in slot.items():
         for field in ("ber", "sinr_db", "interference_over_noise_db"):
             doc[f"multinode_downlink/{node_id}/{field}"] = float(getattr(result, field))
+    # n2 at +24° facing 8° off the AP.
+    n2_pose = Pose2D.at(
+        4.0 * math.cos(math.radians(24.0)), 4.0 * math.sin(math.radians(24.0)), 196.0
+    )
+    payloads = {
+        node_id: payload_rng.integers(0, 2, n_bits)
+        for node_id, n_bits in COMMS_UPLINK_SLOT_BITS.items()
+    }
+    slot = MultiNodeUplink(
+        slot_scene.with_node(NodePlacement(n2_pose, "n2")), seed=indexed_rngs(1, 98, 1)[0]
+    ).simulate_slot(payloads)
+    for node_id, result in slot.items():
+        for field in ("ber", "sinr_db", "interference_over_noise_db"):
+            doc[f"multinode_uplink/{node_id}/{field}"] = float(getattr(result, field))
     return doc
 
 
@@ -299,8 +351,10 @@ class TestSensingGoldens:
 class TestCommsGoldens:
     """The communication path's returns (sessions in both directions,
     Field-1 decisions with their slot energies, node orientation, OAQFM,
-    OOK, dense and uplink bursts, detector traces, an SDM downlink slot)
-    against values recorded before the node's receive chain became real.
+    OOK, dense and uplink bursts, detector traces, fault-armed Field 1,
+    node orientation and downlink session, SDM downlink and uplink slots)
+    against values recorded before the engine's receive steps were shared
+    with the SDM slots.
 
     The headline goldens bound these paths only within dB-wide bands;
     ``rel=1e-9`` catches a changed formula or draw order here too.
