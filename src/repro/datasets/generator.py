@@ -1,9 +1,10 @@
 """The corpus generator: grid rows → simulated bursts → labeled columns.
 
-Each worker chunk materializes one contiguous *block* of rows. Per row
-it derives the RNG streams from ``(seed, row_index)`` alone
-(:func:`repro.utils.rng.indexed_rngs`), builds the row's scene,
-simulates one Field-2 burst via
+Each worker chunk materializes one contiguous *block* of rows. It
+derives every row's RNG streams from ``(seed, row_index)`` alone, in one
+:func:`repro.utils.rng.indexed_rng_rows` pass per block (bit for bit the
+per-row :func:`repro.utils.rng.indexed_rngs` streams). Per row it builds
+the row's scene, simulates one Field-2 burst via
 :meth:`~repro.sim.engine.MilBackSimulator.observe_burst` (under an
 active fault plan when the row's grid cell injects faults), and then —
 the trial-batched part — extracts beat-spectrum features for the *whole
@@ -43,7 +44,7 @@ from repro.obs import stream
 from repro.parallel import PersistentPool, active_pool, resolve_max_workers
 from repro.sim.engine import BurstObservables, MilBackSimulator
 from repro.utils.geometry import Point2D
-from repro.utils.rng import indexed_rngs
+from repro.utils.rng import indexed_rng_rows
 
 __all__ = ["generate_dataset", "scene_for_row"]
 
@@ -75,9 +76,13 @@ def scene_for_row(params: RowParams) -> Scene2D:
     return scene
 
 
-def _simulate_row(config: DatasetConfig, index: int) -> tuple[RowParams, BurstObservables]:
+def _simulate_row(
+    config: DatasetConfig,
+    index: int,
+    sim_stream: np.random.Generator,
+    fault_stream: np.random.Generator,
+) -> tuple[RowParams, BurstObservables]:
     params = config.row_params(index)
-    sim_stream, fault_stream = indexed_rngs(config.seed, index, 2)
     sim = MilBackSimulator(scene_for_row(params), seed=sim_stream)
     if params.fault_rate > 0.0:
         plan = faults.FaultPlan(
@@ -105,8 +110,9 @@ def _pool_bins(profile: np.ndarray, n_bins: int) -> np.ndarray:
 
 def _generate_block(config: DatasetConfig, bounds: tuple[int, int]) -> dict[str, np.ndarray]:
     """Materialize rows ``[lo, hi)`` as schema columns (worker side)."""
-    lo, hi = bounds
-    rows = [_simulate_row(config, index) for index in range(lo, hi)]
+    indices = range(*bounds)
+    streams = indexed_rng_rows(config.seed, indices, 2)
+    rows = [_simulate_row(config, i, *row) for i, row in zip(indices, streams)]
     n_rows = len(rows)
     obs.counter("datasets.rows").inc(n_rows)
 

@@ -5,10 +5,11 @@ axes (scene kind × distance × azimuth × orientation × fault rate ×
 radial velocity), the trials-per-cell count, the master seed, and the
 feature width. Row ``i`` of the corpus is a pure function of
 ``(config, i)``: :meth:`DatasetConfig.row_params` decomposes the index
-into grid coordinates (trial fastest-varying), and
-:func:`repro.utils.rng.indexed_rngs` derives the row's RNG streams from
-``(seed, i)`` alone. Nothing about workers, chunking, sharding, or
-resume order can therefore change a single byte of any row.
+into grid coordinates (trial fastest-varying), and the row's RNG
+streams derive from ``(seed, i)`` alone (per block through
+:func:`repro.utils.rng.indexed_rng_rows`, bit for bit
+:func:`repro.utils.rng.indexed_rngs`). Nothing about workers, chunking,
+sharding, or resume order can therefore change a single byte of any row.
 
 ``SCHEMA_VERSION`` names the column layout below. Any change to field
 names, dtypes, shapes, ordering, or the index→parameter decomposition

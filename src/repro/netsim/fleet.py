@@ -284,9 +284,9 @@ class InventoryProcess:
         )
         self.rounds.append(round_stats)
         obs.counter("netsim.rounds").inc()
-        for tag in resolved:
-            self.pending.remove(tag)
-            self.inventoried.append(tag)
+        done = set(resolved)
+        self.pending = [tag for tag in self.pending if tag not in done]
+        self.inventoried.extend(resolved)
         obs.counter("netsim.inventoried").inc(len(resolved))
         self.sim.log(
             "netsim.inventory.frame",

@@ -85,7 +85,8 @@ def run_scenario(name: str, seed: int = 0) -> ScenarioResult:
 
 def _execute(spec: ScenarioSpec, seed: int) -> ScenarioResult:
     derived = scenario_seed(seed, spec.name)
-    aps, nodes = build_fleet(spec, seed)
+    with obs.span("netsim.build_fleet"):
+        aps, nodes = build_fleet(spec, seed)
     model = FleetLinkModel()
     sim = NetworkSimulation(trace_capacity=spec.trace_capacity)
 
@@ -155,7 +156,8 @@ def _execute(spec: ScenarioSpec, seed: int) -> ScenarioResult:
 
     for ap_index, ap in enumerate(aps):
         _start_ap(ap, ap_index)
-    sim.run(until_s=spec.horizon_s)
+    with obs.span("netsim.run"):
+        sim.run(until_s=spec.horizon_s)
 
     inventoried = sum(len(r.inventoried) for r in inventories.values())
     rounds = sum(r.n_rounds for r in inventories.values())

@@ -2,11 +2,13 @@
 
 A scenario is a frozen spec in a registry, looked up by name; bumping a
 spec's ``version`` signals that its tables are expected to change. All
-geometry and traffic derive from per-entity RNG streams
-(:func:`repro.utils.rng.indexed_rngs`) under a seed folded with the
-scenario name, so a scenario run is a pure function of ``(name, seed)``
-— the matrix runner can fan scenarios across workers in any order and
-the tables come back byte-identical.
+geometry and traffic derive from per-entity RNG streams under a seed
+folded with the scenario name: node *i*'s streams are row *i* of one
+:func:`repro.utils.rng.indexed_rng_rows` block per fleet, bit for bit
+what :func:`repro.utils.rng.indexed_rngs` derives for that row alone.
+So a scenario run is a pure function of ``(name, seed)`` — the matrix
+runner can fan scenarios across workers in any order and the tables
+come back byte-identical.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 from repro.channel.mobility import Waypoint, WaypointTrajectory
 from repro.errors import NetworkSimError
 from repro.utils.geometry import Pose2D
-from repro.utils.rng import indexed_rngs
+from repro.utils.rng import indexed_rng_rows
 
 from repro.netsim.fleet import FleetAp, FleetNode
 
@@ -166,15 +168,17 @@ def build_fleet(
 
     Node ``i`` consumes exactly ``spec.streams_per_node`` streams at
     entity index ``i``: one for geometry (placement, mobility), one for
-    the link layer (packet-success draws during ARQ). Identical at any
-    worker count by the :func:`indexed_rngs` contract.
+    the link layer (packet-success draws during ARQ). The fleet's streams
+    come from one :func:`indexed_rng_rows` block, the same bits as a
+    per-node :func:`repro.utils.rng.indexed_rngs` call, so a fleet is
+    identical at any worker count.
     """
     derived = scenario_seed(run_seed, spec.name)
     ap_poses = _ap_poses(spec)
     aps = [FleetAp(f"ap-{i}", pose) for i, pose in enumerate(ap_poses)]
     nodes: dict[str, FleetNode] = {}
-    for i in range(spec.n_nodes):
-        geom_rng, link_rng = indexed_rngs(derived, i, spec.streams_per_node)
+    streams = indexed_rng_rows(derived, range(spec.n_nodes), spec.streams_per_node)
+    for i, (geom_rng, link_rng) in enumerate(streams):
         anchor = ap_poses[i % spec.n_aps]
         angle_deg = float(geom_rng.uniform(0.0, 180.0))
         radius_m = float(geom_rng.uniform(spec.min_radius_m, spec.max_radius_m))

@@ -107,9 +107,9 @@ class SlottedInventory:
                 scheduler=lambda: self.scheduler,
             )
             rounds.append(round_stats)
-            for tag in resolved:
-                pending.remove(tag)
-                inventoried.append(tag)
+            done = set(resolved)
+            pending = [tag for tag in pending if tag not in done]
+            inventoried.extend(resolved)
             frame_size = next_frame_size(round_stats.collisions, 64)
         return InventoryResult(tuple(inventoried), tuple(rounds))
 
@@ -123,19 +123,21 @@ def inventory_frame(
 ) -> tuple[InventoryRound, list[str], int]:
     """Run one frame; return its statistics, the resolved tags, the heard count.
 
-    Every pending tag draws ``rng.integers(0, frame_size)`` in pending
-    order, and only the tags ``heard`` accepts occupy their slot: an
-    unheard tag still consumes its draw, so gating never shifts the
-    RNG stream. A slot with one reply resolves it. A collision resolves
-    when SDM separates every pair of its tags (the AP forms one beam
-    per tag). ``scheduler`` builds that SDM view; it is called at most
-    once, and only when a heard collision needs it. Resolved tags come
-    back in slot order.
+    The frame draws every pending tag's slot in one
+    ``rng.integers(0, frame_size, size=len(pending))`` call, in pending
+    order (the same values and end state as one scalar draw per tag), and
+    only the tags ``heard`` accepts occupy their slot: an unheard tag
+    still consumes its draw, so gating never shifts the RNG stream. A
+    slot with one reply resolves it. A collision resolves when SDM
+    separates every pair of its tags (the AP forms one beam per tag).
+    ``scheduler`` builds that SDM view; it is called at most once, and
+    only when a heard collision needs it. Resolved tags come back in slot
+    order.
     """
     slots: dict[int, list[str]] = {}
     n_heard = 0
-    for tag in pending:
-        slot = int(rng.integers(0, frame_size))
+    draws = rng.integers(0, frame_size, size=len(pending)).tolist()
+    for tag, slot in zip(pending, draws, strict=True):
         if heard(tag):
             slots.setdefault(slot, []).append(tag)
             n_heard += 1

@@ -15,8 +15,10 @@ The contracts under test (see ``docs/DATASETS.md``):
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +39,7 @@ from repro.datasets import (
 )
 from repro.datasets import generator as dataset_generator
 from repro.errors import ConfigurationError, DatasetError
-from repro.utils.rng import indexed_rngs
+from repro.utils.rng import indexed_rng_rows, indexed_rngs
 from tests.kernel_reference import kernels_for
 
 
@@ -134,6 +136,80 @@ class TestIndexedRngs:
             indexed_rngs(0, -1, 1)
         with pytest.raises(ConfigurationError):
             indexed_rngs(0, 0, -1)
+        # A negative or non-integer seed stays inside the error hierarchy
+        # (NumPy alone raises ValueError or TypeError for these).
+        for seed in (-1, 1.5, np.float64(2.0), "7", None):
+            with pytest.raises(ConfigurationError):
+                indexed_rngs(seed, 0, 1)
+            with pytest.raises(ConfigurationError):
+                indexed_rng_rows(seed, range(2), 1)
+        with pytest.raises(ConfigurationError):
+            indexed_rng_rows(0, range(2), -1)
+        # Rows must fit one spawn-key word: negative rows and rows of
+        # 2**32 or more are rejected, whatever the range's direction.
+        for rows in (range(-1, 2), range(3, -2, -1), range(2**32 - 1, 2**32 + 1)):
+            with pytest.raises(ConfigurationError):
+                indexed_rng_rows(0, rows, 1)
+        # NumPy integer seeds are accepted.
+        assert indexed_rngs(np.uint64(7), 0, 1)[0].random() == indexed_rngs(7, 0, 1)[0].random()
+        assert indexed_rng_rows(np.int64(7), range(1), 1)[0][0].random() == (
+            indexed_rngs(7, 0, 1)[0].random()
+        )
+
+
+class TestIndexedRngRows:
+    """The block derivation against its oracle, one ``indexed_rngs`` call
+    per row: every generator's PCG64 state must be the same."""
+
+    #: Seeds of one to five uint32 words, then random 63-bit seeds.
+    SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**130 + 3) + tuple(
+        int(s) for s in np.random.default_rng(2024).integers(0, 2**63, size=4)
+    )
+
+    @staticmethod
+    def _states(block):
+        return [[g.bit_generator.state for g in row] for row in block]
+
+    #: Rows from 0 and elsewhere, strided, up to the largest one-word key.
+    ROWS = (range(4), range(997, 1001), range(9, 0, -4), range(2**32 - 2, 2**32), range(0))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_states_match_per_row_oracle(self, seed):
+        for rows in self.ROWS:
+            for count in range(4):
+                block = indexed_rng_rows(seed, rows, count)
+                oracle = [indexed_rngs(seed, i, count) for i in rows]
+                assert self._states(block) == self._states(oracle), (rows, count)
+
+    def test_numpy_integer_seed(self):
+        block = indexed_rng_rows(np.uint64(2**64 - 1), range(3, 5), 2)
+        oracle = [indexed_rngs(np.uint64(2**64 - 1), i, 2) for i in range(3, 5)]
+        assert self._states(block) == self._states(oracle)
+
+    def test_counters_move_as_per_row_calls(self):
+        indexed_rng_rows(5, range(10, 17), 3)
+        indexed_rng_rows(5, range(4), 0)
+        registry = obs.get_registry()
+        assert registry.counter("rng.indexed_rngs.calls").value == 7 + 4
+        assert registry.counter("rng.generators.created").value == 7 * 3
+
+    def test_generator_pickles_copies_and_spawns_like_numpy(self):
+        got = indexed_rng_rows(2**130 + 3, range(5, 7), 2)[1][1]
+        want = indexed_rngs(2**130 + 3, 6, 2)[1]
+        assert got.random() == want.random()
+        assert pickle.dumps(got) == pickle.dumps(want)
+        got_copy, want_copy = copy.deepcopy(got), copy.deepcopy(want)
+        assert got_copy.bit_generator.state == want_copy.bit_generator.state
+        assert got_copy.random() == want_copy.random()
+        assert got.bit_generator.seed_seq.generate_state(4, np.uint64).tolist() == (
+            want.bit_generator.seed_seq.generate_state(4, np.uint64).tolist()
+        )
+        # Two spawns in a row continue the child count, as NumPy's do.
+        for _ in range(2):
+            assert self._states([got.spawn(2)]) == self._states([want.spawn(2)])
+        assert pickle.dumps(got) == pickle.dumps(want)
+        restored = pickle.loads(pickle.dumps(got))
+        assert self._states([restored.spawn(1)]) == self._states([want.spawn(1)])
 
 
 class TestSceneForRow:

@@ -513,6 +513,15 @@ class TestScenarioDeterminism:
         b = run_scenario("single-ap-100", seed=1)
         assert a.trace_digest != b.trace_digest
 
+    def test_scenario_span_splits_build_and_run(self):
+        obs.reset()
+        run_scenario("five-node-crosscheck", seed=0)
+        spans = {s.name: s for s in obs.get_tracer().finished_spans()}
+        scenario = spans["netsim.scenario"]
+        for child in ("netsim.build_fleet", "netsim.run"):
+            assert spans[child].parent_id == scenario.span_id
+        assert spans["netsim.build_fleet"].end_s <= spans["netsim.run"].start_s
+
 
 class TestScenarioOutcomes:
     def test_single_ap_100_inventories_everyone(self):

@@ -312,8 +312,11 @@ class TestHeadlineGoldens:
 
 class TestNetsimGoldens:
     """Netsim's canonical JSON, byte for byte, against files recorded
-    before the link model evaluated fleets in array form. A mismatch
-    shows as a diff of the two documents."""
+    before the link model evaluated fleets in array form. The
+    ``single-ap-1000`` entries (a 1,000-row stream block, a 2048-slot
+    frame cap, a 4096-event trace ring) were recorded before a fleet's
+    streams were derived in one array pass. A mismatch shows as a diff
+    of the two documents."""
 
     #: The e2e benchmark's ``fleet-roaming`` cut of ``three-ap-roaming``;
     #: seed 0 hands off five times.
@@ -328,7 +331,7 @@ class TestNetsimGoldens:
     def test_matrix_json_matches_golden(self, seed, monkeypatch):
         cut = dataclasses.replace(get_scenario("three-ap-roaming"), **self.ROAMING_CUT)
         monkeypatch.setitem(SCENARIOS, cut.name, cut)
-        names = ("five-node-crosscheck", "single-ap-100", cut.name)
+        names = ("five-node-crosscheck", "single-ap-100", "single-ap-1000", cut.name)
         results = [run_scenario(name, seed=seed) for name in names]
         expected = (GOLDENS / f"netsim-seed{seed}.json").read_text()
         assert dump_json(matrix_document(results, seed)) == expected
