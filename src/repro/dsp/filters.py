@@ -4,12 +4,22 @@ Implements windowed-sinc FIR design plus the handful of application
 shapes the AP and node need: low-pass (detector video bandwidth),
 band-pass (the AP's ZFHP-series filters after the mixer), and moving
 average (symbol integration).
+
+:func:`first_order_lowpass` is the one caller of :mod:`scipy.signal`:
+the detector's rise and fall (:func:`single_pole_lowpass`) and the burst
+kernel's cancellation residual both run through it. It imports SciPy at
+its first call, not when this module loads: the import costs more than
+the rest of ``import repro``, and netsim, lint and obs runs never
+filter. Forked pool workers would each import it again at their first
+filter call, so this module also imports :mod:`scipy.signal` just
+before any fork (``os.register_at_fork``), and the workers inherit it.
 """
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
-from scipy.signal import lfilter
 
 from repro.dsp.signal import Signal
 from repro.errors import ConfigurationError, SignalError
@@ -22,7 +32,16 @@ __all__ = [
     "bandpass",
     "moving_average",
     "single_pole_lowpass",
+    "first_order_lowpass",
 ]
+
+
+def _import_scipy_signal() -> None:
+    import scipy.signal  # noqa: F401 — loaded for the forked children
+
+
+if hasattr(os, "register_at_fork"):  # the worker pool refuses to run without fork
+    os.register_at_fork(before=_import_scipy_signal)
 
 
 def design_lowpass_fir(
@@ -72,13 +91,16 @@ def design_bandpass_fir(
 def apply_fir(signal: Signal, taps: np.ndarray) -> Signal:
     """Filter a signal, compensating the FIR group delay.
 
-    'same'-mode convolution keeps the length; for the symmetric designs
-    above the group delay is (N-1)/2 samples, which 'same' already
-    centers, so timestamps stay aligned with the input.
+    The output keeps the input's N samples: those of the full convolution
+    from index (M-1)//2 on, for M taps. For the symmetric designs above
+    the group delay is (M-1)/2 samples, so timestamps stay aligned with
+    the input. While N >= M this is NumPy's 'same' mode bit for bit;
+    'same' would return M samples when the filter is the longer one.
     """
     if signal.samples.size == 0:
         raise SignalError("cannot filter an empty signal")
-    filtered = np.convolve(signal.samples, taps, mode="same")
+    start = (taps.size - 1) // 2
+    filtered = np.convolve(signal.samples, taps)[start : start + signal.samples.size]
     return Signal(
         filtered,
         signal.sample_rate_hz,
@@ -108,14 +130,7 @@ def moving_average(signal: Signal, window_samples: int) -> Signal:
     """Boxcar average; the optimum integrator for rectangular symbols."""
     if window_samples < 1:
         raise ConfigurationError("window must be at least one sample")
-    taps = np.full(window_samples, 1.0 / window_samples)
-    filtered = np.convolve(signal.samples, taps, mode="same")
-    return Signal(
-        filtered,
-        signal.sample_rate_hz,
-        signal.center_frequency_hz,
-        signal.start_time_s,
-    )
+    return apply_fir(signal, np.full(window_samples, 1.0 / window_samples))
 
 
 def single_pole_lowpass(signal: Signal, bandwidth_hz: float) -> Signal:
@@ -129,15 +144,23 @@ def single_pole_lowpass(signal: Signal, bandwidth_hz: float) -> Signal:
         raise ConfigurationError("bandwidth must be positive")
     dt = 1.0 / signal.sample_rate_hz
     alpha = 1.0 - np.exp(-2.0 * np.pi * bandwidth_hz * dt)
-    # First-order recursion; numpy cannot vectorize the dependence chain,
-    # but scipy's lfilter can.
-    out = lfilter([alpha], [1.0, -(1.0 - alpha)], signal.samples)
     return Signal(
-        out,
+        first_order_lowpass(signal.samples, alpha),
         signal.sample_rate_hz,
         signal.center_frequency_hz,
         signal.start_time_s,
     )
+
+
+def first_order_lowpass(samples: np.ndarray, alpha: float) -> np.ndarray:
+    """``y[k] = alpha·x[k] + (1 - alpha)·y[k-1]`` along the last axis, from rest.
+
+    NumPy cannot vectorize the dependence chain, but SciPy's ``lfilter``
+    runs it in C. SciPy is imported here, at the first call.
+    """
+    from scipy.signal import lfilter
+
+    return lfilter([alpha], [1.0, -(1.0 - alpha)], samples, axis=-1)
 
 
 def _check_band(edge_hz: float, sample_rate_hz: float) -> None:

@@ -33,8 +33,9 @@ Every kernel invocation counts one ``kernels.dispatch.batched``
 each kernel ran.
 
 Layering: this package depends only on :mod:`numpy`,
-:mod:`scipy.signal` (the burst kernel's residual filter), :mod:`repro.obs`
-and :mod:`repro.errors`. Kernels take and return plain arrays — the
+:mod:`repro.dsp.filters` (the burst kernel's residual filter, which
+imports SciPy at its first call), :mod:`repro.obs` and
+:mod:`repro.errors`. Kernels take and return plain arrays — the
 engine's beat burst is one already, and the call sites
 (``repro.ap.*``, ``repro.dsp.*``) own any ``Spectrum`` wrapping.
 """

@@ -31,8 +31,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
+from repro.dsp.filters import first_order_lowpass
 from repro.kernels import count_dispatch
 
 __all__ = [
@@ -128,7 +128,7 @@ def draw_variates(
     residuals = np.zeros((n_chirps, n), dtype=np.complex128)
     if n_residual:
         white = rows[:, 1 : 1 + n] + 1j * rows[:, 1 + n : 1 + n_residual]
-        smooth = lfilter([residual_alpha], [1.0, -(1.0 - residual_alpha)], white, axis=-1)
+        smooth = first_order_lowpass(white, residual_alpha)
         rms = np.sqrt(np.mean(np.abs(smooth) ** 2, axis=-1))
         live = rms > 0
         residuals[live] = (residual_sigma / rms[live])[:, None] * smooth[live]

@@ -33,9 +33,11 @@ RngLike = Union[None, int, np.random.Generator, np.random.SeedSequence]
 def make_rng(seed: RngLike = None) -> np.random.Generator:
     """Coerce ``seed`` into a ``numpy.random.Generator``.
 
-    Accepts ``None`` (fresh entropy), an integer seed, a ``SeedSequence``,
-    or an existing ``Generator`` (returned unchanged so RNG state is shared
-    deliberately, never copied by accident).
+    Accepts ``None`` (fresh entropy), a non-negative integer seed, a
+    ``SeedSequence``, or an existing ``Generator`` (returned unchanged so
+    RNG state is shared deliberately, never copied by accident). Anything
+    else raises :class:`~repro.errors.ConfigurationError` before a counter
+    moves; :func:`spawn_rngs` takes and checks ``seed`` the same way.
 
     Every *new* generator bumps the ``rng.generators.created`` counter
     (passed-through generators count separately): a metrics diff where
@@ -45,6 +47,7 @@ def make_rng(seed: RngLike = None) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         obs.counter("rng.generators.passed_through").inc()
         return seed
+    _check_rng_like(seed)
     obs.counter("rng.generators.created").inc()
     return np.random.default_rng(seed)
 
@@ -57,6 +60,7 @@ def spawn_rngs(seed: RngLike, count: int) -> list[np.random.Generator]:
     """
     if count < 0:
         raise ConfigurationError("count must be non-negative")
+    _check_rng_like(seed)
     obs.counter("rng.spawn_rngs.calls").inc()
     obs.counter("rng.generators.created").inc(count)
     if isinstance(seed, np.random.Generator):
@@ -70,6 +74,12 @@ def spawn_rngs(seed: RngLike, count: int) -> list[np.random.Generator]:
 def _check_seed(seed: int) -> None:
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ConfigurationError(f"seed must be a non-negative integer, got {seed!r}")
+
+
+def _check_rng_like(seed: RngLike) -> None:
+    """Let ``None``, a ``Generator`` or a ``SeedSequence`` through; check a seed."""
+    if seed is not None and not isinstance(seed, (np.random.Generator, np.random.SeedSequence)):
+        _check_seed(seed)
 
 
 def indexed_rngs(seed: int, index: int, count: int) -> list[np.random.Generator]:

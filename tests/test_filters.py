@@ -21,6 +21,18 @@ def tone_signal(freq, fs=1e6, n=4000):
     return Signal(np.exp(2j * np.pi * freq * t), fs)
 
 
+def direct_centred(samples, taps):
+    """y[k] = sum over m of taps[m]·x[k + (M-1)//2 - m], zero outside the signal."""
+    start = (len(taps) - 1) // 2
+    out = np.zeros(len(samples), dtype=np.result_type(samples, taps))
+    for k in range(len(samples)):
+        for m, tap in enumerate(taps):
+            j = k + start - m
+            if 0 <= j < len(samples):
+                out[k] += tap * samples[j]
+    return out
+
+
 def measure_gain(filtered, original):
     core = slice(500, -500)
     return np.sqrt(
@@ -99,6 +111,28 @@ class TestApplyFir:
         separate = apply_fir(a, taps) + apply_fir(b, taps)
         assert np.allclose(combined.samples, separate.samples, atol=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 2, 100, 128])
+    def test_filter_longer_than_signal_keeps_length(self, n):
+        s = Signal(np.random.default_rng(n).standard_normal(n), 1e6)
+        assert len(lowpass(s, 5e4)) == n  # 129 taps
+        assert len(bandpass(s, 1e4, 1e5)) == n  # 257 taps
+
+    @pytest.mark.parametrize("n", [1, 100, 257])
+    def test_output_is_centred_convolution(self, n):
+        rng = np.random.default_rng(n)
+        samples = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        taps = design_bandpass_fir(1e4, 1e5, 1e6)  # 257 taps
+        out = apply_fir(Signal(samples, 1e6), taps)
+        np.testing.assert_allclose(out.samples, direct_centred(samples, taps), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [129, 130, 1000])
+    def test_signal_as_long_as_filter_keeps_numpy_same_mode(self, n):
+        rng = np.random.default_rng(n)
+        samples = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        taps = design_lowpass_fir(5e4, 1e6)  # 129 taps
+        out = apply_fir(Signal(samples, 1e6), taps)
+        assert np.array_equal(out.samples, np.convolve(samples, taps, mode="same"))
+
 
 class TestMovingAverage:
     def test_constant_signal_unchanged(self):
@@ -109,6 +143,21 @@ class TestMovingAverage:
     def test_window_must_be_positive(self):
         with pytest.raises(ConfigurationError):
             moving_average(tone_signal(1e4), 0)
+
+    @pytest.mark.parametrize("window", [101, 150])
+    def test_window_longer_than_signal_keeps_length(self, window):
+        samples = np.random.default_rng(window).standard_normal(100)
+        out = moving_average(Signal(samples, 1e6), window)
+        assert len(out) == 100
+        taps = np.full(window, 1.0 / window)
+        np.testing.assert_allclose(out.samples, direct_centred(samples, taps), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("window", [1, 10, 99, 100])
+    def test_window_within_signal_keeps_numpy_same_mode(self, window):
+        samples = np.random.default_rng(window).standard_normal(100)
+        out = moving_average(Signal(samples, 1e6), window)
+        taps = np.full(window, 1.0 / window)
+        assert np.array_equal(out.samples, np.convolve(samples, taps, mode="same"))
 
 
 class TestSinglePole:

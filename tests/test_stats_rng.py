@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from repro import obs
+from repro.errors import ConfigurationError
 from repro.utils.rng import make_rng, spawn_rngs
 from repro.utils.stats import (
     RunningStats,
@@ -117,3 +119,25 @@ class TestRng:
     def test_spawn_from_generator(self):
         children = spawn_rngs(np.random.default_rng(4), 2)
         assert len(children) == 2
+
+    @pytest.mark.parametrize("seed", [-1, np.int64(-3), 1.5, "7"], ids=repr)
+    @pytest.mark.parametrize("derive", [make_rng, lambda seed: spawn_rngs(seed, 2)],
+                             ids=["make_rng", "spawn_rngs"])
+    def test_bad_seed_raises_before_counting(self, derive, seed):
+        registry = obs.get_registry()
+        names = ("rng.generators.created", "rng.spawn_rngs.calls")
+        before = [registry.counter(name).value for name in names]
+        with pytest.raises(ConfigurationError, match="non-negative integer"):
+            derive(seed)
+        assert [registry.counter(name).value for name in names] == before
+
+    def test_valid_seed_forms(self):
+        def draws(generators):
+            return [int(g.integers(0, 2**31)) for g in generators]
+
+        assert isinstance(make_rng(None), np.random.Generator)
+        assert draws([make_rng(np.int64(5))]) == draws([make_rng(5)])
+        assert draws([make_rng(np.random.SeedSequence(5))]) == draws([make_rng(5)])
+        assert len(spawn_rngs(None, 2)) == 2
+        assert draws(spawn_rngs(np.uint32(3), 2)) == draws(spawn_rngs(3, 2))
+        assert draws(spawn_rngs(np.random.SeedSequence(3), 2)) == draws(spawn_rngs(3, 2))
