@@ -13,14 +13,18 @@ the rest of ``import repro``, and netsim, lint and obs runs never
 filter. Forked pool workers would each import it again at their first
 filter call, so this module also imports :mod:`scipy.signal` just
 before any fork (``os.register_at_fork``), and the workers inherit it.
+Either way the import runs once, under its own ``dsp.import_scipy``
+span.
 """
 
 from __future__ import annotations
 
 import os
+import sys
 
 import numpy as np
 
+from repro import obs
 from repro.dsp.signal import Signal
 from repro.errors import ConfigurationError, SignalError
 
@@ -37,7 +41,12 @@ __all__ = [
 
 
 def _import_scipy_signal() -> None:
-    import scipy.signal  # noqa: F401 — loaded for the forked children
+    """Import :mod:`scipy.signal` under its own span the first time, so
+    a trace charges the import to ``dsp.import_scipy``, not to whatever
+    span was open (a pool's map, when this runs before a fork)."""
+    if "scipy.signal" not in sys.modules:
+        with obs.span("dsp.import_scipy"):
+            import scipy.signal  # noqa: F401
 
 
 if hasattr(os, "register_at_fork"):  # the worker pool refuses to run without fork
@@ -158,6 +167,7 @@ def first_order_lowpass(samples: np.ndarray, alpha: float) -> np.ndarray:
     NumPy cannot vectorize the dependence chain, but SciPy's ``lfilter``
     runs it in C. SciPy is imported here, at the first call.
     """
+    _import_scipy_signal()
     from scipy.signal import lfilter
 
     return lfilter([alpha], [1.0, -(1.0 - alpha)], samples, axis=-1)

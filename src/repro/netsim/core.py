@@ -119,8 +119,10 @@ class NetworkSimulation:
         """Dispatch events in timestamp order; returns how many ran.
 
         Stops when the queue drains, when the next event lies beyond
-        ``until_s`` (the clock is then advanced to ``until_s``), or
-        after ``max_events`` dispatches — whichever comes first.
+        ``until_s``, or after ``max_events`` dispatches — whichever comes
+        first. In the first two cases the clock then advances to
+        ``until_s``; a stop on ``max_events`` with an event still due by
+        ``until_s`` leaves it at the last dispatch.
         """
         dispatched = 0
         while self._queue:
@@ -133,7 +135,11 @@ class NetworkSimulation:
             self._advance_clock(time_s)
             action()
             dispatched += 1
-        if until_s is not None and until_s > self._now_s:
+        if (
+            until_s is not None
+            and until_s > self._now_s
+            and (not self._queue or self._queue.peek_time_s() > until_s)
+        ):
             self._advance_clock(until_s)
         self._events_processed += dispatched
         obs.counter("netsim.events.processed").inc(dispatched)

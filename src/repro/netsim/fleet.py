@@ -67,6 +67,9 @@ MIN_DOWNLINK_SNR_DB = 6.0
 #: Minimum AP-side SINR for a backscatter reply to be detectable.
 MIN_UPLINK_SINR_DB = 0.0
 
+#: Retry pacing of every fleet transfer (frozen, so one is shared).
+TRANSFER_BACKOFF = RetryBackoff.fixed(100e-6)
+
 
 class InterferenceField(Protocol):
     """Interference [dBm] at one AP's receiver, one value per other AP
@@ -116,10 +119,14 @@ class FleetLink:
     :class:`repro.protocol.arq.ReliableChannel` only needs
     ``send_to_node`` / ``receive_from_node`` returning reports with
     ``air_time_s`` and ``delivered``, raising :class:`ProtocolError`
-    when the far side never responds. Both paths evaluate the live
-    link budget at the simulation's current clock, so a node that moved
-    out of the beam mid-transfer fails exactly like the protocol layer's
-    out-of-range sessions do.
+    when the far side never responds. Both paths evaluate the link
+    budget at the node's pose at the simulation's current clock.
+    :class:`TransferProcess` runs a whole ``send_reliable`` inside one
+    event, and the retry backoff only adds to the transfer's wait-time
+    total, so the clock does not move during a transfer: every attempt
+    and every ACK sees the pose the node had when the transfer started.
+    A node out of range at that instant fails every attempt, like the
+    protocol layer's out-of-range sessions.
     """
 
     def __init__(
@@ -148,7 +155,7 @@ class FleetLink:
     def _deliver(self, payload: bytes, bit_rate_bps: float, snr_db: float):
         bits = len(payload) * 8 + FRAME_OVERHEAD_BITS
         air_time_s = bits / bit_rate_bps
-        ber = float(ook_matched_filter_ber(snr_db))
+        ber = ook_matched_filter_ber(snr_db)
         success_probability = (1.0 - ber) ** bits
         delivered = bool(self.node.rng.random() < success_probability)
         return _DeliveryReport(air_time_s=air_time_s, delivered=delivered)
@@ -377,9 +384,7 @@ class TransferProcess:
             interference_dbm=self._interference_dbm,
         )
         channel = ReliableChannel(
-            link,
-            max_attempts=self.max_attempts,
-            backoff=RetryBackoff.fixed(100e-6),
+            link, max_attempts=self.max_attempts, backoff=TRANSFER_BACKOFF
         )
         payload = node_id.encode("ascii").ljust(self.payload_bytes, b"\x00")
         result = channel.send_reliable(

@@ -87,6 +87,7 @@ class FleetLinkModel:
         self._noise_floor_dbm = thermal_noise_power_dbm(
             SYMBOL_BANDWIDTH_HZ, self.calibration.ap_noise_figure_db
         )
+        self._noise_floor_mw = 10.0 ** (self._noise_floor_dbm / 10.0)
         self._cache: dict[tuple[float, float], tuple[float, ...]] = {}
         self._cache_size = cache_size
 
@@ -217,7 +218,6 @@ class FleetLinkModel:
     ) -> float:
         """SINR [dB]: RSS over noise + interference, with one
         interference value [dBm] per interfering AP."""
-        noise_mw = 10.0 ** (self._noise_floor_dbm / 10.0)
         interference_mw = sum(10.0 ** (i / 10.0) for i in interference_dbm)
-        denominator_dbm = 10.0 * math.log10(noise_mw + interference_mw)
+        denominator_dbm = 10.0 * math.log10(self._noise_floor_mw + interference_mw)
         return min(rss_dbm - denominator_dbm, self.calibration.uplink_sinr_cap_db)

@@ -178,21 +178,26 @@ def build_fleet(
     aps = [FleetAp(f"ap-{i}", pose) for i, pose in enumerate(ap_poses)]
     nodes: dict[str, FleetNode] = {}
     streams = indexed_rng_rows(derived, range(spec.n_nodes), spec.streams_per_node)
+    radius_span_m = spec.max_radius_m - spec.min_radius_m
+    jitter_low_deg = -spec.heading_jitter_deg
+    jitter_span_deg = spec.heading_jitter_deg - jitter_low_deg
     for i, (geom_rng, link_rng) in enumerate(streams):
-        anchor = ap_poses[i % spec.n_aps]
-        angle_deg = float(geom_rng.uniform(0.0, 180.0))
-        radius_m = float(geom_rng.uniform(spec.min_radius_m, spec.max_radius_m))
-        x = anchor.position.x + radius_m * math.cos(math.radians(angle_deg))
-        y = anchor.position.y + radius_m * math.sin(math.radians(angle_deg))
+        anchor = ap_poses[i % spec.n_aps].position
+        # One draw of four doubles, scaled as Generator.uniform scales its
+        # double (low + (high - low) * u): the same values, and the stream
+        # left in the same place, as three uniform() calls and a random().
+        angle_u, radius_u, jitter_u, mobile_u = geom_rng.random(4).tolist()
+        angle_deg = 180.0 * angle_u
+        radius_m = spec.min_radius_m + radius_span_m * radius_u
+        x = anchor.x + radius_m * math.cos(math.radians(angle_deg))
+        y = anchor.y + radius_m * math.sin(math.radians(angle_deg))
         # Face roughly back at the anchor AP, with bounded jitter.
-        jitter = float(
-            geom_rng.uniform(-spec.heading_jitter_deg, spec.heading_jitter_deg)
-        )
-        heading = Pose2D.at(x, y).bearing_to(anchor) + jitter
+        jitter = jitter_low_deg + jitter_span_deg * jitter_u
+        heading = math.atan2(anchor.y - y, anchor.x - x) * 180.0 / math.pi + jitter
         pose = Pose2D.at(x, y, heading)
         node_id = f"node-{i:04d}"
         trajectory = None
-        if float(geom_rng.random()) < spec.mobile_fraction:
+        if mobile_u < spec.mobile_fraction:
             trajectory = _corridor_walk(spec, geom_rng, pose, ap_poses)
         nodes[node_id] = FleetNode(
             node_id=node_id,

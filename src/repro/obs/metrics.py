@@ -253,13 +253,24 @@ class MetricsRegistry:
     ``(name, labels)`` creates the instrument, later calls return the
     same object. Mixing kinds under one key is a configuration bug and
     raises immediately.
+
+    A call with the kind, name and labels (in the same order) of an
+    earlier one finds its metric in one dict lookup, without building
+    the flat key; any other call takes the :func:`metric_key` path,
+    which then remembers it.
     """
 
     def __init__(self) -> None:
         self._metrics: dict[str, Counter | Gauge | Histogram] = {}
+        # (kind, name, *labels.items()) -> the metric at its flat key.
+        self._handles: dict[tuple, Counter | Gauge | Histogram] = {}
         self._lock = threading.Lock()
 
     def _get_or_create(self, cls, name: str, labels: Mapping[str, str], **kwargs):
+        shape = (cls, name, *labels.items())
+        handle = self._handles.get(shape)
+        if handle is not None:
+            return handle
         key = metric_key(name, labels)
         with self._lock:
             existing = self._metrics.get(key)
@@ -270,6 +281,10 @@ class MetricsRegistry:
                     f"metric {key!r} already registered as "
                     f"{type(existing).__name__}, not {cls.__name__}"
                 )
+            # Only string labels: 1, 1.0 and True are equal as dict keys
+            # but are different metrics.
+            if all(type(value) is str for value in labels.values()):
+                self._handles[shape] = existing
             return existing
 
     def counter(self, name: str, **labels: str) -> Counter:
@@ -357,3 +372,4 @@ class MetricsRegistry:
         """Drop every metric (used between CLI runs and in tests)."""
         with self._lock:
             self._metrics.clear()
+            self._handles.clear()

@@ -38,11 +38,13 @@ _erfc = np.vectorize(math.erfc, otypes=[float])
 
 def q_function(x: ArrayLike) -> FloatOrArray:
     """Gaussian tail probability Q(x)."""
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim == 0:
-        return 0.5 * math.erfc(float(arr) / math.sqrt(2.0))
-    result: NDArray[np.float64] = 0.5 * _erfc(arr / math.sqrt(2.0))
-    return result
+    if not isinstance(x, float):
+        arr = np.asarray(x, dtype=float)
+        if arr.ndim:
+            result: NDArray[np.float64] = 0.5 * _erfc(arr / math.sqrt(2.0))
+            return result
+        x = float(arr)
+    return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
 def ook_matched_filter_ber(snr_db: ArrayLike) -> FloatOrArray:
@@ -50,7 +52,14 @@ def ook_matched_filter_ber(snr_db: ArrayLike) -> FloatOrArray:
 
     SNR is the post-integration symbol SNR. This mapping reproduces the
     paper's annotations: 12 dB → ~1e-8, 8 dB → ~2e-4.
+
+    A Python or NumPy float (or an int) takes a scalar path with no 0-d
+    arrays, bit for bit the array path: the dB conversion stays NumPy's
+    ``power``, which differs from Python's ``**`` in the last bit on
+    some hosts, and the square root is correctly rounded either way.
     """
+    if isinstance(snr_db, (float, int)):
+        return q_function(math.sqrt(2.0 * float(np.power(10.0, snr_db / 10.0))))
     snr = np.power(10.0, np.asarray(snr_db, dtype=float) / 10.0)
     return q_function(np.sqrt(2.0 * snr))
 

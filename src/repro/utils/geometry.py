@@ -109,8 +109,19 @@ class Pose2D:
         This is the angle a beam must steer off broadside to face ``other``;
         for a node it is exactly the paper's "orientation with respect to
         the AP".
+
+        It is ``wrap_angle_deg(self.bearing_to(other) - self.heading_deg)``
+        written out in one frame, with the same operations in the same
+        order, so it returns the same bits; the link model calls it twice
+        per observation.
         """
-        return wrap_angle_deg(self.bearing_to(other) - self.heading_deg)
+        here, there = self.position, other.position
+        bearing_deg = math.atan2(there.y - here.y, there.x - here.x) * 180.0 / math.pi
+        angle_rad = (bearing_deg - self.heading_deg) * math.pi / 180.0
+        wrapped = math.fmod(angle_rad + math.pi, 2.0 * math.pi)
+        if wrapped <= 0.0:
+            wrapped += 2.0 * math.pi
+        return (wrapped - math.pi) * 180.0 / math.pi
 
     def rotated(self, delta_deg: float) -> "Pose2D":
         """A copy rotated in place by ``delta_deg``."""

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -103,6 +104,28 @@ class TestPose2D:
         a = Pose2D.at(0, 0, heading_deg=90.0)
         b = Pose2D.at(0, 5)
         assert a.relative_bearing_to(b) == pytest.approx(0.0)
+
+    def test_relative_bearing_is_the_composed_form_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        coords = rng.uniform(-20.0, 20.0, size=(4000, 4)).tolist()
+        headings = rng.uniform(-2000.0, 2000.0, size=4000).tolist()
+        headings[:8] = [720.0, -720.0, 900.5, -1080.0, 180.0, -180.0, 540.0, -540.0]
+        cases = [
+            (Pose2D.at(x0, y0, heading), Pose2D.at(x1, y1, -heading))
+            for (x0, y0, x1, y1), heading in zip(coords, headings)
+        ]
+        # Relative bearings of exactly ±180° (a target straight behind).
+        cases += [
+            (Pose2D.at(0.0, 0.0, heading), Pose2D.at(-1.0, 0.0))
+            for heading in (0.0, 360.0, -360.0, 720.0, -720.0, 1e-300, -1e-300)
+        ]
+        cases += [(Pose2D.at(0.0, 0.0, 180.0), Pose2D.at(1.0, 0.0))]
+        cases += [(Pose2D.at(0.0, 0.0, -180.0), Pose2D.at(1.0, 0.0))]
+        for a, b in cases:
+            for me, other in ((a, b), (b, a)):
+                expected = wrap_angle_deg(me.bearing_to(other) - me.heading_deg)
+                assert me.relative_bearing_to(other) == expected
+        assert Pose2D.at(0.0, 0.0, 0.0).relative_bearing_to(Pose2D.at(-1.0, 0.0)) == 180.0
 
     def test_rotated_wraps(self):
         pose = Pose2D.at(0, 0, 170.0).rotated(20.0)

@@ -28,6 +28,7 @@ from repro.netsim import (
     run_matrix,
     run_scenario,
     scenario_seed,
+    scenarios,
 )
 from repro.netsim.core import EventQueue
 from repro.netsim.linkmodel import NODE_NOISE_FLOOR_DBM
@@ -114,6 +115,29 @@ class TestNetworkSimulation:
             sim.schedule(0.1, lambda: None)
         assert sim.run(max_events=2) == 2
         assert sim.pending == 3
+
+    def test_max_events_stop_keeps_clock_before_due_events(self):
+        sim = NetworkSimulation()
+        for t in (1.0, 2.0, 3.0):
+            sim.schedule(t, lambda t=t: sim.log("due", at_s=t))
+        assert sim.run(until_s=10.0, max_events=1) == 1
+        assert sim.now_s == 1.0
+        assert sim.pending == 2
+        sim.schedule(0.5, lambda: sim.log("late", at_s=1.5))
+        assert sim.run(until_s=10.0) == 3
+        assert sim.now_s == 10.0
+        assert [(e.kind, e.time_s) for e in sim.trace.events()] == [
+            ("due", 1.0), ("late", 1.5), ("due", 2.0), ("due", 3.0)
+        ]
+        assert all(e.time_s == e.detail["at_s"] for e in sim.trace.events())
+
+    def test_max_events_stop_past_until_advances_clock(self):
+        sim = NetworkSimulation()
+        sim.schedule(1.0, lambda: None)
+        sim.schedule(20.0, lambda: None)
+        assert sim.run(until_s=10.0, max_events=1) == 1
+        assert sim.now_s == 10.0
+        assert sim.pending == 1
 
 
 class TestFleetLinkModel:
@@ -470,6 +494,53 @@ class TestScenarios:
         }
         mobile = [n for n in nodes_a.values() if n.trajectory is not None]
         assert 0 < len(mobile) < spec.n_nodes
+
+    @pytest.mark.parametrize(
+        ("name", "seed"), [("single-ap-1000", 0), ("three-ap-roaming", 0), ("three-ap-roaming", 5)]
+    )
+    def test_build_fleet_matches_per_call_draws(self, monkeypatch, name, seed):
+        # Oracle: each node's geometry from three Generator.uniform calls
+        # and one random() on its own indexed_rngs streams, heading via a
+        # Pose2D bearing. build_fleet draws the four doubles at once.
+        spec = get_scenario(name)
+        derived = scenario_seed(seed, spec.name)
+        ap_poses = [ap.pose for ap in build_fleet(spec, seed)[0]]
+        blocks = []
+        indexed_rng_rows = scenarios.indexed_rng_rows
+
+        def keep_streams(*args):
+            blocks.append(indexed_rng_rows(*args))
+            return blocks[-1]
+
+        monkeypatch.setattr(scenarios, "indexed_rng_rows", keep_streams)
+        _, nodes = build_fleet(spec, seed)
+        monkeypatch.undo()
+        (streams,) = blocks
+        assert len(nodes) == spec.n_nodes
+        for i, node in enumerate(nodes.values()):
+            geom_rng, link_rng = indexed_rngs(derived, i, spec.streams_per_node)
+            anchor = ap_poses[i % spec.n_aps]
+            angle_deg = float(geom_rng.uniform(0.0, 180.0))
+            radius_m = float(geom_rng.uniform(spec.min_radius_m, spec.max_radius_m))
+            x = anchor.position.x + radius_m * math.cos(math.radians(angle_deg))
+            y = anchor.position.y + radius_m * math.sin(math.radians(angle_deg))
+            jitter = float(
+                geom_rng.uniform(-spec.heading_jitter_deg, spec.heading_jitter_deg)
+            )
+            pose = Pose2D.at(x, y, Pose2D.at(x, y).bearing_to(anchor) + jitter)
+            trajectory = None
+            if float(geom_rng.random()) < spec.mobile_fraction:
+                trajectory = scenarios._corridor_walk(spec, geom_rng, pose, ap_poses)
+            assert node.node_id == f"node-{i:04d}"
+            assert node.pose == pose
+            if trajectory is None:
+                assert node.trajectory is None
+            else:
+                assert node.trajectory.waypoints == trajectory.waypoints
+            assert streams[i][0].bit_generator.state == geom_rng.bit_generator.state
+            assert node.rng.bit_generator.state == link_rng.bit_generator.state
+        if spec.mobile_fraction:
+            assert any(node.trajectory is not None for node in nodes.values())
 
 
 class TestScenarioDeterminism:

@@ -15,6 +15,8 @@ import pytest
 from repro import obs
 from repro.cli import main as cli_main
 from repro.errors import ConfigurationError
+from repro.netsim import run_scenario
+from repro.obs import metrics
 from repro.obs.check import check_metrics_json, check_trace_jsonl
 from repro.obs.check import main as check_main
 from repro.obs.metrics import MetricsRegistry, metric_key
@@ -113,6 +115,94 @@ class TestMetrics:
         registry.counter("c").inc()
         registry.reset()
         assert len(registry) == 0
+
+
+class TestMetricHandles:
+    """A repeated accessor call finds its metric in the registry's handle
+    dict; every answer must be the one the canonical key path gives."""
+
+    def test_label_order_returns_the_same_metric(self):
+        registry = MetricsRegistry()
+        first = registry.counter("runs", experiment="fig12", direction="up")
+        again = registry.counter("runs", experiment="fig12", direction="up")
+        swapped = registry.counter("runs", direction="up", experiment="fig12")
+        assert again is first and swapped is first
+        swapped.inc(2)
+        assert registry.snapshot() == {
+            "runs{direction=up,experiment=fig12}": {"type": "counter", "value": 2.0}
+        }
+        gauge = registry.gauge("depth", b="2", a="1")
+        assert registry.gauge("depth", a="1", b="2") is gauge
+        histogram = registry.histogram("lat", b="2", a="1")
+        assert registry.histogram("lat", a="1", b="2") is histogram
+        assert len(registry) == 3
+
+    def test_kind_conflict_raises_after_a_cached_lookup(self):
+        registry = MetricsRegistry()
+        counter = registry.counter("x", cache="c")
+        assert registry.counter("x", cache="c") is counter
+        with pytest.raises(ConfigurationError):
+            registry.gauge("x", cache="c")
+        with pytest.raises(ConfigurationError):
+            registry.histogram("x", cache="c")
+        registry.gauge("g")
+        registry.gauge("g")
+        with pytest.raises(ConfigurationError):
+            registry.counter("g")
+        assert registry.counter("x", cache="c") is counter
+
+    def test_reset_drops_cached_handles(self):
+        registry = MetricsRegistry()
+        old = registry.counter("x", cache="c")
+        old.inc()
+        registry.reset()
+        fresh = registry.counter("x", cache="c")
+        assert fresh is not old
+        assert len(registry) == 1
+        fresh.inc(2)
+        assert registry.snapshot()["x{cache=c}"]["value"] == 2.0
+
+    def test_merge_state_lands_on_cached_handles(self):
+        registry = MetricsRegistry()
+        counter = registry.counter("hits", cache="c")
+        gauge = registry.gauge("depth", pool="p")
+        histogram = registry.histogram("lat", op="o")
+        counter.inc()
+        histogram.observe(0.1)
+        other = MetricsRegistry()
+        other.counter("hits", cache="c").inc(2)
+        other.gauge("depth", pool="p").set(7.0)
+        other.histogram("lat", op="o").observe(0.2)
+        registry.merge_state(other.dump_state())
+        assert counter.value == 3.0
+        assert gauge.value == 7.0
+        assert histogram.count == 2
+        assert registry.counter("hits", cache="c") is counter
+        assert len(registry) == 3
+
+    def test_non_string_labels_keep_their_own_metrics(self):
+        # 1, 1.0 and True are one dict key but three flat keys.
+        registry = MetricsRegistry()
+        for value in (1, True, 1.0, 1, True):
+            registry.counter("x", a=value).inc()
+        assert {key: m.value for key, m in registry.items()} == {
+            "x{a=1}": 2.0, "x{a=True}": 2.0, "x{a=1.0}": 1.0
+        }
+
+    def test_scenario_run_builds_each_key_once(self, monkeypatch):
+        calls: dict[str, int] = {}
+
+        def counting_metric_key(name, labels):
+            key = metric_key(name, labels)
+            calls[key] = calls.get(key, 0) + 1
+            return key
+
+        monkeypatch.setattr(metrics, "metric_key", counting_metric_key)
+        run_scenario("single-ap-100", seed=0)
+        assert "cache.hits{cache=netsim_link}" in calls
+        assert "netsim.transfers{delivered=true}" in calls
+        assert max(calls.values()) == 1
+        assert obs.get_registry().counter("cache.hits", cache="netsim_link").value > 100
 
 
 # --- tracing ------------------------------------------------------------------------

@@ -196,6 +196,21 @@ class TestBer:
         assert all(type(q) is float for q in scalars)
         assert scalars == expected.tolist()
 
+    def test_scalar_ber_equals_array_path_bit_for_bit(self):
+        # The float path keeps NumPy's power: Python's ** differs from it
+        # in the last bit on some hosts.
+        grid = np.concatenate([np.linspace(-40.0, 60.0, 100_001), [math.inf, -math.inf]])
+        expected = ook_matched_filter_ber(grid).tolist()
+        scalars = [ook_matched_filter_ber(v) for v in grid.tolist()]
+        assert all(type(ber) is float for ber in scalars)
+        assert scalars == expected
+        assert [ook_matched_filter_ber(v) for v in grid] == expected  # np.float64
+        assert [ook_matched_filter_ber(np.asarray(v)) for v in grid[::97]] == expected[::97]
+        assert ook_matched_filter_ber(12) == ook_matched_filter_ber(np.array([12.0]))[0]
+        assert expected[-2:] == [0.0, 0.5]
+        assert math.isnan(ook_matched_filter_ber(math.nan))
+        assert math.isnan(ook_matched_filter_ber(np.array([math.nan]))[0])
+
     def test_q_function_values(self):
         assert q_function(0.0) == pytest.approx(0.5)
         assert q_function(3.0) == pytest.approx(1.35e-3, rel=0.01)

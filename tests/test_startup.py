@@ -80,3 +80,35 @@ def test_pool_workers_inherit_scipy_signal():
         "print(json.dumps([before, result.values, result.fallback_reason]))"
     )
     assert run_child(body) == [False, [True, True], None]
+
+
+#: Prints, as JSON, each ``dsp.import_scipy`` span's parent span name.
+_IMPORT_SPANS = (
+    "from repro import obs\n"
+    "spans = {s.span_id: s for s in obs.get_tracer().finished_spans()}\n"
+    "parents = [spans[s.parent_id].name if s.parent_id is not None else None\n"
+    "           for s in spans.values() if s.name == 'dsp.import_scipy']\n"
+    "print(json.dumps(parents))"
+)
+
+
+def test_fork_hook_imports_scipy_under_its_own_span():
+    # The hook runs inside the pool's map span; the import gets a span of
+    # its own there, once, however many workers fork.
+    body = (
+        "from repro.parallel import parallel_map\n"
+        "parallel_map(lambda item: item, [0, 1, 2, 3], 2)\n"
+        "parallel_map(lambda item: item, [0, 1], 2)\n"
+    )
+    assert run_child(body + _IMPORT_SPANS) == ["parallel.pool.map"]
+
+
+def test_first_filter_call_imports_scipy_under_its_own_span():
+    body = (
+        "import numpy as np\n"
+        "from repro.dsp.filters import single_pole_lowpass\n"
+        "from repro.dsp.signal import Signal\n"
+        "for _ in range(3):\n"
+        "    single_pole_lowpass(Signal(np.ones(8), 1e6), 1e4)\n"
+    )
+    assert run_child(body + _IMPORT_SPANS) == [None]
