@@ -18,10 +18,11 @@ quantities the network layer consumes:
 Evaluations are cached per model instance keyed by exact geometry, so
 static fleets pay for each distinct pose once; the cache is bounded and
 its traffic lands in ``cache.{hits,misses}{cache=netsim_link}``. A
-caller asking about many nodes at one simulated instant (a roaming
-tick, an inventory frame) takes :meth:`FleetLinkModel.observe_many`:
-one array pass over the batch's misses, each evaluating the FSA pattern
-and the path loss once for both directions
+caller asking about many nodes at one simulated instant takes
+:meth:`FleetLinkModel.observe_grid` (every AP of a roaming tick) or its
+one-AP case :meth:`FleetLinkModel.observe_many` (an inventory frame):
+one array pass over the misses, each evaluating the FSA pattern and the
+path loss once for both directions
 (:meth:`~repro.sim.linkbudget.PortBudget.gains_at_db`). All outputs are
 pure functions of the inputs — no RNG, no wall clock — so a scenario's
 link behaviour replays identically anywhere.
@@ -42,7 +43,7 @@ from repro.dsp.noise import thermal_noise_power_dbm
 from repro.errors import NetworkSimError
 from repro.sim.calibration import Calibration, default_calibration
 from repro.sim.linkbudget import PortBudget
-from repro.utils.geometry import Pose2D, angle_between_deg
+from repro.utils.geometry import Pose2D, angle_between_deg, relative_bearing_deg
 
 __all__ = ["LinkObservation", "FleetLinkModel"]
 
@@ -123,28 +124,93 @@ class FleetLinkModel:
         self, ap_pose: Pose2D, node_poses: Sequence[Pose2D]
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """RSS [dBm], uplink SNR [dB] and downlink SNR [dB] from one AP
-        to many nodes at one instant, as arrays in
-        ``node_poses`` order. The batch's cache misses are evaluated in
-        one array pass; hits and misses count as a loop of :meth:`observe`
-        would. A row can differ from :meth:`observe` in the last bits
-        (~1e-12 dB): BLAS sums the FSA array factor of one point and of
-        many differently."""
-        keys = [
-            (ap_pose.distance_to(pose), pose.relative_bearing_to(ap_pose))
-            for pose in node_poses
-        ]
-        budgets = {key: self._cache[key] for key in keys if key in self._cache}
-        fresh = [key for key in dict.fromkeys(keys) if key not in budgets]
-        if fresh:
-            distance_m, orientation_deg = zip(*fresh)
-            columns = self._evaluate(np.array(distance_m), np.array(orientation_deg))
-            for key, row in zip(fresh, zip(*(c.tolist() for c in columns))):
-                budgets[key] = self._store(key, row)
-            obs.counter("cache.misses", cache="netsim_link").inc(len(fresh))
-        if len(keys) > len(fresh):
-            obs.counter("cache.hits", cache="netsim_link").inc(len(keys) - len(fresh))
-        table = np.array([budgets[key] for key in keys], dtype=float).reshape(-1, 3)
+        to many nodes at one instant, as arrays in ``node_poses`` order:
+        the one-AP case of :meth:`observe_grid`. A row can differ from
+        :meth:`observe` in the last bits (~1e-12 dB): BLAS sums the FSA
+        array factor of one point and of many differently."""
+        (rows,) = self.observe_grid([ap_pose], node_poses)
+        table = np.array(rows, dtype=float).reshape(-1, 3)
         return table[:, 0], table[:, 1], table[:, 2]
+
+    def observe_grid(
+        self, ap_poses: Sequence[Pose2D], node_poses: Sequence[Pose2D]
+    ) -> list[list[tuple[float, float, float]]]:
+        """Every node's link from every AP at one instant: one list per
+        AP in ``ap_poses`` order, holding one ``(rss_dbm, uplink_snr_db,
+        downlink_snr_db)`` row of floats per node in ``node_poses`` order.
+
+        Rows, cache hits, misses and evictions are those of asking the
+        APs one after another, each evaluating its own misses in one
+        array pass. Each AP looks all its keys up (a key repeated in its
+        batch is a hit after its first row), then reserves its misses in
+        the cache, evicting as :meth:`observe` does, before the next AP
+        looks up; so a key one AP misses is a hit for a later one. The
+        values fill in after the pass. Every AP with two or more misses
+        joins one array pass, since a row's BLAS ``gemv`` sum of the FSA
+        array factor does not depend on the rows beside it; an AP with
+        one miss keeps its own one-row pass, which BLAS sums with ``dot``,
+        in other bits.
+
+        That holds for a call that returns. A call that raises (a node on
+        an AP has no path loss) counts nothing and leaves no reservation,
+        though entries its reservations evicted stay evicted; the per-AP
+        loop would have kept and counted the APs before the failing one.
+        """
+        cache = self._cache
+        nodes = [(p.position.x, p.position.y, p.heading_deg) for p in node_poses]
+        # Per AP, per node: the cached row, or the index of a reserved slot.
+        refs_by_ap: list[list] = []
+        slot_keys: list[tuple[float, float]] = []
+        joined: list[int] = []
+        lone: list[int] = []
+        hits = 0
+        rows: list | None = None
+        try:
+            for ap_pose in ap_poses:
+                ax, ay = ap_pose.position.x, ap_pose.position.y
+                fresh: dict[tuple[float, float], int] = {}
+                refs = []
+                for x, y, heading_deg in nodes:
+                    # observe's key: ap_pose.distance_to(node) and
+                    # node.relative_bearing_to(ap_pose), on the same floats.
+                    key = (
+                        math.hypot(ax - x, ay - y),
+                        relative_bearing_deg(x, y, heading_deg, ax, ay),
+                    )
+                    ref = cache.get(key)
+                    if ref is None:
+                        ref = fresh.get(key)
+                        if ref is None:
+                            ref = fresh[key] = len(slot_keys) + len(fresh)
+                    refs.append(ref)
+                refs_by_ap.append(refs)
+                hits += len(refs) - len(fresh)
+                (joined if len(fresh) > 1 else lone).extend(fresh.values())
+                slot_keys.extend(fresh)
+                for key, slot in fresh.items():
+                    self._store(key, slot)
+            filled: list = [None] * len(slot_keys)
+            for slots in ([joined] if joined else []) + [[slot] for slot in lone]:
+                distance_m, orientation_deg = zip(*(slot_keys[i] for i in slots))
+                columns = self._evaluate(np.array(distance_m), np.array(orientation_deg))
+                for slot, row in zip(slots, zip(*(c.tolist() for c in columns))):
+                    filled[slot] = row
+            rows = filled
+        finally:
+            # A reserved key may be gone, or reserved again by a later AP;
+            # after a raise, every reservation still in the cache goes.
+            for key in slot_keys:
+                slot = cache.get(key)
+                if type(slot) is int:
+                    if rows is None:
+                        del cache[key]
+                    else:
+                        cache[key] = rows[slot]
+        if slot_keys:
+            obs.counter("cache.misses", cache="netsim_link").inc(len(slot_keys))
+        if hits:
+            obs.counter("cache.hits", cache="netsim_link").inc(hits)
+        return [[rows[r] if type(r) is int else r for r in refs] for refs in refs_by_ap]
 
     def _evaluate(self, distance_m, orientation_deg):
         """(RSS, uplink SNR, downlink SNR) on scalars or arrays. The AP
@@ -175,6 +241,53 @@ class FleetLinkModel:
 
     # --- inter-AP interference ----------------------------------------------------
 
+    def interference_terms(
+        self, rx_ap_pose: Pose2D, tx_ap_pose: Pose2D, tx_target_pose: Pose2D
+    ) -> tuple[float, float, float]:
+        """The terms of :meth:`ap_interference_dbm` that depend on the AP
+        pair alone: the receiving AP's bearing to the interferer [deg],
+        TX power plus the interferer's horn gain toward the receiver
+        [dBm], and the AP↔AP path loss [dB]."""
+        distance_m = tx_ap_pose.distance_to(rx_ap_pose)
+        if distance_m <= 0:
+            raise NetworkSimError("interfering APs cannot be co-located")
+        tx_offset_deg = angle_between_deg(
+            tx_ap_pose.bearing_to(rx_ap_pose), tx_ap_pose.bearing_to(tx_target_pose)
+        )
+        return (
+            rx_ap_pose.bearing_to(tx_ap_pose),
+            AP_TX_POWER_DBM
+            + float(self._budget.tx_horn.gain_dbi(tx_offset_deg, BAND_CENTER_HZ)),
+            float(free_space_path_loss_db(distance_m, BAND_CENTER_HZ)),
+        )
+
+    def interference_dbm(
+        self,
+        rx_ap_pose: Pose2D,
+        rx_target_pose: Pose2D | Sequence[Pose2D],
+        terms: tuple[float, float, float],
+    ) -> float | np.ndarray:
+        """:meth:`ap_interference_dbm` from its AP-pair
+        :meth:`interference_terms`, adding the receiving horn's gain
+        toward the interferer with the horn steered at
+        ``rx_target_pose``. One pose gives a float; a sequence gives an
+        array, one entry per pose."""
+        rx_bearing_deg, head_dbm, path_loss_db = terms
+
+        def rx_offset_deg(pose: Pose2D) -> float:
+            return angle_between_deg(rx_bearing_deg, rx_ap_pose.bearing_to(pose))
+
+        offsets_deg: float | np.ndarray
+        if isinstance(rx_target_pose, Pose2D):
+            offsets_deg = rx_offset_deg(rx_target_pose)
+        else:
+            offsets_deg = np.array([rx_offset_deg(pose) for pose in rx_target_pose])
+        return (
+            head_dbm
+            + self._budget.rx_horn.gain_dbi(offsets_deg, BAND_CENTER_HZ)
+            - path_loss_db
+        )
+
     def ap_interference_dbm(
         self,
         rx_ap_pose: Pose2D,
@@ -188,29 +301,13 @@ class FleetLinkModel:
         interfering AP's horn at *its* target; both patterns attenuate
         the AP↔AP path at the respective angular offsets. One
         ``rx_target_pose`` gives a float; a sequence gives an array, one
-        entry per pose, with the per-AP-pair terms evaluated once.
+        entry per pose. A caller asking again for the same AP pair keeps
+        its :meth:`interference_terms` and calls :meth:`interference_dbm`.
         """
-        distance_m = tx_ap_pose.distance_to(rx_ap_pose)
-        if distance_m <= 0:
-            raise NetworkSimError("interfering APs cannot be co-located")
-        tx_offset_deg = angle_between_deg(
-            tx_ap_pose.bearing_to(rx_ap_pose), tx_ap_pose.bearing_to(tx_target_pose)
-        )
-        rx_bearing_deg = rx_ap_pose.bearing_to(tx_ap_pose)
-
-        def rx_offset_deg(pose: Pose2D) -> float:
-            return angle_between_deg(rx_bearing_deg, rx_ap_pose.bearing_to(pose))
-
-        offsets_deg: float | np.ndarray
-        if isinstance(rx_target_pose, Pose2D):
-            offsets_deg = rx_offset_deg(rx_target_pose)
-        else:
-            offsets_deg = np.array([rx_offset_deg(pose) for pose in rx_target_pose])
-        return (
-            AP_TX_POWER_DBM
-            + float(self._budget.tx_horn.gain_dbi(tx_offset_deg, BAND_CENTER_HZ))
-            + self._budget.rx_horn.gain_dbi(offsets_deg, BAND_CENTER_HZ)
-            - float(free_space_path_loss_db(distance_m, BAND_CENTER_HZ))
+        return self.interference_dbm(
+            rx_ap_pose,
+            rx_target_pose,
+            self.interference_terms(rx_ap_pose, tx_ap_pose, tx_target_pose),
         )
 
     def uplink_sinr_db(

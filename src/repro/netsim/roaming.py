@@ -5,8 +5,8 @@ pick which one serves it. The controller re-evaluates every node's RSS
 toward every AP on a fixed simulated-time cadence and hands the node
 over only when another AP beats the serving one by a hysteresis margin
 — the classic guard against ping-ponging on the cell edge. Each
-evaluation asks the link model one batch per AP, not one call per
-(node, AP) pair.
+evaluation asks the link model about every (node, AP) pair in one
+:meth:`~repro.netsim.linkmodel.FleetLinkModel.observe_grid` call.
 
 Co-channel APs also interfere: an AP decoding a tag's backscatter hears
 every other AP's carrier through both horns' off-axis patterns. The
@@ -93,13 +93,13 @@ class RoamingController:
             self.aps[node.serving_ap].members.append(node.node_id)
 
     def _rss_by_node(self, nodes: list[FleetNode]) -> list[dict[str, float]]:
-        """Each node's RSS [dBm] per AP in ap id order: one batch per AP."""
+        """Each node's RSS [dBm] per AP in ap id order, from one grid call."""
         poses = [node.pose_at(self.sim.now_s) for node in nodes]
-        columns = {
-            ap_id: self.model.observe_many(ap.pose, poses)[0].tolist()
-            for ap_id, ap in sorted(self.aps.items())
-        }
-        return [dict(zip(columns, row)) for row in zip(*columns.values())]
+        ap_ids = sorted(self.aps)
+        grid = self.model.observe_grid([self.aps[ap_id].pose for ap_id in ap_ids], poses)
+        return [
+            dict(zip(ap_ids, [row[0] for row in node_rows])) for node_rows in zip(*grid)
+        ]
 
     # --- periodic handoff evaluation -----------------------------------------------
 
@@ -161,19 +161,25 @@ class RoamingController:
         field maps one node pose to a tuple of dBm, one per other AP in
         ap id order, and a sequence of poses to an array with one row
         per pose and one column per other AP.
+
+        The field covers the APs the controller has now: APs do not
+        move, so each pair's terms are computed here, once, and a
+        co-located pair raises here rather than at the first frame.
         """
         if ap_id not in self.aps:
             raise NetworkSimError(f"unknown AP {ap_id!r}")
-        rx_ap = self.aps[ap_id]
+        rx_pose = self.aps[ap_id].pose
+        pairs = [
+            self.model.interference_terms(
+                rx_pose, other.pose, _boresight_target(other.pose)
+            )
+            for other_id, other in sorted(self.aps.items())
+            if other_id != ap_id
+        ]
+        interference_dbm = self.model.interference_dbm
 
         def field(node_poses):
-            columns = [
-                self.model.ap_interference_dbm(
-                    rx_ap.pose, node_poses, other.pose, _boresight_target(other.pose)
-                )
-                for other_id, other in sorted(self.aps.items())
-                if other_id != ap_id
-            ]
+            columns = [interference_dbm(rx_pose, node_poses, terms) for terms in pairs]
             if isinstance(node_poses, Pose2D):
                 return tuple(columns)
             return np.column_stack(columns)

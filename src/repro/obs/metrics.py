@@ -39,6 +39,16 @@ DEFAULT_TIME_BUCKETS: tuple[float, ...] = tuple(
 )
 
 
+def _ladder(buckets: Iterable[float]) -> tuple[float, ...]:
+    """Sorted bucket bounds. The default ladder comes back as itself, by
+    an identity check before any sort, so a histogram built on an equal
+    ladder shares it and later default calls compare by identity."""
+    if buckets is DEFAULT_TIME_BUCKETS:
+        return DEFAULT_TIME_BUCKETS
+    bounds = tuple(sorted(float(b) for b in buckets))
+    return DEFAULT_TIME_BUCKETS if bounds == DEFAULT_TIME_BUCKETS else bounds
+
+
 def metric_key(name: str, labels: Mapping[str, str]) -> str:
     """Canonical flat key: ``name`` or ``name{k=v,...}`` with sorted labels."""
     if not labels:
@@ -112,7 +122,7 @@ class Histogram:
         labels: Mapping[str, str],
         buckets: Iterable[float] = DEFAULT_TIME_BUCKETS,
     ) -> None:
-        bounds = tuple(sorted(float(b) for b in buckets))
+        bounds = _ladder(buckets)
         if not bounds:
             raise ConfigurationError("histogram needs at least one bucket bound")
         self.name = name
@@ -252,7 +262,8 @@ class MetricsRegistry:
     All three accessors are idempotent: the first call with a given
     ``(name, labels)`` creates the instrument, later calls return the
     same object. Mixing kinds under one key is a configuration bug and
-    raises immediately.
+    raises immediately, as does asking for an existing histogram with
+    another bucket ladder (which :meth:`merge_state` could not merge).
 
     A call with the kind, name and labels (in the same order) of an
     earlier one finds its metric in one dict lookup, without building
@@ -299,7 +310,14 @@ class MetricsRegistry:
         buckets: Iterable[float] = DEFAULT_TIME_BUCKETS,
         **labels: str,
     ) -> Histogram:
-        return self._get_or_create(Histogram, name, labels, buckets=buckets)
+        bounds = _ladder(buckets)
+        histogram = self._get_or_create(Histogram, name, labels, buckets=bounds)
+        if histogram._bounds is not bounds and histogram._bounds != bounds:
+            raise ConfigurationError(
+                f"histogram {metric_key(name, labels)!r} already has another "
+                f"bucket ladder ({len(histogram._bounds)} vs {len(bounds)} bounds)"
+            )
+        return histogram
 
     def __len__(self) -> int:
         return len(self._metrics)

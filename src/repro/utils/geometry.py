@@ -24,6 +24,7 @@ __all__ = [
     "wrap_angle_rad",
     "wrap_angle_deg",
     "angle_between_deg",
+    "relative_bearing_deg",
 ]
 
 
@@ -53,6 +54,26 @@ def wrap_angle_deg(angle: float) -> float:
 def angle_between_deg(a: float, b: float) -> float:
     """Smallest signed difference ``a - b`` wrapped to (-180, 180]."""
     return wrap_angle_deg(a - b)
+
+
+def relative_bearing_deg(
+    x: float, y: float, heading_deg: float, to_x: float, to_y: float
+) -> float:
+    """Azimuth [deg] of the point ``(to_x, to_y)`` seen from ``(x, y)``,
+    relative to ``heading_deg`` and wrapped to (-180, 180].
+
+    It is ``wrap_angle_deg(azimuth - heading_deg)``, with the azimuth as
+    :meth:`Point2D.azimuth_to` computes it, written out in one frame with
+    the same operations in the same order, so it returns the same bits.
+    :meth:`Pose2D.relative_bearing_to` and the fleet link model's key pass
+    (:meth:`repro.netsim.linkmodel.FleetLinkModel.observe_grid`) call it.
+    """
+    bearing_deg = math.atan2(to_y - y, to_x - x) * 180.0 / math.pi
+    angle_rad = (bearing_deg - heading_deg) * math.pi / 180.0
+    wrapped = math.fmod(angle_rad + math.pi, 2.0 * math.pi)
+    if wrapped <= 0.0:
+        wrapped += 2.0 * math.pi
+    return (wrapped - math.pi) * 180.0 / math.pi
 
 
 @dataclass(frozen=True)
@@ -110,18 +131,12 @@ class Pose2D:
         for a node it is exactly the paper's "orientation with respect to
         the AP".
 
-        It is ``wrap_angle_deg(self.bearing_to(other) - self.heading_deg)``
-        written out in one frame, with the same operations in the same
-        order, so it returns the same bits; the link model calls it twice
-        per observation.
+        It returns the bits of
+        ``wrap_angle_deg(self.bearing_to(other) - self.heading_deg)``
+        (:func:`relative_bearing_deg`).
         """
         here, there = self.position, other.position
-        bearing_deg = math.atan2(there.y - here.y, there.x - here.x) * 180.0 / math.pi
-        angle_rad = (bearing_deg - self.heading_deg) * math.pi / 180.0
-        wrapped = math.fmod(angle_rad + math.pi, 2.0 * math.pi)
-        if wrapped <= 0.0:
-            wrapped += 2.0 * math.pi
-        return (wrapped - math.pi) * 180.0 / math.pi
+        return relative_bearing_deg(here.x, here.y, self.heading_deg, there.x, there.y)
 
     def rotated(self, delta_deg: float) -> "Pose2D":
         """A copy rotated in place by ``delta_deg``."""

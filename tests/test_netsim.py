@@ -9,9 +9,10 @@ import pytest
 from repro import obs
 from repro.antennas.fsa import FrequencyScanningAntenna
 from repro.channel.mobility import Waypoint, WaypointTrajectory
+from repro.channel.propagation import free_space_path_loss_db
 from repro.channel.scene import NodePlacement, Scene2D
-from repro.constants import AP_TX_POWER_DBM, BAND_START_HZ, BAND_STOP_HZ
-from repro.errors import NetworkSimError, ProtocolError
+from repro.constants import AP_TX_POWER_DBM, BAND_CENTER_HZ, BAND_START_HZ, BAND_STOP_HZ
+from repro.errors import ChannelError, NetworkSimError, ProtocolError
 from repro.netsim import (
     FleetAp,
     FleetLink,
@@ -37,7 +38,7 @@ from repro.protocol.arq import ReliableChannel
 from repro.protocol.inventory import SlottedInventory
 from repro.sim import linkbudget
 from repro.sim.linkbudget import LinkBudget
-from repro.utils.geometry import Pose2D
+from repro.utils.geometry import Pose2D, angle_between_deg
 from repro.utils.rng import indexed_rngs
 
 
@@ -309,6 +310,191 @@ class TestFleetLinkModel:
             FleetLinkModel(cache_size=0)
 
 
+def _observe_many_oracle(model, ap_pose, node_poses):
+    """One AP's link pass as `observe_many` ran it before `observe_grid`:
+    look every key up, evaluate the batch's misses in one array pass,
+    store them through `_store`, count once per batch."""
+    keys = [
+        (ap_pose.distance_to(pose), pose.relative_bearing_to(ap_pose))
+        for pose in node_poses
+    ]
+    budgets = {key: model._cache[key] for key in keys if key in model._cache}
+    fresh = [key for key in dict.fromkeys(keys) if key not in budgets]
+    if fresh:
+        distance_m, orientation_deg = zip(*fresh)
+        columns = model._evaluate(np.array(distance_m), np.array(orientation_deg))
+        for key, row in zip(fresh, zip(*(c.tolist() for c in columns))):
+            budgets[key] = model._store(key, row)
+        obs.counter("cache.misses", cache="netsim_link").inc(len(fresh))
+    if len(keys) > len(fresh):
+        obs.counter("cache.hits", cache="netsim_link").inc(len(keys) - len(fresh))
+    return [budgets[key] for key in keys]
+
+
+class TestLinkGrid:
+    """`observe_grid` against the per-AP loop it replaced: the same rows
+    bit for bit, the same cache traffic and the same cache, key order
+    included."""
+
+    @staticmethod
+    def _traffic():
+        return (
+            obs.counter("cache.hits", cache="netsim_link").value,
+            obs.counter("cache.misses", cache="netsim_link").value,
+        )
+
+    def _assert_matches_oracle(self, cache_size, calls):
+        grid = FleetLinkModel(cache_size=cache_size)
+        oracle = FleetLinkModel(cache_size=cache_size)
+        for ap_poses, node_poses in calls:
+            obs.reset()
+            got = grid.observe_grid(ap_poses, node_poses)
+            got_traffic = self._traffic()
+            obs.reset()
+            expected = [_observe_many_oracle(oracle, ap, node_poses) for ap in ap_poses]
+            assert got == expected
+            assert all(type(v) is float for rows in got for row in rows for v in row)
+            assert got_traffic == self._traffic()
+            assert list(grid._cache.items()) == list(oracle._cache.items())
+
+    @staticmethod
+    def _random_calls(seed):
+        """Grid calls over three random APs and a pool of 16 node poses:
+        later calls hit earlier entries, nodes repeat inside a call, and
+        the second call adds one new node to the first call's nodes, so
+        with a cache that keeps them every AP has exactly one miss."""
+        rng = np.random.default_rng(seed)
+        aps = [
+            Pose2D.at(x, y, heading)
+            for x, y, heading in zip(
+                rng.uniform(-12.0, 12.0, 3),
+                rng.uniform(-12.0, 12.0, 3),
+                rng.uniform(-180.0, 180.0, 3),
+            )
+        ]
+        pool = TestFleetLinkModel._random_poses(16, seed=seed + 1000)
+        calls = [(aps, pool[:6]), (aps, pool[:6] + pool[6:7])]
+        for _ in range(4):
+            rows = rng.integers(0, len(pool), size=int(rng.integers(0, 12)))
+            calls.append((aps[: int(rng.integers(1, 4))], [pool[i] for i in rows]))
+        return calls
+
+    @pytest.mark.parametrize("cache_size", [1, 2, 3, 5, 65536])
+    def test_random_grids_match_per_ap_loop(self, cache_size):
+        for seed in range(12):
+            self._assert_matches_oracle(cache_size, self._random_calls(seed))
+
+    @staticmethod
+    def _shared_key_call():
+        # The two nodes sit alike relative to the two APs: one key.
+        aps = [Pose2D.at(0.0, 0.0, 0.0), Pose2D.at(10.0, 0.0, 0.0)]
+        nodes = [Pose2D.at(3.0, 1.0, 160.0), Pose2D.at(13.0, 1.0, 160.0)]
+        return aps, nodes
+
+    @pytest.mark.parametrize("cache_size", [1, 2, 3, 5, 65536])
+    def test_key_shared_across_aps(self, cache_size):
+        aps, nodes = self._shared_key_call()
+        assert aps[0].distance_to(nodes[0]) == aps[1].distance_to(nodes[1])
+        assert nodes[0].relative_bearing_to(aps[0]) == nodes[1].relative_bearing_to(
+            aps[1]
+        )
+        repeated = nodes + [nodes[1], nodes[0]]
+        self._assert_matches_oracle(
+            cache_size, [(aps, nodes), (aps, repeated), (aps[::-1], nodes)]
+        )
+
+    def test_later_ap_hits_an_earlier_aps_miss(self):
+        obs.reset()
+        aps, nodes = self._shared_key_call()
+        grid = FleetLinkModel().observe_grid(aps, nodes)
+        # The second AP finds the first AP's miss reserved: one hit.
+        assert self._traffic() == (1, 3)
+        assert grid[1][1] == grid[0][0]
+
+    def test_one_miss_keeps_its_own_pass(self):
+        """Every AP misses exactly one key: each takes a one-row pass."""
+        aps = [Pose2D.at(0.0, 0.0, 0.0), Pose2D.at(1.0, 9.0, -90.0)]
+        base = TestFleetLinkModel._random_poses(4, seed=5)
+        cases = TestFleetLinkModel._random_poses(30, seed=6)
+        self._assert_matches_oracle(
+            65536, [(aps, base)] + [(aps, base + [pose]) for pose in cases]
+        )
+
+    def test_observe_many_is_the_one_ap_grid(self):
+        ap = Pose2D.at(0.5, -0.25, 20.0)
+        poses = TestFleetLinkModel._random_poses(9, seed=4)
+        columns = FleetLinkModel().observe_many(ap, poses)
+        (rows,) = FleetLinkModel().observe_grid([ap], poses)
+        assert [tuple(row) for row in np.column_stack(columns).tolist()] == rows
+        assert FleetLinkModel().observe_grid([ap, ap], []) == [[], []]
+
+    def test_failed_pass_leaves_no_reservation(self):
+        model = FleetLinkModel()
+        ap = Pose2D.at(0.0, 0.0, 0.0)
+        model.observe_grid([ap], [Pose2D.at(5.0, 1.0, 190.0)])
+        cached = dict(model._cache)
+        on_the_ap = [Pose2D.at(4.0, 0.0, 180.0), Pose2D.at(0.0, 0.0, 0.0)]
+        with pytest.raises(ChannelError):
+            model.observe_grid([ap], on_the_ap)
+        assert model._cache == cached
+
+    class _Interrupted(BaseException):
+        """Not a `MilBackError`, nor even an `Exception`."""
+
+    @staticmethod
+    def _interrupt(*args):
+        raise TestLinkGrid._Interrupted
+
+    @pytest.mark.parametrize("cache_size", [2, 65536])
+    @pytest.mark.parametrize("failure", ["node on an AP", "interrupt"])
+    def test_failed_two_ap_pass_leaves_no_reservation(
+        self, monkeypatch, cache_size, failure
+    ):
+        """Two APs reserve five keys, evicting at `cache_size` 2, before
+        the pass raises: no reserved slot stays behind, nothing is
+        counted, and a later call reads only cached rows."""
+        aps = [Pose2D.at(0.0, 0.0, 0.0), Pose2D.at(10.0, 0.0, 0.0)]
+        before = [Pose2D.at(5.0, 1.0, 190.0)]
+        model = FleetLinkModel(cache_size=cache_size)
+        model.observe_grid(aps, before)
+        nodes = [Pose2D.at(4.0, 0.0, 180.0), Pose2D.at(3.0, 2.0, 200.0)]
+        if failure == "node on an AP":
+            nodes.append(aps[1])
+            raised = ChannelError
+        else:
+            monkeypatch.setattr(model, "_evaluate", self._interrupt)
+            raised = self._Interrupted
+        obs.reset()
+        with pytest.raises(raised):
+            model.observe_grid(aps, nodes)
+        monkeypatch.undo()
+        assert self._traffic() == (0, 0)
+        assert all(type(row) is tuple for row in model._cache.values())
+        assert model.observe_grid(aps, before) == FleetLinkModel().observe_grid(
+            aps, before
+        )
+
+    def test_gain_rows_do_not_depend_on_their_batch(self):
+        """`observe_grid`'s bit-identity rests on this property: a point
+        gets the same FSA gain bits in any batch of two or more points,
+        so every AP's misses can join one array pass. (BLAS sums a
+        one-point batch with `dot`, other bits, so a lone miss keeps its
+        own pass.)"""
+        antenna = FleetLinkModel()._budget.fsa.port_a
+        rng = np.random.default_rng(21)
+        angles_deg = rng.uniform(-90.0, 90.0, 400)
+        tones_hz = rng.uniform(BAND_START_HZ, BAND_STOP_HZ, 400)
+        whole = antenna.gain_dbi(angles_deg, tones_hz)
+        for size in (2, 3, 4, 5, 7, 8, 13, 40, 41, 120):
+            cuts = list(range(0, len(angles_deg) - size - 1, size)) + [len(angles_deg)]
+            parts = [
+                antenna.gain_dbi(angles_deg[lo:hi], tones_hz[lo:hi])
+                for lo, hi in zip(cuts, cuts[1:])
+            ]
+            assert min(len(part) for part in parts) >= 2
+            assert np.array_equal(np.concatenate(parts), whole)
+
+
 def _single_ap_fixture(n_nodes=5, seed=0, name="five-node-crosscheck"):
     spec = get_scenario(name)
     aps, nodes = build_fleet(spec, seed)
@@ -460,6 +646,68 @@ class TestRoaming:
                         _boresight_target(other.pose),
                     )
                     assert abs(field[row, column] - scalar) <= 1e-9
+
+    @staticmethod
+    def _interference_oracle(model, rx_ap_pose, rx_target_pose, tx_ap_pose, tx_target_pose):
+        """`ap_interference_dbm` as one formula, before its AP-pair terms
+        were computed apart from the per-pose receive-horn term."""
+        distance_m = tx_ap_pose.distance_to(rx_ap_pose)
+        tx_offset_deg = angle_between_deg(
+            tx_ap_pose.bearing_to(rx_ap_pose), tx_ap_pose.bearing_to(tx_target_pose)
+        )
+        rx_bearing_deg = rx_ap_pose.bearing_to(tx_ap_pose)
+
+        def rx_offset_deg(pose):
+            return angle_between_deg(rx_bearing_deg, rx_ap_pose.bearing_to(pose))
+
+        if isinstance(rx_target_pose, Pose2D):
+            offsets_deg = rx_offset_deg(rx_target_pose)
+        else:
+            offsets_deg = np.array([rx_offset_deg(pose) for pose in rx_target_pose])
+        return (
+            AP_TX_POWER_DBM
+            + float(model._budget.tx_horn.gain_dbi(tx_offset_deg, BAND_CENTER_HZ))
+            + model._budget.rx_horn.gain_dbi(offsets_deg, BAND_CENTER_HZ)
+            - float(free_space_path_loss_db(distance_m, BAND_CENTER_HZ))
+        )
+
+    def test_interference_field_matches_one_formula(self):
+        sim, controller, _ = self._mobile_fixture()
+        controller.aps["ap-2"] = FleetAp("ap-2", Pose2D.at(12.0, 20.0, 270.0))
+        model = controller.model
+        poses = TestFleetLinkModel._random_poses(50, seed=8)
+        for ap_id, rx_ap in controller.aps.items():
+            field = controller.interference_for(ap_id)
+            others = [
+                (ap.pose, _boresight_target(ap.pose))
+                for other_id, ap in sorted(controller.aps.items())
+                if other_id != ap_id
+            ]
+            columns = [
+                self._interference_oracle(model, rx_ap.pose, poses, *other)
+                for other in others
+            ]
+            assert np.array_equal(field(poses), np.column_stack(columns))
+            for pose in poses:
+                expected = tuple(
+                    self._interference_oracle(model, rx_ap.pose, pose, *other)
+                    for other in others
+                )
+                assert field(pose) == expected
+                assert all(type(value) is float for value in field(pose))
+                for other, value in zip(others, expected):
+                    assert model.ap_interference_dbm(rx_ap.pose, pose, *other) == value
+            for other, column in zip(others, columns):
+                composed = model.ap_interference_dbm(rx_ap.pose, poses, *other)
+                assert np.array_equal(composed, column)
+
+    def test_co_located_aps_raise_when_the_field_is_built(self):
+        sim, controller, _ = self._mobile_fixture()
+        controller.aps["ap-2"] = FleetAp("ap-2", Pose2D.at(0.0, 0.0, 270.0))
+        controller.interference_for("ap-1")
+        for ap_id in ("ap-0", "ap-2"):
+            with pytest.raises(NetworkSimError, match="co-located"):
+                controller.interference_for(ap_id)
 
     def test_needs_two_aps(self):
         model = FleetLinkModel()
@@ -620,7 +868,8 @@ class TestScenarioOutcomes:
 class TestBatchedLinkQueries:
     def test_one_batch_per_ap_per_tick_and_per_frame(self, monkeypatch):
         # Without transfers every link query comes from roaming and
-        # inventory; a slide back to per-node queries trips `observe`.
+        # inventory; a slide back to per-node queries trips `observe`,
+        # and one back to a pass per AP per tick trips `observe_grid`.
         spec = dataclasses.replace(
             get_scenario("three-ap-roaming"),
             name="three-ap-roaming-12-mobile-0.5s",
@@ -630,7 +879,7 @@ class TestBatchedLinkQueries:
             transfers=False,
         )
         monkeypatch.setitem(SCENARIOS, spec.name, spec)
-        calls = {"observe": 0, "observe_many": 0, "_tick": 0}
+        calls = {"observe": 0, "observe_many": 0, "observe_grid": 0, "_tick": 0}
 
         def counted(cls, name):
             method = getattr(cls, name)
@@ -643,11 +892,14 @@ class TestBatchedLinkQueries:
 
         counted(FleetLinkModel, "observe")
         counted(FleetLinkModel, "observe_many")
+        counted(FleetLinkModel, "observe_grid")
         counted(RoamingController, "_tick")
         obs.reset()
         run_scenario(spec.name, seed=0)
         frames = obs.counter("netsim.rounds").value
         assert frames > 0 and calls["_tick"] > 0
         assert calls["observe"] == 0
-        # One batch per AP at attachment and at every tick, one per frame.
-        assert calls["observe_many"] == spec.n_aps * (1 + calls["_tick"]) + frames
+        # One link pass over every AP at attachment and at every tick,
+        # and one per frame (its one-AP `observe_many`).
+        assert calls["observe_many"] == frames
+        assert calls["observe_grid"] == 1 + calls["_tick"] + frames

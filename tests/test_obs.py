@@ -19,7 +19,7 @@ from repro.netsim import run_scenario
 from repro.obs import metrics
 from repro.obs.check import check_metrics_json, check_trace_jsonl
 from repro.obs.check import main as check_main
-from repro.obs.metrics import MetricsRegistry, metric_key
+from repro.obs.metrics import DEFAULT_TIME_BUCKETS, MetricsRegistry, metric_key
 from repro.obs.tracing import Tracer
 from repro.protocol.events import EventLog
 from repro.protocol.link import MilBackLink
@@ -179,6 +179,46 @@ class TestMetricHandles:
         assert histogram.count == 2
         assert registry.counter("hits", cache="c") is counter
         assert len(registry) == 3
+
+    def test_histogram_with_another_ladder_raises(self):
+        registry = MetricsRegistry()
+        default = registry.histogram("h")
+        custom = registry.histogram("g", buckets=(0.1, 1.0))
+        with pytest.raises(ConfigurationError, match="bucket ladder"):
+            registry.histogram("h", buckets=(0.1, 1.0))
+        with pytest.raises(ConfigurationError, match="bucket ladder"):
+            registry.histogram("g")
+        # An equal ladder, in any order or container, is the same histogram.
+        assert registry.histogram("h") is default
+        assert registry.histogram("h", buckets=list(DEFAULT_TIME_BUCKETS)) is default
+        assert registry.histogram("g", buckets=[1.0, 0.1]) is custom
+        # merge_state refuses the same mismatch.
+        other = MetricsRegistry()
+        other.histogram("h", buckets=(0.1, 1.0)).observe(0.5)
+        with pytest.raises(ConfigurationError):
+            registry.merge_state(other.dump_state())
+        assert default.count == 0
+
+    def test_histogram_ladder_checked_on_the_flat_key_path(self):
+        registry = MetricsRegistry()
+        default = registry.histogram("h", op="o", stage="s")
+        custom = registry.histogram("g", buckets=(0.1, 1.0), op="o", stage="s")
+        # Swapped labels miss the handle dict and take the flat key.
+        with pytest.raises(ConfigurationError, match="bucket ladder"):
+            registry.histogram("h", buckets=(0.1, 1.0), stage="s", op="o")
+        with pytest.raises(ConfigurationError, match="bucket ladder"):
+            registry.histogram("g", stage="s", op="o")
+        assert registry.histogram("h", stage="s", op="o") is default
+        assert registry.histogram("g", buckets=(0.1, 1.0), stage="s", op="o") is custom
+
+    def test_merged_default_ladder_stays_the_default(self):
+        source = MetricsRegistry()
+        source.histogram("lat").observe(0.2)
+        registry = MetricsRegistry()
+        registry.merge_state(source.dump_state())
+        merged = registry.histogram("lat")
+        assert merged.count == 1
+        assert merged.dump()["bounds"] == list(DEFAULT_TIME_BUCKETS)
 
     def test_non_string_labels_keep_their_own_metrics(self):
         # 1, 1.0 and True are one dict key but three flat keys.

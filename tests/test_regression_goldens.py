@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro import faults
+from repro import faults, obs
 from repro.channel.scene import NodePlacement, Scene2D
 from repro.errors import ProtocolError
 from repro.hardware.power import NodeMode
@@ -335,6 +335,36 @@ class TestNetsimGoldens:
         results = [run_scenario(name, seed=seed) for name in names]
         expected = (GOLDENS / f"netsim-seed{seed}.json").read_text()
         assert dump_json(matrix_document(results, seed)) == expected
+
+
+class TestNetsimCacheTraffic:
+    """Link-cache hits and misses of whole scenario runs, recorded before
+    a roaming tick took one link pass over every AP. A link-model change
+    that claims to keep every output must keep these totals too."""
+
+    #: (scenario, seed) -> (cache.hits, cache.misses) of cache=netsim_link.
+    TOTALS = {
+        (TestNetsimGoldens.ROAMING_CUT["name"], 0): (168, 5276),
+        (TestNetsimGoldens.ROAMING_CUT["name"], 1): (67, 5500),
+        ("five-node-crosscheck", 0): (15, 5),
+        ("five-node-crosscheck", 1): (12, 5),
+        ("single-ap-100", 0): (267, 100),
+        ("single-ap-100", 1): (236, 100),
+    }
+
+    @pytest.mark.parametrize(("name", "seed"), list(TOTALS))
+    def test_link_cache_traffic_matches_golden(self, name, seed, monkeypatch):
+        cut = dataclasses.replace(
+            get_scenario("three-ap-roaming"), **TestNetsimGoldens.ROAMING_CUT
+        )
+        monkeypatch.setitem(SCENARIOS, cut.name, cut)
+        obs.reset()
+        run_scenario(name, seed=seed)
+        traffic = (
+            obs.counter("cache.hits", cache="netsim_link").value,
+            obs.counter("cache.misses", cache="netsim_link").value,
+        )
+        assert traffic == self.TOTALS[name, seed]
 
 
 class TestSensingGoldens:
