@@ -8,7 +8,9 @@
 #
 # Everything lands in the current directory: $WORKLOAD-w1* and
 # $WORKLOAD-w$WORKERS* (stdout, corpus or matrix JSON), plus
-# trace-$WORKLOAD.jsonl and metrics-$WORKLOAD.json.
+# trace-$WORKLOAD.jsonl and metrics-$WORKLOAD.json. The netsim leg also
+# writes the serial run's metrics-netsim-w1.json and requires its
+# counters to equal the merged counters of the parallel run.
 set -eu
 
 usage="usage: worker-parity.sh fig12|dataset|netsim WORKERS"
@@ -40,11 +42,41 @@ case "$workload" in
     ;;
   netsim)
     matrix="--scenarios all --seed 0"
-    python -m repro netsim matrix $matrix --workers 1 --json netsim-w1.json
+    python -m repro netsim matrix $matrix --workers 1 --json netsim-w1.json \
+      --metrics-out metrics-netsim-w1.json
     python -m repro netsim matrix $matrix --workers "$workers" \
       --json "netsim-w$workers.json" $obs
     diff netsim-w1.json "netsim-w$workers.json"
     $check --min-subsystems 2 --min-metrics 8
+    # Every counter but the pool's own (parallel.*) and the spans'
+    # (span.*) must read the same serially and merged from the workers.
+    python - metrics-netsim-w1.json "metrics-$workload.json" <<'EOF'
+import json
+import sys
+
+
+def counters(path):
+    with open(path, encoding="utf-8") as f:
+        metrics = json.load(f)["metrics"]
+    return {
+        name: metric["value"]
+        for name, metric in metrics.items()
+        if metric["type"] == "counter"
+        and not name.startswith(("parallel.", "span."))
+    }
+
+
+serial, merged = counters(sys.argv[1]), counters(sys.argv[2])
+differ = sorted(
+    name for name in serial.keys() | merged.keys()
+    if serial.get(name) != merged.get(name)
+)
+for name in differ:
+    print(f"{name}: {serial.get(name)} serial, {merged.get(name)} merged", file=sys.stderr)
+if differ or not serial:
+    sys.exit(1)
+print(f"{len(serial)} counters equal serially and merged")
+EOF
     ;;
   *)
     echo "$usage" >&2

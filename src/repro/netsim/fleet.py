@@ -119,14 +119,19 @@ class FleetLink:
     :class:`repro.protocol.arq.ReliableChannel` only needs
     ``send_to_node`` / ``receive_from_node`` returning reports with
     ``air_time_s`` and ``delivered``, raising :class:`ProtocolError`
-    when the far side never responds. Both paths evaluate the link
-    budget at the node's pose at the simulation's current clock.
-    :class:`TransferProcess` runs a whole ``send_reliable`` inside one
-    event, and the retry backoff only adds to the transfer's wait-time
-    total, so the clock does not move during a transfer: every attempt
-    and every ACK sees the pose the node had when the transfer started.
-    A node out of range at that instant fails every attempt, like the
-    protocol layer's out-of-range sessions.
+    when the far side never responds. The link is evaluated once per
+    simulated instant: the first frame at a clock reading takes the
+    node's pose and its :class:`LinkObservation`, the first uplink frame
+    that clears the downlink floor adds the interference field and the
+    SINR at that pose, and every later frame, ACK and retry at the same
+    reading reuses them. A frame after the clock has moved evaluates
+    again. :class:`TransferProcess` runs a whole ``send_reliable`` inside
+    one event, and the retry backoff only adds to the transfer's
+    wait-time total, so a transfer evaluates its link once: every
+    attempt and every ACK sees the pose the node had when the transfer
+    started, and each frame still makes its own delivery draw. A node
+    out of range at that instant fails every attempt, like the protocol
+    layer's out-of-range sessions.
     """
 
     def __init__(
@@ -142,15 +147,32 @@ class FleetLink:
         self.ap = ap
         self.node = node
         self._interference_dbm = interference_dbm
+        # The memo of one instant: the clock reading it was taken at, the
+        # node's pose, its observation and, once an uplink frame asks,
+        # its SINR.
+        self._memo_s: float | None = None
+        self._pose = node.pose
+        self._observation: LinkObservation | None = None
+        self._sinr_db: float | None = None
 
     def _observe(self) -> LinkObservation:
-        return self.model.observe(self.ap.pose, self.node.pose_at(self.sim.now_s))
+        now_s = self.sim.now_s
+        # An exact clock compare: the memo holds for one instant only.
+        if self._observation is None or now_s != self._memo_s:  # milback: disable=ML003
+            pose = self.node.pose_at(now_s)
+            self._observation = self.model.observe(self.ap.pose, pose)
+            self._pose = pose
+            self._sinr_db = None
+            self._memo_s = now_s
+        return self._observation
 
     def _uplink_sinr_db(self, observation: LinkObservation) -> float:
-        interference: tuple[float, ...] = ()
-        if self._interference_dbm is not None:
-            interference = self._interference_dbm(self.node.pose_at(self.sim.now_s))
-        return self.model.uplink_sinr_db(observation.rss_dbm, interference)
+        if self._sinr_db is None:
+            interference: tuple[float, ...] = ()
+            if self._interference_dbm is not None:
+                interference = self._interference_dbm(self._pose)
+            self._sinr_db = self.model.uplink_sinr_db(observation.rss_dbm, interference)
+        return self._sinr_db
 
     def _deliver(self, payload: bytes, bit_rate_bps: float, snr_db: float):
         bits = len(payload) * 8 + FRAME_OVERHEAD_BITS
@@ -386,7 +408,10 @@ class TransferProcess:
         channel = ReliableChannel(
             link, max_attempts=self.max_attempts, backoff=TRANSFER_BACKOFF
         )
-        payload = node_id.encode("ascii").ljust(self.payload_bytes, b"\x00")
+        # Exactly payload_bytes on the air: the node id, zero-padded or cut.
+        payload = node_id.encode("ascii")[: self.payload_bytes].ljust(
+            self.payload_bytes, b"\x00"
+        )
         result = channel.send_reliable(
             payload, PayloadDirection.UPLINK, self.bit_rate_bps
         )

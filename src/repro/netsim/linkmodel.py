@@ -58,10 +58,11 @@ SYMBOL_BANDWIDTH_HZ = 10e6
 
 @dataclass(frozen=True)
 class LinkObservation:
-    """One (AP, node) link-budget evaluation."""
+    """One (AP, node) link-budget evaluation: the AP↔node distance, the
+    node's orientation (the AP's bearing off the node's heading) and the
+    three budgets."""
 
     distance_m: float
-    azimuth_deg: float
     orientation_deg: float
     rss_dbm: float
     uplink_snr_db: float
@@ -106,7 +107,6 @@ class FleetLinkModel:
         deterministic, so runs still replay bit for bit.
         """
         distance_m = ap_pose.distance_to(node_pose)
-        azimuth_deg = ap_pose.relative_bearing_to(node_pose)
         orientation_deg = node_pose.relative_bearing_to(ap_pose)
         # The budget depends on geometry only through distance and
         # orientation (the AP steers at the node), so this key is exact.
@@ -118,7 +118,7 @@ class FleetLinkModel:
             budgets = self._store(key, tuple(map(float, evaluated)))
         else:
             obs.counter("cache.hits", cache="netsim_link").inc()
-        return LinkObservation(distance_m, azimuth_deg, orientation_deg, *budgets)
+        return LinkObservation(distance_m, orientation_deg, *budgets)
 
     def observe_many(
         self, ap_pose: Pose2D, node_poses: Sequence[Pose2D]

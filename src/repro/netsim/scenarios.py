@@ -74,6 +74,8 @@ class ScenarioSpec:
             raise NetworkSimError("need 0 < min radius < max radius")
         if not 0.0 <= self.mobile_fraction <= 1.0:
             raise NetworkSimError("mobile fraction must be within [0, 1]")
+        if not self.speed_mps > 0.0:
+            raise NetworkSimError("walking speed must be positive")
         if self.n_aps > 1 and self.horizon_s is None:
             raise NetworkSimError("multi-AP scenarios need a horizon")
 

@@ -22,6 +22,7 @@ from repro.netsim import (
     NetworkSimulation,
     RoamingController,
     SCENARIOS,
+    TransferProcess,
     build_fleet,
     dump_json,
     get_scenario,
@@ -527,6 +528,141 @@ class TestFleetLink:
         with pytest.raises(ProtocolError):
             link.receive_from_node(b"pong")
 
+    @staticmethod
+    def _count_observations(monkeypatch):
+        calls = []
+        observe = FleetLinkModel.observe
+
+        def counted(self, ap_pose, node_pose):
+            calls.append(node_pose)
+            return observe(self, ap_pose, node_pose)
+
+        monkeypatch.setattr(FleetLinkModel, "observe", counted)
+        return calls
+
+    def test_transfer_observes_its_link_once(self, monkeypatch):
+        _, ap, nodes = _single_ap_fixture()
+        calls = self._count_observations(monkeypatch)
+        link = FleetLink(NetworkSimulation(), FleetLinkModel(), ap, nodes["node-0000"])
+        result = ReliableChannel(link).send_reliable(b"hello-fleet")
+        # A data frame and its ACK, both at the same instant.
+        assert (result.delivered, result.attempts) == (True, 1)
+        assert len(calls) == 1
+
+    def test_out_of_range_transfer_observes_once(self, monkeypatch):
+        _, ap, nodes = _single_ap_fixture()
+        node = nodes["node-0000"]
+        far = FleetNode("far", 99, Pose2D.at(80.0, 80.0, 225.0), node.rng)
+        calls = self._count_observations(monkeypatch)
+        link = FleetLink(NetworkSimulation(), FleetLinkModel(), ap, far)
+        result = ReliableChannel(link, max_attempts=4).send_reliable(b"pong")
+        assert (result.delivered, result.attempts) == (False, 4)
+        assert len(calls) == 1
+        # Every attempt still raises, with the same message.
+        messages = set()
+        for _ in range(2):
+            with pytest.raises(ProtocolError) as raised:
+                link.receive_from_node(b"pong")
+            messages.add(str(raised.value))
+        assert len(messages) == 1 and "never heard the query" in messages.pop()
+        assert len(calls) == 1
+
+    def test_observes_again_once_the_clock_moves(self, monkeypatch):
+        # A walker in ap-0's cell, heard through ap-1's interference.
+        sim, controller, _ = TestRoaming._mobile_fixture()
+        model, ap = controller.model, controller.aps["ap-0"]
+        field = controller.interference_for("ap-0")
+        walk = WaypointTrajectory(
+            [
+                Waypoint(0.0, Pose2D.at(3.0, 4.0, 235.0)),
+                Waypoint(10.0, Pose2D.at(13.0, 4.0, 200.0)),
+            ]
+        )
+        walker = FleetNode(
+            "walker", 0, walk.pose_at(0.0), np.random.default_rng(0), trajectory=walk
+        )
+        calls = self._count_observations(monkeypatch)
+        link = FleetLink(sim, model, ap, walker, interference_dbm=field)
+
+        def link_at_now(link):
+            observation = link._observe()
+            return observation, link._uplink_sinr_db(observation)
+
+        link.receive_from_node(b"data")
+        link.send_to_node(b"ack")
+        link.receive_from_node(b"data")
+        assert len(calls) == 1
+        before = link_at_now(link)
+        sim.schedule(1.0, lambda: None)
+        sim.run()
+        assert sim.now_s == 1.0
+        link.receive_from_node(b"data")
+        assert len(calls) == 2 and calls[1] == walker.pose_at(1.0)
+        after = link_at_now(link)
+        fresh = link_at_now(FleetLink(sim, model, ap, walker, interference_dbm=field))
+        assert after == fresh
+        # Both the observation and the SINR moved with the walker.
+        assert after[0] != before[0] and after[1] != before[1]
+
+    def test_transfer_sends_exactly_payload_bytes(self, monkeypatch):
+        spec, ap, nodes = _single_ap_fixture()
+        frames = []
+        receive_from_node = FleetLink.receive_from_node
+
+        def recorded(self, payload, bit_rate_bps=10e6):
+            report = receive_from_node(self, payload, bit_rate_bps)
+            frames.append((payload, report.air_time_s, bit_rate_bps))
+            return report
+
+        monkeypatch.setattr(FleetLink, "receive_from_node", recorded)
+        for payload_bytes in (4, 12):
+            frames.clear()
+            sim = NetworkSimulation()
+            process = TransferProcess(
+                sim, FleetLinkModel(), ap, nodes, ap.members, payload_bytes=payload_bytes
+            )
+            process.start()
+            sim.run()
+            assert frames and len(process.results) == spec.n_nodes
+            for node_id, result in process.results.items():
+                expected = node_id.encode("ascii")[:payload_bytes]
+                assert result.payload == expected.ljust(payload_bytes, b"\x00")
+            for payload, air_time_s, bit_rate_bps in frames:
+                assert len(payload) == payload_bytes
+                assert air_time_s == (payload_bytes * 8 + 64) / bit_rate_bps
+
+    @staticmethod
+    def _roaming_cut():
+        return dataclasses.replace(
+            get_scenario("three-ap-roaming"),
+            name="three-ap-roaming-40-mobile-2s",
+            n_nodes=40,
+            mobile_fraction=1.0,
+            horizon_s=2.0,
+        )
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize(
+        "name", ["five-node-crosscheck", "single-ap-100", "three-ap-roaming-40-mobile-2s"]
+    )
+    def test_memo_matches_per_frame_evaluation(self, monkeypatch, name, seed):
+        # Oracle: with the memo cleared before every frame, each data
+        # frame, ACK and retry evaluates the link afresh.
+        cut = self._roaming_cut()
+        monkeypatch.setitem(SCENARIOS, cut.name, cut)
+        memo = run_scenario(name, seed=seed)
+        observe = FleetLink._observe
+
+        def per_frame(self):
+            self._memo_s = None
+            return observe(self)
+
+        monkeypatch.setattr(FleetLink, "_observe", per_frame)
+        oracle = run_scenario(name, seed=seed)
+        assert memo.transfers_total > 0
+        assert memo == oracle
+        assert memo.trace_digest == oracle.trace_digest
+
 
 class TestInventoryParity:
     """Netsim inventory must reproduce SlottedInventory draw for draw."""
@@ -581,7 +717,8 @@ class TestInventoryParity:
 
 
 class TestRoaming:
-    def _mobile_fixture(self):
+    @staticmethod
+    def _mobile_fixture():
         model = FleetLinkModel()
         sim = NetworkSimulation()
         aps = [
@@ -726,6 +863,23 @@ class TestScenarios:
             assert spec.version >= 1
         with pytest.raises(NetworkSimError):
             get_scenario("no-such-scenario")
+
+    @pytest.mark.parametrize(
+        ("field", "value"),
+        [
+            ("n_nodes", 0),
+            ("n_aps", 0),
+            ("min_radius_m", 0.0),
+            ("min_radius_m", 16.0),
+            ("mobile_fraction", 1.5),
+            ("horizon_s", None),
+            ("speed_mps", 0.0),
+            ("speed_mps", -1.0),
+        ],
+    )
+    def test_spec_rejects_invalid_fields(self, field, value):
+        with pytest.raises(NetworkSimError):
+            dataclasses.replace(get_scenario("three-ap-roaming"), **{field: value})
 
     def test_scenario_seed_is_stable_and_name_dependent(self):
         assert scenario_seed(0, "a") == scenario_seed(0, "a")

@@ -338,18 +338,29 @@ class TestNetsimGoldens:
 
 
 class TestNetsimCacheTraffic:
-    """Link-cache hits and misses of whole scenario runs, recorded before
-    a roaming tick took one link pass over every AP. A link-model change
-    that claims to keep every output must keep these totals too."""
+    """Link-cache hits and misses of whole scenario runs. A link-model
+    change that claims to keep every output must keep these totals too.
+
+    The totals count one lookup per ``FleetLink`` per simulated instant.
+    Before a ``FleetLink`` kept its observation for the instant, each data
+    frame, ACK and retry of a transfer looked its link up again, and every
+    repeat was a hit on the key the first lookup stored. Those totals
+    were (hits, misses): roaming cut (168, 5276) and (67, 5500),
+    ``five-node-crosscheck`` (15, 5) and (12, 5), ``single-ap-100``
+    (267, 100) and (236, 100) at seeds 0 and 1. Counting every
+    ``FleetLink`` observation after its link's first gave 44, 27, 5, 5,
+    102 and 100 repeats; each pin below is the old hits minus those
+    repeats, with the misses unchanged.
+    """
 
     #: (scenario, seed) -> (cache.hits, cache.misses) of cache=netsim_link.
     TOTALS = {
-        (TestNetsimGoldens.ROAMING_CUT["name"], 0): (168, 5276),
-        (TestNetsimGoldens.ROAMING_CUT["name"], 1): (67, 5500),
-        ("five-node-crosscheck", 0): (15, 5),
-        ("five-node-crosscheck", 1): (12, 5),
-        ("single-ap-100", 0): (267, 100),
-        ("single-ap-100", 1): (236, 100),
+        (TestNetsimGoldens.ROAMING_CUT["name"], 0): (124, 5276),
+        (TestNetsimGoldens.ROAMING_CUT["name"], 1): (40, 5500),
+        ("five-node-crosscheck", 0): (10, 5),
+        ("five-node-crosscheck", 1): (7, 5),
+        ("single-ap-100", 0): (165, 100),
+        ("single-ap-100", 1): (136, 100),
     }
 
     @pytest.mark.parametrize(("name", "seed"), list(TOTALS))
