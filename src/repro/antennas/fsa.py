@@ -18,6 +18,7 @@ within a fraction of a dB of the figure.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -166,6 +167,21 @@ class FsaDesign:
         return self.n_elements * self.element_spacing_m
 
 
+@functools.lru_cache(maxsize=32)
+def _element_taper(design: FsaDesign) -> tuple[np.ndarray, np.float64, np.ndarray]:
+    """``(taper column, taper sum, element index)`` of one design.
+
+    The design is frozen, so every antenna built from an equal design
+    shares these read-only arrays instead of deriving them again.
+    """
+    taper = design.element_weights()
+    column = taper.reshape(-1, 1)
+    column.setflags(write=False)
+    index = np.arange(design.n_elements)
+    index.setflags(write=False)
+    return column, taper.sum(), index
+
+
 class FsaPort:
     """Which end of the FSA the signal enters/exits."""
 
@@ -187,13 +203,9 @@ class FrequencyScanningAntenna:
         self.design = design or FsaDesign()
         self.port = port
         self._mirror = -1.0 if port == FsaPort.B else 1.0
-        # The design is frozen, so the element taper is derived once here
-        # rather than on every pattern evaluation.
-        taper = self.design.element_weights()
-        self._taper_column = taper.reshape(-1, 1)
-        self._taper_column.setflags(write=False)
-        self._taper_sum = taper.sum()
-        self._element_index = np.arange(self.design.n_elements)
+        self._taper_column, self._taper_sum, self._element_index = _element_taper(
+            self.design
+        )
 
     # --- dispersion --------------------------------------------------------
 

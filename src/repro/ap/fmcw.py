@@ -15,6 +15,7 @@ shape contract every AP estimator applies to it.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +47,14 @@ def check_burst(
         raise LocalizationError("beat records are empty")
     if n_rx is not None and burst.shape[1] != n_rx:
         raise LocalizationError(f"got {burst.shape[1]} RX chains for {n_rx} antennas")
+
+
+@functools.lru_cache(maxsize=32)
+def _shifted_axis_hz(n: int, sample_rate_hz: float) -> np.ndarray:
+    """The fft-shifted frequency axis of an ``n``-point record, read-only."""
+    freqs = np.fft.fftshift(np.fft.fftfreq(n, d=1.0 / sample_rate_hz))
+    freqs.setflags(write=False)
+    return freqs
 
 
 @dataclass(frozen=True)
@@ -82,14 +91,14 @@ class FmcwProcessor:
         """Windowed FFT of every chirp of one RX chain.
 
         ``chain`` is ``(n_chirps, n)``; returns the fft-shifted frequency
-        axis ``(n,)`` and the ``(n_chirps, n)`` complex spectra, each row
-        exactly :func:`~repro.dsp.fftutils.windowed_fft` of its chirp.
+        axis ``(n,)`` (read-only, shared per length and rate) and the
+        ``(n_chirps, n)`` complex spectra, each row exactly
+        :func:`~repro.dsp.fftutils.windowed_fft` of its chirp.
         """
         check_burst(chain, ndim=2)
         n = chain.shape[-1]
         values = rxchain.windowed_spectra(chain, window_taps("hann", n))
-        freqs = np.fft.fftshift(np.fft.fftfreq(n, d=1.0 / sample_rate_hz))
-        return freqs, values
+        return _shifted_axis_hz(n, sample_rate_hz), values
 
     def background_subtracted(self, chain: np.ndarray, sample_rate_hz: float) -> Spectrum:
         """Pairwise-differenced spectrum, averaged over all adjacent pairs.

@@ -8,6 +8,7 @@ the paper reports centimeter errors against a 5 cm resolution limit.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -70,10 +71,21 @@ _WINDOWS = {
 }
 
 
+@functools.lru_cache(maxsize=64)
+def _window(window: str, n: int) -> np.ndarray:
+    taps = _WINDOWS[window](n)
+    taps.setflags(write=False)
+    return taps
+
+
 def window_taps(window: str, n: int) -> np.ndarray:
-    """Taps of a named analysis window of length ``n``."""
+    """Taps of a named analysis window of length ``n``.
+
+    Read-only and memoized per ``(window, n)``: the AP estimators window
+    every chirp of every trial at the same few lengths.
+    """
     try:
-        return _WINDOWS[window](n)
+        return _window(window, n)
     except KeyError:
         raise SignalError(
             f"unknown window {window!r}; choose from {sorted(_WINDOWS)}"

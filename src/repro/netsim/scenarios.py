@@ -78,6 +78,10 @@ class ScenarioSpec:
             raise NetworkSimError("walking speed must be positive")
         if self.n_aps > 1 and self.horizon_s is None:
             raise NetworkSimError("multi-AP scenarios need a horizon")
+        if self.horizon_s is not None and not self.horizon_s > 0.0:
+            raise NetworkSimError("horizon must be positive")
+        if self.max_attempts < 1:
+            raise NetworkSimError("a transfer needs at least one attempt")
 
     @property
     def streams_per_node(self) -> int:

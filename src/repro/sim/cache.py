@@ -8,18 +8,30 @@ module memoizes exactly that RNG-free slice at process level, so trial
 N+1 reuses what trial N derived and the per-trial cost reduces to the
 stochastic parts (noise, jitter, ripple application).
 
+The ``scene_terms`` family gathers what one simulator reads per burst:
+its :class:`SceneTerms` entry, keyed on the budget's value key, holds
+the port gain bases, the node and mirror tones, the horn roll-off, the
+stacked static field and the ripple's control grid, each built on first
+use. A simulator resolves its entry once (:func:`scene_terms`) and
+keeps the handle, so a trial that repeats a scene pays one lookup and
+then only dictionary reads; the other families fill on the entry's
+misses.
+
 Two invariants keep the caches correct:
 
 * **Keys are value keys.** Entries are keyed by the frozen dataclasses
   that define the configuration (``Scene2D``, ``FsaDesign``,
   ``Calibration``, chirps, horns), never by object identity — a sweep
-  that rebuilds identical objects every trial still hits.
+  that rebuilds identical objects every trial still hits. A downlink
+  gain also reads the switch *state* (insertion loss when absorbing,
+  isolation when reflecting), so every downlink memo keys on it.
 * **Values are immutable.** Cached arrays are marked read-only
   (``setflags(write=False)``) before they are shared, so an accidental
   in-place edit raises instead of corrupting every later trial.
 
 Anything that consumes randomness — ripple control points, noise,
-jitter — stays out of here by construction; quantities that depend on an
+jitter — stays out of here by construction: a simulator adds its own
+ripple to a cached gain base. Quantities that depend on an
 :class:`~repro.channel.atmosphere.AtmosphereModel` bypass the cache
 (weather sweeps mutate the model too freely to key on).
 
@@ -38,11 +50,14 @@ import numpy as np
 
 from repro import obs
 from repro.antennas.array import aoa_phase_rad
+from repro.channel.propagation import propagation_delay_s
+from repro.constants import SPEED_OF_LIGHT
 from repro.sim.linkbudget import LinkBudget, PathGain
 
 __all__ = [
     "ChirpGrid",
     "SceneInvariantCache",  # milback: disable=ML014 — public cache API
+    "SceneTerms",
     "backscatter_gain_db",
     "cache_sizes",  # milback: disable=ML014 — public warmth probe
     "chirp_grid",
@@ -50,8 +65,9 @@ __all__ = [
     "clutter_paths",  # milback: disable=ML014 — public cache API
     "downlink_port_gain_db",
     "frozen_array",
-    "fsa_gain_sweep",
-    "static_beat_field",
+    "fsa_gain_sweep",  # milback: disable=ML014 — public cache API
+    "scene_terms",
+    "static_beat_field",  # milback: disable=ML014 — public cache API
 ]
 
 V = TypeVar("V")
@@ -105,6 +121,7 @@ _FSA_SWEEP_CACHE = SceneInvariantCache("fsa_sweep", max_entries=256)
 _CLUTTER_CACHE = SceneInvariantCache("clutter_paths", max_entries=512)
 _SCALAR_GAIN_CACHE = SceneInvariantCache("link_scalars", max_entries=2048)
 _STATIC_FIELD_CACHE = SceneInvariantCache("static_field", max_entries=64)
+_SCENE_TERMS_CACHE = SceneInvariantCache("scene_terms", max_entries=64)
 
 _ALL_CACHES = (
     _GRID_CACHE,
@@ -112,6 +129,7 @@ _ALL_CACHES = (
     _CLUTTER_CACHE,
     _SCALAR_GAIN_CACHE,
     _STATIC_FIELD_CACHE,
+    _SCENE_TERMS_CACHE,
 )
 
 
@@ -197,8 +215,9 @@ def fsa_gain_sweep(fsa, port: str, orientation_deg: float, grid: ChirpGrid) -> n
 
 
 def _switch_key(switch) -> Hashable:
-    # SpdtSwitch is a mutable dataclass; only its loss figures enter any
-    # gain expression (state gates modulation, handled by the engine).
+    # SpdtSwitch is a mutable dataclass. A backscatter gain reads only its
+    # insertion loss; a downlink gain reads its through amplitude, which
+    # also depends on the state, so downlink keys add ``switch.state``.
     return (float(switch.insertion_loss_db), float(switch.isolation_db))
 
 
@@ -238,11 +257,18 @@ def clutter_paths(
 
 
 def downlink_port_gain_db(budget: LinkBudget, port: str, frequency_hz: float) -> float:
-    """Memoized :meth:`LinkBudget.downlink_port_gain_db` scalar."""
+    """Memoized :meth:`LinkBudget.downlink_port_gain_db` scalar, keyed on
+    the switch state it reads."""
     if budget.atmosphere is not None:
         obs.counter("cache.bypasses", cache="link_scalars").inc()
         return budget.downlink_port_gain_db(port, frequency_hz)
-    key = ("downlink", _budget_key(budget), str(port), float(frequency_hz))
+    key = (
+        "downlink",
+        _budget_key(budget),
+        budget.switch.state,
+        str(port),
+        float(frequency_hz),
+    )
     return _SCALAR_GAIN_CACHE.get_or_create(
         key, lambda: float(budget.downlink_port_gain_db(port, frequency_hz))
     )
@@ -268,8 +294,9 @@ def static_beat_field(
     pointing_azimuth_deg: float,
     n_rx_antennas: int,
     baseline_m: float,
-) -> tuple[np.ndarray, ...]:
-    """Per-antenna sum of all static beat tones (clutter + TX leakage).
+) -> np.ndarray:
+    """Per-antenna sum of all static beat tones (clutter + TX leakage),
+    as one ``(n_rx_antennas, n)`` array.
 
     Identical for every chirp of every trial in a scene: each static
     path contributes a fixed tone at slope·τ with a fixed per-antenna
@@ -290,11 +317,11 @@ def static_beat_field(
         float(baseline_m),
     )
 
-    def build() -> tuple[np.ndarray, ...]:
+    def build() -> np.ndarray:
         chirp = grid.chirp
         slope_hz_per_s = chirp.slope_hz_per_s
         sqrt_ptx = math.sqrt(budget.tx_power_w())
-        static = [np.zeros(grid.n, dtype=np.complex128) for _ in range(n_rx_antennas)]
+        static = np.zeros((n_rx_antennas, grid.n), dtype=np.complex128)
         paths = [
             *clutter_paths(budget, chirp.center_hz, pointing_azimuth_deg),
             budget.self_interference_path(),
@@ -309,6 +336,185 @@ def static_beat_field(
             unit_phase = aoa_phase_rad(azimuth, baseline_m, chirp.center_hz)
             for m in range(n_rx_antennas):
                 static[m] += tone_shape * np.exp(1j * m * unit_phase)
-        return tuple(_frozen(s) for s in static)
+        return _frozen(static)
 
     return _STATIC_FIELD_CACHE.get_or_create(key, build)
+
+
+# --- one scene's burst terms ---------------------------------------------------------
+
+#: Terms one :class:`SceneTerms` entry holds before its least recently used
+#: goes; a steered scan adds a static field and a mirror term per direction.
+_TERMS_PER_SCENE = 32
+
+
+def _node_delay_s(budget: LinkBudget) -> float:
+    """Round-trip delay of the node's reflection."""
+    return 2.0 * propagation_delay_s(budget.node_distance_m())
+
+
+class SceneTerms:
+    """The RNG-free terms of one scene's bursts and port gains.
+
+    One entry of the ``scene_terms`` family, shared by every simulator
+    whose budget has the same value key; each term is built on its first
+    use, read-only, and kept in a small LRU of its own. Every method
+    takes the caller's ``budget``, which has this entry's key: the entry
+    keeps none, because a budget's switch is mutable and its state
+    enters the downlink gains, which key on it.
+
+    Each builder is the engine's expression for its term, operation for
+    operation, so a burst made from these terms is bitwise the one made
+    without them.
+    """
+
+    __slots__ = ("_terms",)
+
+    def __init__(self) -> None:
+        self._terms: OrderedDict[Hashable, object] = OrderedDict()
+
+    def _term(self, key: Hashable, build: Callable[[], V]) -> V:
+        terms = self._terms
+        try:
+            value = terms[key]
+        except KeyError:
+            value = terms[key] = build()
+            if len(terms) > _TERMS_PER_SCENE:
+                terms.popitem(last=False)
+            return value
+        terms.move_to_end(key)
+        return value  # type: ignore[return-value]
+
+    def gain_base_db(
+        self, budget: LinkBudget, port: str, grid: ChirpGrid, passes: int
+    ) -> np.ndarray:
+        """A port's gain [dB] across ``grid`` before the simulator's ripple:
+        ``flat_db + passes·(fsa_sweep − fsa_flat)``.
+
+        The FSA gain sweeps with the chirp; the rest of the budget is
+        flat across the band. ``passes=2`` is the node's reflection
+        (:meth:`LinkBudget.backscatter_gain_db`), which crosses the
+        pattern twice; ``passes=1`` is the downlink into the port's
+        detector (:meth:`LinkBudget.downlink_port_gain_db`), keyed on the
+        switch state that gain reads.
+        """
+        state = budget.switch.state if passes == 1 else None
+
+        def build() -> np.ndarray:
+            flat_gain_db = backscatter_gain_db if passes == 2 else downlink_port_gain_db
+            flat_db = flat_gain_db(budget, port, grid.mean_hz)
+            orientation = budget.node_orientation_deg()
+            fsa_flat = float(budget.fsa.gain_dbi(port, orientation, grid.mean_hz))
+            fsa_sweep = fsa_gain_sweep(budget.fsa, port, orientation, grid)
+            return _frozen(flat_db + passes * (fsa_sweep - fsa_flat))
+
+        return self._term(("gain", passes, port, grid.key, state), build)
+
+    def ripple_control_hz(self, budget: LinkBudget) -> np.ndarray:
+        """Frequencies of the gain ripple's control points: one every
+        ``fsa_ripple_correlation_hz`` across the FSA band, plus 5% of the
+        span beyond each edge. The values at them are each simulator's
+        own draws."""
+
+        def build() -> np.ndarray:
+            lo, hi = budget.fsa.band_hz
+            span = hi - lo
+            n_ctrl = max(int(span / budget.calibration.fsa_ripple_correlation_hz) + 2, 4)
+            return _frozen(np.linspace(lo - 0.05 * span, hi + 0.05 * span, n_ctrl))
+
+        return self._term(("ripple_hz",), build)
+
+    def node_tone(self, budget: LinkBudget, grid: ChirpGrid) -> np.ndarray:
+        """The node's unit beat tone across ``grid``: slope·τ with phase
+        2π·f₀·τ for its round-trip delay τ."""
+
+        def build() -> np.ndarray:
+            chirp = grid.chirp
+            node_delay = _node_delay_s(budget)
+            node_beat = chirp.slope_hz_per_s * node_delay
+            node_phase0 = 2.0 * math.pi * chirp.start_hz * node_delay
+            return _frozen(np.exp(1j * (2.0 * math.pi * node_beat * grid.t + node_phase0)))
+
+        return self._term(("node_tone", grid.key), build)
+
+    def steer_terms(
+        self, budget: LinkBudget, grid: ChirpGrid, steer_offset_deg: float
+    ) -> tuple[float, np.ndarray]:
+        """``(steer_factor, mirror_amp·mirror_tone)`` with the horns
+        ``steer_offset_deg`` off the node.
+
+        ``steer_factor`` is the two horns' field roll-off on the node's
+        path (1 when steered at the node). The second term is the
+        ground-plane mirror image (Fig. 13b artifact): co-located with
+        the node, flat across the sweep, behind the same roll-off, before
+        the burst's random phase.
+        """
+
+        def build() -> tuple[float, np.ndarray]:
+            chirp = grid.chirp
+            horn_rolloff_db = (
+                float(budget.tx_horn.gain_dbi(steer_offset_deg, chirp.center_hz))
+                - budget.tx_horn.peak_gain_dbi
+                + float(budget.rx_horn.gain_dbi(steer_offset_deg, chirp.center_hz))
+                - budget.rx_horn.peak_gain_dbi
+            )
+            steer_factor = 10.0 ** (horn_rolloff_db / 20.0)
+            mirror_db = budget.mirror_reflection_gain_db(chirp.center_hz)
+            mirror_amp = math.sqrt(budget.tx_power_w()) * steer_factor * 10.0 ** (
+                mirror_db / 20.0
+            )
+            mirror_delay = (
+                _node_delay_s(budget)
+                + 2.0 * budget.calibration.mirror_excess_path_m / SPEED_OF_LIGHT
+            )
+            mirror_beat = chirp.slope_hz_per_s * mirror_delay
+            mirror_tone = np.exp(
+                1j * (2.0 * math.pi * mirror_beat * grid.t
+                      + 2.0 * math.pi * chirp.start_hz * mirror_delay)
+            )
+            return steer_factor, _frozen(mirror_amp * mirror_tone)
+
+        return self._term(("steer", grid.key, float(steer_offset_deg)), build)
+
+    def static_field(
+        self,
+        budget: LinkBudget,
+        grid: ChirpGrid,
+        pointing_azimuth_deg: float,
+        n_rx_antennas: int,
+        baseline_m: float,
+    ) -> np.ndarray:
+        """:func:`static_beat_field`, ``(n_rx_antennas, n)``."""
+        key = (
+            "static",
+            grid.key,
+            float(pointing_azimuth_deg),
+            int(n_rx_antennas),
+            float(baseline_m),
+        )
+        return self._term(
+            key,
+            lambda: static_beat_field(
+                budget, grid, pointing_azimuth_deg, n_rx_antennas, baseline_m
+            ),
+        )
+
+    def backscatter_db(self, budget: LinkBudget, port: str, frequency_hz: float) -> float:
+        """:func:`backscatter_gain_db` of the scene's node."""
+        return self._term(
+            ("backscatter", str(port), float(frequency_hz)),
+            lambda: backscatter_gain_db(budget, port, frequency_hz),
+        )
+
+
+def scene_terms(budget: LinkBudget) -> SceneTerms:
+    """The :class:`SceneTerms` entry of ``budget``'s scene.
+
+    A simulator calls this once and keeps the handle. A budget with an
+    atmosphere model gets a fresh entry of its own, not shared and not
+    stored, and counts ``cache.bypasses{cache=scene_terms}``.
+    """
+    if budget.atmosphere is not None:
+        obs.counter("cache.bypasses", cache="scene_terms").inc()
+        return SceneTerms()
+    return _SCENE_TERMS_CACHE.get_or_create(_budget_key(budget), SceneTerms)

@@ -31,7 +31,6 @@ from repro.antennas.dual_port_fsa import TonePair
 from repro.antennas.fsa import FsaPort
 from repro.ap.access_point import AccessPoint
 from repro.ap.uplink_rx import PILOT_SYMBOLS, pilot_bits
-from repro.channel.propagation import propagation_delay_s
 from repro.channel.scene import Scene2D
 from repro.constants import SPEED_OF_LIGHT
 from repro.dsp.envelope import two_tone_mean_envelope
@@ -350,13 +349,15 @@ class MilBackSimulator:
         self._aoa_bias_deg = float(self.rng.normal(0.0, cal.aoa_bias_sigma_deg))
         # The instance's own ripple realization (control points per port,
         # drawn on the port's first use) and a memo of the port amplitudes
-        # it shapes, keyed by (passes, port, grid key). The cross-instance
-        # RNG-free pieces live in repro.sim.cache.
+        # it shapes, keyed by (passes, port, grid key, downlink switch
+        # state). The cross-instance RNG-free terms come from one handle
+        # on the scene's repro.sim.cache entry, resolved here.
         self._ripple_tables: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         self._amplitude_memo: dict[tuple, np.ndarray] = {}
         self.budget = link_budget(
             scene, self.node, self.ap, self.calibration, node_id, atmosphere
         )
+        self._terms: simcache.SceneTerms = simcache.scene_terms(self.budget)
 
     # --- FSA gain ripple ------------------------------------------------------------
 
@@ -369,20 +370,18 @@ class MilBackSimulator:
         multipath standing waves — the error floor of the paper's
         orientation experiments.
 
-        The control points come from the trial RNG, so they can never be
-        shared across instances. The interpolation onto a grid is not
-        memoized: it only runs on a miss of :meth:`_port_amplitude`'s memo,
-        which already covers each ``(passes, port, grid)`` once.
+        The control values come from the trial RNG, so they can never be
+        shared across instances; their frequencies are the scene's. The
+        interpolation onto a grid is not memoized: it only runs on a miss
+        of :meth:`_port_amplitude`'s memo, which already covers each
+        ``(passes, port, grid)`` once.
         """
         cal = self.calibration
         if cal.fsa_gain_ripple_db <= 0:
             return np.zeros_like(grid.f_inst)
         if port not in self._ripple_tables:
-            lo, hi = self.node.fsa.band_hz
-            span = hi - lo
-            n_ctrl = max(int(span / cal.fsa_ripple_correlation_hz) + 2, 4)
-            ctrl_f = np.linspace(lo - 0.05 * span, hi + 0.05 * span, n_ctrl)
-            ctrl_v = cal.fsa_gain_ripple_db * self.rng.standard_normal(n_ctrl)
+            ctrl_f = self._terms.ripple_control_hz(self.budget)
+            ctrl_v = cal.fsa_gain_ripple_db * self.rng.standard_normal(ctrl_f.size)
             self._ripple_tables[port] = (ctrl_f, ctrl_v)
         ctrl_f, ctrl_v = self._ripple_tables[port]
         return np.interp(grid.f_inst, ctrl_f, ctrl_v)
@@ -392,25 +391,19 @@ class MilBackSimulator:
     def _port_amplitude(self, port: str, grid: simcache.ChirpGrid, passes: int) -> np.ndarray:
         """Field gain through one FSA port across a chirp grid, memoized.
 
-        The FSA gain (and its ripple) sweeps with the chirp; the rest of
-        the budget is flat across the band. ``passes=2`` is the node's
-        reflection (:meth:`LinkBudget.backscatter_gain_db`), which
-        crosses the pattern twice; ``passes=1`` is the downlink into the
-        port's detector (:meth:`LinkBudget.downlink_port_gain_db`).
+        The scene's gain base (:meth:`SceneTerms.gain_base_db`) plus this
+        instance's ripple, crossed ``passes`` times: ``passes=2`` is the
+        node's reflection, ``passes=1`` the downlink into the port's
+        detector, which reads the switch state.
         """
-        key = (passes, port, grid.key)
+        state = self.budget.switch.state if passes == 1 else None
+        key = (passes, port, grid.key, state)
         cached = self._amplitude_memo.get(key)
         if cached is not None:
             return cached
-        flat_gain_db = (
-            simcache.backscatter_gain_db if passes == 2 else simcache.downlink_port_gain_db
-        )
-        flat_db = flat_gain_db(self.budget, port, grid.mean_hz)
-        orientation = self.budget.node_orientation_deg()
-        fsa_flat = float(self.node.fsa.gain_dbi(port, orientation, grid.mean_hz))
-        fsa_sweep = simcache.fsa_gain_sweep(self.node.fsa, port, orientation, grid)
+        base_db = self._terms.gain_base_db(self.budget, port, grid, passes)
         ripple = self._gain_ripple_db(port, grid)
-        gain_db = flat_db + passes * (fsa_sweep - fsa_flat) + passes * ripple
+        gain_db = base_db + passes * ripple
         amplitude = simcache.frozen_array(np.power(10.0, gain_db / 20.0))
         self._amplitude_memo[key] = amplitude
         return amplitude
@@ -459,57 +452,35 @@ class MilBackSimulator:
             raise ConfigurationError("toggled_port must be 'both', 'A' or 'B'")
         obs.counter("engine.chirps.synthesized").inc(n_chirps)
         fs_hz = cfg.beat_sample_rate_hz
-        # Scene-invariant pieces (time grid, static clutter field, FSA
-        # amplitude sweep) come from repro.sim.cache — computed once per
-        # scene configuration, reused by every chirp of every trial.
+        # Scene-invariant terms (time grid, static clutter field, gain
+        # bases, node and mirror tones, horn roll-off) come from the
+        # scene's repro.sim.cache entry — computed once per scene
+        # configuration, reused by every chirp of every trial.
         grid = simcache.chirp_grid(chirp, fs_hz)
-        n = grid.n
-        t = grid.t
-        slope_hz_per_s = chirp.slope_hz_per_s
+        terms = self._terms
         baseline_m = cfg.rx_baseline_m
-        sqrt_ptx = math.sqrt(self.budget.tx_power_w())
 
         # Static paths: clutter + self-interference (identical every chirp).
         node_azimuth = self.budget.node_azimuth_deg()
         pointing = node_azimuth if steer_azimuth_deg is None else steer_azimuth_deg
+        static = terms.static_field(self.budget, grid, pointing, n_rx_antennas, baseline_m)
         # Horn roll-off on the node's two-way path when the scan is not
-        # pointed at it (0 dB when steered at the node).
-        steer_offset = pointing - node_azimuth
-        horn_rolloff_db = (
-            float(self.ap.config.tx_horn.gain_dbi(steer_offset, chirp.center_hz))
-            - self.ap.config.tx_horn.peak_gain_dbi
-            + float(self.ap.config.rx_horn.gain_dbi(steer_offset, chirp.center_hz))
-            - self.ap.config.rx_horn.peak_gain_dbi
-        )
-        steer_factor = 10.0 ** (horn_rolloff_db / 20.0)
-        static = simcache.static_beat_field(
-            self.budget, grid, pointing, n_rx_antennas, baseline_m
-        )
+        # pointed at it (unity when steered at the node), and the FSA
+        # ground plane's mirror image behind it (Fig. 13b artifact).
+        steer_factor, mirror_term = terms.steer_terms(self.budget, grid, pointing - node_azimuth)
 
         # Node path: FSA-shaped amplitude, toggled per chirp.
-        node_delay = 2.0 * propagation_delay_s(self.budget.node_distance_m())
-        node_beat = slope_hz_per_s * node_delay
-        node_phase0 = 2.0 * math.pi * chirp.start_hz * node_delay
         node_rx2_phase = aoa_phase_rad(node_azimuth, baseline_m, chirp.center_hz)
-        node_tone = np.exp(1j * (2.0 * math.pi * node_beat * t + node_phase0))
-        node_shape = np.zeros(n, dtype=np.complex128)
+        node_tone = terms.node_tone(self.budget, grid)
+        node_shape = np.zeros(grid.n, dtype=np.complex128)
         for port in ports[toggled_port]:
             node_shape += self._port_amplitude(port, grid, passes=2) * node_tone
-        node_shape *= sqrt_ptx * steer_factor
+        node_shape *= math.sqrt(self.budget.tx_power_w()) * steer_factor
 
-        # Mirror-image reflection of the FSA ground plane (Fig. 13b
-        # artifact): co-located with the node, flat across the sweep,
-        # only partially modulated by the switching.
-        mirror_db = self.budget.mirror_reflection_gain_db(chirp.center_hz)
-        mirror_amp = sqrt_ptx * steer_factor * 10.0 ** (mirror_db / 20.0)
+        # The mirror is only partially modulated by the switching; each
+        # burst draws its phase.
         mirror_phase = self.rng.uniform(0.0, 2.0 * math.pi)
-        mirror_delay = node_delay + 2.0 * self.calibration.mirror_excess_path_m / SPEED_OF_LIGHT
-        mirror_beat = slope_hz_per_s * mirror_delay
-        mirror_tone = np.exp(
-            1j * (2.0 * math.pi * mirror_beat * t
-                  + 2.0 * math.pi * chirp.start_hz * mirror_delay)
-        )
-        mirror_shape = mirror_amp * mirror_tone * np.exp(1j * mirror_phase)
+        mirror_shape = mirror_term * np.exp(1j * mirror_phase)
 
         # Per-chirp toggle factors: reflect on even chirps, absorb on odd.
         # The backscatter budget already includes the reflect-state loss,
@@ -539,11 +510,11 @@ class MilBackSimulator:
         # comes out of one (n_chirps, n_rx, n) computation — bitwise
         # identical to the per-record loop the test oracle keeps.
         params = burst_kernel.BurstParams(
-            static=np.stack(static),
+            static=static,
             node_shape=node_shape,
             mirror_shape=mirror_shape,
-            t=t,
-            slope_hz_per_s=slope_hz_per_s,
+            t=grid.t,
+            slope_hz_per_s=chirp.slope_hz_per_s,
             start_hz=chirp.start_hz,
             on_amp=on_amp,
             off_amp=off_amp,
@@ -560,7 +531,7 @@ class MilBackSimulator:
             self.rng,
             n_chirps,
             n_rx_antennas,
-            n,
+            grid.n,
             cal.trigger_jitter_s,
             residual_sigma=10.0 ** (-cal.clutter_cancellation_db / 20.0),
             residual_alpha=1.0 - math.exp(
@@ -646,12 +617,12 @@ class MilBackSimulator:
         samples = self.beat_burst(
             toggled_port="both", radial_velocity_mps=radial_velocity_mps
         )
-        chirp = self.ap.config.ranging_chirp
+        center_hz = self.ap.config.ranging_chirp.center_hz
         port_power_dbm = (
             self.budget.tx_power_dbm
-            + simcache.backscatter_gain_db(self.budget, FsaPort.A, chirp.center_hz),
+            + self._terms.backscatter_db(self.budget, FsaPort.A, center_hz),
             self.budget.tx_power_dbm
-            + simcache.backscatter_gain_db(self.budget, FsaPort.B, chirp.center_hz),
+            + self._terms.backscatter_db(self.budget, FsaPort.B, center_hz),
         )
         envelope_mean_v = tuple(
             float(np.mean(np.abs(samples[:, m, :]))) for m in range(samples.shape[1])

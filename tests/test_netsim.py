@@ -873,8 +873,11 @@ class TestScenarios:
             ("min_radius_m", 16.0),
             ("mobile_fraction", 1.5),
             ("horizon_s", None),
+            ("horizon_s", -1.0),
+            ("horizon_s", 0.0),
             ("speed_mps", 0.0),
             ("speed_mps", -1.0),
+            ("max_attempts", 0),
         ],
     )
     def test_spec_rejects_invalid_fields(self, field, value):
