@@ -11,13 +11,15 @@ recorded as gauges in ``BENCH_obs.json``:
 * ``bench.cache.speedup`` — cold-cache vs warm-cache trial time for
   one simulator run. The scene-invariant layer memoizes chirp grids,
   FSA gain sweeps, clutter paths and the static beat field across
-  simulator instances, so warm trials skip the scene-derivation slice
-  of each trial (the very first trial of a fresh process additionally
-  pays interpreter/numpy warm-up, which is why CLI runs see a much
-  larger first-to-second trial drop than this steady-state ratio).
-  Timing on a shared single-core box is noisy, so the *hard* check is
-  functional — the warm trial must actually hit every cache family —
-  and the timing gauges are the recorded trajectory.
+  simulator instances, and a scene's ``scene_terms`` entry holds the
+  gain bases and static field built from them, so warm trials skip the
+  scene-derivation slice of each trial (the very first trial of a
+  fresh process additionally pays interpreter/numpy warm-up, which is
+  why CLI runs see a much larger first-to-second trial drop than this
+  steady-state ratio). Timing on a shared single-core box is noisy, so
+  the *hard* check is functional — the warm trial must read its scene's
+  terms and chirp grid from cache and miss no family — and the timing
+  gauges are the recorded trajectory.
 
 Both modes are also checked for bitwise-identical outputs — the
 speedups are only interesting because the results do not change.
@@ -85,12 +87,12 @@ def test_bench_parallel_sweep_speedup(benchmark):
           f"2 workers {parallel_s:.2f} s, speedup {speedup:.2f}x")
 
 
-def _hit_counts() -> dict[str, float]:
+def _cache_counts(kind: str) -> dict[str, float]:
     snapshot = obs.get_registry().snapshot()
     return {
         key: metric["value"]
         for key, metric in snapshot.items()
-        if key.startswith("cache.hits")
+        if key.startswith(f"cache.{kind}")
     }
 
 
@@ -108,19 +110,21 @@ def test_bench_scene_cache_speedup(benchmark):
         start_s = time.perf_counter()
         cold = trial()
         cold_s += time.perf_counter() - start_s
-        before = _hit_counts()
+        hits, misses = _cache_counts("hits"), _cache_counts("misses")
         start_s = time.perf_counter()
         warm = trial()
         warm_s += time.perf_counter() - start_s
-        after = _hit_counts()
         # Identical seeds through cold and warm caches → identical physics.
         assert warm.distance_error_m == cold.distance_error_m  # milback: disable=ML003
         assert warm.angle_error_deg == cold.angle_error_deg  # milback: disable=ML003
-        # The functional claim: the warm trial served the expensive
-        # families from cache instead of re-deriving them.
-        for family in ("chirp_grid", "fsa_sweep", "static_field"):
+        # The functional claim: the warm trial read its scene's terms
+        # (gain bases, static field) and its chirp grid from cache and
+        # re-derived nothing.
+        after = _cache_counts("hits")
+        for family in ("scene_terms", "chirp_grid"):
             key = f"cache.hits{{cache={family}}}"
-            assert after.get(key, 0.0) > before.get(key, 0.0)
+            assert after.get(key, 0.0) > hits.get(key, 0.0)
+        assert _cache_counts("misses") == misses
     benchmark.pedantic(trial, rounds=3, iterations=1)
 
     speedup = cold_s / warm_s

@@ -10,7 +10,9 @@ self-interference and leaves only the node (paper §5.1).
 A beat burst is one array: the engine's ``(n_chirps, n_rx, n)`` burst,
 of which the processor reads one RX chain's ``(n_chirps, n)`` slice,
 sampled at a rate the caller passes alongside. :func:`check_burst` is the
-shape contract every AP estimator applies to it.
+shape contract every AP estimator applies to it. Ranging transforms its
+chain once: its :class:`RangeEstimate` carries the chain's chirp spectra
+beside the subtracted spectrum, for later readers of that chain.
 """
 
 from __future__ import annotations
@@ -57,14 +59,20 @@ def _shifted_axis_hz(n: int, sample_rate_hz: float) -> np.ndarray:
     return freqs
 
 
+def _mean_pair_spectrum(freqs: np.ndarray, values: np.ndarray) -> Spectrum:
+    return Spectrum(freqs, rxchain.mean_abs_pair_diff(values).astype(np.complex128))
+
+
 @dataclass(frozen=True)
 class RangeEstimate:
-    """Output of one ranging measurement."""
+    """Output of one ranging measurement; ``chirp_spectra`` holds the
+    chain's rows of :meth:`FmcwProcessor.chirp_spectra`, on ``spectrum``'s axis."""
 
     distance_m: float
     beat_frequency_hz: float
     peak_magnitude: float
     spectrum: Spectrum
+    chirp_spectra: np.ndarray
 
 
 class FmcwProcessor:
@@ -107,19 +115,7 @@ class FmcwProcessor:
         ±(node tone) and no clutter; magnitudes are averaged across the
         (n−1) pairs — the paper's five-chirp scheme gives four pairs.
         """
-        freqs, values = self.chirp_spectra(chain, sample_rate_hz)
-        mean_mag = rxchain.mean_abs_pair_diff(values)
-        return Spectrum(freqs, mean_mag.astype(np.complex128))
-
-    def subtracted_pair_complex(self, chain: np.ndarray, sample_rate_hz: float) -> Spectrum:
-        """One complex difference spectrum (first adjacent pair).
-
-        AoA and orientation need the node component's *complex* value;
-        magnitude averaging would destroy its phase. Only the first two
-        chirps are transformed.
-        """
-        freqs, values = self.chirp_spectra(chain[:2], sample_rate_hz)
-        return Spectrum(freqs, values[0] - values[1])
+        return _mean_pair_spectrum(*self.chirp_spectra(chain, sample_rate_hz))
 
     # --- ranging -----------------------------------------------------------------
 
@@ -136,7 +132,8 @@ class FmcwProcessor:
         The search floor excludes the DC/self-interference region; the
         ceiling defaults to the capture's unambiguous range.
         """
-        spectrum = self.background_subtracted(chain, sample_rate_hz)
+        freqs, values = self.chirp_spectra(chain, sample_rate_hz)
+        spectrum = _mean_pair_spectrum(freqs, values)
         max_d = (
             max_distance_m
             if max_distance_m is not None
@@ -154,4 +151,5 @@ class FmcwProcessor:
             beat_frequency_hz=peak.frequency_hz,
             peak_magnitude=peak.magnitude,
             spectrum=spectrum,
+            chirp_spectra=values,
         )

@@ -65,11 +65,9 @@ def run_background_subtraction_ablation(
     fs_hz = sim.ap.config.beat_sample_rate_hz
     processor = sim.ap.fmcw
 
-    with_sub_m = processor.estimate_range(chain, fs_hz).distance_m
-
-    freqs, spectra = processor.chirp_spectra(chain, fs_hz)
+    estimate = processor.estimate_range(chain, fs_hz)
     peak = interpolated_peak(
-        Spectrum(freqs, spectra[0]),
+        Spectrum(estimate.spectrum.frequencies_hz, estimate.chirp_spectra[0]),
         min_hz=processor.distance_to_beat_hz(0.3),
         max_hz=processor.distance_to_beat_hz(
             processor.beat_to_distance_m(fs_hz / 2.0) * 0.95
@@ -79,7 +77,7 @@ def run_background_subtraction_ablation(
 
     return BackgroundSubtractionAblation(
         distance_true_m=distance_m,
-        error_with_subtraction_m=abs(with_sub_m - distance_m),
+        error_with_subtraction_m=abs(estimate.distance_m - distance_m),
         error_without_subtraction_m=abs(without_sub - distance_m),
     )
 

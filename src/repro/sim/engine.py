@@ -562,7 +562,7 @@ class MilBackSimulator:
         )[:, 0]
         fs_hz = self.ap.config.beat_sample_rate_hz
         estimate = self.ap.fmcw.estimate_range(chain, fs_hz)
-        freqs, spectra = self.ap.fmcw.chirp_spectra(chain, fs_hz)
+        freqs, spectra = estimate.spectrum.frequencies_hz, estimate.chirp_spectra
         values = spectra[:, np.argmin(np.abs(freqs - estimate.beat_frequency_hz))]
         diffs = values[:-1] - values[1:]
         signs = np.array([(-1.0) ** k for k in range(diffs.size)])
@@ -595,7 +595,7 @@ class MilBackSimulator:
         """FMCW range off the first RX horn plus two-horn phase AoA."""
         fs_hz = self.ap.config.beat_sample_rate_hz
         estimate = self.ap.fmcw.estimate_range(burst[:, 0], fs_hz)
-        aoa = self.ap.aoa.estimate(burst, fs_hz, estimate.beat_frequency_hz)
+        aoa = self.ap.aoa.estimate(burst, fs_hz, estimate)
         return self._location_fix(estimate, aoa.angle_deg)
 
     @obs.traced("engine.localization", count="engine.localization.trials")

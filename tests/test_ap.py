@@ -102,6 +102,15 @@ class TestFmcwProcessor:
         )
         assert proc.beat_to_distance_m(peak.frequency_hz) == pytest.approx(9.0, abs=0.1)
 
+    def test_estimate_carries_the_chain_spectra(self):
+        chain = synth_chain([(3.0, 1e-4), (9.0, 1e-2)], modulated_flags=[True, False])
+        proc = FmcwProcessor()
+        est = proc.estimate_range(chain, FS)
+        freqs, spectra = proc.chirp_spectra(chain, FS)
+        assert np.array_equal(est.chirp_spectra, spectra)
+        assert np.array_equal(est.spectrum.frequencies_hz, freqs)
+        assert np.array_equal(est.spectrum.values, proc.background_subtracted(chain, FS).values)
+
     def test_chirp_spectra_rows_are_windowed_ffts(self):
         chain = synth_chain([(3.0, 1.0)], n_chirps=3)
         freqs, spectra = FmcwProcessor().chirp_spectra(chain, FS)
@@ -125,18 +134,37 @@ class TestFmcwProcessor:
 
 
 class TestAoa:
-    def test_phase_recovers_angle(self):
+    @staticmethod
+    def _fix(angle_true):
         chirp = SawtoothChirp()
         baseline = 0.5 * SPEED_OF_LIGHT / chirp.center_hz
-        angle_true = 11.0
         phase = aoa_phase_rad(angle_true, baseline, chirp.center_hz)
         rx1 = synth_chain([(3.0, 1.0)], modulated_flags=[True], seed=1)
         rx2 = synth_chain([(3.0, 1.0)], modulated_flags=[True], rx_phase=phase, seed=2)
         proc = FmcwProcessor(chirp)
         estimator = AoaEstimator(baseline, chirp.center_hz, proc)
-        beat = proc.distance_to_beat_hz(3.0)
-        est = estimator.estimate(np.stack([rx1, rx2], axis=1), FS, beat)
-        assert est.angle_deg == pytest.approx(angle_true, abs=0.3)
+        return estimator, np.stack([rx1, rx2], axis=1), proc.estimate_range(rx1, FS)
+
+    def test_phase_recovers_angle(self):
+        estimator, burst, ranging = self._fix(11.0)
+        est = estimator.estimate(burst, FS, ranging)
+        assert est.angle_deg == pytest.approx(11.0, abs=0.3)
+
+    def test_phase_is_that_of_each_chains_own_first_pair(self):
+        """The first chain's pair comes from ranging's rows; the phase is
+        bit for bit that of transforming each chain's first pair."""
+        estimator, burst, ranging = self._fix(-7.0)
+        freqs, rx1 = estimator.processor.chirp_spectra(burst[:2, 0], FS)
+        _, rx2 = estimator.processor.chirp_spectra(burst[:2, 1], FS)
+        k = int(np.argmin(np.abs(freqs - ranging.beat_frequency_hz)))
+        v1, v2 = complex(rx1[0, k] - rx1[1, k]), complex(rx2[0, k] - rx2[1, k])
+        est = estimator.estimate(burst, FS, ranging)
+        assert est.phase_rad == float(np.angle(v2 * np.conj(v1)))
+
+    def test_estimate_of_other_records_rejected(self):
+        estimator, burst, ranging = self._fix(3.0)
+        with pytest.raises(LocalizationError):
+            estimator.estimate(burst[..., :-1], FS, ranging)
 
     def test_zero_baseline_rejected(self):
         with pytest.raises(LocalizationError):
@@ -148,18 +176,17 @@ def _burst_contract():
     proc = FmcwProcessor()
     baseline = 0.5 * SPEED_OF_LIGHT / 28e9
     beat = proc.distance_to_beat_hz(3.0)
+    ranging = proc.estimate_range(synth_chain([(3.0, 1e-4)], modulated_flags=[True]), FS)
     orientation = ApOrientationEstimator(AccessPoint().node_fsa.port_a, proc)
+    aoa = AoaEstimator(baseline, 28e9, proc)
     array = ArrayAoaEstimator(4, baseline, 28e9)
     return {
         "chirp_spectra": (lambda b: proc.chirp_spectra(b, FS), 2, 2, None),
         "background_subtracted": (lambda b: proc.background_subtracted(b, FS), 2, 2, None),
-        "subtracted_pair_complex": (
-            lambda b: proc.subtracted_pair_complex(b, FS), 2, 2, None
-        ),
         "estimate_range": (lambda b: proc.estimate_range(b, FS), 2, 2, None),
         "ap_orientation": (lambda b: orientation.estimate(b, FS, beat), 2, 2, None),
         "doppler": (lambda b: DopplerEstimator(50e-6, 28e9).estimate(b, FS, beat), 2, 3, None),
-        "aoa": (lambda b: AoaEstimator(baseline, 28e9, proc).estimate(b, FS, beat), 3, 2, 2),
+        "aoa": (lambda b: aoa.estimate(b, FS, ranging), 3, 2, 2),
         "array_snapshots": (lambda b: array.snapshots(b, FS, beat), 3, 2, 4),
         "array_estimate": (lambda b: array.estimate(b, FS, beat), 3, 2, 4),
     }

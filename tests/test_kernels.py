@@ -21,6 +21,7 @@ from repro.dsp.fftutils import Spectrum, find_peaks_above
 from repro.dsp.modulation import symbol_integrate
 from repro.dsp.signal import Signal
 from repro.errors import DecodingError
+from repro.experiments.ablations import run_background_subtraction_ablation
 from repro.kernels import aoa
 from repro.kernels import burst as burst_kernel
 from repro.kernels import dsp as dsp_kernel
@@ -276,6 +277,37 @@ class TestRxChain:
 
         results = both_modes(run)
         assert np.array_equal(results["batched"], results["reference"])
+
+
+class TestOneTransformPerChain:
+    """Ranging transforms its chain once; the two-horn AoA, the discovery
+    probe and the subtraction ablation read ranging's rows, so no chirp
+    is windowed and transformed twice."""
+
+    OPS = {
+        "simulate_localization": (lambda sim: sim.simulate_localization(), [5, 2]),
+        "observe_burst": (lambda sim: sim.observe_burst(), [5, 2]),
+        "probe_direction": (lambda sim: sim.probe_direction(5.0), [11]),
+        "subtraction_ablation": (lambda sim: run_background_subtraction_ablation(), [5]),
+    }
+
+    @pytest.mark.parametrize("op", list(OPS))
+    def test_rows_per_call(self, monkeypatch, op):
+        call, expected = self.OPS[op]
+        scene = Scene2D.single_node(3.0, azimuth_deg=5.0, orientation_deg=10.0)
+        sim = MilBackSimulator(scene, seed=3)
+        records = []
+        kernel = rxchain.windowed_spectra
+
+        def recording(samples, taps, nfft=None):
+            records.append(np.array(samples))
+            return kernel(samples, taps, nfft)
+
+        monkeypatch.setattr(rxchain, "windowed_spectra", recording)
+        call(sim)
+        assert [samples.shape[0] for samples in records] == expected
+        rows = [row.tobytes() for samples in records for row in samples]
+        assert len(set(rows)) == len(rows)
 
 
 # --- dsp primitives ---------------------------------------------------------------

@@ -421,6 +421,23 @@ class TestLinkGrid:
             65536, [(aps, base)] + [(aps, base + [pose]) for pose in cases]
         )
 
+    def test_observe_is_the_one_pose_grid(self):
+        """A single `observe` and a one-pose grid give the same bits, on
+        fresh models, with headings round the full circle."""
+        rng = np.random.default_rng(17)
+        aps = [
+            Pose2D.at(x, y, heading)
+            for x, y, heading in zip(
+                rng.uniform(-12.0, 12.0, 500),
+                rng.uniform(-12.0, 12.0, 500),
+                rng.uniform(-180.0, 180.0, 500),
+            )
+        ]
+        for ap, node in zip(aps, TestFleetLinkModel._random_poses(500, seed=18)):
+            got = FleetLinkModel().observe(ap, node)
+            (row,) = FleetLinkModel().observe_grid([ap], [node])[0]
+            assert (got.rss_dbm, got.uplink_snr_db, got.downlink_snr_db) == row
+
     def test_observe_many_is_the_one_ap_grid(self):
         ap = Pose2D.at(0.5, -0.25, 20.0)
         poses = TestFleetLinkModel._random_poses(9, seed=4)

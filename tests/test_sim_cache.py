@@ -202,6 +202,25 @@ class TestSceneTermsContract:
         assert _family("misses") - misses == 1
         assert _family("hits") - hits == 2
 
+    def test_warm_trial_reads_its_terms_and_grid(self):
+        """The functional claim of the scene-cache benchmark: a warm
+        trial hits `scene_terms` and `chirp_grid` and misses no family."""
+
+        def traffic(kind):
+            snapshot = obs.get_registry().snapshot()
+            return {k: m["value"] for k, m in snapshot.items() if k.startswith(f"cache.{kind}")}
+
+        scene = Scene2D.single_node(3.0, orientation_deg=10.0)
+        simcache.clear_caches()
+        MilBackSimulator(scene, seed=7).simulate_localization()
+        hits, misses = traffic("hits"), traffic("misses")
+        MilBackSimulator(scene, seed=7).simulate_localization()
+        after = traffic("hits")
+        for family in ("scene_terms", "chirp_grid"):
+            key = f"cache.hits{{cache={family}}}"
+            assert after.get(key, 0.0) > hits.get(key, 0.0)
+        assert traffic("misses") == misses
+
     def test_sizes_and_clear(self):
         simcache.clear_caches()
         assert simcache.cache_sizes()["scene_terms"] == 0
