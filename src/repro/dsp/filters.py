@@ -15,6 +15,9 @@ filter call, so this module also imports :mod:`scipy.signal` just
 before any fork (``os.register_at_fork``), and the workers inherit it.
 Either way the import runs once, under its own ``dsp.import_scipy``
 span.
+
+:func:`first_order_lowpass_noise_at` draws the same filter's response to
+white noise at chosen instants only, from its exact joint law there.
 """
 
 from __future__ import annotations
@@ -36,7 +39,9 @@ __all__ = [
     "bandpass",
     "moving_average",
     "single_pole_lowpass",
+    "single_pole_alpha",
     "first_order_lowpass",
+    "first_order_lowpass_noise_at",
 ]
 
 
@@ -149,16 +154,23 @@ def single_pole_lowpass(signal: Signal, bandwidth_hz: float) -> Signal:
     rise/fall with time constant 1/(2π·BW). Used by the hardware models to
     impose finite rise/fall times.
     """
-    if bandwidth_hz <= 0:
-        raise ConfigurationError("bandwidth must be positive")
-    dt = 1.0 / signal.sample_rate_hz
-    alpha = 1.0 - np.exp(-2.0 * np.pi * bandwidth_hz * dt)
     return Signal(
-        first_order_lowpass(signal.samples, alpha),
+        first_order_lowpass(
+            signal.samples, single_pole_alpha(bandwidth_hz, signal.sample_rate_hz)
+        ),
         signal.sample_rate_hz,
         signal.center_frequency_hz,
         signal.start_time_s,
     )
+
+
+def single_pole_alpha(bandwidth_hz: float, sample_rate_hz: float) -> float:
+    """The coefficient ``alpha`` of :func:`first_order_lowpass` that
+    :func:`single_pole_lowpass` applies at ``sample_rate_hz``."""
+    if bandwidth_hz <= 0:
+        raise ConfigurationError("bandwidth must be positive")
+    dt = 1.0 / sample_rate_hz
+    return float(1.0 - np.exp(-2.0 * np.pi * bandwidth_hz * dt))
 
 
 def first_order_lowpass(samples: np.ndarray, alpha: float) -> np.ndarray:
@@ -171,6 +183,37 @@ def first_order_lowpass(samples: np.ndarray, alpha: float) -> np.ndarray:
     from scipy.signal import lfilter
 
     return lfilter([alpha], [1.0, -(1.0 - alpha)], samples, axis=-1)
+
+
+def first_order_lowpass_noise_at(
+    instants: np.ndarray,
+    alpha: float,
+    sigma: float,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """:func:`first_order_lowpass` of white Gaussian noise of standard
+    deviation ``sigma``, read only at the increasing sample indices
+    ``instants`` and drawn from its exact joint law there.
+
+    From rest, the filtered noise is an AR(1) process. Over a gap of Δ
+    samples it decays by c^Δ (c = 1 − alpha) and gains an independent
+    Gaussian innovation of variance α²σ²(1 − c^{2Δ})/(1 − c²). The first
+    instant is reached from rest one sample before index 0, so an output
+    at index k has variance α²σ²(1 − c^{2(k+1)})/(1 − c²). One standard
+    normal is drawn per instant.
+    """
+    c = 1.0 - alpha
+    gaps = np.diff(instants, prepend=-1)
+    innovations = (
+        alpha * sigma * np.sqrt((1.0 - c ** (2 * gaps)) / (1.0 - c * c))
+        * rng.standard_normal(gaps.size)
+    )
+    out = np.empty(gaps.size)
+    level = 0.0
+    for k, (decay, innovation) in enumerate(zip((c**gaps).tolist(), innovations.tolist())):
+        level = decay * level + innovation
+        out[k] = level
+    return out
 
 
 def _check_band(edge_hz: float, sample_rate_hz: float) -> None:

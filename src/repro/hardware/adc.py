@@ -39,17 +39,10 @@ class Adc:
         """One quantization step [V]."""
         return self.full_scale_v / (2**self.n_bits)
 
-    def sample(self, analog: Signal) -> Signal:
-        """Decimate the analog (real) waveform onto the ADC grid and
-        quantize, returning the quantized voltages as float64.
-
-        Values beyond the unipolar range [0, full_scale] clip — the same
-        overrange behaviour as the real converter. Overrange samples are
-        counted into the ``hardware.adc.clipped_samples`` obs counter and
-        the clip fraction is exposed as ``clip_fraction`` on the returned
-        signal's metadata, so saturation (natural or injected) is visible
-        without re-deriving it downstream.
-        """
+    def sample_instants(self, analog: Signal) -> np.ndarray:
+        """Indices of the samples of ``analog`` this ADC reads: one per
+        ADC period from the first sample, each rounded to the nearest
+        sample of ``analog``'s grid."""
         if analog.samples.size == 0:
             raise HardwareError("empty analog input")
         if analog.sample_rate_hz < self.sample_rate_hz:
@@ -59,8 +52,21 @@ class Adc:
             )
         step = analog.sample_rate_hz / self.sample_rate_hz
         idx = np.round(np.arange(0, analog.samples.size, step)).astype(int)
-        idx = idx[idx < analog.samples.size]
-        values = analog.samples[idx].real
+        return idx[idx < analog.samples.size]
+
+    def sample(self, analog: Signal) -> Signal:
+        """Decimate the analog (real) waveform onto the ADC grid
+        (:meth:`sample_instants`) and quantize, returning the quantized
+        voltages as float64.
+
+        Values beyond the unipolar range [0, full_scale] clip — the same
+        overrange behaviour as the real converter. Overrange samples are
+        counted into the ``hardware.adc.clipped_samples`` obs counter and
+        the clip fraction is exposed as ``clip_fraction`` on the returned
+        signal's metadata, so saturation (natural or injected) is visible
+        without re-deriving it downstream.
+        """
+        values = analog.samples[self.sample_instants(analog)].real
         values = faults.adc_input(values)
         n_clipped = int(np.count_nonzero((values < 0.0) | (values > self.full_scale_v)))
         if n_clipped > 0:

@@ -15,21 +15,36 @@ properties MilBack depends on:
 The output is a real video voltage, so the model runs on float64 from
 the input magnitude on: both first-order filter passes and the noise
 (one ``standard_normal`` call per detection) are real arrays.
+
+A node sees its detectors only through the MCU's ADC. Given that ADC,
+:meth:`EnvelopeDetector.detect` evaluates the output only at the instants
+the ADC reads: the filtered envelope there, bit for bit the full trace's,
+plus the filtered noise drawn from its exact joint law at those instants
+(:func:`repro.dsp.filters.first_order_lowpass_noise_at`), one normal per
+instant instead of one per sample.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro import faults
-from repro.dsp.filters import single_pole_lowpass
+from repro.dsp.filters import (
+    first_order_lowpass_noise_at,
+    single_pole_alpha,
+    single_pole_lowpass,
+)
 from repro.dsp.signal import Signal
 from repro.errors import HardwareError
 from repro.hardware.power import ComponentPower, NodeMode
 from repro.utils.rng import RngLike, make_rng
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.hardware.adc import Adc
 
 __all__ = ["EnvelopeDetector"]
 
@@ -92,13 +107,20 @@ class EnvelopeDetector:
         """RMS output noise over the video bandwidth [V]."""
         return self.output_noise_v_per_rt_hz * math.sqrt(self.video_bandwidth_hz)
 
-    def detect(self, rf_input: Signal, rng: RngLike = None) -> Signal:
+    def detect(self, rf_input: Signal, rng: RngLike = None, adc: Adc | None = None) -> Signal:
         """Convert an RF signal into the detector's video output voltage.
 
         Output = responsivity × |v_in|, low-pass filtered by the video
         bandwidth, plus output-referred Gaussian noise filtered the same
         way. The chain runs on float64 from the magnitude on, and the
         result is a real :class:`Signal` in volts.
+
+        With ``adc``, the output is read only at the instants that ADC
+        samples (:meth:`Adc.sample_instants` of ``rf_input``'s grid) and
+        returned at the ADC's rate, ready for :meth:`Adc.sample`. The
+        filtered envelope there is the full trace's, bit for bit; the
+        filtered noise there has the full trace's joint law, drawn with
+        one normal per instant.
         """
         if rf_input.samples.size == 0:
             raise HardwareError("empty RF input")
@@ -113,13 +135,24 @@ class EnvelopeDetector:
         # White noise sampled at fs_hz, then band-limited the same way the
         # signal is, so the in-band density equals the spec value.
         raw_sigma = self.output_noise_v_per_rt_hz * math.sqrt(fs_hz / 2.0)
-        noise = Signal(
-            raw_sigma * rng.standard_normal(len(filtered)),
-            fs_hz,
+        if adc is None:
+            noise = Signal(
+                raw_sigma * rng.standard_normal(len(filtered)),
+                fs_hz,
+                0.0,
+                filtered.start_time_s,
+            )
+            return filtered + single_pole_lowpass(noise, self.video_bandwidth_hz)
+        instants = adc.sample_instants(filtered)
+        noise_v = first_order_lowpass_noise_at(
+            instants, single_pole_alpha(self.video_bandwidth_hz, fs_hz), raw_sigma, rng
+        )
+        return Signal(
+            filtered.samples[instants] + noise_v,
+            adc.sample_rate_hz,
             0.0,
             filtered.start_time_s,
         )
-        return filtered + single_pole_lowpass(noise, self.video_bandwidth_hz)
 
     def output_voltage_for_power(self, input_power_w: float) -> float:
         """Steady-state output for a CW input of the given power."""

@@ -32,7 +32,10 @@ class Microcontroller:
             raise HardwareError("GPIO toggle rate must be positive")
 
     def sample_detector(self, detector_output: Signal) -> Signal:
-        """Digitize one envelope-detector output stream."""
+        """Digitize one envelope-detector output stream: a full video
+        trace, or the detector read at this ADC's instants
+        (``EnvelopeDetector.detect(..., adc=self.adc)``), which the ADC
+        reads value for value."""
         return self.adc.sample(detector_output)
 
     def check_switching_rate(self, rate_hz: float) -> None:

@@ -186,7 +186,11 @@ def _collect_imports(
 
 
 def _metric_call(arg: ast.expr | None) -> MetricCall | None:
-    """The name an obs call emits: a literal, or an f-string as a glob."""
+    """The name an obs call emits: a literal, or an f-string as a glob.
+
+    An f-string whose constant skeleton is only separators
+    (``f"{prefix}.{kind}"`` → ``*.*``) would match every dotted name, so
+    it is treated as built entirely at runtime and skipped."""
     if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
         if arg.value:
             return MetricCall(arg.value, True, arg.lineno, arg.col_offset)
@@ -195,7 +199,7 @@ def _metric_call(arg: ast.expr | None) -> MetricCall | None:
             part.value if isinstance(part, ast.Constant) else "*" for part in arg.values
         )
         pattern = _collapse_stars(pattern)
-        if pattern.strip("*"):
+        if pattern.strip("*."):
             return MetricCall(pattern, False, arg.lineno, arg.col_offset)
     return None
 
@@ -413,18 +417,32 @@ class ProjectContext:
         return bool(paths)
 
     # -- metric emissions --------------------------------------------
-    def metric_calls(self, *, include_aux_benchmarks: bool = True) -> list[tuple[ModuleSummary, MetricCall]]:
-        """Every obs-registry name emission across the project."""
+    def metric_calls(
+        self, *, aux_roots: Sequence[str] = ("benchmarks",)
+    ) -> list[tuple[ModuleSummary, MetricCall]]:
+        """Every obs-registry name emission of the linted files, and of
+        the usage-root summaries under the named top-level directories
+        (next to ``docs/``)."""
         out: list[tuple[ModuleSummary, MetricCall]] = []
         for summary in self.summaries:
             for call in summary.metric_calls:
                 out.append((summary, call))
-        if include_aux_benchmarks:
-            for summary in self.aux:
-                if "benchmarks" in PurePath(summary.path).parts:
-                    for call in summary.metric_calls:
-                        out.append((summary, call))
+        for summary in self.aux:
+            if self._usage_root(summary.path) in aux_roots:
+                for call in summary.metric_calls:
+                    out.append((summary, call))
         return out
+
+    def _usage_root(self, path: str) -> str | None:
+        """The top-level directory of ``path`` next to the catalogue's
+        ``docs/``, or None outside that tree."""
+        if self.catalogue_path is None:
+            return None
+        try:
+            relative = Path(path).resolve().relative_to(Path(self.catalogue_path).parents[1])
+        except ValueError:
+            return None
+        return relative.parts[0] if len(relative.parts) > 1 else None
 
     def is_suppressed(self, rule_id: str, path: str, line: int) -> bool:
         summary = self.by_path.get(path)
@@ -445,7 +463,11 @@ def find_catalogue_path(paths: Iterable[str | Path]) -> str | None:
 
 
 def find_usage_roots(paths: Iterable[str | Path]) -> list[Path]:
-    """Auxiliary usage/emission roots (tests, benchmarks, examples)."""
+    """Auxiliary usage/emission roots (src, tests, benchmarks, examples)
+    of the tree whose ``docs/OBSERVABILITY.md`` sits above ``paths``.
+
+    ``src`` is among them so that a lint of tests, benchmarks or one
+    source file still sees every emission the catalogue is judged by."""
     roots: list[Path] = []
     seen: set[Path] = set()
     for raw in paths:
@@ -453,7 +475,7 @@ def find_usage_roots(paths: Iterable[str | Path]) -> list[Path]:
         for candidate in [probe, *probe.parents]:
             if not (candidate / "docs" / "OBSERVABILITY.md").is_file():
                 continue
-            for name in ("tests", "benchmarks", "examples"):
+            for name in ("src", "tests", "benchmarks", "examples"):
                 root = candidate / name
                 if root.is_dir() and root not in seen:
                     seen.add(root)

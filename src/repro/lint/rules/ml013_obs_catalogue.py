@@ -17,8 +17,13 @@ previous name in the same cell (``cache.hits`` / ``.misses``), and label
 annotations (``{experiment=…}``) which are ignored.  F-string emissions
 in code are reduced to the same wildcard form, so a dynamic name like
 ``f"span.{name}.duration_s"`` satisfies the ``span.<name>.duration_s``
-row.  Names built entirely at runtime (pure variables) cannot be
-checked and are skipped.
+row.  Names built entirely at runtime (pure variables, or variables
+joined only by separators) cannot be checked and are skipped.
+
+Rows are judged against every emission of ``src`` and ``benchmarks``
+whichever paths are linted: ``src`` is always summarised as a usage
+root, so linting ``tests`` or one source file does not report the rows
+other files emit as dead.
 """
 
 from __future__ import annotations
@@ -139,7 +144,10 @@ class ObsCatalogueRule(ProjectRule):
                     severity=self.severity,
                 )
 
-        emitted = [call.pattern for _, call in emissions]
+        emitted = [
+            call.pattern
+            for _, call in project.metric_calls(aux_roots=("benchmarks", "src"))
+        ]
         for pattern, lineno in catalogue:
             if not any(_overlaps(name, pattern) for name in emitted):
                 yield Finding(

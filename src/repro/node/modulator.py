@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.node.config import NodeConfig
-from repro.phy.oaqfm import bits_to_symbols, tone_gates
+from repro.phy.oaqfm import tone_gates
 
 __all__ = ["UplinkModulator", "GatePair"]
 
@@ -66,8 +66,7 @@ class UplinkModulator:
         self.config.switch_a.check_toggle_rate(symbol_rate_bps)
         self.config.switch_b.check_toggle_rate(symbol_rate_bps)
         self.config.mcu.check_switching_rate(symbol_rate_bps)
-        symbols = bits_to_symbols(bits)
-        gate_a, gate_b = tone_gates(symbols, samples_per_symbol)
+        gate_a, gate_b = tone_gates(bits, samples_per_symbol)
         return GatePair(gate_a, gate_b, symbol_rate_bps, samples_per_symbol)
 
     def localization_gates(

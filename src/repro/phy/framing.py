@@ -8,6 +8,7 @@ corrupted payloads are detected rather than silently delivered.
 
 from __future__ import annotations
 
+import binascii
 from dataclasses import dataclass
 from typing import Final
 
@@ -32,7 +33,6 @@ SYNC_WORD_BITS: Final[NDArray[np.uint8]] = np.array(
     [1, 1, 1, 1, 1, 0, 0, 1, 1, 0, 1, 0, 1, 0, 1, 1], dtype=np.uint8
 )
 
-_CRC_POLY: Final[int] = 0x1021
 _CRC_INIT: Final[int] = 0xFFFF
 
 #: Maximum payload the 16-bit length field admits.
@@ -40,16 +40,9 @@ MAX_PAYLOAD_BYTES: Final[int] = 65_535
 
 
 def crc16_ccitt(data: bytes, init: int = _CRC_INIT) -> int:
-    """CRC-16/CCITT-FALSE over ``data``."""
-    crc = init
-    for byte in data:
-        crc ^= byte << 8
-        for _ in range(8):
-            if crc & 0x8000:
-                crc = ((crc << 1) ^ _CRC_POLY) & 0xFFFF
-            else:
-                crc = (crc << 1) & 0xFFFF
-    return crc
+    """CRC-16/CCITT-FALSE over ``data``: polynomial 0x1021, MSB first,
+    no reflection or final XOR, which is :func:`binascii.crc_hqx`."""
+    return binascii.crc_hqx(data, init)
 
 
 def bytes_to_bits(data: bytes) -> NDArray[np.uint8]:

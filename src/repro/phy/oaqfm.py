@@ -57,19 +57,22 @@ class OaqfmSymbol:
         return f"{int(self.tone_a_on)}{int(self.tone_b_on)}"
 
 
+def _bit_pairs(bits: Sequence[int]) -> NDArray[np.uint8]:
+    """``bits`` as (tone A, tone B) rows, one per symbol, zero-padding
+    odd lengths."""
+    arr = np.asarray(bits)
+    if arr.size == 0:
+        raise ConfigurationError("no bits to modulate")
+    if np.any((arr != 0) & (arr != 1)):
+        raise ConfigurationError("bits must be 0/1")
+    padded = np.zeros(arr.size + arr.size % 2, dtype=np.uint8)
+    padded[: arr.size] = arr.ravel()
+    return padded.reshape(-1, 2)
+
+
 def bits_to_symbols(bits: Sequence[int]) -> list[OaqfmSymbol]:
     """Pack a bit sequence into OAQFM symbols, zero-padding odd lengths."""
-    if len(bits) == 0:
-        raise ConfigurationError("no bits to modulate")
-    padded = list(int(b) for b in bits)
-    if any(b not in (0, 1) for b in padded):
-        raise ConfigurationError("bits must be 0/1")
-    if len(padded) % 2:
-        padded.append(0)
-    return [
-        OaqfmSymbol.from_bits(padded[i], padded[i + 1])
-        for i in range(0, len(padded), 2)
-    ]
+    return [OaqfmSymbol.from_bits(a, b) for a, b in _bit_pairs(bits).tolist()]
 
 
 def symbols_to_bits(symbols: Sequence[OaqfmSymbol]) -> NDArray[np.uint8]:
@@ -83,15 +86,19 @@ def symbols_to_bits(symbols: Sequence[OaqfmSymbol]) -> NDArray[np.uint8]:
 
 
 def tone_gates(
-    symbols: Sequence[OaqfmSymbol],
+    bits: Sequence[int],
     samples_per_symbol: int,
 ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """Per-sample on/off gates for tone A and tone B."""
+    """Per-sample on/off gates for tone A and tone B while ``bits``
+    (zero-padded to whole symbols, first bit of each pair on tone A) are
+    sent at ``samples_per_symbol``."""
     if samples_per_symbol < 1:
         raise ConfigurationError("samples_per_symbol must be >= 1")
-    gate_a = np.repeat([1.0 if s.tone_a_on else 0.0 for s in symbols], samples_per_symbol)
-    gate_b = np.repeat([1.0 if s.tone_b_on else 0.0 for s in symbols], samples_per_symbol)
-    return gate_a, gate_b
+    pairs = _bit_pairs(bits).astype(np.float64)
+    return (
+        np.repeat(pairs[:, 0], samples_per_symbol),
+        np.repeat(pairs[:, 1], samples_per_symbol),
+    )
 
 
 def oaqfm_waveform(
@@ -107,21 +114,20 @@ def oaqfm_waveform(
     Each tone is gated by its bit stream; both tones ride on one complex
     baseband centered between them (or at ``center_frequency_hz``).
     """
-    symbols = bits_to_symbols(bits)
     samples_per_symbol = int(round(sample_rate_hz / symbol_rate_hz))
     if samples_per_symbol < 4:
         raise ConfigurationError(
             "fewer than 4 samples per symbol; raise the sample rate"
         )
+    gate_a, gate_b = tone_gates(bits, samples_per_symbol)
     center_hz = (
         0.5 * (pair.freq_a_hz + pair.freq_b_hz)
         if center_frequency_hz is None
         else center_frequency_hz
     )
-    duration = len(symbols) * samples_per_symbol / sample_rate_hz
+    duration = gate_a.size / sample_rate_hz
     carrier_a = tone(pair.freq_a_hz, duration, sample_rate_hz, amplitude, center_hz)
     carrier_b = tone(pair.freq_b_hz, duration, sample_rate_hz, amplitude, center_hz)
-    gate_a, gate_b = tone_gates(symbols, samples_per_symbol)
     n = carrier_a.samples.size
     samples = carrier_a.samples * gate_a[:n] + carrier_b.samples * gate_b[:n]
     return Signal(samples, sample_rate_hz, center_hz, 0.0)

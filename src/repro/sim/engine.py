@@ -719,7 +719,7 @@ class MilBackSimulator:
     # --- node-side orientation (paper §5.2b, Fig. 13a) ----------------------------------
 
     def _field1_captures(
-        self, grid: simcache.ChirpGrid, lit: tuple[bool, ...]
+        self, grid: simcache.ChirpGrid, lit: tuple[bool, ...], keep_video: bool = False
     ) -> tuple[tuple[Signal, Signal], ...]:
         """Each port's detector video and ADC stream, port A first, while
         the Field-1 chirp sweeps ``grid`` once per lit slot of ``lit`` and
@@ -727,11 +727,15 @@ class MilBackSimulator:
 
         The detector input during a sweep is a single tone whose
         amplitude is the port's path gain at the chirp's instantaneous
-        frequency — so the envelope-domain synthesis is exact. Each port
-        is detected and then sampled before the next port, the order in
-        which an armed fault plan's detector and ADC hooks draw.
+        frequency — so the envelope-domain synthesis is exact. The video
+        is the full trace with ``keep_video``; otherwise it is read only
+        at the instants the MCU's ADC samples, as the node sees it (see
+        :meth:`EnvelopeDetector.detect`). Each port is detected and then
+        sampled before the next port, the order in which an armed fault
+        plan's detector and ADC hooks draw.
         """
         sqrt_ptx = math.sqrt(self.budget.tx_power_w())
+        mcu = self.node.config.mcu
         captures = []
         for port, detector in (
             (FsaPort.A, self.node.config.detector_a),
@@ -739,8 +743,12 @@ class MilBackSimulator:
         ):
             sweep = sqrt_ptx * self._port_amplitude(port, grid, passes=1)
             amplitude = np.concatenate([sweep if on else np.zeros(grid.n) for on in lit])
-            video = detector.detect(Signal(amplitude, grid.fs_hz, 0.0, 0.0), rng=self.rng)
-            captures.append((video, self.node.config.mcu.sample_detector(video)))
+            video = detector.detect(
+                Signal(amplitude, grid.fs_hz, 0.0, 0.0),
+                rng=self.rng,
+                adc=None if keep_video else mcu.adc,
+            )
+            captures.append((video, mcu.sample_detector(video)))
         return tuple(captures)
 
     def node_orientation_fix(
@@ -763,11 +771,17 @@ class MilBackSimulator:
         sim_rate_hz: float = 200e6,
         return_traces: bool = False,
     ):
-        """Triangular chirps; the node measures its detector peak gaps."""
+        """Triangular chirps; the node measures its detector peak gaps.
+
+        With ``return_traces`` the detectors' full video traces are
+        formed and returned too; without, each detector is read only at
+        the ADC's instants (:meth:`_field1_captures`), so the two calls
+        draw differently and agree in law.
+        """
         chirp = self.ap.config.field1_chirp
         n = int(round(n_chirps * chirp.duration_s * sim_rate_hz))
         (video_a, adc_a), (video_b, adc_b) = self._field1_captures(
-            simcache.chirp_grid(chirp, sim_rate_hz, n), (True,)
+            simcache.chirp_grid(chirp, sim_rate_hz, n), (True,), keep_video=return_traces
         )
         result = self.node_orientation_fix(adc_a, adc_b, n_chirps)
         if return_traces:
@@ -857,17 +871,18 @@ class MilBackSimulator:
             obs.counter("engine.downlink.ook_fallbacks").inc()
             return self._simulate_downlink_ook(bits, bit_rate_bps, pair, keep_traces)
 
-        from repro.phy.oaqfm import bits_to_symbols, tone_gates
+        from repro.phy.oaqfm import tone_gates
 
-        symbols = bits_to_symbols(bits)
+        gate_a, gate_b = tone_gates(bits, 1)
+        n_symbols = gate_a.size
         symbol_rate_bps = bit_rate_bps / 2.0
         detector_a, detector_b = self._detect_two_tones(
-            *tone_gates(symbols, 1), pair, symbol_rate_bps
+            gate_a, gate_b, pair, symbol_rate_bps
         )
         decode = self.node.demodulator.decode(
-            detector_a, detector_b, symbol_rate_bps, len(symbols)
+            detector_a, detector_b, symbol_rate_bps, n_symbols
         )
-        padded_tx = np.concatenate([bits, np.zeros(len(symbols) * 2 - bits.size, np.uint8)])
+        padded_tx = np.concatenate([bits, np.zeros(n_symbols * 2 - bits.size, np.uint8)])
         return DownlinkResult(
             tx_bits=padded_tx,
             rx_bits=decode.bits,

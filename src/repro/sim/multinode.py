@@ -34,7 +34,7 @@ from repro.dsp.noise import thermal_noise_power_w
 from repro.errors import ConfigurationError
 from repro.node.node import BackscatterNode
 from repro.phy.ber import measure_ber
-from repro.phy.oaqfm import bits_to_symbols, tone_gates
+from repro.phy.oaqfm import tone_gates
 from repro.sim.calibration import Calibration, default_calibration
 from repro.sim.engine import detect_symbols, link_budget, receive_uplink, uplink_gates
 from repro.utils.geometry import angle_between_deg
@@ -246,13 +246,13 @@ class MultiNodeDownlink(_ConcurrentSlot):
         streams = {}
         for node_id, bits in payloads.items():
             self.scene.node(node_id)
-            symbols = bits_to_symbols(np.asarray(list(bits), dtype=np.uint8))
-            gate_a, gate_b = tone_gates(symbols, 1)
-            streams[node_id] = (symbols, gate_a, gate_b, self._tone_pair(node_id))
+            gate_a, gate_b = tone_gates(np.asarray(list(bits), dtype=np.uint8), 1)
+            streams[node_id] = (gate_a, gate_b, self._tone_pair(node_id))
 
         results = {}
         for node_id, bits in payloads.items():
-            symbols, gate_a, gate_b, pair = streams[node_id]
+            gate_a, gate_b, pair = streams[node_id]
+            n_symbols = gate_a.size
             budget = self.budgets[node_id]
             envelopes = []
             interference_total = 0.0
@@ -269,7 +269,7 @@ class MultiNodeDownlink(_ConcurrentSlot):
                     budget.downlink_port_gain_db(port, other_freq) / 20.0
                 )) ** 2
                 # Foreign beams: both their tones through this node's port.
-                for other_id, (_, o_gate_a, o_gate_b, o_pair) in streams.items():
+                for other_id, (o_gate_a, o_gate_b, o_pair) in streams.items():
                     if other_id == node_id:
                         continue
                     rolloff = self.tx_beam_rolloff_db(other_id, node_id)
@@ -289,11 +289,11 @@ class MultiNodeDownlink(_ConcurrentSlot):
                 self.node, self.rng, envelopes, symbol_rate_bps
             )
             decode = self.node.demodulator.decode(
-                detector_a, detector_b, symbol_rate_bps, len(symbols)
+                detector_a, detector_b, symbol_rate_bps, n_symbols
             )
             tx_bits = np.asarray(list(bits), dtype=np.uint8)
             padded = np.concatenate(
-                [tx_bits, np.zeros(2 * len(symbols) - tx_bits.size, np.uint8)]
+                [tx_bits, np.zeros(2 * n_symbols - tx_bits.size, np.uint8)]
             )
             # Reference the aggregate interference to the node's own
             # detector noise (input-referred), keeping the field's

@@ -120,3 +120,99 @@ def test_two_tone_envelope_formula_against_waveform():
     )
     measured = float(np.mean(np.abs(wave.samples)))
     assert measured == pytest.approx(two_tone_mean_envelope(a, b), rel=1e-3)
+
+
+# --- the node's detector read at its ADC instants -----------------------------------
+#
+# A Field-1 capture forms the detector's video only where the MCU's ADC
+# reads it (EnvelopeDetector.detect with an ADC). Brute force is the full
+# 200 MHz trace that detect forms without one, sampled by Adc.sample. A
+# 4,000-sample record read every 40 samples keeps the 2,000 draws per
+# path cheap; a 500 kHz video bandwidth makes the noise correlated over a
+# gap (c^40 ≈ 0.53) and still settling over the first instants.
+
+FS_HZ = 200e6
+N_DRAWS = 2_000
+
+
+def _instant_setup(noise_v_per_rt_hz=213e-9):
+    from repro.hardware.adc import Adc
+    from repro.hardware.envelope_detector import EnvelopeDetector
+
+    detector = EnvelopeDetector(
+        video_bandwidth_hz=500e3, output_noise_v_per_rt_hz=noise_v_per_rt_hz
+    )
+    # A fixed envelope: rectified-sine humps for 15 µs, then silence.
+    t = np.arange(4_000) / FS_HZ
+    amplitude = 0.3 * np.abs(np.sin(2.0 * np.pi * 50e3 * t)) * (t < 15e-6)
+    return detector, Adc(sample_rate_hz=5e6), Signal(amplitude, FS_HZ)
+
+
+def _adc_codes(detector, adc, rf, instant_read, fault_seed):
+    from repro import faults
+
+    specs = [faults.FaultSpec("detector_gain_drift", rate=1.0)] if fault_seed else []
+    plan = faults.FaultPlan(specs, rng=fault_seed)
+    with faults.activate(plan):
+        video = detector.detect(rf, rng=np.random.default_rng(3),
+                                adc=adc if instant_read else None)
+        return adc.sample(video).samples, plan.injections
+
+
+@pytest.mark.parametrize("fault_seed", [None, 17])
+def test_instant_read_without_noise_is_the_sampled_trace(fault_seed):
+    """No detector noise: the ADC codes of the instant read equal the full
+    trace sampled by Adc.sample, bit for bit, and an armed gain drift
+    strikes both paths alike (the hook sees the full-grid envelope)."""
+    detector, adc, rf = _instant_setup(noise_v_per_rt_hz=0.0)
+    instant, injected = _adc_codes(detector, adc, rf, True, fault_seed)
+    brute, brute_injected = _adc_codes(detector, adc, rf, False, fault_seed)
+    assert instant.size == adc.sample_instants(rf).size == 100
+    assert np.array_equal(instant, brute)
+    assert injected == brute_injected
+    assert bool(injected) == (fault_seed is not None)
+
+
+def _instant_law_draws(instant_read):
+    """``N_DRAWS`` detector outputs at the ADC instants, one row per draw,
+    and the deterministic part (the noiseless output) there."""
+    detector, adc, rf = _instant_setup()
+    instants = adc.sample_instants(rf)
+    rng = np.random.default_rng(2024)
+    if instant_read:
+        rows = [detector.detect(rf, rng=rng, adc=adc).samples for _ in range(N_DRAWS)]
+    else:
+        rows = [detector.detect(rf, rng=rng).samples[instants] for _ in range(N_DRAWS)]
+    quiet, _, _ = _instant_setup(noise_v_per_rt_hz=0.0)
+    deterministic = quiet.detect(rf, rng=0).samples[instants]
+    return detector, instants, np.array(rows), deterministic
+
+
+@pytest.mark.parametrize("instant_read", [True, False], ids=["instant-read", "full-trace"])
+def test_detector_noise_at_the_instants_has_the_closed_form_law(instant_read):
+    """Mean, variance and lag-one correlation at the ADC instants against
+    the AR(1) closed form, for the instant read and for the full trace
+    sampled at the same instants. Each check allows five standard errors
+    of its estimate."""
+    from repro.dsp.filters import single_pole_alpha
+
+    detector, instants, draws, deterministic = _instant_law_draws(instant_read)
+    alpha = single_pole_alpha(detector.video_bandwidth_hz, FS_HZ)
+    c = 1.0 - alpha
+    sigma = detector.output_noise_v_per_rt_hz * np.sqrt(FS_HZ / 2.0)
+    variance = alpha**2 * sigma**2 * (1.0 - c ** (2 * (instants + 1))) / (1.0 - c**2)
+    assert variance[0] == pytest.approx(alpha**2 * sigma**2)
+    noise = draws - deterministic
+    n = draws.shape[0]
+
+    mean_z = noise.mean(axis=0) / np.sqrt(variance / n)
+    assert np.abs(mean_z).max() < 5.0
+    ratio = noise.var(axis=0, ddof=1) / variance
+    assert np.abs(ratio - 1.0).max() < 5.0 * np.sqrt(2.0 / (n - 1))
+    # Lag-one correlation: c^Δ times the settling ratio of the two variances.
+    gaps = np.diff(instants)
+    expected = c**gaps * np.sqrt(variance[:-1] / variance[1:])
+    measured = np.array([np.corrcoef(noise[:, k], noise[:, k + 1])[0, 1]
+                         for k in range(instants.size - 1)])
+    assert np.abs(measured - expected).max() < 5.0 * ((1.0 - expected**2) / np.sqrt(n)).max()
+    assert expected[-1] == pytest.approx(c**40)

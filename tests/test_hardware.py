@@ -169,6 +169,25 @@ class TestEnvelopeDetector:
         with pytest.raises(HardwareError):
             det.detect(Signal(np.array([], dtype=complex), 1e9))
 
+    def test_adc_read_is_one_value_per_adc_instant(self):
+        det = EnvelopeDetector()
+        adc = Adc(NODE_ADC_RATE_HZ)
+        rf = Signal(np.full(27_000, 0.05), 200e6)
+        video = det.detect(rf, rng=0, adc=adc)
+        assert video.sample_rate_hz == NODE_ADC_RATE_HZ
+        assert video.samples.dtype == np.float64
+        assert len(video) == len(adc.sample_instants(rf)) == 135
+        # At its own rate the ADC reads each value once, as it is.
+        assert np.array_equal(adc.sample_instants(video), np.arange(135))
+
+    def test_adc_read_keeps_the_input_checks(self):
+        det = EnvelopeDetector()
+        adc = Adc(NODE_ADC_RATE_HZ)
+        with pytest.raises(HardwareError, match="empty"):
+            det.detect(Signal(np.array([]), 200e6), adc=adc)
+        with pytest.raises(HardwareError, match="more coarsely than the ADC rate"):
+            det.detect(Signal(np.ones(100), 500e3), adc=adc)
+
     def test_invalid_params_rejected(self):
         with pytest.raises(HardwareError):
             EnvelopeDetector(responsivity_v_per_sqrt_w=-1.0)

@@ -20,6 +20,7 @@ from repro import (
 )
 from repro.antennas.fsa import FsaDesign
 from repro.channel.scene import NodePlacement
+from repro.errors import LocalizationError, ProtocolError
 from repro.node.firmware import PayloadDirection
 from repro.utils.geometry import Pose2D
 
@@ -33,11 +34,18 @@ class TestFullSessions:
         assert down.delivered and up.delivered
 
     def test_session_at_paper_max_range(self):
-        # 8 m, the paper's demonstrated uplink range at 10 Mbps.
+        # 8 m, the paper's demonstrated uplink range at 10 Mbps. About one
+        # session in five fails there, most in Field 1 (155-156 of seeds
+        # 0-199 pass), so the claim is a rate over seeds, not one seed.
         scene = Scene2D.single_node(8.0, orientation_deg=10.0)
-        link = MilBackLink(MilBackSimulator(scene, seed=78))
-        result = link.receive_from_node(b"edge-of-range", bit_rate_bps=10e6)
-        assert result.crc_ok
+        passed = 0
+        for seed in range(40):
+            link = MilBackLink(MilBackSimulator(scene, seed=seed))
+            try:
+                passed += link.receive_from_node(b"edge-of-range", bit_rate_bps=10e6).crc_ok
+            except (ProtocolError, LocalizationError):
+                pass
+        assert passed >= 0.6 * 40
 
     def test_normal_incidence_falls_back_to_ook(self):
         scene = Scene2D.single_node(2.0, orientation_deg=0.0)

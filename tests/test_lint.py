@@ -922,6 +922,33 @@ class TestML013ObsCatalogue:
         """)
         assert tree_findings(tmp_path / "src", ["ML013"]) == []
 
+    def test_rows_are_judged_against_src_whatever_is_linted(self, tmp_path):
+        # The last emission's skeleton is only a separator: it matches
+        # every dotted row, so it must not keep a stale row alive.
+        emit = """\
+            from repro import obs
+
+            obs.counter("good.metric").inc()
+            obs.counter("stale.metric").inc()
+            obs.counter(f"engine.{'x'}.trials").inc()
+            obs.counter(f"{'a'}.{'b'}").inc()
+        """
+        self.make_tree(tmp_path, emit)
+        write_tree(tmp_path, {"tests/test_emit.py": "import repro.emit\n"})
+        assert tree_findings(tmp_path / "tests", ["ML013"]) == []
+        assert tree_findings(tmp_path / "src" / "repro" / "emit.py", ["ML013"]) == []
+        # Delete one emission from src: the row goes stale for every target.
+        self.make_tree(tmp_path, emit.replace('obs.counter("stale.metric").inc()', ""))
+        for target in (tmp_path / "tests", tmp_path / "src"):
+            (finding,) = tree_findings(target, ["ML013"])
+            assert "'stale.metric' is no longer emitted" in finding.message
+
+    def test_repo_tests_alone_are_clean(self):
+        from repro.lint import lint_paths
+
+        findings = lint_paths([str(SRC_ROOT.parent / "tests" / "test_ap.py")], select=["ML013"])
+        assert findings == [], "\n".join(f.render() for f in findings)
+
     def test_parse_catalogue_normalisation(self):
         from repro.lint.rules.ml013_obs_catalogue import parse_catalogue
 

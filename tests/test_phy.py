@@ -68,9 +68,30 @@ class TestOaqfmSymbols:
         assert list(recovered) == padded
 
     def test_gates_repeat_per_symbol(self):
-        gates_a, gates_b = tone_gates(bits_to_symbols([1, 0, 0, 1]), 4)
+        gates_a, gates_b = tone_gates([1, 0, 0, 1], 4)
         assert list(gates_a) == [1.0] * 4 + [0.0] * 4
         assert list(gates_b) == [0.0] * 4 + [1.0] * 4
+
+    @pytest.mark.parametrize("samples_per_symbol", [1, 8, 16])
+    @pytest.mark.parametrize("n_bits", [1, 2, 303, 304])
+    def test_gates_match_the_symbol_list(self, n_bits, samples_per_symbol):
+        """The gates built from the bit array equal those built symbol by
+        symbol from :func:`bits_to_symbols`, odd lengths padded alike."""
+        bits = np.random.default_rng(n_bits).integers(0, 2, n_bits).astype(np.uint8)
+        symbols = bits_to_symbols(bits)
+        expected_a = np.repeat([1.0 if s.tone_a_on else 0.0 for s in symbols],
+                               samples_per_symbol)
+        expected_b = np.repeat([1.0 if s.tone_b_on else 0.0 for s in symbols],
+                               samples_per_symbol)
+        gate_a, gate_b = tone_gates(bits, samples_per_symbol)
+        assert gate_a.dtype == gate_b.dtype == np.float64
+        assert np.array_equal(gate_a, expected_a)
+        assert np.array_equal(gate_b, expected_b)
+
+    @pytest.mark.parametrize("bits", [[], [0, 2], [1, -1], [0.5]])
+    def test_gates_reject_what_symbols_reject(self, bits):
+        with pytest.raises(ConfigurationError):
+            tone_gates(bits, 4)
 
 
 class TestOaqfmWaveform:
@@ -109,7 +130,28 @@ class TestOok:
             ook_waveform([1], 28e9, 0.0, 100e6)
 
 
+def crc16_ccitt_bitwise(data: bytes, init: int) -> int:
+    """CRC-16/CCITT-FALSE one bit at a time: the oracle for the library's
+    table-driven :func:`crc16_ccitt`."""
+    crc = init
+    for byte in data:
+        crc ^= byte << 8
+        for _ in range(8):
+            if crc & 0x8000:
+                crc = ((crc << 1) ^ 0x1021) & 0xFFFF
+            else:
+                crc = (crc << 1) & 0xFFFF
+    return crc
+
+
 class TestCrc:
+    @pytest.mark.parametrize("init", [0xFFFF, 0, 0x1D0F])
+    def test_matches_the_bitwise_oracle(self, init):
+        rng = np.random.default_rng(init)
+        for n in [*range(70), 1_000, 4_096]:
+            data = rng.bytes(n)
+            assert crc16_ccitt(data, init) == crc16_ccitt_bitwise(data, init), n
+
     def test_known_vector(self):
         # CRC-16/CCITT-FALSE of "123456789" is 0x29B1.
         assert crc16_ccitt(b"123456789") == 0x29B1

@@ -115,6 +115,22 @@ COMMS_FAULTS = (
 )
 
 
+def _field1_decision(doc: dict[str, float], key: str, simulator, announce_uplink: bool):
+    """The firmware's decision on one simulated Field 1, its slot energies
+    recorded under ``key``; a classification that raises
+    :class:`ProtocolError` is recorded as ``key/failed = 1.0``."""
+    try:
+        decision = simulator.node.firmware.classify_field1(
+            *simulator.simulate_field1(announce_uplink)
+        )
+    except ProtocolError:
+        doc[f"{key}/failed"] = 1.0
+        return None
+    for k, energy in enumerate(decision.slot_energies):
+        doc[f"{key}/slot_energy_{k}"] = energy
+    return decision
+
+
 def comms_document() -> dict[str, float]:
     """Every communication-path return over the scene × seed grid, flattened
     to ``"case/call/field" -> value``: both session directions, the Field-1
@@ -153,14 +169,10 @@ def comms_document() -> dict[str, float]:
                     doc[f"{case}/{name}/{field}"] = float(getattr(session, field))
                 doc.update(_fields(f"{case}/{name}/node_orientation", session.node_orientation))
             for announce_uplink in (True, False):
-                simulator = sim()
-                decision = simulator.node.firmware.classify_field1(
-                    *simulator.simulate_field1(announce_uplink)
-                )
                 key = f"{case}/field1_{'up' if announce_uplink else 'down'}"
-                doc[f"{key}/uplink"] = float(decision.direction is PayloadDirection.UPLINK)
-                for k, energy in enumerate(decision.slot_energies):
-                    doc[f"{key}/slot_energy_{k}"] = energy
+                decision = _field1_decision(doc, key, sim(), announce_uplink)
+                if decision is not None:
+                    doc[f"{key}/uplink"] = float(decision.direction is PayloadDirection.UPLINK)
             doc.update(_fields(f"{case}/node_orientation", sim().simulate_node_orientation()))
             downlink = sim().simulate_downlink(bits, keep_traces=True)
             doc[f"{case}/downlink/ook"] = float(downlink.used_ook_fallback)
@@ -183,12 +195,7 @@ def comms_document() -> dict[str, float]:
                 f"{case}/uplink/snr_b_db": uplink.snr_b_db,
             })
             with faulted():
-                simulator = sim()
-                decision = simulator.node.firmware.classify_field1(
-                    *simulator.simulate_field1(True)
-                )
-            for k, energy in enumerate(decision.slot_energies):
-                doc[f"{case}/faulted/field1_up/slot_energy_{k}"] = energy
+                _field1_decision(doc, f"{case}/faulted/field1_up", sim(), True)
             with faulted():
                 orientation = sim().simulate_node_orientation()
             doc.update(_fields(f"{case}/faulted/node_orientation", orientation))
@@ -397,8 +404,11 @@ class TestCommsGoldens:
     Field-1 decisions with their slot energies, node orientation, OAQFM,
     OOK, dense and uplink bursts, detector traces, fault-armed Field 1,
     node orientation and downlink session, SDM downlink and uplink slots)
-    against values recorded before the engine's receive steps were shared
-    with the SDM slots.
+    against recorded values. The keys downstream of a Field-1 capture
+    (sessions, Field-1 decisions, node orientation and their faulted
+    twins) were re-recorded when Field 1 came to be read at the node's ADC
+    instants, which draws the detector noise anew; every burst and SDM
+    slot key kept its value.
 
     The headline goldens bound these paths only within dB-wide bands;
     ``rel=1e-9`` catches a changed formula or draw order here too.
