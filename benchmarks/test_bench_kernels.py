@@ -9,7 +9,7 @@ recorded as gauges in ``BENCH_obs.json``:
   draws (identical in both legs) are excluded: both legs consume the
   same pre-drawn :class:`~repro.kernels.burst.BurstVariates`.
 * ``bench.kernel.rx_chain_speedup`` — the AP receive chain
-  (``chirp_spectra`` + ``background_subtracted``) with stacked-FFT
+  (``chirp_spectra`` + its mean pair-difference spectrum) with stacked-FFT
   kernels vs the per-record loops.
 * ``bench.kernel.music_speedup`` / ``bench.kernel.bartlett_speedup`` —
   the 2401-point AoA grid scans as one matmul projection vs the
@@ -30,6 +30,7 @@ import time
 import numpy as np
 
 from repro import obs
+from repro.ap.fmcw import _mean_pair_spectrum
 from repro.ap.music import ArrayAoaEstimator
 from repro.channel.scene import Scene2D
 from repro.kernels import aoa
@@ -128,7 +129,7 @@ def test_bench_kernel_rx_chain(benchmark):
     fs_hz = sim.ap.config.beat_sample_rate_hz
 
     def rx_chain():
-        return sim.ap.fmcw.background_subtracted(rx1, fs_hz).values
+        return _mean_pair_spectrum(*sim.ap.fmcw.chirp_spectra(rx1, fs_hz)).values
 
     def rx_chain_reference():
         with reference_kernels():

@@ -60,6 +60,12 @@ def _shifted_axis_hz(n: int, sample_rate_hz: float) -> np.ndarray:
 
 
 def _mean_pair_spectrum(freqs: np.ndarray, values: np.ndarray) -> Spectrum:
+    """Pairwise-differenced spectrum, averaged over all adjacent pairs.
+
+    With the node toggling once per chirp, each difference contains
+    ±(node tone) and no clutter; magnitudes are averaged across the
+    (n−1) pairs — the paper's five-chirp scheme gives four pairs.
+    """
     return Spectrum(freqs, rxchain.mean_abs_pair_diff(values).astype(np.complex128))
 
 
@@ -107,15 +113,6 @@ class FmcwProcessor:
         n = chain.shape[-1]
         values = rxchain.windowed_spectra(chain, window_taps("hann", n))
         return _shifted_axis_hz(n, sample_rate_hz), values
-
-    def background_subtracted(self, chain: np.ndarray, sample_rate_hz: float) -> Spectrum:
-        """Pairwise-differenced spectrum, averaged over all adjacent pairs.
-
-        With the node toggling once per chirp, each difference contains
-        ±(node tone) and no clutter; magnitudes are averaged across the
-        (n−1) pairs — the paper's five-chirp scheme gives four pairs.
-        """
-        return _mean_pair_spectrum(*self.chirp_spectra(chain, sample_rate_hz))
 
     # --- ranging -----------------------------------------------------------------
 

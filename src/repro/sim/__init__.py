@@ -16,7 +16,7 @@ __all__ = [
     "Calibration",
     "default_calibration",
     "LinkBudget",
-    "PathGain",
+    "PathGain",  # milback: disable=ML014 — public simulation API
     "MilBackSimulator",
     "LocalizationResult",
     "ApOrientationResult",

@@ -2,20 +2,24 @@
 
 A full evaluation sweep builds a fresh :class:`MilBackSimulator` per
 trial, yet most of what each trial computes is a pure function of the
-*scene configuration* — chirp time grids, FSA gain sweeps, clutter
-returns, link-budget scalars — and never touches the trial RNG. This
+*scene configuration* — chirp time grids, FSA gain sweeps, port gain
+bases, static clutter fields — and never touches the trial RNG. This
 module memoizes exactly that RNG-free slice at process level, so trial
 N+1 reuses what trial N derived and the per-trial cost reduces to the
 stochastic parts (noise, jitter, ripple application).
 
-The ``scene_terms`` family gathers what one simulator reads per burst:
-its :class:`SceneTerms` entry, keyed on the budget's value key, holds
-the port gain bases, the node and mirror tones, the horn roll-off, the
-stacked static field and the ripple's control grid, each built on first
-use. A simulator resolves its entry once (:func:`scene_terms`) and
-keeps the handle, so a trial that repeats a scene pays one lookup and
-then only dictionary reads; the other families fill on the entry's
-misses.
+Three families hold it. ``chirp_grid`` and ``fsa_sweep`` are shared
+across scenes (a sweep's scenes repeat chirps and orientations); the
+``scene_terms`` family is the one memo of a scene's own terms: its
+:class:`SceneTerms` entry, keyed on the budget's value key, holds the
+port gain bases, the node and mirror tones, the horn roll-off, the
+stacked static field of each pointing and the ripple's control grid,
+each built on first use. A simulator resolves its entry once
+(:func:`scene_terms`) and keeps the handle, so a trial that repeats a
+scene pays one lookup and then only dictionary reads. The scalar tone
+gains (:func:`backscatter_gain_db`, :func:`downlink_port_gain_db`) are
+plain budget reads: their frequencies follow each trial's orientation
+estimate, which seldom repeats.
 
 Two invariants keep the caches correct:
 
@@ -24,16 +28,17 @@ Two invariants keep the caches correct:
   ``Calibration``, chirps, horns), never by object identity — a sweep
   that rebuilds identical objects every trial still hits. A downlink
   gain also reads the switch *state* (insertion loss when absorbing,
-  isolation when reflecting), so every downlink memo keys on it.
+  isolation when reflecting), so the downlink gain base keys on it.
 * **Values are immutable.** Cached arrays are marked read-only
   (``setflags(write=False)``) before they are shared, so an accidental
   in-place edit raises instead of corrupting every later trial.
 
 Anything that consumes randomness — ripple control points, noise,
 jitter — stays out of here by construction: a simulator adds its own
-ripple to a cached gain base. Quantities that depend on an
-:class:`~repro.channel.atmosphere.AtmosphereModel` bypass the cache
-(weather sweeps mutate the model too freely to key on).
+ripple to a cached gain base. A budget with an
+:class:`~repro.channel.atmosphere.AtmosphereModel` gets a private
+``scene_terms`` entry that is never stored (weather sweeps mutate the
+model too freely to key on).
 
 Caches are process-local. A forked :mod:`repro.parallel` worker inherits
 a warm copy for free; hit/miss counts per cache surface as
@@ -52,7 +57,7 @@ from repro import obs
 from repro.antennas.array import aoa_phase_rad
 from repro.channel.propagation import propagation_delay_s
 from repro.constants import SPEED_OF_LIGHT
-from repro.sim.linkbudget import LinkBudget, PathGain
+from repro.sim.linkbudget import LinkBudget
 
 __all__ = [
     "ChirpGrid",
@@ -62,12 +67,11 @@ __all__ = [
     "cache_sizes",  # milback: disable=ML014 — public warmth probe
     "chirp_grid",
     "clear_caches",
-    "clutter_paths",  # milback: disable=ML014 — public cache API
     "downlink_port_gain_db",
     "frozen_array",
-    "fsa_gain_sweep",  # milback: disable=ML014 — public cache API
+    "fsa_gain_sweep",  # milback: disable=ML014 — the e2e layer table wraps it by name
     "scene_terms",
-    "static_beat_field",  # milback: disable=ML014 — public cache API
+    "static_beat_field",  # milback: disable=ML014 — the e2e layer table wraps it by name
 ]
 
 V = TypeVar("V")
@@ -118,19 +122,9 @@ class SceneInvariantCache:
 
 _GRID_CACHE = SceneInvariantCache("chirp_grid", max_entries=32)
 _FSA_SWEEP_CACHE = SceneInvariantCache("fsa_sweep", max_entries=256)
-_CLUTTER_CACHE = SceneInvariantCache("clutter_paths", max_entries=512)
-_SCALAR_GAIN_CACHE = SceneInvariantCache("link_scalars", max_entries=2048)
-_STATIC_FIELD_CACHE = SceneInvariantCache("static_field", max_entries=64)
 _SCENE_TERMS_CACHE = SceneInvariantCache("scene_terms", max_entries=64)
 
-_ALL_CACHES = (
-    _GRID_CACHE,
-    _FSA_SWEEP_CACHE,
-    _CLUTTER_CACHE,
-    _SCALAR_GAIN_CACHE,
-    _STATIC_FIELD_CACHE,
-    _SCENE_TERMS_CACHE,
-)
+_ALL_CACHES = (_GRID_CACHE, _FSA_SWEEP_CACHE, _SCENE_TERMS_CACHE)
 
 
 def clear_caches() -> None:
@@ -215,9 +209,8 @@ def fsa_gain_sweep(fsa, port: str, orientation_deg: float, grid: ChirpGrid) -> n
 
 
 def _switch_key(switch) -> Hashable:
-    # SpdtSwitch is a mutable dataclass. A backscatter gain reads only its
-    # insertion loss; a downlink gain reads its through amplitude, which
-    # also depends on the state, so downlink keys add ``switch.state``.
+    # SpdtSwitch is a mutable dataclass: key on its loss figures. A
+    # downlink gain also reads the state, which the gain base keys on.
     return (float(switch.insertion_loss_db), float(switch.isolation_db))
 
 
@@ -234,55 +227,14 @@ def _budget_key(budget: LinkBudget) -> Hashable:
     )
 
 
-def clutter_paths(
-    budget: LinkBudget, frequency_hz: float, pointing_azimuth_deg: float
-) -> tuple[PathGain, ...]:
-    """Radar-equation clutter returns for one pointing, memoized.
-
-    Depends only on the scene's reflector geometry, the horns and the TX
-    power — never on the trial RNG or the atmosphere model.
-    """
-    key = (
-        budget.scene,
-        budget.tx_horn,
-        budget.rx_horn,
-        float(budget.tx_power_dbm),
-        float(frequency_hz),
-        float(pointing_azimuth_deg),
-    )
-    return _CLUTTER_CACHE.get_or_create(
-        key,
-        lambda: tuple(budget.clutter_paths(frequency_hz, pointing_azimuth_deg)),
-    )
-
-
 def downlink_port_gain_db(budget: LinkBudget, port: str, frequency_hz: float) -> float:
-    """Memoized :meth:`LinkBudget.downlink_port_gain_db` scalar, keyed on
-    the switch state it reads."""
-    if budget.atmosphere is not None:
-        obs.counter("cache.bypasses", cache="link_scalars").inc()
-        return budget.downlink_port_gain_db(port, frequency_hz)
-    key = (
-        "downlink",
-        _budget_key(budget),
-        budget.switch.state,
-        str(port),
-        float(frequency_hz),
-    )
-    return _SCALAR_GAIN_CACHE.get_or_create(
-        key, lambda: float(budget.downlink_port_gain_db(port, frequency_hz))
-    )
+    """:meth:`LinkBudget.downlink_port_gain_db` as a float."""
+    return float(budget.downlink_port_gain_db(port, frequency_hz))
 
 
 def backscatter_gain_db(budget: LinkBudget, port: str, frequency_hz: float) -> float:
-    """Memoized :meth:`LinkBudget.backscatter_gain_db` scalar."""
-    if budget.atmosphere is not None:
-        obs.counter("cache.bypasses", cache="link_scalars").inc()
-        return budget.backscatter_gain_db(port, frequency_hz)
-    key = ("backscatter", _budget_key(budget), str(port), float(frequency_hz))
-    return _SCALAR_GAIN_CACHE.get_or_create(
-        key, lambda: float(budget.backscatter_gain_db(port, frequency_hz))
-    )
+    """:meth:`LinkBudget.backscatter_gain_db` as a float."""
+    return float(budget.backscatter_gain_db(port, frequency_hz))
 
 
 # --- static beat field ---------------------------------------------------------------
@@ -304,48 +256,37 @@ def static_beat_field(
     path comes from the scene reflector in the same place of
     ``scene.clutter_geometry()``; the TX leakage arrives on axis. The
     per-chirp stochastic parts (cancellation residual, jitter, noise)
-    multiply this field later in the engine.
+    multiply this field later in the engine. The scene's
+    :class:`SceneTerms` entry keeps one per pointing.
     """
-    key = (
-        budget.scene,
-        budget.tx_horn,
-        budget.rx_horn,
-        float(budget.tx_power_dbm),
-        grid.key,
-        float(pointing_azimuth_deg),
-        int(n_rx_antennas),
-        float(baseline_m),
-    )
-
-    def build() -> np.ndarray:
-        chirp = grid.chirp
-        slope_hz_per_s = chirp.slope_hz_per_s
-        sqrt_ptx = math.sqrt(budget.tx_power_w())
-        static = np.zeros((n_rx_antennas, grid.n), dtype=np.complex128)
-        paths = [
-            *clutter_paths(budget, chirp.center_hz, pointing_azimuth_deg),
-            budget.self_interference_path(),
-        ]
-        azimuths = [azimuth for _, _, azimuth in budget.scene.clutter_geometry()] + [0.0]
-        for path, azimuth in zip(paths, azimuths, strict=True):
-            beat = slope_hz_per_s * path.delay_s
-            phase0 = 2.0 * math.pi * chirp.start_hz * path.delay_s
-            tone_shape = path.amplitude * sqrt_ptx * np.exp(
-                1j * (2.0 * math.pi * beat * grid.t + phase0)
-            )
-            unit_phase = aoa_phase_rad(azimuth, baseline_m, chirp.center_hz)
-            for m in range(n_rx_antennas):
-                static[m] += tone_shape * np.exp(1j * m * unit_phase)
-        return _frozen(static)
-
-    return _STATIC_FIELD_CACHE.get_or_create(key, build)
+    chirp = grid.chirp
+    slope_hz_per_s = chirp.slope_hz_per_s
+    sqrt_ptx = math.sqrt(budget.tx_power_w())
+    static = np.zeros((n_rx_antennas, grid.n), dtype=np.complex128)
+    paths = [
+        *budget.clutter_paths(chirp.center_hz, pointing_azimuth_deg),
+        budget.self_interference_path(),
+    ]
+    azimuths = [azimuth for _, _, azimuth in budget.scene.clutter_geometry()] + [0.0]
+    for path, azimuth in zip(paths, azimuths, strict=True):
+        beat = slope_hz_per_s * path.delay_s
+        phase0 = 2.0 * math.pi * chirp.start_hz * path.delay_s
+        tone_shape = path.amplitude * sqrt_ptx * np.exp(
+            1j * (2.0 * math.pi * beat * grid.t + phase0)
+        )
+        unit_phase = aoa_phase_rad(azimuth, baseline_m, chirp.center_hz)
+        for m in range(n_rx_antennas):
+            static[m] += tone_shape * np.exp(1j * m * unit_phase)
+    return _frozen(static)
 
 
 # --- one scene's burst terms ---------------------------------------------------------
 
 #: Terms one :class:`SceneTerms` entry holds before its least recently used
-#: goes; a steered scan adds a static field and a mirror term per direction.
-_TERMS_PER_SCENE = 32
+#: goes. A steered scan adds a static field and a steer/mirror term per
+#: direction: a default 21-pointing discovery sweep, with the four shared
+#: terms, holds 46, so a rescan rebuilds nothing.
+_TERMS_PER_SCENE = 64
 
 
 def _node_delay_s(budget: LinkBudget) -> float:
@@ -357,11 +298,14 @@ class SceneTerms:
     """The RNG-free terms of one scene's bursts and port gains.
 
     One entry of the ``scene_terms`` family, shared by every simulator
-    whose budget has the same value key; each term is built on its first
-    use, read-only, and kept in a small LRU of its own. Every method
-    takes the caller's ``budget``, which has this entry's key: the entry
-    keeps none, because a budget's switch is mutable and its state
-    enters the downlink gains, which key on it.
+    whose budget has the same value key, and the only memo of these
+    terms: each is built on its first use (from the budget and the
+    shared ``chirp_grid`` and ``fsa_sweep`` families), read-only, and
+    kept in an LRU of its own, sized so that a default discovery sweep
+    fits (``_TERMS_PER_SCENE``). Every method takes the caller's
+    ``budget``, which has this entry's key: the entry keeps none,
+    because a budget's switch is mutable and its state enters the
+    downlink gains, which key on it.
 
     Each builder is the engine's expression for its term, operation for
     operation, so a burst made from these terms is bitwise the one made

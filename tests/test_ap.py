@@ -12,7 +12,7 @@ from repro.ap.aoa import AoaEstimator
 from repro.ap.config import ApConfig
 from repro.ap.doppler import DopplerEstimator
 from repro.ap.downlink_tx import DownlinkTransmitter
-from repro.ap.fmcw import FmcwProcessor
+from repro.ap.fmcw import FmcwProcessor, _mean_pair_spectrum
 from repro.ap.music import ArrayAoaEstimator
 from repro.ap.orientation import ApOrientationEstimator
 from repro.ap.uplink_rx import PILOT_SYMBOLS, UplinkReceiver, pilot_bits
@@ -109,7 +109,8 @@ class TestFmcwProcessor:
         freqs, spectra = proc.chirp_spectra(chain, FS)
         assert np.array_equal(est.chirp_spectra, spectra)
         assert np.array_equal(est.spectrum.frequencies_hz, freqs)
-        assert np.array_equal(est.spectrum.values, proc.background_subtracted(chain, FS).values)
+        subtracted = _mean_pair_spectrum(*proc.chirp_spectra(chain, FS))
+        assert np.array_equal(est.spectrum.values, subtracted.values)
 
     def test_chirp_spectra_rows_are_windowed_ffts(self):
         chain = synth_chain([(3.0, 1.0)], n_chirps=3)
@@ -182,7 +183,6 @@ def _burst_contract():
     array = ArrayAoaEstimator(4, baseline, 28e9)
     return {
         "chirp_spectra": (lambda b: proc.chirp_spectra(b, FS), 2, 2, None),
-        "background_subtracted": (lambda b: proc.background_subtracted(b, FS), 2, 2, None),
         "estimate_range": (lambda b: proc.estimate_range(b, FS), 2, 2, None),
         "ap_orientation": (lambda b: orientation.estimate(b, FS, beat), 2, 2, None),
         "doppler": (lambda b: DopplerEstimator(50e-6, 28e9).estimate(b, FS, beat), 2, 3, None),

@@ -15,6 +15,7 @@ import pytest
 from scipy.signal import lfilter
 
 from repro import obs
+from repro.ap.fmcw import _mean_pair_spectrum
 from repro.channel.scene import Scene2D
 from repro.cli import main
 from repro.dsp.fftutils import Spectrum, find_peaks_above
@@ -273,7 +274,8 @@ class TestRxChain:
             sim = MilBackSimulator(Scene2D.single_node(4.0), seed=3)
             burst = sim.beat_burst(toggled_port="both", n_chirps=5, n_rx_antennas=2)
             fs_hz = sim.ap.config.beat_sample_rate_hz
-            return sim.ap.fmcw.background_subtracted(burst[:, 0], fs_hz).values
+            spectra = sim.ap.fmcw.chirp_spectra(burst[:, 0], fs_hz)
+            return _mean_pair_spectrum(*spectra).values
 
         results = both_modes(run)
         assert np.array_equal(results["batched"], results["reference"])

@@ -22,6 +22,8 @@ from repro.channel.scene import Scene2D
 from repro.dsp.fftutils import window_taps
 from repro.dsp.signal import Signal
 from repro.hardware.switch import SwitchState
+from repro.protocol.discovery import BeamScanDiscovery
+from repro.protocol.link import MilBackLink
 from repro.sim import cache as simcache
 from repro.sim.engine import MilBackSimulator
 
@@ -189,6 +191,12 @@ def _family(kind: str) -> float:
     return obs.counter(f"cache.{kind}", cache="scene_terms").value
 
 
+def _traffic(kind: str) -> dict[str, float]:
+    """Every ``cache.{kind}{cache=...}`` counter, by key."""
+    snapshot = obs.get_registry().snapshot()
+    return {k: m["value"] for k, m in snapshot.items() if k.startswith(f"cache.{kind}")}
+
+
 class TestSceneTermsContract:
     def test_one_lookup_per_simulator(self):
         scene = _scene(True, 10.0)
@@ -205,25 +213,62 @@ class TestSceneTermsContract:
     def test_warm_trial_reads_its_terms_and_grid(self):
         """The functional claim of the scene-cache benchmark: a warm
         trial hits `scene_terms` and `chirp_grid` and misses no family."""
-
-        def traffic(kind):
-            snapshot = obs.get_registry().snapshot()
-            return {k: m["value"] for k, m in snapshot.items() if k.startswith(f"cache.{kind}")}
-
         scene = Scene2D.single_node(3.0, orientation_deg=10.0)
         simcache.clear_caches()
         MilBackSimulator(scene, seed=7).simulate_localization()
-        hits, misses = traffic("hits"), traffic("misses")
+        hits, misses = _traffic("hits"), _traffic("misses")
         MilBackSimulator(scene, seed=7).simulate_localization()
-        after = traffic("hits")
+        after = _traffic("hits")
         for family in ("scene_terms", "chirp_grid"):
             key = f"cache.hits{{cache={family}}}"
             assert after.get(key, 0.0) > hits.get(key, 0.0)
-        assert traffic("misses") == misses
+        assert _traffic("misses") == misses
+
+    def test_warm_exchange_misses_no_family(self):
+        """A link exchange on another seed of a warm scene misses no
+        family. Its tone frequencies follow each seed's orientation
+        estimate, so the tone gains are budget reads, not memo keys."""
+        scene = Scene2D.single_node(3.0, orientation_deg=10.0)
+        payload = bytes(range(32))
+
+        def exchange(seed: int) -> None:
+            link = MilBackLink(MilBackSimulator(scene, seed=seed))
+            assert link.send_to_node(payload).delivered
+            assert link.receive_from_node(payload).delivered
+
+        simcache.clear_caches()
+        exchange(1)
+        misses = _traffic("misses")
+        exchange(2)
+        assert _traffic("misses") == misses
+
+    def test_rescan_rebuilds_nothing_and_returns_cold_bytes(self):
+        """A default discovery sweep fits in its scene's entry: 21
+        pointings, each a static field and a steer/mirror term, plus the
+        two gain bases, the ripple grid and the node tone. So a rescan,
+        on any seed, rebuilds no term, and the first seed's rescan
+        detects what its cold scan did."""
+        scene = Scene2D.single_node(3.0, azimuth_deg=12.0, orientation_deg=8.0)
+
+        def scan(seed: int):
+            sim = MilBackSimulator(scene, seed=seed)
+            return BeamScanDiscovery(sim).scan(), sim._terms
+
+        simcache.clear_caches()
+        cold, terms = scan(SEED)
+        assert len(cold) == 1
+        stored = dict(terms._terms)
+        assert len(stored) == 2 * 21 + 4
+        for seed in (WARMING_SEED, SEED):
+            detections, rescanned = scan(seed)
+            assert rescanned is terms
+            assert terms._terms.keys() == stored.keys()
+            assert all(terms._terms[key] is term for key, term in stored.items())
+        assert detections == cold
 
     def test_sizes_and_clear(self):
         simcache.clear_caches()
-        assert simcache.cache_sizes()["scene_terms"] == 0
+        assert simcache.cache_sizes() == {"chirp_grid": 0, "fsa_sweep": 0, "scene_terms": 0}
         MilBackSimulator(_scene(False, 10.0), seed=1).simulate_localization()
         assert simcache.cache_sizes()["scene_terms"] == 1
         simcache.clear_caches()
