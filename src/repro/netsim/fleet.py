@@ -23,7 +23,7 @@ the physical layer uses.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Protocol, Sequence, overload
+from typing import TYPE_CHECKING, Callable, Protocol, Sequence
 
 import numpy as np
 
@@ -72,13 +72,11 @@ TRANSFER_BACKOFF = RetryBackoff.fixed(100e-6)
 
 
 class InterferenceField(Protocol):
-    """Interference [dBm] at one AP's receiver, one value per other AP
+    """Interference [dBm] at one AP's receiver over node poses: one row
+    per pose, one column per other AP
     (:meth:`repro.netsim.roaming.RoamingController.interference_for`)."""
 
-    @overload
-    def __call__(self, node_pose: Pose2D, /) -> tuple[float, ...]: ...
-    @overload
-    def __call__(self, node_pose: Sequence[Pose2D], /) -> np.ndarray: ...
+    def __call__(self, node_poses: Sequence[Pose2D], /) -> np.ndarray: ...
 
 
 @dataclass
@@ -168,13 +166,15 @@ class FleetLink:
 
     def _uplink_sinr_db(self, observation: LinkObservation) -> float:
         if self._sinr_db is None:
-            interference: tuple[float, ...] = ()
+            interference: list[float] = []
             if self._interference_dbm is not None:
-                interference = self._interference_dbm(self._pose)
+                (interference,) = self._interference_dbm([self._pose]).tolist()
             self._sinr_db = self.model.uplink_sinr_db(observation.rss_dbm, interference)
         return self._sinr_db
 
     def _deliver(self, payload: bytes, bit_rate_bps: float, snr_db: float):
+        if bit_rate_bps <= 0:
+            raise NetworkSimError("bit rate must be positive")
         bits = len(payload) * 8 + FRAME_OVERHEAD_BITS
         air_time_s = bits / bit_rate_bps
         ber = ook_matched_filter_ber(snr_db)
@@ -281,15 +281,15 @@ class InventoryProcess:
         """Pending tags clearing both detection floors, from one batch per
         frame; it draws no randomness and the clock stands still in a frame."""
         poses = [self.nodes[tag].pose_at(self.sim.now_s) for tag in self.pending]
-        rss_dbm, _, downlink_snr_db = self.model.observe_many(self.ap.pose, poses)
-        rows = np.flatnonzero(downlink_snr_db >= MIN_DOWNLINK_SNR_DB).tolist()
-        interference = [()] * len(rows)
+        (rows,) = self.model.observe_grid([self.ap.pose], poses)
+        heard = [i for i, row in enumerate(rows) if row[2] >= MIN_DOWNLINK_SNR_DB]
+        interference = [()] * len(heard)
         if self._interference_dbm is not None:
-            interference = self._interference_dbm([poses[i] for i in rows]).tolist()
+            interference = self._interference_dbm([poses[i] for i in heard]).tolist()
         return {
             self.pending[i]
-            for i, dbm in zip(rows, interference, strict=True)
-            if self.model.uplink_sinr_db(rss_dbm[i], dbm) >= MIN_UPLINK_SINR_DB
+            for i, dbm in zip(heard, interference, strict=True)
+            if self.model.uplink_sinr_db(rows[i][0], dbm) >= MIN_UPLINK_SINR_DB
         }
 
     def _frame_scene(self) -> Scene2D:

@@ -1,11 +1,11 @@
 """Fleet-scale link fidelity: per-(AP, node) budgets, not waveforms.
 
 A thousand-node simulation cannot afford per-node waveform synthesis;
-what it needs from the physics is the *link budget* — and that is
-already exact in :mod:`repro.sim.linkbudget`, which every
-figure-reproduction waveform is scaled by. This module evaluates that
-same budget per (AP pose, node pose) pair and reduces it to the three
-quantities the network layer consumes:
+what it needs from the physics is the *link budget* of
+:mod:`repro.sim.linkbudget`, which every figure-reproduction waveform is
+scaled by. This module evaluates that same budget per (AP pose, node
+pose) pair and reduces it to the three quantities the network layer
+consumes:
 
 * **RSS** [dBm] — the node's backscattered power at the AP's receiver,
   the quantity roaming hysteresis compares across APs;
@@ -15,17 +15,21 @@ quantities the network layer consumes:
 * **downlink SNR** [dB] — the node-side detector margin, calibrated to
   the paper's Fig. 14 operating point.
 
-Evaluations are cached per model instance keyed by exact geometry, so
-static fleets pay for each distinct pose once; the cache is bounded and
-its traffic lands in ``cache.{hits,misses}{cache=netsim_link}``. A
-caller asking about many nodes at one simulated instant takes
-:meth:`FleetLinkModel.observe_grid` (every AP of a roaming tick) or its
-one-AP case :meth:`FleetLinkModel.observe_many` (an inventory frame):
-one array pass over the misses, each evaluating the FSA pattern and the
-path loss once for both directions
-(:meth:`~repro.sim.linkbudget.PortBudget.gains_at_db`). All outputs are
-pure functions of the inputs — no RNG, no wall clock — so a scenario's
-link behaviour replays identically anywhere.
+The budget is exact to :mod:`repro.sim.linkbudget`, not to what the
+waveform engine decodes: netsim's uplink SNR sits several dB above the
+engine's, and the noise floor is taken over a fixed bandwidth at any
+bit rate (``docs/NETWORK.md``, "Modelling notes and limits").
+
+Every query is one :meth:`FleetLinkModel.observe_grid` call (a single
+link is its one-pose case, :meth:`FleetLinkModel.observe`): the call's
+cache misses are evaluated in one array pass, each evaluating the FSA
+pattern and the path loss once for both directions
+(:meth:`~repro.sim.linkbudget.PortBudget.gains_at_db`). Evaluations are
+cached per model instance keyed by exact geometry, so static fleets pay
+for each distinct pose once; the cache is bounded and its traffic lands
+in ``cache.{hits,misses}{cache=netsim_link}``. All outputs are pure
+functions of the inputs — no RNG, no wall clock — so a scenario's link
+behaviour replays identically anywhere.
 """
 
 from __future__ import annotations
@@ -99,38 +103,13 @@ class FleetLinkModel:
         return self._noise_floor_dbm
 
     def observe(self, ap_pose: Pose2D, node_pose: Pose2D) -> LinkObservation:
-        """Evaluate the (AP, node) link budget at the given poses.
-
-        A hit returns the bits of the call that filled the entry: one that
-        :meth:`observe_many` filled can differ from a fresh evaluation
-        here in the last bits (~1e-12 dB). The query order is
-        deterministic, so runs still replay bit for bit.
-        """
-        distance_m = ap_pose.distance_to(node_pose)
-        orientation_deg = node_pose.relative_bearing_to(ap_pose)
+        """Evaluate the (AP, node) link budget at the given poses: the
+        one-pose :meth:`observe_grid`."""
         # The budget depends on geometry only through distance and
         # orientation (the AP steers at the node), so this key is exact.
-        key = (distance_m, orientation_deg)
-        budgets = self._cache.get(key)
-        if budgets is None:
-            obs.counter("cache.misses", cache="netsim_link").inc()
-            evaluated = self._evaluate(distance_m, orientation_deg)
-            budgets = self._store(key, tuple(map(float, evaluated)))
-        else:
-            obs.counter("cache.hits", cache="netsim_link").inc()
-        return LinkObservation(distance_m, orientation_deg, *budgets)
-
-    def observe_many(
-        self, ap_pose: Pose2D, node_poses: Sequence[Pose2D]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """RSS [dBm], uplink SNR [dB] and downlink SNR [dB] from one AP
-        to many nodes at one instant, as arrays in ``node_poses`` order:
-        the one-AP case of :meth:`observe_grid`. A row can differ from
-        :meth:`observe` in the last bits (~1e-12 dB): BLAS sums the FSA
-        array factor of one point and of many differently."""
-        (rows,) = self.observe_grid([ap_pose], node_poses)
-        table = np.array(rows, dtype=float).reshape(-1, 3)
-        return table[:, 0], table[:, 1], table[:, 2]
+        key = (ap_pose.distance_to(node_pose), node_pose.relative_bearing_to(ap_pose))
+        ((budgets,),) = self._rows([[key]])
+        return LinkObservation(*key, *budgets)
 
     def observe_grid(
         self, ap_poses: Sequence[Pose2D], node_poses: Sequence[Pose2D]
@@ -139,85 +118,58 @@ class FleetLinkModel:
         AP in ``ap_poses`` order, holding one ``(rss_dbm, uplink_snr_db,
         downlink_snr_db)`` row of floats per node in ``node_poses`` order.
 
-        Rows, cache hits, misses and evictions are those of asking the
-        APs one after another, each evaluating its own misses in one
-        array pass. Each AP looks all its keys up (a key repeated in its
-        batch is a hit after its first row), then reserves its misses in
-        the cache, evicting as :meth:`observe` does, before the next AP
-        looks up; so a key one AP misses is a hit for a later one. The
-        values fill in after the pass. Every AP with two or more misses
-        joins one array pass, since a row's BLAS ``gemv`` sum of the FSA
-        array factor does not depend on the rows beside it; an AP with
-        one miss keeps its own one-row pass, which BLAS sums with ``dot``,
-        in other bits.
-
-        That holds for a call that returns. A call that raises (a node on
-        an AP has no path loss) counts nothing and leaves no reservation,
-        though entries its reservations evicted stay evicted; the per-AP
-        loop would have kept and counted the APs before the failing one.
+        Every key is looked up in the cache as the call found it. The
+        call's distinct misses, in first-seen order, are evaluated in one
+        array pass and stored after it, each evicting the oldest entry
+        once the cache is full. One miss counts per distinct key and a hit
+        for every other query. A call that raises (a node on an AP has no
+        path loss) stores and counts nothing.
         """
-        cache = self._cache
         nodes = [(p.position.x, p.position.y, p.heading_deg) for p in node_poses]
-        # Per AP, per node: the cached row, or the index of a reserved slot.
-        refs_by_ap: list[list] = []
-        slot_keys: list[tuple[float, float]] = []
-        joined: list[int] = []
-        lone: list[int] = []
-        hits = 0
-        rows: list | None = None
-        try:
-            for ap_pose in ap_poses:
-                ax, ay = ap_pose.position.x, ap_pose.position.y
-                fresh: dict[tuple[float, float], int] = {}
-                refs = []
-                for x, y, heading_deg in nodes:
-                    # observe's key: ap_pose.distance_to(node) and
-                    # node.relative_bearing_to(ap_pose), on the same floats.
-                    key = (
-                        math.hypot(ax - x, ay - y),
-                        relative_bearing_deg(x, y, heading_deg, ax, ay),
-                    )
-                    ref = cache.get(key)
-                    if ref is None:
-                        ref = fresh.get(key)
-                        if ref is None:
-                            ref = fresh[key] = len(slot_keys) + len(fresh)
-                    refs.append(ref)
-                refs_by_ap.append(refs)
-                hits += len(refs) - len(fresh)
-                (joined if len(fresh) > 1 else lone).extend(fresh.values())
-                slot_keys.extend(fresh)
-                for key, slot in fresh.items():
-                    self._store(key, slot)
-            filled: list = [None] * len(slot_keys)
-            for slots in ([joined] if joined else []) + [[slot] for slot in lone]:
-                distance_m, orientation_deg = zip(*(slot_keys[i] for i in slots))
-                columns = self._evaluate(np.array(distance_m), np.array(orientation_deg))
-                for slot, row in zip(slots, zip(*(c.tolist() for c in columns))):
-                    filled[slot] = row
-            rows = filled
-        finally:
-            # A reserved key may be gone, or reserved again by a later AP;
-            # after a raise, every reservation still in the cache goes.
-            for key in slot_keys:
-                slot = cache.get(key)
-                if type(slot) is int:
-                    if rows is None:
-                        del cache[key]
-                    else:
-                        cache[key] = rows[slot]
-        if slot_keys:
-            obs.counter("cache.misses", cache="netsim_link").inc(len(slot_keys))
+        return self._rows(
+            [
+                # observe's key: ap_pose.distance_to(node) and
+                # node.relative_bearing_to(ap_pose), on the same floats.
+                [
+                    (math.hypot(ax - x, ay - y), relative_bearing_deg(x, y, h, ax, ay))
+                    for x, y, h in nodes
+                ]
+                for ax, ay in ((p.position.x, p.position.y) for p in ap_poses)
+            ]
+        )
+
+    def _rows(
+        self, keys_by_ap: list[list[tuple[float, float]]]
+    ) -> list[list[tuple[float, float, float]]]:
+        """:meth:`observe_grid` on its keys."""
+        cache = self._cache
+        misses: dict[tuple[float, float], int] = {}
+        # Per AP, per key: the cached row, or the index of its miss.
+        grid: list[list] = []
+        for keys in keys_by_ap:
+            grid.append([cache.get(key) or misses.setdefault(key, len(misses)) for key in keys])
+        hits = sum(map(len, grid)) - len(misses)
+        if misses:
+            distance_m, orientation_deg = zip(*misses)
+            columns = self._evaluate(np.array(distance_m), np.array(orientation_deg))
+            rows = list(zip(*(column.tolist() for column in columns)))
+            for key, row in zip(misses, rows):
+                if len(cache) >= self._cache_size:
+                    cache.pop(next(iter(cache)))
+                cache[key] = row
+            obs.counter("cache.misses", cache="netsim_link").inc(len(misses))
+            grid = [[rows[r] if type(r) is int else r for r in refs] for refs in grid]
         if hits:
             obs.counter("cache.hits", cache="netsim_link").inc(hits)
-        return [[rows[r] if type(r) is int else r for r in refs] for refs in refs_by_ap]
+        return grid
 
     def _evaluate(self, distance_m, orientation_deg):
-        """(RSS, uplink SNR, downlink SNR) on scalars or arrays. The AP
-        queries each node at the port-A alignment frequency for its
-        orientation (the paper's frequency-selective addressing); a tone
-        outside the band is clamped to the nearest edge and degrades
-        through beam squint, as the hardware would."""
+        """(RSS, uplink SNR, downlink SNR) arrays, one entry per
+        (distance, orientation) pair. The AP queries each node at the
+        port-A alignment frequency for its orientation (the paper's
+        frequency-selective addressing); a tone outside the band is
+        clamped to the nearest edge and degrades through beam squint, as
+        the hardware would."""
         tone_hz = np.clip(
             self._budget.fsa.port_a.alignment_frequency_hz(orientation_deg),
             BAND_START_HZ,
@@ -233,21 +185,16 @@ class FleetLinkModel:
         downlink_snr_db = AP_TX_POWER_DBM + downlink_gain_db - NODE_NOISE_FLOOR_DBM
         return rss_dbm, uplink_snr_db, downlink_snr_db
 
-    def _store(self, key: tuple[float, float], budgets: tuple) -> tuple:
-        if len(self._cache) >= self._cache_size:
-            self._cache.pop(next(iter(self._cache)))
-        self._cache[key] = budgets
-        return budgets
-
     # --- inter-AP interference ----------------------------------------------------
 
     def interference_terms(
         self, rx_ap_pose: Pose2D, tx_ap_pose: Pose2D, tx_target_pose: Pose2D
     ) -> tuple[float, float, float]:
-        """The terms of :meth:`ap_interference_dbm` that depend on the AP
-        pair alone: the receiving AP's bearing to the interferer [deg],
-        TX power plus the interferer's horn gain toward the receiver
-        [dBm], and the AP↔AP path loss [dB]."""
+        """The AP-pair terms of the power one AP's transmission couples
+        into another AP's receiver: the receiving AP's bearing to the
+        interferer [deg], TX power plus the interferer's horn gain toward
+        the receiver [dBm] with that horn pointed at ``tx_target_pose``,
+        and the AP↔AP path loss [dB]."""
         distance_m = tx_ap_pose.distance_to(rx_ap_pose)
         if distance_m <= 0:
             raise NetworkSimError("interfering APs cannot be co-located")
@@ -264,24 +211,20 @@ class FleetLinkModel:
     def interference_dbm(
         self,
         rx_ap_pose: Pose2D,
-        rx_target_pose: Pose2D | Sequence[Pose2D],
+        rx_target_poses: Sequence[Pose2D],
         terms: tuple[float, float, float],
-    ) -> float | np.ndarray:
-        """:meth:`ap_interference_dbm` from its AP-pair
-        :meth:`interference_terms`, adding the receiving horn's gain
-        toward the interferer with the horn steered at
-        ``rx_target_pose``. One pose gives a float; a sequence gives an
-        array, one entry per pose."""
+    ) -> np.ndarray:
+        """Interference [dBm] at the receiving AP from its AP-pair
+        :meth:`interference_terms`, one entry per pose: the receiving
+        horn, steered at each pose, attenuates the AP↔AP path at its
+        offset from the interferer."""
         rx_bearing_deg, head_dbm, path_loss_db = terms
-
-        def rx_offset_deg(pose: Pose2D) -> float:
-            return angle_between_deg(rx_bearing_deg, rx_ap_pose.bearing_to(pose))
-
-        offsets_deg: float | np.ndarray
-        if isinstance(rx_target_pose, Pose2D):
-            offsets_deg = rx_offset_deg(rx_target_pose)
-        else:
-            offsets_deg = np.array([rx_offset_deg(pose) for pose in rx_target_pose])
+        offsets_deg = np.array(
+            [
+                angle_between_deg(rx_bearing_deg, rx_ap_pose.bearing_to(pose))
+                for pose in rx_target_poses
+            ]
+        )
         return (
             head_dbm
             + self._budget.rx_horn.gain_dbi(offsets_deg, BAND_CENTER_HZ)
@@ -291,22 +234,17 @@ class FleetLinkModel:
     def ap_interference_dbm(
         self,
         rx_ap_pose: Pose2D,
-        rx_target_pose: Pose2D | Sequence[Pose2D],
+        rx_target_poses: Sequence[Pose2D],
         tx_ap_pose: Pose2D,
         tx_target_pose: Pose2D,
-    ) -> float | np.ndarray:
-        """Power one AP's transmission couples into another AP's receiver.
-
-        The receiving AP's horn points at the node it is serving, the
-        interfering AP's horn at *its* target; both patterns attenuate
-        the AP↔AP path at the respective angular offsets. One
-        ``rx_target_pose`` gives a float; a sequence gives an array, one
-        entry per pose. A caller asking again for the same AP pair keeps
-        its :meth:`interference_terms` and calls :meth:`interference_dbm`.
-        """
+    ) -> np.ndarray:
+        """:meth:`interference_dbm` with the pair's
+        :meth:`interference_terms` computed in the same call. No caller in
+        the package asks for it; it stays because the end-to-end
+        benchmark's layer table (``LAYERS``, ``HOT``) names it."""
         return self.interference_dbm(
             rx_ap_pose,
-            rx_target_pose,
+            rx_target_poses,
             self.interference_terms(rx_ap_pose, tx_ap_pose, tx_target_pose),
         )
 

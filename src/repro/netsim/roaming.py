@@ -158,9 +158,8 @@ class RoamingController:
         Every other AP contributes its carrier through both horns'
         patterns, with the receiving AP steered at the node it is
         decoding and each interferer steered at its own boresight. The
-        field maps one node pose to a tuple of dBm, one per other AP in
-        ap id order, and a sequence of poses to an array with one row
-        per pose and one column per other AP.
+        field maps a sequence of node poses to an array with one row per
+        pose and one column per other AP, in ap id order.
 
         The field covers the APs the controller has now: APs do not
         move, so each pair's terms are computed here, once, and a
@@ -179,9 +178,8 @@ class RoamingController:
         interference_dbm = self.model.interference_dbm
 
         def field(node_poses):
-            columns = [interference_dbm(rx_pose, node_poses, terms) for terms in pairs]
-            if isinstance(node_poses, Pose2D):
-                return tuple(columns)
-            return np.column_stack(columns)
+            return np.column_stack(
+                [interference_dbm(rx_pose, node_poses, terms) for terms in pairs]
+            )
 
         return field

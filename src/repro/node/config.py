@@ -58,7 +58,10 @@ class NodeConfig:
             )
 
     def validate_downlink_rate(self, bit_rate_bps: float) -> None:
-        """Raise when a requested downlink rate exceeds the hardware."""
+        """Raise when a requested downlink rate is not positive or exceeds
+        the hardware."""
+        if bit_rate_bps <= 0:
+            raise ConfigurationError("bit rate must be positive")
         limit = self.max_downlink_bit_rate_bps()
         if bit_rate_bps > limit:
             raise ConfigurationError(

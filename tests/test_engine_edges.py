@@ -8,6 +8,10 @@ from repro.antennas.dual_port_fsa import TonePair
 from repro.channel.multipath import Reflector
 from repro.channel.scene import Scene2D
 from repro.errors import ConfigurationError
+from repro.node.firmware import PayloadDirection
+from repro.phy.dense_oaqfm import DenseOaqfmScheme
+from repro.protocol.arq import ReliableChannel
+from repro.protocol.link import MilBackLink
 from repro.sim.engine import MilBackSimulator
 from repro.utils.geometry import Point2D
 
@@ -155,6 +159,41 @@ class TestBeatBurstArguments:
         burst = sim.beat_burst(n_chirps=None)
         assert burst.shape[0] == sim.ap.config.n_ranging_chirps == 5
         assert obs.counter("engine.chirps.synthesized").value == synthesized + 5
+
+
+class TestDownlinkRates:
+    """A downlink rate that is not positive raises `ConfigurationError`,
+    as an uplink rate does, and the engine draws nothing first."""
+
+    @pytest.mark.parametrize("bit_rate_bps", [0.0, -2e6])
+    @pytest.mark.parametrize(("orientation_deg", "ook"), [(10.0, False), (0.0, True)])
+    def test_simulate_downlink_rejects(self, orientation_deg, ook, bit_rate_bps):
+        scene = Scene2D.single_node(2.0, orientation_deg=orientation_deg)
+        sim = MilBackSimulator(scene, seed=1)
+        state = sim.rng.bit_generator.state
+        with pytest.raises(ConfigurationError, match="positive"):
+            sim.simulate_downlink([1, 0, 1, 1], bit_rate_bps)
+        assert sim.rng.bit_generator.state == state
+        fallback = MilBackSimulator(scene, seed=1).simulate_downlink([1, 0, 1, 1], 2e6)
+        assert fallback.used_ook_fallback is ook
+
+    @pytest.mark.parametrize("symbol_rate_hz", [0.0, -1e6])
+    def test_dense_downlink_rejects(self, symbol_rate_hz):
+        sim = MilBackSimulator(Scene2D.single_node(2.0, orientation_deg=10.0), seed=1)
+        with pytest.raises(ConfigurationError, match="positive"):
+            sim.simulate_downlink_dense(
+                [1, 0, 1, 1], DenseOaqfmScheme(4), symbol_rate_hz=symbol_rate_hz
+            )
+
+    @pytest.mark.parametrize("bit_rate_bps", [0.0, -2e6])
+    def test_link_and_arq_reject(self, bit_rate_bps):
+        scene = Scene2D.single_node(2.0, orientation_deg=10.0)
+        link = MilBackLink(MilBackSimulator(scene, seed=1))
+        with pytest.raises(ConfigurationError, match="positive"):
+            link.send_to_node(b"hi", bit_rate_bps)
+        channel = ReliableChannel(MilBackLink(MilBackSimulator(scene, seed=1)))
+        with pytest.raises(ConfigurationError, match="positive"):
+            channel.send_reliable(b"hi", PayloadDirection.DOWNLINK, bit_rate_bps)
 
 
 class TestClutterNames:

@@ -247,19 +247,19 @@ class TestFleetLinkModel:
             )
         ]
 
-    def test_observe_many_rows_match_observe(self):
+    def test_grid_rows_match_observe(self):
         # Headings round the full circle: many tones clamp to a band edge.
         ap = Pose2D.at(0.5, -0.25, 20.0)
         poses = self._random_poses(200)
-        batch = FleetLinkModel().observe_many(ap, poses)
+        (rows,) = FleetLinkModel().observe_grid([ap], poses)
         single = FleetLinkModel()
-        for row, pose in enumerate(poses):
+        for row, pose in zip(rows, poses):
             got = single.observe(ap, pose)
             expected = (got.rss_dbm, got.uplink_snr_db, got.downlink_snr_db)
-            for column, value in zip(batch, expected):
-                assert abs(column[row] - value) <= 1e-9
+            for value, want in zip(row, expected):
+                assert abs(value - want) <= 1e-9
 
-    def test_observe_many_counts_cache_traffic(self):
+    def test_grid_counts_cache_traffic(self):
         obs.reset()
         model = FleetLinkModel()
         ap = Pose2D.at(0.0, 0.0, 0.0)
@@ -271,29 +271,24 @@ class TestFleetLinkModel:
                 obs.counter("cache.misses", cache="netsim_link").value,
             )
 
-        rss_dbm, uplink_snr_db, downlink_snr_db = model.observe_many(ap, poses)
-        assert rss_dbm.shape == uplink_snr_db.shape == downlink_snr_db.shape == (7,)
+        (rows,) = model.observe_grid([ap], poses)
+        assert len(rows) == 7 and all(len(row) == 3 for row in rows)
         assert traffic() == (0, 7)
-        again = model.observe_many(ap, poses)
+        assert model.observe_grid([ap], poses) == [rows]
         assert traffic() == (7, 7)
-        for column, first in zip(again, (rss_dbm, uplink_snr_db, downlink_snr_db)):
-            assert np.array_equal(column, first)
-        # Inside one batch a repeated new key is a hit after its first row.
+        # Inside one call a repeated new key is a hit after its first row.
         fresh = self._random_poses(2, seed=2)
-        repeated = model.observe_many(ap, [fresh[0], fresh[1], fresh[0]])
+        (repeated,) = model.observe_grid([ap], [fresh[0], fresh[1], fresh[0]])
         assert traffic() == (8, 9)
-        assert repeated[0][0] == repeated[0][2]
-        empty = model.observe_many(ap, [])
-        assert all(column.shape == (0,) for column in empty)
+        assert repeated[0] == repeated[2]
+        assert model.observe_grid([ap], []) == [[]]
+        assert model.observe_grid([ap, ap], []) == [[], []]
+        assert model.observe_grid([], poses) == []
         assert traffic() == (8, 9)
-        # The cache is shared: observe hits a batch's entry, bit for bit.
+        # The cache is shared: observe hits a grid's entry, bit for bit.
         hit = model.observe(ap, poses[3])
         assert traffic() == (9, 9)
-        assert (hit.rss_dbm, hit.uplink_snr_db, hit.downlink_snr_db) == (
-            rss_dbm[3],
-            uplink_snr_db[3],
-            downlink_snr_db[3],
-        )
+        assert (hit.rss_dbm, hit.uplink_snr_db, hit.downlink_snr_db) == rows[3]
 
     def test_interference_lowers_sinr(self):
         model = FleetLinkModel()
@@ -301,41 +296,54 @@ class TestFleetLinkModel:
         observation = model.observe(ap, Pose2D.at(0.0, 5.0, 270.0))
         clean = model.uplink_sinr_db(observation.rss_dbm)
         other = Pose2D.at(24.0, 0.0, 90.0)
-        interference = model.ap_interference_dbm(
-            ap, Pose2D.at(0.0, 5.0), other, Pose2D.at(24.0, 10.0)
-        )
+        terms = model.interference_terms(ap, other, Pose2D.at(24.0, 10.0))
+        (interference,) = model.interference_dbm(ap, [Pose2D.at(0.0, 5.0)], terms)
         assert model.uplink_sinr_db(observation.rss_dbm, (interference,)) <= clean
+
+    def test_ap_interference_dbm_is_the_composition(self):
+        model = FleetLinkModel()
+        rx, tx = Pose2D.at(0.0, 0.0, 90.0), Pose2D.at(24.0, 0.0, 90.0)
+        poses = self._random_poses(20, seed=9)
+        terms = model.interference_terms(rx, tx, _boresight_target(tx))
+        composed = model.ap_interference_dbm(rx, poses, tx, _boresight_target(tx))
+        assert np.array_equal(composed, model.interference_dbm(rx, poses, terms))
 
     def test_invalid_construction(self):
         with pytest.raises(NetworkSimError):
             FleetLinkModel(cache_size=0)
 
 
-def _observe_many_oracle(model, ap_pose, node_poses):
-    """One AP's link pass as `observe_many` ran it before `observe_grid`:
-    look every key up, evaluate the batch's misses in one array pass,
-    store them through `_store`, count once per batch."""
+def _one_pass_oracle(model, ap_poses, node_poses):
+    """`observe_grid`'s rule written out: every key is looked up in the
+    cache as the call found it; the call's distinct misses, in first-seen
+    order, are evaluated in one `_evaluate` pass and stored after it, the
+    oldest entry going once the cache is full; one miss counts per
+    distinct key and a hit for every other query."""
+    found = dict(model._cache)
     keys = [
-        (ap_pose.distance_to(pose), pose.relative_bearing_to(ap_pose))
-        for pose in node_poses
+        [(ap.distance_to(pose), pose.relative_bearing_to(ap)) for pose in node_poses]
+        for ap in ap_poses
     ]
-    budgets = {key: model._cache[key] for key in keys if key in model._cache}
-    fresh = [key for key in dict.fromkeys(keys) if key not in budgets]
-    if fresh:
-        distance_m, orientation_deg = zip(*fresh)
+    queries = [key for row in keys for key in row]
+    misses = list(dict.fromkeys(key for key in queries if key not in found))
+    if misses:
+        distance_m, orientation_deg = zip(*misses)
         columns = model._evaluate(np.array(distance_m), np.array(orientation_deg))
-        for key, row in zip(fresh, zip(*(c.tolist() for c in columns))):
-            budgets[key] = model._store(key, row)
-        obs.counter("cache.misses", cache="netsim_link").inc(len(fresh))
-    if len(keys) > len(fresh):
-        obs.counter("cache.hits", cache="netsim_link").inc(len(keys) - len(fresh))
-    return [budgets[key] for key in keys]
+        for key, row in zip(misses, zip(*(c.tolist() for c in columns))):
+            found[key] = row
+            if len(model._cache) == model._cache_size:
+                del model._cache[next(iter(model._cache))]
+            model._cache[key] = row
+        obs.counter("cache.misses", cache="netsim_link").inc(len(misses))
+    if len(queries) > len(misses):
+        obs.counter("cache.hits", cache="netsim_link").inc(len(queries) - len(misses))
+    return [[found[key] for key in row] for row in keys]
 
 
 class TestLinkGrid:
-    """`observe_grid` against the per-AP loop it replaced: the same rows
-    bit for bit, the same cache traffic and the same cache, key order
-    included."""
+    """`observe_grid` against its rule (`_one_pass_oracle`): the same rows
+    bit for bit, one `_evaluate` pass per call with misses, the same
+    cache traffic and the same cache, key order included."""
 
     @staticmethod
     def _traffic():
@@ -344,18 +352,28 @@ class TestLinkGrid:
             obs.counter("cache.misses", cache="netsim_link").value,
         )
 
-    def _assert_matches_oracle(self, cache_size, calls):
+    def _assert_matches_oracle(self, monkeypatch, cache_size, calls):
         grid = FleetLinkModel(cache_size=cache_size)
         oracle = FleetLinkModel(cache_size=cache_size)
+        passes = []
+        evaluate = grid._evaluate
+
+        def counted(distance_m, orientation_deg):
+            passes.append(len(distance_m))
+            return evaluate(distance_m, orientation_deg)
+
+        monkeypatch.setattr(grid, "_evaluate", counted)
         for ap_poses, node_poses in calls:
+            passes.clear()
             obs.reset()
             got = grid.observe_grid(ap_poses, node_poses)
             got_traffic = self._traffic()
             obs.reset()
-            expected = [_observe_many_oracle(oracle, ap, node_poses) for ap in ap_poses]
+            expected = _one_pass_oracle(oracle, ap_poses, node_poses)
             assert got == expected
             assert all(type(v) is float for rows in got for row in rows for v in row)
             assert got_traffic == self._traffic()
+            assert passes == ([got_traffic[1]] if got_traffic[1] else [])
             assert list(grid._cache.items()) == list(oracle._cache.items())
 
     @staticmethod
@@ -363,7 +381,8 @@ class TestLinkGrid:
         """Grid calls over three random APs and a pool of 16 node poses:
         later calls hit earlier entries, nodes repeat inside a call, and
         the second call adds one new node to the first call's nodes, so
-        with a cache that keeps them every AP has exactly one miss."""
+        with a cache that keeps them every AP has exactly one miss, and
+        the three misses join one pass."""
         rng = np.random.default_rng(seed)
         aps = [
             Pose2D.at(x, y, heading)
@@ -381,9 +400,9 @@ class TestLinkGrid:
         return calls
 
     @pytest.mark.parametrize("cache_size", [1, 2, 3, 5, 65536])
-    def test_random_grids_match_per_ap_loop(self, cache_size):
+    def test_random_grids_match_one_pass_rule(self, monkeypatch, cache_size):
         for seed in range(12):
-            self._assert_matches_oracle(cache_size, self._random_calls(seed))
+            self._assert_matches_oracle(monkeypatch, cache_size, self._random_calls(seed))
 
     @staticmethod
     def _shared_key_call():
@@ -393,7 +412,7 @@ class TestLinkGrid:
         return aps, nodes
 
     @pytest.mark.parametrize("cache_size", [1, 2, 3, 5, 65536])
-    def test_key_shared_across_aps(self, cache_size):
+    def test_key_shared_across_aps(self, monkeypatch, cache_size):
         aps, nodes = self._shared_key_call()
         assert aps[0].distance_to(nodes[0]) == aps[1].distance_to(nodes[1])
         assert nodes[0].relative_bearing_to(aps[0]) == nodes[1].relative_bearing_to(
@@ -401,25 +420,17 @@ class TestLinkGrid:
         )
         repeated = nodes + [nodes[1], nodes[0]]
         self._assert_matches_oracle(
-            cache_size, [(aps, nodes), (aps, repeated), (aps[::-1], nodes)]
+            monkeypatch, cache_size, [(aps, nodes), (aps, repeated), (aps[::-1], nodes)]
         )
 
     def test_later_ap_hits_an_earlier_aps_miss(self):
         obs.reset()
         aps, nodes = self._shared_key_call()
         grid = FleetLinkModel().observe_grid(aps, nodes)
-        # The second AP finds the first AP's miss reserved: one hit.
+        # One miss per distinct key: the second AP's query of the first
+        # AP's miss is a hit.
         assert self._traffic() == (1, 3)
         assert grid[1][1] == grid[0][0]
-
-    def test_one_miss_keeps_its_own_pass(self):
-        """Every AP misses exactly one key: each takes a one-row pass."""
-        aps = [Pose2D.at(0.0, 0.0, 0.0), Pose2D.at(1.0, 9.0, -90.0)]
-        base = TestFleetLinkModel._random_poses(4, seed=5)
-        cases = TestFleetLinkModel._random_poses(30, seed=6)
-        self._assert_matches_oracle(
-            65536, [(aps, base)] + [(aps, base + [pose]) for pose in cases]
-        )
 
     def test_observe_is_the_one_pose_grid(self):
         """A single `observe` and a one-pose grid give the same bits, on
@@ -438,23 +449,15 @@ class TestLinkGrid:
             (row,) = FleetLinkModel().observe_grid([ap], [node])[0]
             assert (got.rss_dbm, got.uplink_snr_db, got.downlink_snr_db) == row
 
-    def test_observe_many_is_the_one_ap_grid(self):
-        ap = Pose2D.at(0.5, -0.25, 20.0)
-        poses = TestFleetLinkModel._random_poses(9, seed=4)
-        columns = FleetLinkModel().observe_many(ap, poses)
-        (rows,) = FleetLinkModel().observe_grid([ap], poses)
-        assert [tuple(row) for row in np.column_stack(columns).tolist()] == rows
-        assert FleetLinkModel().observe_grid([ap, ap], []) == [[], []]
-
     def test_failed_pass_leaves_no_reservation(self):
         model = FleetLinkModel()
         ap = Pose2D.at(0.0, 0.0, 0.0)
         model.observe_grid([ap], [Pose2D.at(5.0, 1.0, 190.0)])
-        cached = dict(model._cache)
+        cached = list(model._cache.items())
         on_the_ap = [Pose2D.at(4.0, 0.0, 180.0), Pose2D.at(0.0, 0.0, 0.0)]
         with pytest.raises(ChannelError):
             model.observe_grid([ap], on_the_ap)
-        assert model._cache == cached
+        assert list(model._cache.items()) == cached
 
     class _Interrupted(BaseException):
         """Not a `MilBackError`, nor even an `Exception`."""
@@ -468,13 +471,16 @@ class TestLinkGrid:
     def test_failed_two_ap_pass_leaves_no_reservation(
         self, monkeypatch, cache_size, failure
     ):
-        """Two APs reserve five keys, evicting at `cache_size` 2, before
-        the pass raises: no reserved slot stays behind, nothing is
-        counted, and a later call reads only cached rows."""
+        """Two APs miss five keys, more than `cache_size` 2 holds, and the
+        pass raises: the cache, key order included, and every counter are
+        as the call found them, and a later call reads only cached rows."""
         aps = [Pose2D.at(0.0, 0.0, 0.0), Pose2D.at(10.0, 0.0, 0.0)]
         before = [Pose2D.at(5.0, 1.0, 190.0)]
         model = FleetLinkModel(cache_size=cache_size)
+        obs.reset()
         model.observe_grid(aps, before)
+        cached = list(model._cache.items())
+        counters = obs.get_registry().snapshot()
         nodes = [Pose2D.at(4.0, 0.0, 180.0), Pose2D.at(3.0, 2.0, 200.0)]
         if failure == "node on an AP":
             nodes.append(aps[1])
@@ -482,22 +488,21 @@ class TestLinkGrid:
         else:
             monkeypatch.setattr(model, "_evaluate", self._interrupt)
             raised = self._Interrupted
-        obs.reset()
         with pytest.raises(raised):
             model.observe_grid(aps, nodes)
         monkeypatch.undo()
-        assert self._traffic() == (0, 0)
-        assert all(type(row) is tuple for row in model._cache.values())
+        assert list(model._cache.items()) == cached
+        assert obs.get_registry().snapshot() == counters
         assert model.observe_grid(aps, before) == FleetLinkModel().observe_grid(
             aps, before
         )
 
     def test_gain_rows_do_not_depend_on_their_batch(self):
-        """`observe_grid`'s bit-identity rests on this property: a point
-        gets the same FSA gain bits in any batch of two or more points,
-        so every AP's misses can join one array pass. (BLAS sums a
-        one-point batch with `dot`, other bits, so a lone miss keeps its
-        own pass.)"""
+        """`observe_grid` evaluates every AP's misses in one array pass,
+        and a point's rows keep their bits only by this property: a point
+        gets the same FSA gain bits in any batch of two or more points.
+        (BLAS sums a one-point batch with `dot`, in other bits: a call
+        whose only miss is one row.)"""
         antenna = FleetLinkModel()._budget.fsa.port_a
         rng = np.random.default_rng(21)
         angles_deg = rng.uniform(-90.0, 90.0, 400)
@@ -544,6 +549,19 @@ class TestFleetLink:
             link.send_to_node(b"ping")
         with pytest.raises(ProtocolError):
             link.receive_from_node(b"pong")
+
+    @pytest.mark.parametrize("bit_rate_bps", [0.0, -1e6])
+    def test_rate_must_be_positive(self, bit_rate_bps):
+        _, ap, nodes = _single_ap_fixture()
+        node = nodes["node-0000"]
+        state = node.rng.bit_generator.state
+        link = FleetLink(NetworkSimulation(), FleetLinkModel(), ap, node)
+        for send in (link.send_to_node, link.receive_from_node):
+            with pytest.raises(NetworkSimError, match="positive"):
+                send(b"hi", bit_rate_bps)
+        with pytest.raises(NetworkSimError, match="positive"):
+            ReliableChannel(link).send_reliable(b"hi", bit_rate_bps=bit_rate_bps)
+        assert node.rng.bit_generator.state == state
 
     @staticmethod
     def _count_observations(monkeypatch):
@@ -777,47 +795,39 @@ class TestRoaming:
     def test_interference_field_lists_other_aps(self):
         sim, controller, _ = self._mobile_fixture()
         field = controller.interference_for("ap-0")
-        values = field(Pose2D.at(2.0, 4.0))
-        assert len(values) == 1
-        assert values[0] < 0.0  # dBm, attenuated below TX power
+        values = field([Pose2D.at(2.0, 4.0)])
+        assert values.shape == (1, 1)
+        assert values[0, 0] < 0.0  # dBm, attenuated below TX power
 
     def test_interference_field_rows_match_scalar(self):
+        """Each row of a batch is the field at that one pose (the
+        one-row array a `FleetLink` asks for), bit for bit."""
         sim, controller, _ = self._mobile_fixture()
         controller.aps["ap-2"] = FleetAp("ap-2", Pose2D.at(12.0, 20.0, 270.0))
         poses = TestFleetLinkModel._random_poses(50, seed=3)
-        for ap_id, rx_ap in controller.aps.items():
-            field = controller.interference_for(ap_id)(poses)
-            others = [
-                ap for other_id, ap in sorted(controller.aps.items()) if other_id != ap_id
-            ]
-            assert field.shape == (len(poses), len(others))
-            for row, pose in enumerate(poses):
-                for column, other in enumerate(others):
-                    scalar = controller.model.ap_interference_dbm(
-                        rx_ap.pose,
-                        pose,
-                        other.pose,
-                        _boresight_target(other.pose),
-                    )
-                    assert abs(field[row, column] - scalar) <= 1e-9
+        for ap_id in controller.aps:
+            field = controller.interference_for(ap_id)
+            rows = field(poses)
+            assert rows.shape == (len(poses), len(controller.aps) - 1)
+            for row, pose in zip(rows, poses):
+                assert np.array_equal(field([pose]), row[np.newaxis])
+            assert field([]).shape == (0, len(controller.aps) - 1)
 
     @staticmethod
-    def _interference_oracle(model, rx_ap_pose, rx_target_pose, tx_ap_pose, tx_target_pose):
-        """`ap_interference_dbm` as one formula, before its AP-pair terms
-        were computed apart from the per-pose receive-horn term."""
+    def _interference_oracle(model, rx_ap_pose, rx_target_poses, tx_ap_pose, tx_target_pose):
+        """The interference as one formula, before its AP-pair terms were
+        computed apart from the per-pose receive-horn term."""
         distance_m = tx_ap_pose.distance_to(rx_ap_pose)
         tx_offset_deg = angle_between_deg(
             tx_ap_pose.bearing_to(rx_ap_pose), tx_ap_pose.bearing_to(tx_target_pose)
         )
         rx_bearing_deg = rx_ap_pose.bearing_to(tx_ap_pose)
-
-        def rx_offset_deg(pose):
-            return angle_between_deg(rx_bearing_deg, rx_ap_pose.bearing_to(pose))
-
-        if isinstance(rx_target_pose, Pose2D):
-            offsets_deg = rx_offset_deg(rx_target_pose)
-        else:
-            offsets_deg = np.array([rx_offset_deg(pose) for pose in rx_target_pose])
+        offsets_deg = np.array(
+            [
+                angle_between_deg(rx_bearing_deg, rx_ap_pose.bearing_to(pose))
+                for pose in rx_target_poses
+            ]
+        )
         return (
             AP_TX_POWER_DBM
             + float(model._budget.tx_horn.gain_dbi(tx_offset_deg, BAND_CENTER_HZ))
@@ -831,7 +841,6 @@ class TestRoaming:
         model = controller.model
         poses = TestFleetLinkModel._random_poses(50, seed=8)
         for ap_id, rx_ap in controller.aps.items():
-            field = controller.interference_for(ap_id)
             others = [
                 (ap.pose, _boresight_target(ap.pose))
                 for other_id, ap in sorted(controller.aps.items())
@@ -841,19 +850,11 @@ class TestRoaming:
                 self._interference_oracle(model, rx_ap.pose, poses, *other)
                 for other in others
             ]
-            assert np.array_equal(field(poses), np.column_stack(columns))
-            for pose in poses:
-                expected = tuple(
-                    self._interference_oracle(model, rx_ap.pose, pose, *other)
-                    for other in others
-                )
-                assert field(pose) == expected
-                assert all(type(value) is float for value in field(pose))
-                for other, value in zip(others, expected):
-                    assert model.ap_interference_dbm(rx_ap.pose, pose, *other) == value
             for other, column in zip(others, columns):
-                composed = model.ap_interference_dbm(rx_ap.pose, poses, *other)
-                assert np.array_equal(composed, column)
+                terms = model.interference_terms(rx_ap.pose, *other)
+                assert np.array_equal(model.interference_dbm(rx_ap.pose, poses, terms), column)
+            field = controller.interference_for(ap_id)
+            assert np.array_equal(field(poses), np.column_stack(columns))
 
     def test_co_located_aps_raise_when_the_field_is_built(self):
         sim, controller, _ = self._mobile_fixture()
@@ -1053,7 +1054,7 @@ class TestBatchedLinkQueries:
             transfers=False,
         )
         monkeypatch.setitem(SCENARIOS, spec.name, spec)
-        calls = {"observe": 0, "observe_many": 0, "observe_grid": 0, "_tick": 0}
+        calls = {"observe": 0, "observe_grid": 0, "_tick": 0}
 
         def counted(cls, name):
             method = getattr(cls, name)
@@ -1065,7 +1066,6 @@ class TestBatchedLinkQueries:
             monkeypatch.setattr(cls, name, wrapper)
 
         counted(FleetLinkModel, "observe")
-        counted(FleetLinkModel, "observe_many")
         counted(FleetLinkModel, "observe_grid")
         counted(RoamingController, "_tick")
         obs.reset()
@@ -1074,6 +1074,5 @@ class TestBatchedLinkQueries:
         assert frames > 0 and calls["_tick"] > 0
         assert calls["observe"] == 0
         # One link pass over every AP at attachment and at every tick,
-        # and one per frame (its one-AP `observe_many`).
-        assert calls["observe_many"] == frames
+        # and one one-AP pass per frame.
         assert calls["observe_grid"] == 1 + calls["_tick"] + frames
