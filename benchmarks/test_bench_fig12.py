@@ -1,10 +1,34 @@
-"""Benchmark: regenerate Figure 12 (localization performance)."""
+"""Benchmark: regenerate Figure 12 (localization performance).
+
+``bench.fig12.wall_s`` is the fig12 wall-clock anchor that
+``BENCH_obs.json`` tracks across changes: after one warm-up sweep, the
+best of three ``run_fig12_ranging(n_trials=6, seed=12)`` sweeps.
+"""
+
+import time
 
 import numpy as np
 
+from repro import obs
 from repro.experiments import fig12_localization
 
 N_TRIALS = 10
+
+#: Trials per point of the wall-clock anchor's sweep.
+WALL_TRIALS = 6
+
+
+def _timed_sweep() -> float:
+    start_s = time.perf_counter()
+    fig12_localization.run_fig12_ranging(n_trials=WALL_TRIALS, seed=12)
+    return time.perf_counter() - start_s
+
+
+def test_bench_fig12_wall_clock():
+    # The warm-up fills the scene and chirp-grid caches, so the timed
+    # sweeps all see the same steady state.
+    _timed_sweep()
+    obs.gauge("bench.fig12.wall_s").set(min(_timed_sweep() for _ in range(3)))
 
 
 def test_bench_fig12a_ranging(benchmark):

@@ -29,11 +29,12 @@ and ``netsim matrix`` fans several scenarios across workers into a
 comparison table; JSON outputs are byte-identical at any worker count —
 see ``docs/NETWORK.md``.
 
-Runtime telemetry: ``--profile`` arms the sampling profiler and writes a
-self-contained flamegraph HTML; ``--heartbeat SECONDS`` streams progress
-snapshots to stderr during long sweeps; ``repro obs report`` aggregates
-a recorded trace into a span report; ``repro obs regress`` diffs fresh
-gauges against a baseline and can gate CI — see ``docs/PERFORMANCE.md``.
+Runtime telemetry: ``--heartbeat SECONDS`` streams progress snapshots
+to stderr during long sweeps; ``repro obs report`` aggregates a recorded
+trace into a span report (text, JSON, or HTML with a span flamegraph);
+``repro obs regress`` diffs fresh gauges against a baseline and can
+gate CI. For time by Python function, run the command under
+``python -m cProfile`` — see ``docs/PERFORMANCE.md``.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ from repro.faults import campaign as faults_campaign
 from repro.obs import regress as obs_regress
 from repro.obs import report as obs_report
 from repro.obs import stream as obs_stream
-from repro.obs.profile import SamplingProfiler
 from repro.experiments import (
     ablations,
     coverage_map,
@@ -162,25 +162,6 @@ def _add_execution_args(parser: argparse.ArgumentParser) -> None:
         "--obs-summary",
         action="store_true",
         help="print a metrics/span roll-up after the experiment output",
-    )
-    parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="arm the sampling profiler for this run (rate: "
-        "$REPRO_PROFILE_HZ or 97 Hz; see docs/PERFORMANCE.md)",
-    )
-    parser.add_argument(
-        "--profile-out",
-        metavar="PATH",
-        default="flamegraph.html",
-        help="flamegraph HTML written when --profile is set "
-        "(default: flamegraph.html)",
-    )
-    parser.add_argument(
-        "--profile-collapsed",
-        metavar="PATH",
-        default=None,
-        help="also write the collapsed-stack dump to PATH (--profile only)",
     )
     parser.add_argument(
         "--heartbeat",
@@ -653,9 +634,6 @@ def main(argv: list[str] | None = None) -> int:
     # exactly this run, so clear anything import-time code recorded.
     obs.reset()
     obs_stream.configure(interval_s=args.heartbeat, jsonl_path=args.heartbeat_out)
-    profiler = SamplingProfiler() if args.profile else None
-    if profiler is not None:
-        profiler.start()
     try:
         if args.command == "faults":
             with obs.span("cli.faults", kinds=args.kinds, rates=args.rates):
@@ -686,15 +664,6 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         # Artifacts are written even when an experiment raises — a
         # partial trace of a crashed sweep is exactly what you debug with.
-        # The profiler stops first so profile.samples/profile.hz land in
-        # the metrics snapshot written below.
-        if profiler is not None:
-            profiler.stop()
-            profiler.write_flamegraph_html(
-                args.profile_out, title=f"repro {args.command}"
-            )
-            if args.profile_collapsed is not None:
-                profiler.write_collapsed(args.profile_collapsed)
         obs_stream.configure(interval_s=0.0)
         if args.trace is not None:
             obs.write_trace_jsonl(args.trace, obs.get_tracer())

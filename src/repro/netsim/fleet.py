@@ -173,8 +173,6 @@ class FleetLink:
         return self._sinr_db
 
     def _deliver(self, payload: bytes, bit_rate_bps: float, snr_db: float):
-        if bit_rate_bps <= 0:
-            raise NetworkSimError("bit rate must be positive")
         bits = len(payload) * 8 + FRAME_OVERHEAD_BITS
         air_time_s = bits / bit_rate_bps
         ber = ook_matched_filter_ber(snr_db)
@@ -184,6 +182,7 @@ class FleetLink:
 
     def send_to_node(self, payload: bytes, bit_rate_bps: float = 10e6):
         """Downlink frame: AP illuminates, the node's detector decodes."""
+        _check_rate(bit_rate_bps)
         observation = self._observe()
         if observation.downlink_snr_db < MIN_DOWNLINK_SNR_DB:
             raise ProtocolError(
@@ -195,6 +194,7 @@ class FleetLink:
 
     def receive_from_node(self, payload: bytes, bit_rate_bps: float = 10e6):
         """Uplink frame: the node backscatters, the AP decodes."""
+        _check_rate(bit_rate_bps)
         observation = self._observe()
         if observation.downlink_snr_db < MIN_DOWNLINK_SNR_DB:
             raise ProtocolError(
@@ -208,6 +208,12 @@ class FleetLink:
                 f"detection floor ({sinr_db:.1f} dB SINR)"
             )
         return self._deliver(payload, bit_rate_bps, sinr_db)
+
+
+def _check_rate(bit_rate_bps: float) -> None:
+    """Refuse a rate that is not positive, before the link is evaluated."""
+    if bit_rate_bps <= 0:
+        raise NetworkSimError("bit rate must be positive")
 
 
 @dataclass(frozen=True)

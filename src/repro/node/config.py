@@ -49,7 +49,10 @@ class NodeConfig:
         )
 
     def validate_uplink_rate(self, bit_rate_bps: float) -> None:
-        """Raise when a requested uplink rate exceeds the hardware."""
+        """Raise when a requested uplink rate is not positive or exceeds
+        the hardware."""
+        if bit_rate_bps <= 0:
+            raise ConfigurationError("bit rate must be positive")
         limit = self.max_uplink_bit_rate_bps()
         if bit_rate_bps > limit:
             raise ConfigurationError(

@@ -54,8 +54,6 @@ class UplinkModulator:
         switch toggles at most at half that rate — checked against the
         hardware limits.
         """
-        if bit_rate_bps <= 0:
-            raise ConfigurationError("bit rate must be positive")
         self.config.validate_uplink_rate(bit_rate_bps)
         symbol_rate_bps = bit_rate_bps / 2.0
         samples_per_symbol = int(round(sample_rate_hz / symbol_rate_bps))

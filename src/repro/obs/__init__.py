@@ -10,16 +10,14 @@ A dependency-free observability layer with three pieces:
 * **exporters** (:mod:`repro.obs.export`): human-readable text summary,
   JSONL trace dump, and a versioned ``metrics.json`` snapshot.
 
-Runtime telemetry extends the post-hoc core with four pieces:
+Runtime telemetry extends the post-hoc core with three pieces:
 
-* a **sampling profiler** (:mod:`repro.obs.profile`) attributing hot
-  frames to the active span stack, with collapsed-stack and
-  self-contained HTML flamegraph exporters (``--profile``);
 * **span-tree aggregation** (:mod:`repro.obs.report`) over trace JSONL:
-  inclusive/exclusive time, call counts, critical path
-  (``repro obs report``);
-* **live heartbeats** (:mod:`repro.obs.stream`): bounded ring-buffer
-  progress snapshots from long sweeps and campaigns
+  inclusive/exclusive time, call counts, critical path and an HTML
+  span flamegraph (``repro obs report``) — the one in-process answer
+  to "where did the time go";
+* **live heartbeats** (:mod:`repro.obs.stream`): rate-limited progress
+  snapshots from long sweeps and campaigns
   (``--heartbeat``/``$REPRO_HEARTBEAT_S``);
 * a **bench-regression gate** (:mod:`repro.obs.regress`) diffing fresh
   ``BENCH_obs.json``/``metrics.json`` gauges against a recorded
@@ -60,7 +58,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     metric_key,
 )
-from repro.obs.profile import SamplingProfiler
 from repro.obs.runtime import (
     counter,
     event,
@@ -105,6 +102,5 @@ __all__ = [
     "write_metrics_json",
     "write_trace_jsonl",
     # runtime telemetry
-    "SamplingProfiler",
     "HeartbeatEmitter",
 ]

@@ -11,23 +11,24 @@ answers the questions a perf investigation starts with:
 * **call counts and error counts** per name;
 * the **critical path**: the chain of longest children from the longest
   root span, which is where wall-clock time actually went;
-* a **flamegraph of the span tree** (exclusive time as self weight),
-  sharing the HTML renderer with the sampling profiler.
+* a **flamegraph of the span tree** (exclusive time as self weight).
 
 Three output formats behind ``repro obs report``: a text table (top-N by
-exclusive time), a JSON document, and a self-contained HTML page.
+exclusive time), a JSON document, and a self-contained HTML page (the
+table above the flamegraph, stdlib only, no external assets). Spans
+attribute time by stage; for time by Python function run the command
+under ``python -m cProfile`` (``docs/PERFORMANCE.md``).
 """
 
 from __future__ import annotations
 
+import html
 import json
 from dataclasses import dataclass
-from html import escape as html_escape
 from pathlib import Path
 from typing import Any, Iterator
 
 from repro.errors import ConfigurationError
-from repro.obs.profile import render_flamegraph_html
 
 __all__ = [
     "SpanAggregate",  # milback: disable=ML014 — public aggregate record type
@@ -323,7 +324,7 @@ def render_report_html(
     problems: list[str] | None = None,
 ) -> str:
     """Self-contained HTML: aggregate table + span-tree flamegraph."""
-    flame = render_flamegraph_html(
+    flame = _render_flamegraph_html(
         span_flame_tree(spans), title=title, unit="us"
     )
     rows = []
@@ -331,7 +332,7 @@ def render_report_html(
         rows.append(
             "<tr><td>{}</td><td>{}</td><td>{:.4f}</td><td>{:.4f}</td>"
             "<td>{:.4f}</td><td>{}</td></tr>".format(
-                html_escape(aggregate.name),
+                html.escape(aggregate.name),
                 aggregate.count,
                 aggregate.self_s,
                 aggregate.total_s,
@@ -349,3 +350,100 @@ def render_report_html(
     )
     # Inject the table above the flamegraph's own heading.
     return flame.replace("<body>", "<body>\n" + table + "\n<hr>", 1)
+
+
+_FLAMEGRAPH_TEMPLATE = """<!DOCTYPE html>
+<html lang="en">
+<head>
+<meta charset="utf-8">
+<title>__TITLE__</title>
+<style>
+  body { font: 13px/1.4 system-ui, sans-serif; margin: 16px; background: #fdfdfd; }
+  h1 { font-size: 16px; }
+  #meta { color: #555; margin-bottom: 12px; }
+  #flame { position: relative; width: 100%; }
+  .frame {
+    position: absolute; height: 17px; box-sizing: border-box;
+    overflow: hidden; white-space: nowrap; text-overflow: ellipsis;
+    font-size: 11px; padding: 1px 3px; border: 1px solid #fdfdfd;
+    border-radius: 2px; cursor: pointer;
+  }
+  .frame.span { font-weight: 600; }
+  #detail { margin-top: 10px; color: #333; min-height: 1.4em; }
+</style>
+</head>
+<body>
+<h1>__TITLE__</h1>
+<div id="meta">__META__</div>
+<div id="flame"></div>
+<div id="detail">click a frame to zoom; click the root to reset</div>
+<script>
+const ROOT = __DATA__;
+const UNIT = "__UNIT__";
+const PALETTE = ["#d9713e","#dd8a48","#e0a253","#c46a4f","#b65c46","#e3b55e"];
+const SPAN_COLOR = "#7a9e7e";
+let zoom = ROOT;
+function isSpan(name) {
+  return name.indexOf(":") < 0 && name.indexOf(".") >= 0;
+}
+function color(name) {
+  if (isSpan(name)) return SPAN_COLOR;
+  let h = 0;
+  for (let i = 0; i < name.length; i++) h = (h * 31 + name.charCodeAt(i)) >>> 0;
+  return PALETTE[h % PALETTE.length];
+}
+function depthOf(node) {
+  let d = 1;
+  for (const c of node.children || []) d = Math.max(d, 1 + depthOf(c));
+  return d;
+}
+function render() {
+  const flame = document.getElementById("flame");
+  flame.innerHTML = "";
+  flame.style.height = (depthOf(zoom) * 18 + 4) + "px";
+  const width = flame.clientWidth || 960;
+  (function place(node, x, depth, scale) {
+    const w = node.value * scale;
+    if (w < 0.5) return;
+    const div = document.createElement("div");
+    div.className = "frame" + (isSpan(node.name) ? " span" : "");
+    div.style.left = x + "px";
+    div.style.top = (depth * 18) + "px";
+    div.style.width = Math.max(w - 1, 1) + "px";
+    div.style.background = color(node.name);
+    div.textContent = node.name;
+    div.title = node.name + " — " + node.value + " " + UNIT +
+      " (" + (100 * node.value / ROOT.value).toFixed(1) + "%)";
+    div.onclick = function (ev) {
+      ev.stopPropagation();
+      zoom = (zoom === node) ? ROOT : node;
+      document.getElementById("detail").textContent = div.title;
+      render();
+    };
+    flame.appendChild(div);
+    let cx = x;
+    for (const c of node.children || []) {
+      place(c, cx, depth + 1, scale);
+      cx += c.value * scale;
+    }
+  })(zoom, 0, 0, width / Math.max(zoom.value, 1));
+}
+window.addEventListener("resize", render);
+render();
+</script>
+</body>
+</html>
+"""
+
+
+def _render_flamegraph_html(tree: dict[str, Any], title: str, unit: str) -> str:
+    """A self-contained HTML flamegraph for one ``{name, value, children}``
+    trie, such as :func:`span_flame_tree`'s."""
+    meta = f"{tree.get('value', 0)} {unit} total"
+    return (
+        _FLAMEGRAPH_TEMPLATE
+        .replace("__TITLE__", html.escape(title))
+        .replace("__META__", html.escape(meta))
+        .replace("__UNIT__", html.escape(unit))
+        .replace("__DATA__", json.dumps(tree, sort_keys=True))
+    )

@@ -13,8 +13,8 @@ Heartbeats are observation-only. They go to stderr (human one-liners)
 and/or a JSONL file, never to stdout (experiment reports stay clean),
 and emitting them cannot perturb results: the scientific outputs of a
 sweep are bitwise identical with heartbeats on or off, at any worker
-count. A bounded ring buffer keeps the most recent beats readable in
-process (tests, future dashboards).
+count. Nothing is kept in process: :meth:`HeartbeatEmitter.tick`
+returns the beat it emitted, and the JSONL sink is the record.
 
 Disabled by default. Enable with ``--heartbeat SECONDS`` on the CLI or
 ``$REPRO_HEARTBEAT_S``; ``--heartbeat-out`` adds the JSONL sink.
@@ -26,7 +26,6 @@ import json
 import os
 import sys
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, TextIO
@@ -47,9 +46,6 @@ __all__ = [
 
 #: Environment variable giving the default heartbeat interval [s].
 HEARTBEAT_ENV = "REPRO_HEARTBEAT_S"
-
-#: Heartbeats retained in the in-process ring buffer.
-RING_SIZE = 256
 
 
 def resolve_interval(interval_s: float | None) -> float:
@@ -146,7 +142,7 @@ class Heartbeat:
 
 
 class HeartbeatEmitter:
-    """Rate-limited progress snapshots over a bounded ring buffer.
+    """Rate-limited progress snapshots to a stream and an optional JSONL sink.
 
     ``tick(done, total)`` is cheap when the interval has not elapsed (one
     clock read and a comparison), so hot loops can call it per trial.
@@ -167,7 +163,6 @@ class HeartbeatEmitter:
         self._stream = stream if stream is not None else sys.stderr
         self._jsonl_path = Path(jsonl_path) if jsonl_path is not None else None
         self._clock = clock
-        self._ring: deque[Heartbeat] = deque(maxlen=RING_SIZE)
         self._seq = 0
         self._started_s = clock()
         self._last_beat_s: float | None = None
@@ -224,7 +219,6 @@ class HeartbeatEmitter:
             health=_health_from_deltas(deltas),
         )
         self._seq += 1
-        self._ring.append(beat)
         counter("stream.heartbeats").inc()
         self._stream.write(beat.render() + "\n")
         self._stream.flush()
@@ -232,10 +226,6 @@ class HeartbeatEmitter:
             with self._jsonl_path.open("a", encoding="utf-8") as sink:
                 sink.write(json.dumps(beat.to_dict(), sort_keys=True) + "\n")
         return beat
-
-    def recent(self) -> list[Heartbeat]:
-        """The ring buffer's current contents, oldest first."""
-        return list(self._ring)
 
 
 # --- process-wide wiring --------------------------------------------------------------

@@ -111,10 +111,6 @@ class Tracer:
         self._finished: list[Span] = []
         self._events: list[TraceEvent] = []
         self._open = _SpanStack()
-        # thread ident -> that thread's live open-span stack (the same
-        # list object as its thread-local view). Lets the sampling
-        # profiler (repro.obs.profile) read another thread's span stack.
-        self._open_by_thread: dict[int, list[Span]] = {}
         self._lock = threading.Lock()
         self._next_id = 0
         self._event_index = 0
@@ -141,9 +137,6 @@ class Tracer:
         with self._lock:
             span_id = self._next_id
             self._next_id += 1
-            self._open_by_thread.setdefault(
-                threading.get_ident(), self._open.stack
-            )
         parent = self._open.stack[-1] if self._open.stack else None
         record = Span(
             name=name,
@@ -305,20 +298,6 @@ class Tracer:
     def current_span(self) -> Span | None:
         """The innermost open span on this thread, if any."""
         return self._open.stack[-1] if self._open.stack else None
-
-    def open_stack_names(self, thread_ident: int) -> tuple[str, ...]:
-        """Snapshot of the open-span names on another thread, root first.
-
-        Used by the sampling profiler to attribute stack samples to the
-        sampled thread's active span stack. Threads that never opened a
-        span return an empty tuple. The snapshot is taken without
-        blocking the owning thread (list copy under the GIL), so it can
-        be at most one push/pop stale — fine for statistical sampling.
-        """
-        stack = self._open_by_thread.get(thread_ident)
-        if not stack:
-            return ()
-        return tuple(span.name for span in list(stack))
 
     def reset(self) -> None:
         """Drop finished spans and events (open spans keep their ids)."""

@@ -146,11 +146,12 @@ class ReliableChannel:
         A fault-dropped session surfaces the same way as an out-of-range
         node — an exception from the link — and consumes an attempt; the
         ``protocol.arq.retries{cause=data|ack}`` counters record which
-        half of the exchange forced each retry.
+        half of the exchange forced each retry. A call the link refuses
+        outright (a rate it cannot run) raises and leaves ``stats`` as it
+        was.
         """
         if not payload:
             raise ProtocolError("payload must be non-empty")
-        self.stats.transfers += 1
         air_time_s = 0.0
         wait_time_s = 0.0
         for attempt in range(1, self.max_attempts + 1):
@@ -167,15 +168,11 @@ class ReliableChannel:
                     return TransferResult(
                         False, attempt - 1, air_time_s, payload, wait_time_s, True
                     )
+            data = self._send_data(payload, direction, bit_rate_bps)
+            if attempt == 1:
+                self.stats.transfers += 1
             self.stats.attempts += 1
-            try:
-                if direction is PayloadDirection.UPLINK:
-                    data = self.link.receive_from_node(payload, bit_rate_bps)
-                else:
-                    data = self.link.send_to_node(payload, bit_rate_bps)
-            except (ProtocolError, LocalizationError):
-                # The node never heard the preamble (out of range /
-                # blocked / fault-dropped): no response — a failed attempt.
+            if data is None:
                 self._note_data_failure(attempt)
                 continue
             air_time_s += data.air_time_s
@@ -197,6 +194,19 @@ class ReliableChannel:
         return TransferResult(
             False, self.max_attempts, air_time_s, payload, wait_time_s
         )
+
+    def _send_data(
+        self, payload: bytes, direction: PayloadDirection, bit_rate_bps: float
+    ):
+        """The data frame's report, or None when the node never heard the
+        preamble (out of range / blocked / fault-dropped): no response, a
+        failed attempt. A call the link refuses outright raises."""
+        try:
+            if direction is PayloadDirection.UPLINK:
+                return self.link.receive_from_node(payload, bit_rate_bps)
+            return self.link.send_to_node(payload, bit_rate_bps)
+        except (ProtocolError, LocalizationError):
+            return None
 
     def _send_ack(self, data_direction: PayloadDirection, bit_rate_bps: float):
         """The ACK travels opposite to the data."""

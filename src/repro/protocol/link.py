@@ -123,6 +123,13 @@ class MilBackLink:
     ) -> SessionResult:
         if not payload:
             raise ProtocolError("payload must be non-empty")
+        # A rate the hardware cannot run is refused before the session
+        # counts, draws a fault or spends Field 1 and Field 2 on it.
+        config = self.sim.node.config
+        if direction is PayloadDirection.DOWNLINK:
+            config.validate_downlink_rate(bit_rate_bps)
+        else:
+            config.validate_uplink_rate(bit_rate_bps)
         obs.counter("protocol.sessions", direction=direction.value).inc()
         with obs.span("protocol.session", direction=direction.value):
             # An armed link_drop fault kills the whole exchange up front —

@@ -10,7 +10,7 @@ from repro.channel.scene import Scene2D
 from repro.errors import ConfigurationError
 from repro.node.firmware import PayloadDirection
 from repro.phy.dense_oaqfm import DenseOaqfmScheme
-from repro.protocol.arq import ReliableChannel
+from repro.protocol.arq import LinkStatistics, ReliableChannel
 from repro.protocol.link import MilBackLink
 from repro.sim.engine import MilBackSimulator
 from repro.utils.geometry import Point2D
@@ -163,7 +163,8 @@ class TestBeatBurstArguments:
 
 class TestDownlinkRates:
     """A downlink rate that is not positive raises `ConfigurationError`,
-    as an uplink rate does, and the engine draws nothing first."""
+    as an uplink rate does, and the engine draws nothing first; a session
+    refuses a rate its direction cannot run before it starts."""
 
     @pytest.mark.parametrize("bit_rate_bps", [0.0, -2e6])
     @pytest.mark.parametrize(("orientation_deg", "ook"), [(10.0, False), (0.0, True)])
@@ -185,15 +186,30 @@ class TestDownlinkRates:
                 [1, 0, 1, 1], DenseOaqfmScheme(4), symbol_rate_hz=symbol_rate_hz
             )
 
-    @pytest.mark.parametrize("bit_rate_bps", [0.0, -2e6])
+    @pytest.mark.parametrize("bit_rate_bps", [0.0, -2e6, 200e6])
     def test_link_and_arq_reject(self, bit_rate_bps):
+        """Both directions refuse the rate before the session starts: no
+        draw, no counter or span, and no transfer in the ARQ statistics.
+        200 Mbps is above the 160 Mbps switch ceiling (and the 36 Mbps
+        detector ceiling)."""
         scene = Scene2D.single_node(2.0, orientation_deg=10.0)
-        link = MilBackLink(MilBackSimulator(scene, seed=1))
-        with pytest.raises(ConfigurationError, match="positive"):
-            link.send_to_node(b"hi", bit_rate_bps)
-        channel = ReliableChannel(MilBackLink(MilBackSimulator(scene, seed=1)))
-        with pytest.raises(ConfigurationError, match="positive"):
-            channel.send_reliable(b"hi", PayloadDirection.DOWNLINK, bit_rate_bps)
+        for direction in PayloadDirection:
+            link = MilBackLink(MilBackSimulator(scene, seed=1))
+            channel = ReliableChannel(link)
+            state = link.sim.rng.bit_generator.state
+            snapshot = obs.get_registry().snapshot()
+            send = (
+                link.send_to_node
+                if direction is PayloadDirection.DOWNLINK
+                else link.receive_from_node
+            )
+            with pytest.raises(ConfigurationError, match="positive|ceiling"):
+                send(b"hi", bit_rate_bps)
+            with pytest.raises(ConfigurationError, match="positive|ceiling"):
+                channel.send_reliable(b"hi", direction, bit_rate_bps)
+            assert link.sim.rng.bit_generator.state == state
+            assert obs.get_registry().snapshot() == snapshot
+            assert channel.stats == LinkStatistics()
 
 
 class TestClutterNames:

@@ -35,7 +35,7 @@ from repro.netsim import (
 from repro.netsim.core import EventQueue
 from repro.netsim.linkmodel import NODE_NOISE_FLOOR_DBM
 from repro.netsim.roaming import _boresight_target
-from repro.protocol.arq import ReliableChannel
+from repro.protocol.arq import LinkStatistics, ReliableChannel
 from repro.protocol.inventory import SlottedInventory
 from repro.sim import linkbudget
 from repro.sim.linkbudget import LinkBudget
@@ -552,15 +552,22 @@ class TestFleetLink:
 
     @pytest.mark.parametrize("bit_rate_bps", [0.0, -1e6])
     def test_rate_must_be_positive(self, bit_rate_bps):
+        """In range or not, the rate is refused before the link is
+        evaluated, and a refused transfer leaves the ARQ statistics
+        alone."""
         _, ap, nodes = _single_ap_fixture()
         node = nodes["node-0000"]
+        far = FleetNode("far", 99, Pose2D.at(80.0, 80.0, 225.0), node.rng)
         state = node.rng.bit_generator.state
-        link = FleetLink(NetworkSimulation(), FleetLinkModel(), ap, node)
-        for send in (link.send_to_node, link.receive_from_node):
+        for target in (node, far):
+            link = FleetLink(NetworkSimulation(), FleetLinkModel(), ap, target)
+            for send in (link.send_to_node, link.receive_from_node):
+                with pytest.raises(NetworkSimError, match="positive"):
+                    send(b"hi", bit_rate_bps)
+            channel = ReliableChannel(link, max_attempts=4)
             with pytest.raises(NetworkSimError, match="positive"):
-                send(b"hi", bit_rate_bps)
-        with pytest.raises(NetworkSimError, match="positive"):
-            ReliableChannel(link).send_reliable(b"hi", bit_rate_bps=bit_rate_bps)
+                channel.send_reliable(b"hi", bit_rate_bps=bit_rate_bps)
+            assert channel.stats == LinkStatistics()
         assert node.rng.bit_generator.state == state
 
     @staticmethod

@@ -356,20 +356,15 @@ class TestCrossProcessAbsorption:
 
     def test_detach_open_spans_round_trip(self):
         tracer = Tracer()
-        with tracer.span("cli.run"):
+        with tracer.span("cli.run") as root:
             with tracer.span("experiment.fig12") as inherited:
                 # A forked worker inherits this open stack...
-                import threading
-
-                ident = threading.get_ident()
-                assert tracer.open_stack_names(ident) == (
-                    "cli.run", "experiment.fig12",
-                )
+                assert tracer.current_span() is inherited
+                assert (inherited.parent_id, inherited.depth) == (root.span_id, 1)
                 tracer.detach_open_spans()
                 # ...and after detaching, new spans are roots, not
                 # children of the stale inherited ids.
                 assert tracer.current_span() is None
-                assert tracer.open_stack_names(ident) == ()
                 with tracer.span("sweep.trial") as fresh:
                     assert fresh.parent_id is None
                     assert fresh.depth == 0
@@ -638,31 +633,6 @@ class TestCliObsFlags:
         records = [json.loads(line) for line in trace.read_text().splitlines()]
         bridged = [r for r in records if r["type"] == "event"]
         assert bridged and all(r["sim_time_s"] is not None for r in bridged)
-
-    def test_profile_flag_writes_flamegraph(self, tmp_path, capsys, monkeypatch):
-        """Acceptance: fig12 --profile yields a flamegraph led by trace spans."""
-        monkeypatch.setenv("REPRO_PROFILE_HZ", "500")
-        flame = tmp_path / "flamegraph.html"
-        collapsed = tmp_path / "profile.txt"
-        metrics = tmp_path / "metrics.json"
-        status = cli_main(
-            ["run", "fig12", "--trials", "3", "--profile",
-             "--profile-out", str(flame),
-             "--profile-collapsed", str(collapsed),
-             "--metrics-out", str(metrics)]
-        )
-        capsys.readouterr()
-        assert status == 0
-        text = flame.read_text(encoding="utf-8")
-        assert text.startswith("<!DOCTYPE html>")
-        # Top of the sample tree is the run's span stack, in the same
-        # vocabulary the trace uses.
-        assert "cli.run" in text
-        assert "experiment.fig12" in text
-        assert collapsed.read_text(encoding="utf-8").strip()
-        document = json.loads(metrics.read_text())
-        assert document["metrics"]["profile.hz"]["value"] == 500.0
-        assert document["metrics"]["profile.samples"]["value"] > 0
 
     def test_heartbeat_flag_streams_progress(self, tmp_path, capsys):
         beats = tmp_path / "beats.jsonl"

@@ -163,6 +163,12 @@ class TestRendering:
         assert "const ROOT" in html
         assert "<td>b</td>" in html
 
+    def test_html_report_escapes_title(self):
+        html = render_report_html([_span("f", 0, None, 0, 0.0, 1e-6)], title="<script>")
+        assert "<title>&lt;script&gt;</title>" in html
+        assert "<h1>&lt;script&gt;</h1>" in html
+        assert '"value": 1' in html
+
     def test_document_schema(self, trace_path):
         spans, problems = load_trace_spans(trace_path)
         document = report_document(spans, problems)
