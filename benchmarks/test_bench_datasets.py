@@ -5,8 +5,8 @@ measured here and recorded as gauges in ``BENCH_obs.json``:
 
 * ``bench.parallel.warm_pool_speedup`` — a burst of small map calls on
   a prewarmed :class:`~repro.parallel.PersistentPool` vs the same burst
-  through :func:`~repro.parallel.parallel_map` with no pool installed,
-  which forks a pool for each call. The trials
+  through :func:`~repro.parallel.parallel_map`, which forks a pool for
+  each call. The trials
   are deliberately light (a small FFT per task): the gauge isolates the
   *pool lifecycle* overhead — fork + executor spin-up + teardown per
   call, ~10 ms on this class of box — that the warm pool pays once
@@ -72,9 +72,8 @@ def _warm_leg(pool: PersistentPool) -> tuple[float, list[list[float]]]:
 
 
 def test_bench_warm_pool_speedup(benchmark):
-    # Constructed directly, NOT entered as a context manager: entering
-    # installs the pool as the process-wide parallel_map routing target,
-    # which would silently turn the cold leg warm too.
+    # The warm leg maps on the pool; the cold leg's parallel_map calls
+    # each fork and shut down a pool of their own.
     pool = PersistentPool(max_workers=POOL_WORKERS)
     try:
         pool.warm()

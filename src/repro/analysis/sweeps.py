@@ -76,12 +76,12 @@ def _sweep_task(
     trial: Callable[[float, np.random.Generator], float],
     task: tuple[float, np.random.Generator],
 ) -> float:
-    """Module-level task wrapper so sweeps stay picklable.
+    """Unpack one ``(parameter, rng)`` task into ``trial``.
 
-    ``functools.partial(_sweep_task, trial)`` pickles whenever ``trial``
-    does, which lets a picklable trial ride an installed
-    :class:`~repro.parallel.PersistentPool`; closures still run on a
-    pool forked for the call, which inherits them copy-on-write.
+    ``functools.partial(_sweep_task, trial)`` is the sweep's map
+    function. The pool :func:`~repro.parallel.parallel_map` forks for
+    the call inherits it copy-on-write, so closures over experiment
+    parameters run there too.
     """
     return float(trial(task[0], task[1]))
 
@@ -105,7 +105,7 @@ def run_sweep(
     """Run ``trial(parameter, rng)`` ``n_trials`` times per parameter.
 
     Trials receive independent RNG streams derived from ``seed``. With
-    ``max_workers`` above 1 (or ``$REPRO_MAX_WORKERS`` set), the
+    ``max_workers`` above 1 (0 means all cores), the
     ``(parameter, trial)`` pairs execute on a process pool; each pair
     still consumes exactly the stream a serial run would hand it, so the
     returned points are bitwise identical either way.

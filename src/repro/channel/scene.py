@@ -105,11 +105,6 @@ class Scene2D:
         placement = self.node(node_id)
         return placement.pose.relative_bearing_to(self.ap_pose)
 
-    def ap_bearing_at_node_deg(self, node_id: str | None = None) -> float:
-        """Alias of :meth:`node_orientation_deg`; reads better in
-        node-side code."""
-        return self.node_orientation_deg(node_id)
-
     def clutter_geometry(self) -> list[tuple[Reflector, float, float]]:
         """[(reflector, distance from AP, azimuth off AP boresight)] for
         every clutter element."""

@@ -144,7 +144,7 @@ def _add_execution_args(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         help="run sweeps on N worker processes (0 = all cores; results "
-        "are bitwise identical to serial; default: $REPRO_MAX_WORKERS or 1)",
+        "are bitwise identical to serial; default: 1, serial)",
     )
     parser.add_argument(
         "--trace",
@@ -169,7 +169,7 @@ def _add_execution_args(parser: argparse.ArgumentParser) -> None:
         metavar="SECONDS",
         default=None,
         help="emit progress heartbeats to stderr at most every SECONDS "
-        "(0 disables; default: $REPRO_HEARTBEAT_S or off)",
+        "(finite; 0 disables; default: off)",
     )
     parser.add_argument(
         "--heartbeat-out",

@@ -40,8 +40,7 @@ from repro.datasets.writer import ShardWriter
 from repro.dsp.fftutils import window_taps
 from repro.errors import DatasetError
 from repro.kernels import rxchain
-from repro.obs import stream
-from repro.parallel import PersistentPool, active_pool, resolve_max_workers
+from repro.parallel import PersistentPool
 from repro.sim.engine import BurstObservables, MilBackSimulator
 from repro.utils.geometry import Point2D
 from repro.utils.rng import indexed_rng_rows
@@ -185,11 +184,14 @@ def generate_dataset(
 
     Rows stream through :class:`~repro.datasets.writer.ShardWriter` in
     blocks of ``block_rows``, so peak memory is bounded by the in-flight
-    block window regardless of corpus size. ``pool`` (or an installed
-    :func:`repro.parallel.active_pool`) reuses warm workers across
-    calls; otherwise a pool is created for this run and shut down after.
-    The output bytes are identical at any ``max_workers`` and across
-    resume boundaries.
+    block window regardless of corpus size. Every block runs through
+    :meth:`~repro.parallel.PersistentPool.imap_chunks`: on ``pool`` when
+    it has more than one worker, which reuses warm workers across calls
+    (``max_workers`` is then unused); otherwise on a pool of
+    ``max_workers`` created for this run and shut down after, which at
+    one worker runs every block in-process without forking. The output
+    bytes are identical at any worker count and across resume
+    boundaries.
     """
     if block_rows < 1:
         raise DatasetError("block_rows must be at least 1")
@@ -203,23 +205,12 @@ def generate_dataset(
             for lo in range(start, config.n_rows, block_rows)
         ]
         fn = functools.partial(_generate_block, config)
-        workers = resolve_max_workers(max_workers)
-        run_pool = pool if pool is not None else active_pool()
-        owns_pool = False
-        if run_pool is None and workers > 1 and len(blocks) > 1:
-            run_pool = PersistentPool(max_workers=workers)
-            owns_pool = True
+        owns_pool = pool is None or pool.max_workers <= 1
+        run_pool = PersistentPool(max_workers) if owns_pool else pool
         try:
-            if run_pool is not None and workers > 1 and len(blocks) > 1:
-                for chunk_blocks in run_pool.imap_chunks(fn, blocks, chunk_size=1):
-                    for block in chunk_blocks:
-                        writer.append_block(block)
-            else:
-                for i, bounds in enumerate(blocks):
-                    writer.append_block(fn(bounds))
-                    stream.tick(
-                        done=i + 1, total=len(blocks), force=i + 1 == len(blocks)
-                    )
+            for chunk_blocks in run_pool.imap_chunks(fn, blocks, chunk_size=1):
+                for block in chunk_blocks:
+                    writer.append_block(block)
         finally:
             if owns_pool:
                 run_pool.shutdown()

@@ -234,10 +234,6 @@ class Signal:
             self.start_time_s,
         )
 
-    def real_envelope(self) -> np.ndarray:
-        """Magnitude of the samples (ideal envelope)."""
-        return np.abs(self.samples)
-
     def concatenated(self, other: "Signal") -> "Signal":
         """Append ``other`` immediately after this signal.
 

@@ -30,7 +30,7 @@ from repro.errors import ConfigurationError, FaultInjectionError, MilBackError
 from repro.faults.plan import FaultPlan, activate
 from repro.faults.spec import FaultSpec
 from repro.node.firmware import PayloadDirection
-from repro.parallel import parallel_map, resolve_max_workers
+from repro.parallel import parallel_map
 from repro.protocol.arq import ReliableChannel, RetryBackoff
 from repro.protocol.link import MilBackLink
 from repro.sim.engine import MilBackSimulator
@@ -251,13 +251,8 @@ def _campaign_task(
     config: CampaignConfig,
     task: tuple[tuple[FaultSpec, ...], np.random.Generator, np.random.Generator],
 ) -> tuple[float, ...]:
-    """Module-level task wrapper so campaigns stay picklable.
-
-    ``functools.partial(_campaign_task, config)`` crosses a pickle
-    boundary (the config and specs are frozen dataclasses of plain
-    data), which lets campaigns ride an installed
-    :class:`~repro.parallel.PersistentPool` instead of forking cold.
-    """
+    """One ``(specs, rng, rng)`` task: ``functools.partial(_campaign_task,
+    config)`` is the campaign's map function."""
     return _run_trial(config, *task)
 
 
@@ -285,7 +280,6 @@ def run_campaign(
         for j in range(config.n_trials):
             k = 2 * (i * config.n_trials + j)
             tasks.append((specs, rngs[k], rngs[k + 1]))
-    workers = resolve_max_workers(max_workers)
     with obs.span(
         "faults.campaign",
         kinds=",".join(config.kinds),
@@ -293,7 +287,7 @@ def run_campaign(
         trials=config.n_trials,
     ):
         result = parallel_map(
-            functools.partial(_campaign_task, config), tasks, max_workers=workers
+            functools.partial(_campaign_task, config), tasks, max_workers=max_workers
         )
         obs.counter("faults.campaign.points").inc(len(config.rates))
         obs.counter("faults.campaign.trials").inc(len(tasks))

@@ -56,10 +56,6 @@ class LifetimeEstimate:
     def lifetime_years(self) -> float:
         return self.lifetime_s / SECONDS_PER_YEAR
 
-    @property
-    def lifetime_days(self) -> float:
-        return self.lifetime_s / SECONDS_PER_DAY
-
 
 class DutyCycledNode:
     """A node that wakes to exchange one packet, then sleeps."""

@@ -6,8 +6,7 @@ runs it to completion, and reduces the run to a plain-data
 cheaply). ``run_matrix`` fans a list of scenario names through
 :func:`repro.parallel.parallel_map` — each scenario is a pure function
 of ``(name, seed)``, so the matrix is byte-identical at any worker
-count, and rides an installed :class:`repro.parallel.PersistentPool`
-when one is active.
+count.
 
 Outputs come in two shapes: a human-readable comparison table
 (:func:`render_table`) and a canonical JSON document
@@ -23,7 +22,7 @@ import json
 from dataclasses import asdict, dataclass
 
 from repro import obs
-from repro.parallel import parallel_map, resolve_max_workers
+from repro.parallel import parallel_map
 from repro.protocol.inventory import InventoryResult
 
 from repro.netsim.core import NetworkSimulation
@@ -193,12 +192,8 @@ def _execute(spec: ScenarioSpec, seed: int) -> ScenarioResult:
 
 
 def _scenario_task(seed: int, name: str) -> ScenarioResult:
-    """Module-level matrix task so fan-out stays picklable.
-
-    ``functools.partial(_scenario_task, seed)`` crosses the pickle
-    boundary, letting the matrix ride an installed
-    :class:`~repro.parallel.PersistentPool` instead of forking cold.
-    """
+    """One scenario: ``functools.partial(_scenario_task, seed)`` is the
+    matrix's map function."""
     return run_scenario(name, seed=seed)
 
 
@@ -216,10 +211,9 @@ def run_matrix(
     """
     for name in names:
         get_scenario(name)  # fail fast on typos, before forking
-    workers = resolve_max_workers(max_workers)
     with obs.span("netsim.matrix", scenarios=len(names), seed=seed):
         result = parallel_map(
-            functools.partial(_scenario_task, seed), list(names), max_workers=workers
+            functools.partial(_scenario_task, seed), list(names), max_workers=max_workers
         )
     return list(result.values)
 

@@ -17,8 +17,7 @@ Runtime telemetry extends the post-hoc core with three pieces:
   span flamegraph (``repro obs report``) — the one in-process answer
   to "where did the time go";
 * **live heartbeats** (:mod:`repro.obs.stream`): rate-limited progress
-  snapshots from long sweeps and campaigns
-  (``--heartbeat``/``$REPRO_HEARTBEAT_S``);
+  snapshots from long sweeps and campaigns (``--heartbeat``);
 * a **bench-regression gate** (:mod:`repro.obs.regress`) diffing fresh
   ``BENCH_obs.json``/``metrics.json`` gauges against a recorded
   baseline with tolerance bands (``repro obs regress``).

@@ -380,18 +380,8 @@ _FLAMEGRAPH_TEMPLATE = """<!DOCTYPE html>
 <script>
 const ROOT = __DATA__;
 const UNIT = "__UNIT__";
-const PALETTE = ["#d9713e","#dd8a48","#e0a253","#c46a4f","#b65c46","#e3b55e"];
 const SPAN_COLOR = "#7a9e7e";
 let zoom = ROOT;
-function isSpan(name) {
-  return name.indexOf(":") < 0 && name.indexOf(".") >= 0;
-}
-function color(name) {
-  if (isSpan(name)) return SPAN_COLOR;
-  let h = 0;
-  for (let i = 0; i < name.length; i++) h = (h * 31 + name.charCodeAt(i)) >>> 0;
-  return PALETTE[h % PALETTE.length];
-}
 function depthOf(node) {
   let d = 1;
   for (const c of node.children || []) d = Math.max(d, 1 + depthOf(c));
@@ -406,11 +396,11 @@ function render() {
     const w = node.value * scale;
     if (w < 0.5) return;
     const div = document.createElement("div");
-    div.className = "frame" + (isSpan(node.name) ? " span" : "");
+    div.className = "frame span";
     div.style.left = x + "px";
     div.style.top = (depth * 18) + "px";
     div.style.width = Math.max(w - 1, 1) + "px";
-    div.style.background = color(node.name);
+    div.style.background = SPAN_COLOR;
     div.textContent = node.name;
     div.title = node.name + " — " + node.value + " " + UNIT +
       " (" + (100 * node.value / ROOT.value).toFixed(1) + "%)";

@@ -16,14 +16,15 @@ sweep are bitwise identical with heartbeats on or off, at any worker
 count. Nothing is kept in process: :meth:`HeartbeatEmitter.tick`
 returns the beat it emitted, and the JSONL sink is the record.
 
-Disabled by default. Enable with ``--heartbeat SECONDS`` on the CLI or
-``$REPRO_HEARTBEAT_S``; ``--heartbeat-out`` adds the JSONL sink.
+Disabled by default. Enable with ``--heartbeat SECONDS`` on the CLI
+(:func:`configure` in a library); ``--heartbeat-out`` adds the JSONL
+sink.
 """
 
 from __future__ import annotations
 
 import json
-import os
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -35,7 +36,6 @@ from repro.obs.metrics import Counter
 from repro.obs.runtime import counter, get_registry, get_tracer
 
 __all__ = [
-    "HEARTBEAT_ENV",
     "Heartbeat",  # milback: disable=ML014 — public snapshot record type
     "HeartbeatEmitter",
     "configure",
@@ -44,25 +44,19 @@ __all__ = [
     "tick",
 ]
 
-#: Environment variable giving the default heartbeat interval [s].
-HEARTBEAT_ENV = "REPRO_HEARTBEAT_S"
-
 
 def resolve_interval(interval_s: float | None) -> float:
-    """Effective interval: explicit value, else env, else 0 (disabled)."""
+    """Effective interval [s]: ``None`` and 0 mean off.
+
+    A negative or non-finite interval raises: a NaN would pass every
+    ``<`` test and beat on every tick, and an infinite one would never
+    beat again after the first.
+    """
     if interval_s is None:
-        raw = os.environ.get(HEARTBEAT_ENV, "").strip()
-        if not raw:
-            return 0.0
-        try:
-            interval_s = float(raw)
-        except ValueError:
-            raise ConfigurationError(
-                f"${HEARTBEAT_ENV}={raw!r} is not a number"
-            ) from None
-    if interval_s < 0:
+        return 0.0
+    if not math.isfinite(interval_s) or interval_s < 0:
         raise ConfigurationError(
-            f"heartbeat interval must be >= 0, got {interval_s}"
+            f"heartbeat interval must be finite and >= 0, got {interval_s}"
         )
     return float(interval_s)
 
@@ -155,7 +149,7 @@ class HeartbeatEmitter:
         jsonl_path: str | Path | None = None,
         clock: Callable[[], float] = time.perf_counter,
     ) -> None:
-        if interval_s <= 0:
+        if resolve_interval(interval_s) == 0:
             raise ConfigurationError(
                 f"emitter interval must be positive, got {interval_s}"
             )
@@ -240,9 +234,8 @@ def configure(
 ) -> HeartbeatEmitter | None:
     """Install (or clear) the process-wide emitter.
 
-    ``interval_s=None`` consults ``$REPRO_HEARTBEAT_S``; a resolved
-    interval of 0 disables heartbeats (the default). Returns the active
-    emitter, if any.
+    ``interval_s`` of ``None`` or 0 disables heartbeats (the default).
+    Returns the active emitter, if any.
     """
     global _EMITTER
     interval = resolve_interval(interval_s)

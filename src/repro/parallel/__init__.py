@@ -12,16 +12,16 @@ output. Three contracts make that safe (see ``docs/PERFORMANCE.md``):
   spans into their own process-local registry and return them as a delta
   per chunk; the parent merges the deltas, so counter totals (e.g.
   ``sweep.trials``, ``engine.*.trials``) match a serial run exactly;
-* **graceful degradation** — when ``max_workers`` resolves to 1, the
-  platform cannot ``fork``, or the pool dies, execution falls back to
-  the serial in-process path and records why
-  (``parallel.fallbacks{reason=...}``).
+* **graceful degradation** — when the platform cannot ``fork`` or the
+  pool dies, execution falls back to the serial in-process path and
+  records why (``parallel.fallbacks{reason=...}``); ``max_workers`` of
+  ``None`` or 1 runs that path by design and records nothing.
 
 Every map runs on one pool implementation,
-:class:`~repro.parallel.pool.PersistentPool`: a warm one installed with
-``with PersistentPool(...)``, or one that :func:`parallel_map` builds
-for a single call. Every chunk crosses the pool's pipe, its items
-pickled once in the parent and its results once in the worker.
+:class:`~repro.parallel.pool.PersistentPool`: one that
+:func:`parallel_map` forks for a single call, or a warm one a caller
+builds and maps on itself. Every chunk crosses the pool's pipe, its
+items pickled once in the parent and its results once in the worker.
 
 This is the only module tree allowed to import process-pool primitives
 (`concurrent.futures` / `multiprocessing`) — lint rule ML011 enforces
@@ -31,19 +31,15 @@ the boundary so pool lifecycle management never leaks into physics code.
 from __future__ import annotations
 
 from repro.parallel.pool import (
-    DEFAULT_WORKERS_ENV,
     ParallelResult,
     PersistentPool,
-    active_pool,
     parallel_map,
     resolve_max_workers,
 )
 
 __all__ = [
-    "DEFAULT_WORKERS_ENV",
     "ParallelResult",
     "PersistentPool",
-    "active_pool",
     "parallel_map",
     "resolve_max_workers",
 ]

@@ -3,10 +3,9 @@
 Execution model
 ---------------
 
-``parallel_map(fn, items)`` splits ``items`` into contiguous chunks and
-runs each chunk in a forked worker of a :class:`PersistentPool` — the
-one installed with ``with PersistentPool(...)`` when ``fn`` is
-picklable, otherwise a pool that lives for this one call. Workers are
+``parallel_map(fn, items, max_workers)`` runs serially, or splits
+``items`` into contiguous chunks and runs each chunk in a forked worker
+of a :class:`PersistentPool` that lives for this one call. Workers are
 forked, not spawned, for one load-bearing reason: sweep trial functions
 are closures over experiment parameters (scene geometry, bit rates, …)
 and closures cannot cross a pickle boundary — but the one-call pool
@@ -31,11 +30,11 @@ The pool
 --------
 
 Constructed by hand, a :class:`PersistentPool` keeps its workers alive
-across calls, which sustained workloads need: corpus generation
-(:mod:`repro.datasets`) issues *many* map calls, and a pool per call
-would pay fork + executor spin-up again each time, then throw away
-every scene-invariant cache entry (:mod:`repro.sim.cache`) its workers
-just warmed.
+across calls, which sustained workloads need: a caller that generates
+corpus after corpus (:func:`repro.datasets.generate_dataset` takes
+``pool=``) would otherwise pay fork + executor spin-up again each time,
+then throw away every scene-invariant cache entry
+(:mod:`repro.sim.cache`) its workers just warmed.
 
 * **Warm state.** Workers are forked once (inheriting the parent's
   caches copy-on-write) and then *keep* everything they warm up —
@@ -63,11 +62,10 @@ just warmed.
   context-manager exit, on ``KeyboardInterrupt`` mid-map and from an
   ``atexit`` hook, so no run ends with zombie workers.
 
-Entering the pool as a context manager also installs it process-wide:
-every :func:`parallel_map` call issued underneath (sweeps, campaigns,
-dataset generation) routes through the warm pool when its function is
-picklable. See ``docs/PERFORMANCE.md`` for the measured warm-vs-cold
-speedup (``bench.parallel.warm_pool_speedup``).
+A pool serves only the calls made on it: entering it as a context
+manager manages its lifecycle and reroutes no :func:`parallel_map`.
+See ``docs/PERFORMANCE.md`` for the measured warm-vs-cold speedup
+(``bench.parallel.warm_pool_speedup``).
 """
 
 from __future__ import annotations
@@ -88,16 +86,11 @@ from repro.errors import ConfigurationError
 from repro.obs import stream
 
 __all__ = [
-    "DEFAULT_WORKERS_ENV",
     "ParallelResult",
     "PersistentPool",
-    "active_pool",
     "parallel_map",
     "resolve_max_workers",
 ]
-
-#: Environment variable consulted when ``max_workers`` is not given.
-DEFAULT_WORKERS_ENV = "REPRO_MAX_WORKERS"
 
 #: The chunk fan-out per worker: enough chunks that an uneven trial mix
 #: load-balances, few enough that per-chunk overhead stays negligible.
@@ -117,23 +110,12 @@ _IN_WORKER = False
 def resolve_max_workers(max_workers: int | None) -> int:
     """Turn the user-facing knob into an effective worker count.
 
-    ``None`` defers to ``$REPRO_MAX_WORKERS`` (absent/empty → 1, the
-    serial default); ``0`` or negative means "all cores". Inside a
-    worker process the answer is always 1 — nested pools would
-    oversubscribe and gain nothing.
+    ``None`` means 1, the serial default; ``0`` or negative means "all
+    cores". Inside a worker process the answer is always 1 — nested
+    pools would oversubscribe and gain nothing.
     """
-    if _IN_WORKER:
+    if _IN_WORKER or max_workers is None:
         return 1
-    if max_workers is None:
-        raw = os.environ.get(DEFAULT_WORKERS_ENV, "").strip()
-        if not raw:
-            return 1
-        try:
-            max_workers = int(raw)
-        except ValueError:
-            raise ConfigurationError(
-                f"${DEFAULT_WORKERS_ENV}={raw!r} is not an integer"
-            ) from None
     if max_workers <= 0:
         return os.cpu_count() or 1
     return int(max_workers)
@@ -184,6 +166,8 @@ def parallel_map(
     first, worker obs metrics/spans are merged into the parent, and any
     infrastructure failure degrades to an in-process serial loop. ``fn``
     may be a closure; ``items`` must be picklable (RNG generators are).
+    The pool is forked for this call and shut down after it; a caller
+    that wants warm workers calls :meth:`PersistentPool.map` instead.
     """
     global _WORKER_FN
     items = list(items)
@@ -197,13 +181,10 @@ def parallel_map(
             n_chunks=0,
             fallback_reason="serial",
         )
-    active = active_pool()
-    if active is not None and _is_picklable(fn):
-        return active.map(fn, items, chunk_size=chunk_size)
-    # No usable pool: run on one that lives for this call and forks
-    # after _WORKER_FN is staged, so fn reaches its workers by fork
-    # inheritance, closures included. More workers than items would
-    # only fork idle processes (and would not change the chunking).
+    # Run on a pool that lives for this call and forks after _WORKER_FN
+    # is staged, so fn reaches its workers by fork inheritance, closures
+    # included. More workers than items would only fork idle processes
+    # (and would not change the chunking).
     _WORKER_FN = fn
     one_call = PersistentPool(min(workers, len(items)))
     try:
@@ -271,15 +252,12 @@ class PersistentPool:
 
     Construct once, issue any number of :meth:`map` /
     :meth:`imap_chunks` calls, then :meth:`shutdown` (or use ``with``).
-    Entering as a context manager additionally installs the pool as the
-    process-wide routing target for :func:`parallel_map`.
     """
 
     def __init__(self, max_workers: int | None = None) -> None:
         self.max_workers = resolve_max_workers(max_workers)
         self._pool: ProcessPoolExecutor | None = None
         self._closed = False
-        self._previous_active: PersistentPool | None = None
         # The function parallel_map staged for fork inheritance when it
         # built this pool (None for a pool built anywhere else): its
         # workers already hold it, so its chunks ship no pickled copy.
@@ -315,16 +293,9 @@ class PersistentPool:
             atexit.unregister(self.shutdown)
 
     def __enter__(self) -> "PersistentPool":
-        global _ACTIVE
-        self._previous_active = _ACTIVE
-        _ACTIVE = self
         return self
 
     def __exit__(self, *exc_info: object) -> None:
-        global _ACTIVE
-        if _ACTIVE is self:
-            _ACTIVE = self._previous_active
-        self._previous_active = None
         self.shutdown()
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
@@ -499,15 +470,3 @@ class PersistentPool:
         finally:
             for future, _ in pending.values():
                 future.cancel()
-
-
-# --- process-wide routing ----------------------------------------------------------
-
-_ACTIVE: PersistentPool | None = None
-
-
-def active_pool() -> PersistentPool | None:
-    """The pool installed by ``with PersistentPool(...)``, if any."""
-    if _ACTIVE is not None and _ACTIVE.closed:
-        return None
-    return _ACTIVE

@@ -52,11 +52,6 @@ class ConcurrentNodeResult:
     sinr_db: float
     interference_over_noise_db: float
 
-    @property
-    def delivered_error_free(self) -> bool:
-        # BER is bit_errors/n: exactly 0.0 iff the error count is zero.
-        return self.ber == 0.0  # milback: disable=ML003
-
 
 class _ConcurrentSlot:
     """One AP serving every node of a scene on its own beam: the scene,

@@ -76,11 +76,6 @@ class ConstantVelocityTracker:
         self._cov: np.ndarray | None = None
         self._last_time_s: float | None = None
 
-    @property
-    def initialized(self) -> bool:
-        """Whether the filter has absorbed a first fix."""
-        return self._state is not None
-
     def update(self, time_s: float, range_m: float, azimuth_deg: float) -> TrackState:
         """Fuse one localization fix taken at ``time_s``."""
         z, r_cov = polar_to_cartesian_covariance(

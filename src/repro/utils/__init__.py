@@ -5,8 +5,6 @@ from repro.utils.units import (
     linear_to_db,
     dbm_to_watts,
     watts_to_dbm,
-    db_to_power_ratio,
-    power_ratio_to_db,
     volts_to_dbv,
     wavelength,
     frequency_from_wavelength,
@@ -34,8 +32,6 @@ __all__ = [
     "linear_to_db",
     "dbm_to_watts",
     "watts_to_dbm",
-    "db_to_power_ratio",  # milback: disable=ML014 — public unit-conversion helper
-    "power_ratio_to_db",  # milback: disable=ML014 — public unit-conversion helper
     "volts_to_dbv",
     "wavelength",
     "frequency_from_wavelength",

@@ -17,8 +17,6 @@ __all__ = [
     "linear_to_db",
     "dbm_to_watts",
     "watts_to_dbm",
-    "db_to_power_ratio",
-    "power_ratio_to_db",
     "volts_to_dbv",
     "wavelength",
     "frequency_from_wavelength",
@@ -44,12 +42,6 @@ def linear_to_db(ratio):
     """
     ratio = np.asarray(ratio, dtype=float)
     return 10.0 * np.log10(np.maximum(ratio, _POWER_FLOOR_W))
-
-
-# dB and power-ratio aliases with more explicit names, used where the code
-# reads better spelled out.
-db_to_power_ratio = db_to_linear
-power_ratio_to_db = linear_to_db
 
 
 def dbm_to_watts(dbm):

@@ -94,8 +94,7 @@ class TestOracleParity:
         metrics = json.loads(path.read_text(encoding="utf-8"))["metrics"]
         return stdout, metrics
 
-    def test_fig12_identical_on_the_oracle(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.delenv("REPRO_MAX_WORKERS", raising=False)
+    def test_fig12_identical_on_the_oracle(self, tmp_path, capsys):
         stdout, metrics = self._run_fig12(tmp_path / "batched.json", capsys)
         with reference_kernels():
             oracle_stdout, oracle_metrics = self._run_fig12(

@@ -9,10 +9,10 @@ import pytest
 
 from repro import obs
 from repro.analysis.sweeps import run_sweep
+from repro.datasets import DatasetConfig, generate_dataset
 from repro.errors import ConfigurationError
 from repro.obs import stream
 from repro.obs.stream import (
-    HEARTBEAT_ENV,
     HeartbeatEmitter,
     _health_from_deltas,
     resolve_interval,
@@ -36,21 +36,18 @@ class FakeClock:
 
 
 class TestResolveInterval:
-    def test_disabled_by_default(self, monkeypatch):
-        monkeypatch.delenv(HEARTBEAT_ENV, raising=False)
+    def test_disabled_by_default(self):
         assert resolve_interval(None) == 0.0
 
-    def test_env_fallback_and_explicit_precedence(self, monkeypatch):
-        monkeypatch.setenv(HEARTBEAT_ENV, "2.5")
-        assert resolve_interval(None) == 2.5
-        assert resolve_interval(1.0) == 1.0
-
-    def test_rejects_garbage_and_negative(self, monkeypatch):
-        monkeypatch.setenv(HEARTBEAT_ENV, "soon")
-        with pytest.raises(ConfigurationError):
-            resolve_interval(None)
+    def test_rejects_garbage_and_negative(self):
         with pytest.raises(ConfigurationError):
             resolve_interval(-1.0)
+
+    @pytest.mark.parametrize("interval_s", [float("nan"), float("inf")])
+    def test_configure_rejects_non_finite(self, interval_s):
+        with pytest.raises(ConfigurationError, match="finite"):
+            stream.configure(interval_s, stream=io.StringIO())
+        assert stream.get_emitter() is None
 
 
 class TestHeartbeatEmitter:
@@ -65,6 +62,10 @@ class TestHeartbeatEmitter:
     def test_rejects_nonpositive_interval(self):
         with pytest.raises(ConfigurationError):
             HeartbeatEmitter(0.0)
+
+    def test_rejects_nan_interval(self):
+        with pytest.raises(ConfigurationError, match="finite"):
+            HeartbeatEmitter(float("nan"), stream=io.StringIO())
 
     def test_rate_limiting(self):
         emitter, clock, sink = self._emitter(interval_s=1.0)
@@ -229,3 +230,30 @@ class TestSweepHeartbeats:
         )
         assert [p.values for p in beating] == [p.values for p in quiet]
         assert sink.getvalue().splitlines()
+
+
+class TestDatasetHeartbeats:
+    CONFIG = DatasetConfig(
+        scenes=("clear", "blocked"),
+        distances_m=(2.0, 3.0, 4.0),
+        n_trials=1,
+        seed=7,
+        n_spectrum_bins=32,
+    )
+
+    @staticmethod
+    def _files(out_dir):
+        return {path.name: path.read_bytes() for path in sorted(out_dir.iterdir())}
+
+    def test_serial_generation_beats_once_per_block(self, tmp_path):
+        assert self.CONFIG.n_rows == 6
+        generate_dataset(self.CONFIG, tmp_path / "quiet", block_rows=2)
+        sink = io.StringIO()
+        stream.configure(interval_s=1e-9, stream=sink)
+        generate_dataset(self.CONFIG, tmp_path / "beating", block_rows=2)
+        lines = sink.getvalue().splitlines()
+        assert [line.split()[1:3] for line in lines] == [
+            ["datasets.generate", f"{done}/3"] for done in (1, 2, 3)
+        ]
+        assert " 3/3 (100%) " in lines[-1]
+        assert self._files(tmp_path / "beating") == self._files(tmp_path / "quiet")

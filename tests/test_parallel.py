@@ -11,8 +11,9 @@ The executor makes three promises (see ``docs/PERFORMANCE.md``):
 3. **Graceful degradation** — infrastructure failures fall back to an
    in-process serial loop with identical results.
 
-Every map runs on :class:`~repro.parallel.PersistentPool`: the installed
-warm pool, or one ``parallel_map`` forks for a single call.
+Every map runs on :class:`~repro.parallel.PersistentPool`: one
+``parallel_map`` forks for a single call, or a warm one mapped on
+directly. Entering a pool reroutes no ``parallel_map``.
 """
 
 from __future__ import annotations
@@ -32,10 +33,8 @@ from repro.experiments import fig12_localization
 from repro.experiments.coverage_map import run_coverage_map
 from repro.faults.campaign import CampaignConfig, run_campaign
 from repro.parallel import (
-    DEFAULT_WORKERS_ENV,
     ParallelResult,
     PersistentPool,
-    active_pool,
     parallel_map,
     resolve_max_workers,
 )
@@ -64,24 +63,14 @@ def _toy_trial(parameter: float, rng: np.random.Generator) -> float:
 
 
 class TestResolveMaxWorkers:
-    def test_none_defaults_to_serial(self, monkeypatch):
-        monkeypatch.delenv(DEFAULT_WORKERS_ENV, raising=False)
+    def test_none_defaults_to_serial(self):
         assert resolve_max_workers(None) == 1
-
-    def test_none_reads_environment(self, monkeypatch):
-        monkeypatch.setenv(DEFAULT_WORKERS_ENV, "3")
-        assert resolve_max_workers(None) == 3
 
     def test_zero_means_all_cores(self):
         assert resolve_max_workers(0) >= 1
 
     def test_explicit_count_passes_through(self):
         assert resolve_max_workers(5) == 5
-
-    def test_garbage_environment_raises(self, monkeypatch):
-        monkeypatch.setenv(DEFAULT_WORKERS_ENV, "many")
-        with pytest.raises(ConfigurationError):
-            resolve_max_workers(None)
 
 
 class TestChunking:
@@ -288,7 +277,7 @@ def _array_items(n):
     ]
 
 
-class TestShmTransport:
+class TestPipeTransport:
     """Chunks cross the pool's pipe as bytes pickled once per direction."""
 
     @pytest.mark.parametrize("mode", ["batched", "reference"])
@@ -319,7 +308,7 @@ class TestShmTransport:
         assert obs.counter("parallel.bytes_shipped").value == expected
         assert not any("path=" in key for key in obs.get_registry().snapshot())
 
-    def test_no_segment_leak_on_fallback(self, monkeypatch):
+    def test_no_fork_falls_back_bitwise(self, monkeypatch):
         monkeypatch.setattr(
             pool_module.multiprocessing, "get_all_start_methods", lambda: ["spawn"]
         )
@@ -426,38 +415,17 @@ class TestPersistentPool:
         finally:
             pool.shutdown()
 
-    def test_parallel_map_routes_through_installed_pool(self):
-        with PersistentPool(max_workers=2) as pool:
-            assert active_pool() is pool
-            result = parallel_map(_pid_task, list(range(8)), max_workers=2)
-            assert set(result.values) <= set(pool.worker_pids())
-            assert obs.counter("parallel.chunks").value > 0
-        assert active_pool() is None
-
-    def test_closures_keep_the_cold_fork_path(self):
-        offset = 1
+    def test_entering_a_pool_reroutes_nothing(self):
         with PersistentPool(max_workers=2) as pool:
             warm_pids = set(pool.warm().worker_pids())
-            result = parallel_map(
-                lambda x: (x + offset, os.getpid()), list(range(8)), max_workers=2
-            )
-        assert [value for value, _ in result.values] == [i + 1 for i in range(8)]
-        # The warm pool cannot take a closure, so the call ran on a pool
-        # forked for it whose workers inherited the closure: parallel,
-        # off the warm workers, and no fallback of any kind.
-        assert result.parallel
-        pids = {pid for _, pid in result.values}
-        assert os.getpid() not in pids
-        assert not pids & warm_pids
-        snapshot = obs.get_registry().snapshot()
-        assert not any(key.startswith("parallel.fallbacks") for key in snapshot)
-
-    def test_shutdown_clears_routing(self):
-        with PersistentPool(max_workers=2) as pool:
-            pool.shutdown()
-            assert active_pool() is None
-            # parallel_map still works on a pool forked for the call.
-            assert parallel_map(_pid_task, [1, 2], max_workers=2).values
+            result = parallel_map(_pid_task, list(range(8)), max_workers=2)
+            # A picklable function too runs on a pool forked for the
+            # call: parallel, and off the warm workers, which are still
+            # alive here, so no pid can have been reused.
+            assert result.parallel
+            pids = set(result.values)
+            assert os.getpid() not in pids
+            assert warm_pids and not pids & warm_pids
 
     def test_broken_pool_degrades_serially_then_heals(self):
         serial = [_toy_pool_task(t) for t in self._toy_tasks(8)]
